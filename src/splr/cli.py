@@ -16,8 +16,8 @@ from .incoherence import (
     PreconditionError,
     check_conditions,
     check_identifiability,
+    default_lambda,
     profile,
-    simplified_parameters,
 )
 from .matrixio import MatrixIOError, read_matrix_csv, write_json, write_matrix_csv
 from .solvers import ConstrainedConfig, RegularizedConfig, solve_constrained, solve_regularized
@@ -69,20 +69,6 @@ def _parse_float_grid(text):
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return [lo + i * step for i in range(count)]
     raise ValueError(f"expected lo:hi:step, got {text!r}")
-
-
-def _fallback_lambda(m, n):
-    return 1.0 / math.sqrt(max(m, n))
-
-
-def _derived_lambda(prof, formulation, m, n):
-    try:
-        lam, _ = simplified_parameters(prof, formulation)
-        if lam > 0:
-            return lam
-    except (PreconditionError, ValueError):
-        pass
-    return _fallback_lambda(m, n)
 
 
 def build_parser():
@@ -151,7 +137,7 @@ def build_parser():
 def cmd_decompose(args):
     Y = read_matrix_csv(args.input)
     if args.lam is None:
-        args.lam = _fallback_lambda(*Y.shape)
+        args.lam = default_lambda(Y.shape)
     start = time.perf_counter()
     if args.mode == "regularized":
         if args.mu is None or args.mu <= 0:
@@ -197,8 +183,8 @@ def cmd_diagnose(args):
     m, n = target.shape
     c = args.c
     mu = 1.0 if args.mu is None else args.mu
-    lam_con = args.lam if args.lam is not None else _derived_lambda(prof, "constrained", m, n)
-    lam_reg = args.lam if args.lam is not None else _derived_lambda(prof, "regularized", m, n)
+    lam_con = args.lam if args.lam is not None else default_lambda((m, n), prof, "constrained")
+    lam_reg = args.lam if args.lam is not None else default_lambda((m, n), prof, "regularized")
     v_con = check_conditions(prof, "constrained", c, lam_con)
     v_reg = check_conditions(prof, "regularized", c, lam_reg, mu=mu)
     payload = {

@@ -20,6 +20,7 @@ __all__ = [
     "check_identifiability",
     "check_conditions",
     "simplified_parameters",
+    "default_lambda",
     "proposition1_bounds",
 ]
 
@@ -235,6 +236,20 @@ def simplified_parameters(prof, formulation, eps_2to2=0.0, eps_vinf=0.0):
             )
         return lam, None
     raise ValueError(f"unknown formulation {formulation!r}")
+
+
+def default_lambda(shape, prof=None, formulation="constrained"):
+    """The weight used when none is given: the closed-form lambda of
+    simplified_parameters when a profile is supplied and its rule yields a
+    positive value, else 1/sqrt(max(m, n))."""
+    if prof is not None:
+        try:
+            lam, _ = simplified_parameters(prof, formulation)
+        except PreconditionError:
+            lam = 0.0
+        if lam > 0:
+            return lam
+    return 1.0 / math.sqrt(max(shape))
 
 
 def proposition1_bounds(m, n, rbar, m0, n0, Uinf, Vinf):

@@ -29,17 +29,12 @@ def soft_threshold(M, t):
     return np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
 
 
-def _full_svd(M):
-    """Thin SVD without any rank truncation (V returned transposed back)."""
-    return thin_svd(M)
-
-
 def svt(M, t):
     """Singular-value thresholding: soft-threshold the spectrum by t."""
     M = as_matrix(M, "M")
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    U, s, Vt = _full_svd(M)
+    U, s, Vt = thin_svd(M)
     s = np.maximum(s - t, 0.0)
     keep = s > 0
     if not keep.any():
@@ -118,7 +113,7 @@ def project_nuclear_ball(M, eps):
         raise ValueError("radius must be nonnegative")
     if eps == 0:
         return np.zeros_like(M)
-    U, s, Vt = _full_svd(M)
+    U, s, Vt = thin_svd(M)
     if s.sum() <= eps:
         return M.copy()
     s = _project_l1_vector(s, eps)

@@ -3,8 +3,9 @@
 The penalized program (quadratic data-fit plus scaled l1 plus trace norm,
 optional box on X_S around Y) is solved by exact two-block coordinate
 descent; the constrained program (l1/trace norms subject to residual-norm
-caps, optional box on X_L) by ADMM, with the residual caps enforced through
-a Dykstra projection onto the intersection of the two residual balls.
+caps, optional box on X_L) by one Gauss-Seidel ADMM loop whose blocks are
+the four closed-form proxes: soft threshold, singular-value threshold,
+l1-ball and nuclear-ball projection, plus entrywise clipping for the box.
 """
 
 import math
@@ -67,19 +68,16 @@ class RegularizedConfig:
 @dataclass
 class ConstrainedConfig:
     """Parameters of the constrained solve: residual caps eps_v1/eps_star
-    (both zero means exact agreement), b the box radius on entries of X_L,
-    ADMM penalty and residual tolerance, and the Dykstra inner-loop caps."""
+    (a zero cap on either means exact agreement), b the box radius on
+    entries of X_L (inf disables it), tol the ADMM primal and dual residual
+    stop threshold."""
 
     lam: float
     eps_v1: float = 0.0
     eps_star: float = 0.0
     b: float = math.inf
-    admm_penalty: float = 1.0
     tol: float = 1e-9
     max_iter: int = 100000
-    dykstra_iters: int = 500
-    dykstra_tol: float = 1e-11
-    adaptive_penalty: bool = True
 
     def validate(self):
         if self.lam <= 0:
@@ -88,16 +86,10 @@ class ConstrainedConfig:
             raise ValueError("residual caps must be nonnegative")
         if self.b <= 0:
             raise ValueError("box radius must be positive")
-        if self.admm_penalty <= 0:
-            raise ValueError("admm_penalty must be positive")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.dykstra_iters < 1:
-            raise ValueError("dykstra_iters must be at least 1")
-        if self.dykstra_tol < 0:
-            raise ValueError("dykstra_tol must be nonnegative")
 
 
 @dataclass
@@ -105,9 +97,6 @@ class SolveReport:
     """Solution pair plus convergence and feasibility measurements.
 
     residual_* are the v1 / trace / Frobenius norms of X_S_hat + X_L_hat - Y.
-    recovery (when a known target is supplied afterwards) holds the six
-    error norms of the two difference matrices; bounds holds oracle values
-    attached by the caller.
     """
 
     X_S_hat: np.ndarray
@@ -120,8 +109,6 @@ class SolveReport:
     converged: bool
     mode: str
     diagnostics: dict = field(default_factory=dict)
-    recovery: dict = None
-    bounds: dict = None
 
 
 def recovery_errors(report, target):
@@ -248,175 +235,115 @@ def solve_regularized(Y, cfg):
     )
 
 
-def _project_residual_set(M, eps_v1, eps_star, max_iters, tol):
-    """Euclidean projection onto the intersection of the two residual
-    balls via Dykstra's alternating scheme; returns (point, iterations,
-    converged)."""
-    if entrywise_norm(M, 1) <= eps_v1 and trace_norm(M) <= eps_star:
-        return M.copy(), 0, True
-    cand = project_l1_ball(M, eps_v1)
-    if trace_norm(cand) <= eps_star:
-        return cand, 0, True
-    cand = project_nuclear_ball(M, eps_star)
-    if entrywise_norm(cand, 1) <= eps_v1:
-        return cand, 0, True
-    x = M.copy()
-    p = np.zeros_like(M)
-    q = np.zeros_like(M)
-    for k in range(1, max_iters + 1):
-        y = project_l1_ball(x + p, eps_v1)
-        p = x + p - y
-        x_new = project_nuclear_ball(y + q, eps_star)
-        q = y + q - x_new
-        step = float(np.abs(x_new - x).max())
-        gap = max(0.0, entrywise_norm(x_new, 1) - eps_v1)
-        x = x_new
-        if step <= tol and gap <= tol:
-            return x, k, True
-    return x, max_iters, False
+def solve_constrained(Y, cfg):
+    """Gauss-Seidel ADMM for the constrained program.
 
+    The residual X_S + X_L - Y gets one copy R_j per residual ball, each
+    with its own constraint X_S + X_L - Y = R_j and scaled dual W_j. A cap
+    of zero on either norm forces a zero residual, so that case (the exact
+    split) keeps a single copy fixed at R = 0. A finite box adds a copy B
+    of X_L with the constraint X_L = B and dual V, and B is returned as
+    X_L_hat. Each sweep takes the l1 prox in X_S, then the singular-value
+    threshold in X_L, each at the mean of the centres of the k constraints
+    the block enters (thresholds lam/(k*eta) and 1/(k*eta)), then projects
+    every copy onto its set. The penalty eta starts at 1 and is rebalanced
+    every 10 sweeps when one residual exceeds the other tenfold.
 
-def _clip_lowrank(X_L_cand, X_L_prev, center, eta, b):
-    """Box step for the X_L block: clip the threshold output, but refuse to
-    move if that would increase the block's augmented objective (trace norm
-    plus the quadratic around `center`) relative to the previous, already
-    box-feasible iterate."""
-    cand = clip_entries(X_L_cand, b)
-    if np.array_equal(cand, X_L_cand):
-        return cand
-
-    def aug(X):
-        return trace_norm(X) + 0.5 * eta * float(((X - center) ** 2).sum())
-
-    before = aug(X_L_prev)
-    after = aug(cand)
-    if after > before + 1e-12 * max(1.0, abs(before)):
-        raise RuntimeError(
-            "box clipping of the low-rank update increased the augmented "
-            "objective; tighten the box or clip the solution afterwards instead"
-        )
-    return cand
-
-
-def _solve_constrained_exact(Y, cfg):
-    """ADMM for the eps = 0 case: exact split X_S + X_L = Y."""
-    m, n = Y.shape
-    lam = cfg.lam
-    eta = cfg.admm_penalty
-    X_L = np.zeros((m, n))
-    W = np.zeros((m, n))
+    Exit requires primal and dual residuals at most cfg.tol, and in the
+    relaxed mode also that the solution's own residual norms exceed the
+    caps by at most 10*cfg.tol; hitting max_iter returns converged=False.
+    """
+    cfg.validate()
+    Y = as_matrix(Y, "Y")
+    lam, b = cfg.lam, cfg.b
+    exact = cfg.eps_v1 == 0 or cfg.eps_star == 0
+    balls = () if exact else (
+        (project_l1_ball, cfg.eps_v1), (project_nuclear_ball, cfg.eps_star))
+    k = max(1, len(balls))
+    boxed = not math.isinf(b)
+    eta = 1.0
+    X_L = np.zeros(Y.shape)
+    W = [np.zeros(Y.shape) for _ in range(k)]
+    R = [np.zeros(Y.shape) for _ in balls]
+    B = np.zeros(Y.shape)
+    V = np.zeros(Y.shape)
     converged = False
     rescalings = 0
     pri = dua = math.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        X_S = soft_threshold(Y - X_L - W, lam / eta)
-        cand = svt(Y - X_S - W, 1.0 / eta)
-        if not math.isinf(cfg.b):
-            cand = _clip_lowrank(cand, X_L, Y - X_S - W, eta, cfg.b)
-        dua = eta * entrywise_norm(cand - X_L, 2)
-        X_L = cand
-        R = X_S + X_L - Y
-        pri = entrywise_norm(R, 2)
-        W = W + R
+        W_bar = W[0] if k == 1 else sum(W) / k
+        if balls:
+            R_sum = sum(R)
+            R_bar = R_sum / k
+        C = Y - X_L - W_bar
+        if balls:
+            C += R_bar
+        X_S = soft_threshold(C, lam / (k * eta))
+        C = Y - X_S - W_bar
+        if balls:
+            C += R_bar
+        if boxed:
+            C = (k * C + B - V) / (k + 1)
+        X_L_new = svt(C, 1.0 / ((k + boxed) * eta))
+        # Dual residual of the X_S (X_L) step: eta times the change in the
+        # blocks updated after it, summed over the constraints it enters.
+        dual_S = X_L_new - X_L
+        X_L = X_L_new
+        D = X_S + X_L - Y
+        dual_L = None
+        if balls:
+            pri_parts = []
+            for j, (project, eps) in enumerate(balls):
+                R[j] = project(D + W[j], eps)
+                r = D - R[j]
+                W[j] = W[j] + r
+                pri_parts.append(entrywise_norm(r, 2))
+            dual_L = sum(R) - R_sum
+            dual_S = dual_L - k * dual_S
+        else:
+            W[0] = W[0] + D
+            pri_parts = [entrywise_norm(D, 2)]
+        if boxed:
+            B_new = clip_entries(X_L + V, b)
+            dual_L = B_new - B if dual_L is None else dual_L + (B_new - B)
+            B = B_new
+            r = X_L - B
+            V = V + r
+            pri_parts.append(entrywise_norm(r, 2))
+        dual_parts = [entrywise_norm(dual_S, 2)]
+        if dual_L is not None:
+            dual_parts.append(entrywise_norm(dual_L, 2))
+        pri = math.hypot(*pri_parts)
+        dua = eta * math.hypot(*dual_parts)
         if pri <= cfg.tol and dua <= cfg.tol:
-            converged = True
-            break
-        if cfg.adaptive_penalty and iterations % 10 == 0:
-            if pri > 10.0 * dua:
-                eta *= 2.0
-                W /= 2.0
-                rescalings += 1
-            elif dua > 10.0 * pri:
-                eta /= 2.0
-                W *= 2.0
-                rescalings += 1
-    rv1, rst, rv2 = _residual_norms(X_S + X_L - Y)
-    obj = lam * entrywise_norm(X_S, 1) + trace_norm(X_L)
-    return SolveReport(
-        X_S_hat=X_S, X_L_hat=X_L, iterations=iterations, objective=obj,
-        residual_v1=rv1, residual_star=rst, residual_v2=rv2,
-        converged=converged, mode="constrained",
-        diagnostics={
-            "primal_residual": pri,
-            "dual_residual": dua,
-            "penalty_final": eta,
-            "penalty_rescalings": rescalings,
-            "dykstra_warnings": 0,
-            "dykstra_total_iterations": 0,
-        },
-    )
-
-
-def _solve_constrained_relaxed(Y, cfg):
-    """Consensus ADMM for eps > 0: duplicate (X_S, X_L) into (Z_S, Z_L)
-    whose sum must sit within the shifted residual-ball intersection,
-    reached through a Dykstra projection each sweep."""
-    m, n = Y.shape
-    lam = cfg.lam
-    eta = cfg.admm_penalty
-    Z_S = np.zeros((m, n))
-    Z_L = np.zeros((m, n))
-    W_S = np.zeros((m, n))
-    W_L = np.zeros((m, n))
-    X_L_prev = np.zeros((m, n))
-    converged = False
-    rescalings = 0
-    warnings = 0
-    dyk_total = 0
-    pri = math.inf
-    dua = math.inf
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        X_S = soft_threshold(Z_S - W_S, lam / eta)
-        X_L = svt(Z_L - W_L, 1.0 / eta)
-        if not math.isinf(cfg.b):
-            X_L = _clip_lowrank(X_L, X_L_prev, Z_L - W_L, eta, cfg.b)
-        X_L_prev = X_L
-        A_S = X_S + W_S
-        A_L = X_L + W_L
-        inner_tol = max(cfg.dykstra_tol, min(1e-8, 1e-2 * pri))
-        T, dyk_iters, dyk_ok = _project_residual_set(
-            A_S + A_L - Y, cfg.eps_v1, cfg.eps_star, cfg.dykstra_iters, inner_tol
-        )
-        dyk_total += dyk_iters
-        if not dyk_ok:
-            warnings += 1
-        corr = 0.5 * (Y + T - A_S - A_L)
-        Z_S_new = A_S + corr
-        Z_L_new = A_L + corr
-        dua = eta * math.sqrt(
-            float(((Z_S_new - Z_S) ** 2).sum()) + float(((Z_L_new - Z_L) ** 2).sum())
-        )
-        Z_S, Z_L = Z_S_new, Z_L_new
-        pri = math.sqrt(
-            float(((X_S - Z_S) ** 2).sum()) + float(((X_L - Z_L) ** 2).sum())
-        )
-        W_S = W_S + X_S - Z_S
-        W_L = W_L + X_L - Z_L
-        if pri <= cfg.tol and dua <= cfg.tol:
-            R = X_S + X_L - Y
-            split = entrywise_norm(R - (Z_S + Z_L - Y), 2)
-            gap_v1 = max(0.0, entrywise_norm(R, 1) - cfg.eps_v1)
-            gap_star = max(0.0, trace_norm(R) - cfg.eps_star)
-            if split <= cfg.tol and gap_v1 <= 10.0 * cfg.tol and gap_star <= 10.0 * cfg.tol:
+            if exact:
                 converged = True
                 break
-        if cfg.adaptive_penalty and iterations % 10 == 0:
+            R_hat = X_S + (B if boxed else X_L) - Y
+            gap_v1 = entrywise_norm(R_hat, 1) - cfg.eps_v1
+            gap_star = trace_norm(R_hat) - cfg.eps_star
+            if gap_v1 <= 10.0 * cfg.tol and gap_star <= 10.0 * cfg.tol:
+                converged = True
+                break
+        if iterations % 10 == 0:
             if pri > 10.0 * dua:
-                eta *= 2.0
-                W_S /= 2.0
-                W_L /= 2.0
-                rescalings += 1
+                scale = 2.0
             elif dua > 10.0 * pri:
-                eta /= 2.0
-                W_S *= 2.0
-                W_L *= 2.0
-                rescalings += 1
-    rv1, rst, rv2 = _residual_norms(X_S + X_L - Y)
-    obj = lam * entrywise_norm(X_S, 1) + trace_norm(X_L)
+                scale = 0.5
+            else:
+                continue
+            eta *= scale
+            for Wj in W:
+                Wj /= scale
+            if boxed:
+                V /= scale
+            rescalings += 1
+    X_L_hat = B if boxed else X_L
+    rv1, rst, rv2 = _residual_norms(X_S + X_L_hat - Y)
+    obj = lam * entrywise_norm(X_S, 1) + trace_norm(X_L_hat)
     return SolveReport(
-        X_S_hat=X_S, X_L_hat=X_L, iterations=iterations, objective=obj,
+        X_S_hat=X_S, X_L_hat=X_L_hat, iterations=iterations, objective=obj,
         residual_v1=rv1, residual_star=rst, residual_v2=rv2,
         converged=converged, mode="constrained",
         diagnostics={
@@ -424,29 +351,8 @@ def _solve_constrained_relaxed(Y, cfg):
             "dual_residual": dua,
             "penalty_final": eta,
             "penalty_rescalings": rescalings,
-            "dykstra_warnings": warnings,
-            "dykstra_total_iterations": dyk_total,
         },
     )
-
-
-def solve_constrained(Y, cfg):
-    """ADMM for the constrained program.
-
-    With both residual caps zero this is the exact split X_S + X_L = Y;
-    otherwise the residual is driven into the intersection of the two caps
-    (a cap of zero on either norm forces a zero residual, so that case
-    routes to the exact split as well). Exit requires primal and dual
-    residuals at most cfg.tol, and in the relaxed mode also that the
-    solution's own residual norms exceed the caps by at most 10*cfg.tol.
-    """
-    cfg.validate()
-    Y = as_matrix(Y, "Y")
-    # A zero cap on either residual norm forces a zero residual, so that
-    # case is the exact split as well.
-    if cfg.eps_v1 == 0 or cfg.eps_star == 0:
-        return _solve_constrained_exact(Y, cfg)
-    return _solve_constrained_relaxed(Y, cfg)
 
 
 def bound_theorem2(prof, c, lam, eps_v1, eps_star):

@@ -11,8 +11,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .incoherence import PreconditionError, simplified_parameters
-from .matrices import mix_seed
+from .incoherence import default_lambda
+from .matrices import FactorizationError, mix_seed
 from .matrixio import format_float, write_text_atomic
 from .norms import entrywise_norm
 from .solvers import ConstrainedConfig, recovery_errors, solve_constrained
@@ -67,10 +67,6 @@ class SweepSpec:
             raise ValueError("success_threshold must be positive")
 
 
-def _fallback_lambda(m, n):
-    return 1.0 / math.sqrt(max(m, n))
-
-
 def _run_cell(spec, rank, density_index, density, trial):
     seed = mix_seed(spec.base_seed, rank, density_index, trial)
     ktilde = int(round(density * spec.m * spec.n))
@@ -79,12 +75,7 @@ def _run_cell(spec, rank, density_index, density, trial):
         amplitude=spec.amplitude, magnitude_law="fixed", sigma=0.0, seed=seed,
     ))
     prof = inst.profile
-    try:
-        lam, _ = simplified_parameters(prof, "constrained")
-    except (PreconditionError, ValueError):
-        lam = _fallback_lambda(spec.m, spec.n)
-    if lam <= 0:
-        lam = _fallback_lambda(spec.m, spec.n)
+    lam = default_lambda((spec.m, spec.n), prof)
     cfg = ConstrainedConfig(lam=lam, tol=spec.solver_tol,
                             max_iter=spec.solver_max_iter)
     try:
@@ -93,7 +84,7 @@ def _run_cell(spec, rank, density_index, density, trial):
         err_sparse = errs["sparse_v2"] / max(1.0, entrywise_norm(inst.target.X_S, 2))
         err_lowrank = errs["lowrank_v2"] / max(1.0, entrywise_norm(inst.target.X_L, 2))
         converged = report.converged
-    except Exception:
+    except FactorizationError:
         err_sparse = err_lowrank = math.inf
         converged = False
     success = bool(

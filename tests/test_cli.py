@@ -9,6 +9,7 @@ import pytest
 from splr.cli import main
 from splr.matrixio import read_matrix_csv, write_matrix_csv
 from splr.norms import entrywise_norm, trace_norm
+from splr.synth import InstanceSpec, gen_instance
 
 from .helpers import flat_instance, probe_seed
 
@@ -258,6 +259,17 @@ def test_box_argument_accepts_inf_and_finite(tmp_path):
     Y = read_matrix_csv(ypath)
     X_S = read_matrix_csv(tmp_path / "xs.csv")
     assert entrywise_norm(X_S - Y, np.inf) <= 3.5 + 1e-12
+
+
+def test_constrained_binding_box_exits_cleanly(tmp_path):
+    inst = gen_instance(InstanceSpec(m=30, n=30, rbar=2, ktilde=30, seed=5))
+    ypath = tmp_path / "y.csv"
+    write_matrix_csv(ypath, inst.Y)
+    code = run_cli(*decompose_args(tmp_path, ypath, "constrained",
+                                   "--b", 3, "--tol", 1e-6))
+    assert code in (0, 2)
+    X_L = read_matrix_csv(tmp_path / "xl.csv")
+    assert entrywise_norm(X_L, np.inf) <= 3.0
 
 
 def test_console_script_installed():

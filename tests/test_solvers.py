@@ -23,6 +23,8 @@ from splr.solvers import (
     solve_regularized,
 )
 
+from splr.synth import InstanceSpec, gen_instance
+
 from .helpers import flat_instance, probe_seed
 from .test_incoherence import make_profile
 
@@ -178,7 +180,6 @@ def test_constrained_zero_cap_forces_exact_split():
     )
     assert rep.converged
     assert rep.residual_v2 <= 1e-8
-    assert rep.diagnostics["dykstra_total_iterations"] == 0
 
 
 def test_constrained_relaxed_residual_caps():
@@ -207,18 +208,50 @@ def test_constrained_relaxed_report_consistent():
     assert rep.objective <= lam * entrywise_norm(Y, 1) * (1.0 + 1e-9)
 
 
-def test_constrained_dykstra_warning_recorded():
-    # A single inner iteration cannot reach the ball intersection, so the
-    # solve must log the shortfall rather than fail.
+def test_constrained_relaxed_iteration_cap_returns_unconverged():
+    # Three sweeps cannot reach the caps; the solve must report that rather
+    # than fail.
     _, _, lam, ev1, est, Y, _ = relaxed_run()
     rep = solve_constrained(
-        Y,
-        ConstrainedConfig(
-            lam=lam, eps_v1=ev1, eps_star=est, max_iter=3, dykstra_iters=1
-        ),
+        Y, ConstrainedConfig(lam=lam, eps_v1=ev1, eps_star=est, max_iter=3)
     )
-    assert not rep.converged
-    assert rep.diagnostics["dykstra_warnings"] >= 1
+    assert not rep.converged and rep.iterations == 3
+    assert np.isfinite(rep.X_S_hat).all() and np.isfinite(rep.X_L_hat).all()
+    assert math.isfinite(rep.objective)
+
+
+@functools.lru_cache(maxsize=1)
+def box_instance():
+    """A 30x30 rank-2 instance with +-10 spikes whose unboxed solution has
+    entries of X_L above 4, and that unboxed solution."""
+    inst = gen_instance(InstanceSpec(m=30, n=30, rbar=2, ktilde=30, seed=5))
+    lam = 1.0 / math.sqrt(30)
+    free = solve_constrained(inst.Y, ConstrainedConfig(lam=lam, tol=1e-6))
+    assert free.converged
+    return inst.Y, lam, free
+
+
+def test_constrained_binding_box_on_lowrank():
+    Y, lam, free = box_instance()
+    b = 3.0
+    assert entrywise_norm(free.X_L_hat, np.inf) > b
+    rep = solve_constrained(Y, ConstrainedConfig(lam=lam, b=b, tol=1e-6))
+    assert rep.converged
+    assert entrywise_norm(rep.X_L_hat, np.inf) <= b
+    assert rep.residual_v2 <= 1e-5
+    # Clipping the free solution's X_L and giving the rest to X_S is
+    # feasible, so the boxed optimum cannot be worse.
+    L_clip = np.clip(free.X_L_hat, -b, b)
+    clipped = lam * entrywise_norm(Y - L_clip, 1) + trace_norm(L_clip)
+    assert rep.objective <= clipped
+
+
+def test_constrained_slack_box_matches_unboxed():
+    Y, lam, free = box_instance()
+    rep = solve_constrained(Y, ConstrainedConfig(lam=lam, b=10.0, tol=1e-6))
+    assert rep.converged
+    assert entrywise_norm(rep.X_S_hat - free.X_S_hat, np.inf) <= 1e-6
+    assert entrywise_norm(rep.X_L_hat - free.X_L_hat, np.inf) <= 1e-6
 
 
 def test_solvers_deterministic():

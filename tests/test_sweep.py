@@ -1,7 +1,10 @@
 import functools
+import math
 
 import pytest
 
+import splr.sweep
+from splr.matrices import FactorizationError
 from splr.sweep import (
     AGGREGATE_HEADER,
     DETAIL_HEADER,
@@ -115,3 +118,26 @@ def test_written_outputs_byte_identical_across_runs(tmp_path):
     assert open(a1, "rb").read() == open(a2, "rb").read()
     assert detail_1.decode().splitlines()[0] == DETAIL_HEADER
     assert open(a1).read().splitlines()[0] == AGGREGATE_HEADER
+
+
+def test_factorization_failure_scores_cell_as_failed(monkeypatch):
+    def fail(Y, cfg):
+        raise FactorizationError("SVD did not converge")
+
+    monkeypatch.setattr(splr.sweep, "solve_constrained", fail)
+    spec = SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=2, base_seed=3)
+    rows, agg = run_sweep(spec)
+    for row in rows:
+        assert math.isinf(row[5]) and math.isinf(row[6]) and not row[7]
+    assert agg == [(1, 0.1, 2, 0, 0.0)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_solver_bug_propagates_out_of_sweep(monkeypatch, jobs):
+    def broken(Y, cfg):
+        raise TypeError("solver bug")
+
+    monkeypatch.setattr(splr.sweep, "solve_constrained", broken)
+    spec = SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=2, base_seed=3)
+    with pytest.raises(TypeError, match="solver bug"):
+        run_sweep(spec, jobs=jobs)
