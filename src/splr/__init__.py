@@ -27,6 +27,7 @@ from .matrices import (
     frobenius_inner,
     gaussian_matrix,
     mix_seed,
+    singular_values,
     svd,
 )
 from .matrixio import MatrixIOError, read_matrix_csv, write_matrix_csv

@@ -84,7 +84,9 @@ def build_parser():
     p.add_argument("--eps-v1", type=float, default=0.0)
     p.add_argument("--eps-star", type=float, default=0.0)
     p.add_argument("--b", type=_positive_or_inf, default=math.inf)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="exit tolerance: optimality residual (regularized, "
+                        "default 1e-6) or ADMM residuals (constrained, default 1e-9)")
     p.add_argument("--max-iter", type=int, default=100000)
     p.add_argument("--out-sparse", required=True)
     p.add_argument("--out-lowrank", required=True)
@@ -138,22 +140,21 @@ def cmd_decompose(args):
     Y = read_matrix_csv(args.input)
     if args.lam is None:
         args.lam = default_lambda(Y.shape)
+    # Without --tol each config keeps its own default.
+    tol = {} if args.tol is None else {"tol": args.tol}
     start = time.perf_counter()
     if args.mode == "regularized":
         if args.mu is None or args.mu <= 0:
             raise ValueError("regularized mode requires --mu > 0")
         cfg = RegularizedConfig(
-            lam=args.lam, mu=args.mu, b=args.b,
-            tol=1e-12 if args.tol is None else args.tol,
-            max_iter=args.max_iter,
+            lam=args.lam, mu=args.mu, b=args.b, max_iter=args.max_iter, **tol,
         )
         report = solve_regularized(Y, cfg)
         mu_or_eps = args.mu
     else:
         cfg = ConstrainedConfig(
             lam=args.lam, eps_v1=args.eps_v1, eps_star=args.eps_star, b=args.b,
-            tol=1e-9 if args.tol is None else args.tol,
-            max_iter=args.max_iter,
+            max_iter=args.max_iter, **tol,
         )
         report = solve_constrained(Y, cfg)
         mu_or_eps = [args.eps_v1, args.eps_star]

@@ -48,8 +48,8 @@ class SvdFactors:
     r: int
 
 
-def thin_svd(A):
-    """Raw thin SVD (U, s, Vt) with a deterministic fallback.
+def _lapack_svd(A, compute_uv):
+    """np.linalg.svd with a deterministic fallback.
 
     The default LAPACK divide-and-conquer driver occasionally fails to
     converge on highly structured inputs; when it does, the matrix is
@@ -57,32 +57,51 @@ def thin_svd(A):
     (and in practice always convergent) reduction path.
     """
     try:
-        return np.linalg.svd(A, full_matrices=False)
+        return np.linalg.svd(A, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         pass
     transpose = A.shape[0] < A.shape[1]
     B = A.T if transpose else A
     Q, R = np.linalg.qr(B)
     try:
-        U, s, Vt = np.linalg.svd(R, full_matrices=False)
+        out = np.linalg.svd(R, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"SVD failed to converge for {A.shape[0]}x{A.shape[1]} matrix"
         ) from exc
+    if not compute_uv:
+        return out
+    U, s, Vt = out
     U = Q @ U
     if transpose:
         return Vt.T, s, U.T
     return U, s, Vt
 
 
+def thin_svd(A):
+    """Raw thin SVD (U, s, Vt), with the QR fallback of _lapack_svd."""
+    return _lapack_svd(A, True)
+
+
+def _numerical_rank(s):
+    """Count of singular values above RANK_TRUNCATION * sigma_1."""
+    if s.size and s[0] > 0:
+        return int(np.count_nonzero(s > RANK_TRUNCATION * s[0]))
+    return 0
+
+
+def singular_values(M):
+    """Nonincreasing singular values of M above 1e-10 * sigma_1, computed
+    without singular vectors."""
+    s = _lapack_svd(as_matrix(M), False)
+    return s[:_numerical_rank(s)]
+
+
 def svd(M):
     """Thin SVD of M with rank truncated at sigma_i > 1e-10 * sigma_1."""
     A = as_matrix(M)
     U, s, Vt = thin_svd(A)
-    if s.size and s[0] > 0:
-        r = int(np.count_nonzero(s > RANK_TRUNCATION * s[0]))
-    else:
-        r = 0
+    r = _numerical_rank(s)
     return SvdFactors(
         U[:, :r].copy(), s[:r].copy(), Vt[:r].T.copy(), r
     )

@@ -5,7 +5,7 @@ computed exactly by a small dense linear program.
 
 import numpy as np
 
-from .matrices import as_matrix, svd
+from .matrices import as_matrix, singular_values
 
 FLAT_NORM_SIZE_CAP = 256
 
@@ -43,14 +43,14 @@ def induced_norm(M, mode):
     if mode == "2->inf":
         return float(np.sqrt((A * A).sum(axis=1).max())) if A.size else 0.0
     if mode == "2->2":
-        f = svd(A)
-        return float(f.singular_values[0]) if f.r else 0.0
+        s = singular_values(A)
+        return float(s[0]) if s.size else 0.0
     raise ValueError(f"unknown induced norm mode {mode!r}; expected one of {_INDUCED_MODES}")
 
 
 def trace_norm(M):
     """Sum of singular values."""
-    return float(svd(M).singular_values.sum())
+    return float(singular_values(M).sum())
 
 
 def sharp_norm(M, rho):

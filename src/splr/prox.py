@@ -2,6 +2,9 @@
 thresholding, singular-value thresholding, the box-constrained l1 prox,
 entrywise clipping, and Euclidean projections onto entrywise-l1 and
 nuclear-norm balls.
+
+The public functions validate their inputs. The solvers validate once at
+entry and call the unchecked kernels (leading underscore) in their loops.
 """
 
 import numpy as np
@@ -18,6 +21,10 @@ __all__ = [
 ]
 
 
+def _soft_threshold(M, t):
+    return np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
+
+
 def soft_threshold(M, t):
     """Entrywise shrink toward zero by t: sign(x) * max(|x| - t, 0).
 
@@ -26,7 +33,19 @@ def soft_threshold(M, t):
     M = as_matrix(M, "M")
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    return np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
+    return _soft_threshold(M, t)
+
+
+def _svt(M, t):
+    """Singular-value threshold of M by t, with the kept factors:
+    (X, U, s, Vt) where X = U diag(s) Vt and every s is positive."""
+    U, s, Vt = thin_svd(M)
+    s = np.maximum(s - t, 0.0)
+    keep = s > 0
+    if not keep.any():
+        return np.zeros_like(M), U[:, :0], s[:0], Vt[:0]
+    U, s, Vt = U[:, keep], s[keep], Vt[keep, :]
+    return (U * s) @ Vt, U, s, Vt
 
 
 def svt(M, t):
@@ -34,12 +53,7 @@ def svt(M, t):
     M = as_matrix(M, "M")
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    U, s, Vt = thin_svd(M)
-    s = np.maximum(s - t, 0.0)
-    keep = s > 0
-    if not keep.any():
-        return np.zeros_like(M)
-    return (U[:, keep] * s[keep]) @ Vt[keep, :]
+    return _svt(M, t)[0]
 
 
 def prox_l1_box(V, center, t, b):
@@ -56,7 +70,7 @@ def prox_l1_box(V, center, t, b):
         raise ValueError("threshold must be nonnegative")
     if b <= 0:
         raise ValueError("box radius must be positive")
-    X = soft_threshold(V, t)
+    X = _soft_threshold(V, t)
     if np.isinf(b):
         return X
     return np.clip(X, center - b, center + b)
@@ -87,15 +101,7 @@ def _project_l1_vector(x, eps):
     return np.maximum(x - theta, 0.0)
 
 
-def project_l1_ball(M, eps):
-    """Euclidean projection onto the entrywise-l1 ball of radius eps.
-
-    eps = 0 projects to the zero matrix; points already inside come back as
-    a copy.
-    """
-    M = as_matrix(M, "M")
-    if eps < 0:
-        raise ValueError("radius must be nonnegative")
+def _project_l1_ball(M, eps):
     if eps == 0:
         return np.zeros_like(M)
     a = np.abs(M)
@@ -105,12 +111,19 @@ def project_l1_ball(M, eps):
     return np.sign(M) * shrunk
 
 
-def project_nuclear_ball(M, eps):
-    """Euclidean projection onto the nuclear-norm ball of radius eps:
-    project the spectrum onto the l1 ball of that radius."""
+def project_l1_ball(M, eps):
+    """Euclidean projection onto the entrywise-l1 ball of radius eps.
+
+    eps = 0 projects to the zero matrix; points already inside come back as
+    a copy.
+    """
     M = as_matrix(M, "M")
     if eps < 0:
         raise ValueError("radius must be nonnegative")
+    return _project_l1_ball(M, eps)
+
+
+def _project_nuclear_ball(M, eps):
     if eps == 0:
         return np.zeros_like(M)
     U, s, Vt = thin_svd(M)
@@ -121,3 +134,12 @@ def project_nuclear_ball(M, eps):
     if not keep.any():
         return np.zeros_like(M)
     return (U[:, keep] * s[keep]) @ Vt[keep, :]
+
+
+def project_nuclear_ball(M, eps):
+    """Euclidean projection onto the nuclear-norm ball of radius eps:
+    project the spectrum onto the l1 ball of that radius."""
+    M = as_matrix(M, "M")
+    if eps < 0:
+        raise ValueError("radius must be nonnegative")
+    return _project_nuclear_ball(M, eps)

@@ -1,11 +1,13 @@
 """Solvers for the two decomposition programs and the error-bound oracles.
 
-The penalized program (quadratic data-fit plus scaled l1 plus trace norm,
-optional box on X_S around Y) is solved by exact two-block coordinate
-descent; the constrained program (l1/trace norms subject to residual-norm
-caps, optional box on X_L) by one Gauss-Seidel ADMM loop whose blocks are
-the four closed-form proxes: soft threshold, singular-value threshold,
-l1-ball and nuclear-ball projection, plus entrywise clipping for the box.
+Both programs are solved by one Gauss-Seidel ADMM loop. Each sweep takes
+the l1 prox in X_S (soft threshold, into a box around Y in the penalized
+program), then the singular-value threshold in X_L, then the prox of each
+residual copy: a closed-form shrink for the penalized program's quadratic
+data fit, l1-ball and nuclear-ball projections for the constrained
+program's residual caps, and entrywise clipping for its box on X_L. The
+penalized solve exits on its first-order optimality residual; the
+constrained solve on its primal and dual residuals.
 """
 
 import math
@@ -14,16 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .incoherence import PreconditionError
-from .matrices import as_matrix, thin_svd
-from .norms import entrywise_norm, induced_norm, trace_norm
-from .prox import (
-    clip_entries,
-    project_l1_ball,
-    project_nuclear_ball,
-    prox_l1_box,
-    soft_threshold,
-    svt,
-)
+from .matrices import as_matrix, singular_values
+from .norms import entrywise_norm, trace_norm
+from .prox import _project_l1_ball, _project_nuclear_ball, _soft_threshold, _svt
 
 __all__ = [
     "RegularizedConfig",
@@ -36,20 +31,17 @@ __all__ = [
     "bound_theorem3",
 ]
 
-# First-order optimality residual required at exit of the penalized solver.
-KKT_EXIT_TOL = 1e-6
-
 
 @dataclass
 class RegularizedConfig:
     """Parameters of the penalized solve: lam and mu positive, b the box
-    radius on entries of X_S - Y (inf disables it), tol the relative
-    objective-decrease stop threshold."""
+    radius on entries of X_S - Y (inf disables it), tol the first-order
+    optimality residual required at exit."""
 
     lam: float
     mu: float
     b: float = math.inf
-    tol: float = 1e-12
+    tol: float = 1e-6
     max_iter: int = 100000
 
     def validate(self):
@@ -130,202 +122,132 @@ def _residual_norms(R):
     return entrywise_norm(R, 1), trace_norm(R), entrywise_norm(R, 2)
 
 
-def _kkt_residual(Y, X_S, X_L_factors, R, lam, mu, b):
-    """Worst first-order optimality violation of the penalized program at
-    (X_S, X_L), using the precomputed thin factors of X_L.
-
-    The trace-norm block needs -R/mu to project onto X_L's singular
-    subspaces as the orientation matrix and to have spectral norm at most
-    1; the l1 block needs -R/(lam*mu) to match sign(X_S) on its support and
-    stay within [-1, 1] off it, with one-sided relaxations at box-active
-    entries.
+def _kkt_l1_block(Y, X_S, GS, b):
+    """Worst violation of GS in the l1 subdifferential at X_S: GS must
+    match sign(X_S) on its support and stay within [-1, 1] off it, with
+    one-sided relaxations at entries on the edge of the box |X_S - Y| <= b.
     """
-    U, Vt = X_L_factors
-    GL = -R / mu
-    if U.shape[1]:
-        om = U @ Vt
-        PT = U @ (U.T @ GL) + (GL @ Vt.T - U @ (U.T @ (GL @ Vt.T))) @ Vt
-        r_L = float(np.abs(PT - om).max())
-    else:
-        r_L = 0.0
-    r_L = max(r_L, max(0.0, induced_norm(GL, "2->2") - 1.0))
-
-    GS = GL / lam
     sg = np.sign(X_S)
     on = sg != 0
-    off = ~on
-    if np.isinf(b):
-        upper = np.zeros_like(on)
-        lower = np.zeros_like(on)
-    else:
+    viol = np.where(on, np.abs(GS - sg), np.abs(GS) - 1.0)
+    if not np.isinf(b):
+        # At a box edge the stationarity equation gains a one-signed
+        # multiplier: at the upper edge GS may exceed the plain subgradient,
+        # at the lower edge it may fall below it.
         D = X_S - Y
         edge = 1e-12 * max(1.0, b)
         upper = D >= b - edge
         lower = D <= -b + edge
-    interior = ~(upper | lower)
-    viol = 0.0
-    mask = on & interior
-    if mask.any():
-        viol = max(viol, float(np.abs(GS[mask] - sg[mask]).max()))
-    mask = off & interior
-    if mask.any():
-        viol = max(viol, max(0.0, float(np.abs(GS[mask]).max()) - 1.0))
-    # At a box edge the stationarity equation gains a one-signed multiplier:
-    # at the upper edge GS may exceed the plain subgradient, at the lower
-    # edge it may fall below it.
-    mask = upper
-    if mask.any():
-        g = np.where(on[mask], sg[mask], -1.0)
-        viol = max(viol, max(0.0, float((g - GS[mask]).max())))
-    mask = lower
-    if mask.any():
-        g = np.where(on[mask], sg[mask], 1.0)
-        viol = max(viol, max(0.0, float((GS[mask] - g).max())))
-    return max(r_L, viol)
+        viol[upper | lower] = -np.inf
+        viol = np.maximum(viol, np.where(upper, np.where(on, sg, -1.0) - GS, -np.inf))
+        viol = np.maximum(viol, np.where(lower, GS - np.where(on, sg, 1.0), -np.inf))
+    return float(viol.max(initial=0.0))
 
 
-def solve_regularized(Y, cfg):
-    """Exact alternating block minimization of the penalized objective.
+def _kkt_trace_block(GL, U, Vt):
+    """Worst violation of GL in the trace-norm subdifferential at the
+    matrix with thin factors U, Vt: its projection onto their tangent space
+    must equal U Vt, and its spectral norm must be at most 1."""
+    r = 0.0
+    if U.shape[1]:
+        GV = GL @ Vt.T
+        PT = U @ (U.T @ GL) + (GV - U @ (U.T @ GV)) @ Vt
+        PT -= U @ Vt
+        r = float(np.abs(PT).max())
+    s = singular_values(GL)
+    return max(r, float(s[0]) - 1.0 if s.size else 0.0)
 
-    Each sweep takes the exact prox step in X_S (soft threshold into the
-    box around Y) then in X_L (singular-value threshold), so the objective
-    never increases. Exit requires both a relative objective decrease at
-    most cfg.tol and first-order optimality residuals at most KKT_EXIT_TOL;
-    hitting max_iter returns converged=False.
+
+def _admm(Y, lam, copies, stop, max_iter, S_box=None, b_L=math.inf):
+    """Gauss-Seidel ADMM on lam*||X_S||_1 + ||X_L||_* plus the residual
+    terms, shared by both solvers. Y must already be validated.
+
+    copies lists the proxes of the residual terms: the residual X_S + X_L
+    - Y gets one copy R_j per entry, with its own constraint X_S + X_L - Y
+    = R_j and scaled dual W_j, and prox(V, eta) returns the new R_j from V
+    = X_S + X_L - Y + W_j (it may overwrite V). An empty list forces exact
+    agreement: a single constraint with R fixed at 0. S_box = (lo, hi)
+    keeps X_S entrywise in [lo, hi]. A finite b_L adds a copy B of X_L with
+    the constraint X_L = B and dual V, and B is returned as X_L_hat.
+
+    Each sweep takes the l1 prox in X_S, then the singular-value threshold
+    in X_L, each at the mean of the centres of the k constraints the block
+    enters (thresholds lam/(k*eta) and 1/(k*eta)), then updates every copy
+    and dual. The penalty eta starts at 1 and is rebalanced every 10 sweeps
+    when one residual exceeds the other tenfold. The loop exits when
+    stop(X_S, X_L_hat, X_L_factors, D, pri, dua) is true, where D = X_S +
+    X_L - Y and pri and dua are the primal and dual residuals.
+
+    Returns X_S, X_L_hat, the (U, s, Vt) factors of the last X_L, the
+    iteration count, the converged flag and the penalty diagnostics.
     """
-    cfg.validate()
-    Y = as_matrix(Y, "Y")
-    m, n = Y.shape
-    X_S = np.zeros((m, n))
-    X_L = np.zeros((m, n))
-    factors = (np.zeros((m, 0)), np.zeros((0, n)))
-    lam, mu = cfg.lam, cfg.mu
-    obj = (0.5 / mu) * float((Y ** 2).sum())
-    converged = False
-    iterations = 0
-    kkt = math.inf
-    for iterations in range(1, cfg.max_iter + 1):
-        X_S = prox_l1_box(Y - X_L, Y, lam * mu, cfg.b)
-        M = Y - X_S
-        U, s, Vt = thin_svd(M)
-        s = np.maximum(s - mu, 0.0)
-        keep = s > 0
-        X_L = (U[:, keep] * s[keep]) @ Vt[keep, :] if keep.any() else np.zeros((m, n))
-        factors = (U[:, keep], Vt[keep, :])
-        R = X_S + X_L - Y
-        new_obj = (
-            (0.5 / mu) * float((R ** 2).sum())
-            + lam * entrywise_norm(X_S, 1)
-            + float(s[keep].sum())
-        )
-        decrease = (obj - new_obj) / max(1.0, abs(obj))
-        obj = new_obj
-        if decrease <= cfg.tol:
-            kkt = _kkt_residual(Y, X_S, factors, R, lam, mu, cfg.b)
-            if kkt <= KKT_EXIT_TOL:
-                converged = True
-                break
-    R = X_S + X_L - Y
-    rv1, rst, rv2 = _residual_norms(R)
-    return SolveReport(
-        X_S_hat=X_S, X_L_hat=X_L, iterations=iterations, objective=obj,
-        residual_v1=rv1, residual_star=rst, residual_v2=rv2,
-        converged=converged, mode="regularized",
-        diagnostics={"kkt_residual": kkt, "objective_decrease": decrease},
-    )
-
-
-def solve_constrained(Y, cfg):
-    """Gauss-Seidel ADMM for the constrained program.
-
-    The residual X_S + X_L - Y gets one copy R_j per residual ball, each
-    with its own constraint X_S + X_L - Y = R_j and scaled dual W_j. A cap
-    of zero on either norm forces a zero residual, so that case (the exact
-    split) keeps a single copy fixed at R = 0. A finite box adds a copy B
-    of X_L with the constraint X_L = B and dual V, and B is returned as
-    X_L_hat. Each sweep takes the l1 prox in X_S, then the singular-value
-    threshold in X_L, each at the mean of the centres of the k constraints
-    the block enters (thresholds lam/(k*eta) and 1/(k*eta)), then projects
-    every copy onto its set. The penalty eta starts at 1 and is rebalanced
-    every 10 sweeps when one residual exceeds the other tenfold.
-
-    Exit requires primal and dual residuals at most cfg.tol, and in the
-    relaxed mode also that the solution's own residual norms exceed the
-    caps by at most 10*cfg.tol; hitting max_iter returns converged=False.
-    """
-    cfg.validate()
-    Y = as_matrix(Y, "Y")
-    lam, b = cfg.lam, cfg.b
-    exact = cfg.eps_v1 == 0 or cfg.eps_star == 0
-    balls = () if exact else (
-        (project_l1_ball, cfg.eps_v1), (project_nuclear_ball, cfg.eps_star))
-    k = max(1, len(balls))
-    boxed = not math.isinf(b)
+    k = max(1, len(copies))
+    boxed = not math.isinf(b_L)
     eta = 1.0
     X_L = np.zeros(Y.shape)
     W = [np.zeros(Y.shape) for _ in range(k)]
-    R = [np.zeros(Y.shape) for _ in balls]
+    R = [np.zeros(Y.shape) for _ in copies]
     B = np.zeros(Y.shape)
     V = np.zeros(Y.shape)
     converged = False
     rescalings = 0
     pri = dua = math.inf
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         W_bar = W[0] if k == 1 else sum(W) / k
-        if balls:
-            R_sum = sum(R)
-            R_bar = R_sum / k
-        C = Y - X_L - W_bar
-        if balls:
+        if copies:
+            R_sum = R[0] if k == 1 else sum(R)
+            R_bar = R_sum if k == 1 else R_sum / k
+        C = Y - X_L
+        C -= W_bar
+        if copies:
             C += R_bar
-        X_S = soft_threshold(C, lam / (k * eta))
-        C = Y - X_S - W_bar
-        if balls:
+        X_S = _soft_threshold(C, lam / (k * eta))
+        if S_box is not None:
+            np.clip(X_S, *S_box, out=X_S)
+        np.subtract(Y, X_S, out=C)
+        C -= W_bar
+        if copies:
             C += R_bar
         if boxed:
             C = (k * C + B - V) / (k + 1)
-        X_L_new = svt(C, 1.0 / ((k + boxed) * eta))
+        X_L_new, *factors = _svt(C, 1.0 / ((k + boxed) * eta))
+        del C  # full-size temporaries are freed early to keep peak memory down
         # Dual residual of the X_S (X_L) step: eta times the change in the
         # blocks updated after it, summed over the constraints it enters.
         dual_S = X_L_new - X_L
         X_L = X_L_new
         D = X_S + X_L - Y
         dual_L = None
-        if balls:
-            pri_parts = []
-            for j, (project, eps) in enumerate(balls):
-                R[j] = project(D + W[j], eps)
+        pri_parts = []
+        if copies:
+            for j, prox in enumerate(copies):
+                R[j] = prox(D + W[j], eta)
                 r = D - R[j]
-                W[j] = W[j] + r
-                pri_parts.append(entrywise_norm(r, 2))
-            dual_L = sum(R) - R_sum
-            dual_S = dual_L - k * dual_S
+                W[j] += r
+                pri_parts.append(np.linalg.norm(r))
+            dual_L = (R[0] if k == 1 else sum(R)) - R_sum
+            dual_S *= k
+            np.subtract(dual_L, dual_S, out=dual_S)
         else:
-            W[0] = W[0] + D
-            pri_parts = [entrywise_norm(D, 2)]
+            W[0] += D
+            pri_parts.append(np.linalg.norm(D))
         if boxed:
-            B_new = clip_entries(X_L + V, b)
+            B_new = np.clip(X_L + V, -b_L, b_L)
             dual_L = B_new - B if dual_L is None else dual_L + (B_new - B)
             B = B_new
             r = X_L - B
-            V = V + r
-            pri_parts.append(entrywise_norm(r, 2))
-        dual_parts = [entrywise_norm(dual_S, 2)]
+            V += r
+            pri_parts.append(np.linalg.norm(r))
+        dual_parts = [np.linalg.norm(dual_S)]
         if dual_L is not None:
-            dual_parts.append(entrywise_norm(dual_L, 2))
+            dual_parts.append(np.linalg.norm(dual_L))
         pri = math.hypot(*pri_parts)
         dua = eta * math.hypot(*dual_parts)
-        if pri <= cfg.tol and dua <= cfg.tol:
-            if exact:
-                converged = True
-                break
-            R_hat = X_S + (B if boxed else X_L) - Y
-            gap_v1 = entrywise_norm(R_hat, 1) - cfg.eps_v1
-            gap_star = trace_norm(R_hat) - cfg.eps_star
-            if gap_v1 <= 10.0 * cfg.tol and gap_star <= 10.0 * cfg.tol:
-                converged = True
-                break
+        del dual_S, dual_L
+        if stop(X_S, B if boxed else X_L, factors, D, pri, dua):
+            converged = True
+            break
         if iterations % 10 == 0:
             if pri > 10.0 * dua:
                 scale = 2.0
@@ -339,19 +261,109 @@ def solve_constrained(Y, cfg):
             if boxed:
                 V /= scale
             rescalings += 1
-    X_L_hat = B if boxed else X_L
+    diagnostics = {
+        "primal_residual": pri,
+        "dual_residual": dua,
+        "penalty_final": eta,
+        "penalty_rescalings": rescalings,
+    }
+    return X_S, B if boxed else X_L, factors, iterations, converged, diagnostics
+
+
+def solve_regularized(Y, cfg):
+    """ADMM for the penalized program.
+
+    The data-fit term gets one residual copy R with the constraint X_S +
+    X_L - Y = R; its prox at penalty eta is the shrink R = eta*mu/(eta*mu +
+    1) * (X_S + X_L - Y + W). Each sweep takes the box-constrained l1 prox
+    in X_S and the singular-value threshold in X_L.
+
+    Exit requires the first-order optimality residual of (X_S, X_L) to be
+    at most cfg.tol: with R = X_S + X_L - Y, -R/(lam*mu) must lie in the l1
+    subdifferential at X_S (relaxed at box edges) and -R/mu in the
+    trace-norm subdifferential at X_L. The entrywise block is checked every
+    sweep, the spectral block (one tangent-space projection and one
+    sigma_1) only once the entrywise block passes; diagnostics count those
+    spectral checks. Hitting max_iter returns converged=False.
+    """
+    cfg.validate()
+    Y = as_matrix(Y, "Y")
+    lam, mu, b, tol = cfg.lam, cfg.mu, cfg.b, cfg.tol
+    S_box = None if math.isinf(b) else (Y - b, Y + b)
+    kkt = math.inf
+    spectral_checks = 0
+
+    def shrink(V, eta):
+        V *= eta * mu / (eta * mu + 1.0)
+        return V
+
+    def stop(X_S, X_L, factors, D, pri, dua):
+        nonlocal kkt, spectral_checks
+        kkt = _kkt_l1_block(Y, X_S, D / (-lam * mu), b)
+        if kkt > tol:
+            return False
+        spectral_checks += 1
+        kkt = max(kkt, _kkt_trace_block(D / -mu, factors[0], factors[2]))
+        return kkt <= tol
+
+    X_S, X_L, (U, s, Vt), iterations, converged, diagnostics = _admm(
+        Y, lam, [shrink], stop, cfg.max_iter, S_box=S_box)
+    R = X_S + X_L - Y
+    if not converged:
+        kkt = max(_kkt_l1_block(Y, X_S, R / (-lam * mu), b),
+                  _kkt_trace_block(R / -mu, U, Vt))
+    obj = (
+        (0.5 / mu) * float((R ** 2).sum())
+        + lam * entrywise_norm(X_S, 1)
+        + float(s.sum())
+    )
+    rv1, rst, rv2 = _residual_norms(R)
+    diagnostics.update(kkt_residual=kkt, spectral_checks=spectral_checks)
+    return SolveReport(
+        X_S_hat=X_S, X_L_hat=X_L, iterations=iterations, objective=obj,
+        residual_v1=rv1, residual_star=rst, residual_v2=rv2,
+        converged=converged, mode="regularized", diagnostics=diagnostics,
+    )
+
+
+def solve_constrained(Y, cfg):
+    """ADMM for the constrained program.
+
+    The residual gets one copy per residual ball, projected onto it at
+    every sweep. A cap of zero on either norm forces a zero residual, so
+    that case (the exact split) keeps a single copy fixed at R = 0. A finite
+    box adds a clipped copy of X_L, returned as X_L_hat.
+
+    Exit requires primal and dual residuals at most cfg.tol, and in the
+    relaxed mode also that the solution's own residual norms exceed the
+    caps by at most 10*cfg.tol; hitting max_iter returns converged=False.
+    """
+    cfg.validate()
+    Y = as_matrix(Y, "Y")
+    lam, tol = cfg.lam, cfg.tol
+    exact = cfg.eps_v1 == 0 or cfg.eps_star == 0
+    copies = [] if exact else [
+        lambda V, eta: _project_l1_ball(V, cfg.eps_v1),
+        lambda V, eta: _project_nuclear_ball(V, cfg.eps_star),
+    ]
+
+    def stop(X_S, X_L_hat, factors, D, pri, dua):
+        if pri > tol or dua > tol:
+            return False
+        if exact:
+            return True
+        R_hat = X_S + X_L_hat - Y
+        return (entrywise_norm(R_hat, 1) - cfg.eps_v1 <= 10.0 * tol
+                and trace_norm(R_hat) - cfg.eps_star <= 10.0 * tol)
+
+    X_S, X_L_hat, _, iterations, converged, diagnostics = _admm(
+        Y, lam, copies, stop, cfg.max_iter, b_L=cfg.b)
     rv1, rst, rv2 = _residual_norms(X_S + X_L_hat - Y)
     obj = lam * entrywise_norm(X_S, 1) + trace_norm(X_L_hat)
     return SolveReport(
         X_S_hat=X_S, X_L_hat=X_L_hat, iterations=iterations, objective=obj,
         residual_v1=rv1, residual_star=rst, residual_v2=rv2,
-        converged=converged, mode="constrained",
-        diagnostics={
-            "primal_residual": pri,
-            "dual_residual": dua,
-            "penalty_final": eta,
-            "penalty_rescalings": rescalings,
-        },
+        converged=converged, mode="constrained", diagnostics=diagnostics,
     )
 
 

@@ -147,15 +147,6 @@ def project_T_complement(space, M):
     return as_matrix(M) - project_T(space, M)
 
 
-def project_complement(kind, obj, M):
-    """M minus its projection; kind is 'support' or 'T'."""
-    if kind == "support":
-        return project_support_complement(obj, M)
-    if kind == "T":
-        return project_T_complement(obj, M)
-    raise ValueError(f"unknown projector kind {kind!r}")
-
-
 def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
     """Solve x = RHS + (P_a o P_b)(x) by summing the Neumann series.
 

@@ -6,9 +6,11 @@ import subprocess
 import numpy as np
 import pytest
 
+import splr.cli
 from splr.cli import main
 from splr.matrixio import read_matrix_csv, write_matrix_csv
 from splr.norms import entrywise_norm, trace_norm
+from splr.solvers import ConstrainedConfig, RegularizedConfig
 from splr.synth import InstanceSpec, gen_instance
 
 from .helpers import flat_instance, probe_seed
@@ -259,6 +261,28 @@ def test_box_argument_accepts_inf_and_finite(tmp_path):
     Y = read_matrix_csv(ypath)
     X_S = read_matrix_csv(tmp_path / "xs.csv")
     assert entrywise_norm(X_S - Y, np.inf) <= 3.5 + 1e-12
+
+
+def test_tol_defaults_to_each_config_default(tmp_path, monkeypatch):
+    seen = []
+    for name in ("solve_regularized", "solve_constrained"):
+        real = getattr(splr.cli, name)
+
+        def spy(Y, cfg, real=real):
+            seen.append(cfg.tol)
+            return real(Y, cfg)
+        monkeypatch.setattr(splr.cli, name, spy)
+    ypath = tmp_path / "y.csv"
+    write_matrix_csv(ypath, np.eye(3))
+    assert run_cli(*decompose_args(tmp_path, ypath, "regularized", "--mu", 0.5)) == 0
+    assert run_cli(*decompose_args(tmp_path, ypath, "constrained")) == 0
+    assert run_cli(*decompose_args(tmp_path, ypath, "regularized", "--mu", 0.5,
+                                   "--tol", 1e-4)) == 0
+    assert run_cli(*decompose_args(tmp_path, ypath, "constrained",
+                                   "--tol", 1e-4)) == 0
+    assert seen == [RegularizedConfig(lam=1.0, mu=1.0).tol,
+                    ConstrainedConfig(lam=1.0).tol, 1e-4, 1e-4]
+    assert seen[:2] == [1e-6, 1e-9]
 
 
 def test_constrained_binding_box_exits_cleanly(tmp_path):

@@ -8,6 +8,7 @@ from splr.matrices import (
     frobenius_inner,
     gaussian_matrix,
     mix_seed,
+    singular_values,
     svd,
 )
 
@@ -56,6 +57,30 @@ def test_svd_factor_invariants_on_random_probes():
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_singular_values_match_svd():
+    stream = RandomStream(probe_seed("svals"))
+    low_rank = stream.gaussian(9, 2) @ stream.gaussian(2, 6)
+    cases = [
+        stream.gaussian(7, 5),
+        stream.gaussian(5, 7),
+        low_rank,
+        low_rank.T,
+        stream.gaussian(1, 8),
+        stream.gaussian(8, 1),
+        np.zeros((4, 3)),
+    ]
+    for M in cases:
+        want = svd(M).singular_values
+        got = singular_values(M)
+        assert got.shape == want.shape
+        scale = want[0] if want.size else 1.0
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+    assert singular_values(low_rank).shape == (2,)
+    assert singular_values(np.zeros((4, 3))).shape == (0,)
+    with pytest.raises(ValueError):
+        singular_values(np.array([[1.0, np.nan]]))
 
 
 def test_gaussian_matrix_deterministic():

@@ -4,6 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import splr.matrices
+import splr.norms
+import splr.prox
+import splr.solvers
 from splr.certificate import perturbation_scales
 from splr.incoherence import (
     PreconditionError,
@@ -114,6 +118,59 @@ def test_regularized_box_active():
     assert entrywise_norm(rep.X_S_hat - Y, np.inf) <= b + 1e-12
     # The box must actually bind for this to exercise the clipped branch.
     assert entrywise_norm(rep.X_S_hat - Y, np.inf) >= b - 1e-6
+
+
+def box_run(b):
+    """The box-active instance above solved at box radius b, with the
+    count of entries of X_S on the box edge and the box excess."""
+    t, _ = flat_instance(12, 12, 1, 8, 10.0, probe_seed("boxreg"))
+    Y = t.X_S + t.X_L
+    cfg = RegularizedConfig(lam=0.3, mu=0.5, b=b)
+    rep = solve_regularized(Y, cfg)
+    dist = np.abs(rep.X_S_hat - Y)
+    return cfg, rep, int((dist >= b - 1e-9).sum()), float(dist.max()) - b
+
+
+@pytest.mark.parametrize("b", [0.5, 2.0])
+def test_regularized_box_exits_on_optimality_residual(b):
+    # b = 0.5 puts 140 of the 144 entries of X_S on the box edge, b = 2.0
+    # only a few. The entrywise gate must apply the one-sided box-edge rules:
+    # were it to count edge entries as violations, it would pass late or
+    # never, and the spectral block would run at many sweeps.
+    cfg, rep, edge, excess = box_run(b)
+    assert (edge > 100) if b == 0.5 else (0 < edge < 20)
+    assert rep.converged
+    assert rep.diagnostics["kkt_residual"] <= cfg.tol
+    assert rep.diagnostics["spectral_checks"] <= 2
+    assert excess <= 1e-12
+
+
+def test_regularized_scale_covariance():
+    # The objective at (cY, c*mu) is c times the objective at (Y, mu) of the
+    # pair scaled down by c, so the split scales with Y.
+    t, E = flat_instance(16, 16, 1, 8, 10.0, probe_seed("scalecov"), 0.1)
+    Y = t.X_S + t.X_L + E
+    base = solve_regularized(Y, RegularizedConfig(lam=0.3, mu=0.5, tol=1e-8))
+    assert base.converged
+    for c in (1e-3, 0.2, 7.0, 1e3):
+        rep = solve_regularized(c * Y, RegularizedConfig(lam=0.3, mu=0.5 * c, tol=1e-8))
+        assert rep.converged
+        for got, want in ((rep.X_S_hat, base.X_S_hat), (rep.X_L_hat, base.X_L_hat)):
+            err = entrywise_norm(got - c * want, 2)
+            assert err <= 1e-8 * entrywise_norm(c * want, 2)
+
+
+def test_regularized_transpose_symmetry():
+    t, E = flat_instance(14, 18, 1, 8, 10.0, probe_seed("transpose"), 0.1)
+    Y = t.X_S + t.X_L + E
+    for b in (math.inf, 1.0):
+        cfg = RegularizedConfig(lam=0.3, mu=0.5, b=b, tol=1e-8)
+        rep = solve_regularized(Y, cfg)
+        rep_t = solve_regularized(Y.T, cfg)
+        assert rep.converged and rep_t.converged
+        for got, want in ((rep_t.X_S_hat, rep.X_S_hat), (rep_t.X_L_hat, rep.X_L_hat)):
+            assert entrywise_norm(got - want.T, 2) <= 1e-8 * entrywise_norm(want, 2)
+        assert rep_t.objective == pytest.approx(rep.objective, rel=1e-12)
 
 
 def test_regularized_max_iter_reports_not_converged():
@@ -252,6 +309,37 @@ def test_constrained_slack_box_matches_unboxed():
     assert rep.converged
     assert entrywise_norm(rep.X_S_hat - free.X_S_hat, np.inf) <= 1e-6
     assert entrywise_norm(rep.X_L_hat - free.X_L_hat, np.inf) <= 1e-6
+
+
+def test_solvers_validate_input_once(monkeypatch):
+    # Validation runs at the public entry, not in the ADMM loop: the number
+    # of as_matrix calls must not grow with the number of sweeps.
+    real = splr.matrices.as_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    for mod in (splr.matrices, splr.norms, splr.prox, splr.solvers):
+        monkeypatch.setattr(mod, "as_matrix", counting)
+    t, _ = flat_instance(12, 12, 1, 6, 10.0, probe_seed("validate"))
+    Y = t.X_S + t.X_L
+    E = 0.1 * RandomStream(probe_seed("validateE")).gaussian(12, 12)
+    solves = (
+        lambda k: solve_constrained(Y, ConstrainedConfig(lam=0.3, tol=0.0, max_iter=k)),
+        lambda k: solve_constrained(Y + E, ConstrainedConfig(
+            lam=0.3, eps_v1=entrywise_norm(E, 1), eps_star=trace_norm(E),
+            b=2.0, tol=0.0, max_iter=k)),
+        lambda k: solve_regularized(Y, RegularizedConfig(
+            lam=0.3, mu=0.5, b=2.0, tol=0.0, max_iter=k)),
+    )
+    for solve in solves:
+        counts = []
+        for k in (3, 30):
+            calls.clear()
+            assert solve(k).iterations == k
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 def test_solvers_deterministic():

@@ -11,9 +11,10 @@ from splr.subspaces import (
     TargetPair,
     neumann_inverse,
     orth_matrix,
-    project_complement,
     project_support,
+    project_support_complement,
     project_T,
+    project_T_complement,
     sign_matrix,
 )
 from splr.synth import gen_subspaces, gen_support
@@ -122,10 +123,11 @@ def test_project_complement_cases():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     full = SupportSet(2, 2, [(i, j) for i in range(2) for j in range(2)])
     empty = SupportSet(2, 2, [])
-    assert np.array_equal(project_complement("support", full, M), np.zeros((2, 2)))
-    assert np.array_equal(project_complement("support", empty, M), M)
-    with pytest.raises(ValueError):
-        project_complement("other", full, M)
+    assert np.array_equal(project_support_complement(full, M), np.zeros((2, 2)))
+    assert np.array_equal(project_support_complement(empty, M), M)
+    space = RowColSpace(np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]))
+    assert np.allclose(project_T_complement(space, M), [[0.0, 0.0], [0.0, 4.0]],
+                       atol=1e-12)
 
 
 def test_projector_idempotence_and_self_adjointness():
@@ -145,7 +147,7 @@ def test_projector_idempotence_and_self_adjointness():
         assert frobenius_inner(TA, B) == pytest.approx(
             frobenius_inner(A, project_T(space, B)), abs=1e-10
         )
-        comp = project_complement("T", space, A)
+        comp = project_T_complement(space, A)
         assert abs(frobenius_inner(TA, comp)) <= 1e-10 * max(1.0, np.linalg.norm(A) ** 2)
 
 
