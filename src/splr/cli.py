@@ -19,7 +19,7 @@ from .incoherence import (
     default_lambda,
     profile,
 )
-from .matrixio import MatrixIOError, read_matrix_csv, write_json, write_matrix_csv
+from .matrixio import read_matrix_csv, write_json, write_matrix_csv
 from .solvers import ConstrainedConfig, RegularizedConfig, solve_constrained, solve_regularized
 from .subspaces import NeumannNonConvergence, TargetPair
 from .sweep import SweepSpec, write_sweep_outputs
@@ -136,6 +136,19 @@ def build_parser():
     return parser
 
 
+def _profile_fields(prof):
+    """Report fields shared by diagnose and generate: counts, coherence
+    terms and the alpha/beta product at the profile's rho."""
+    return {
+        "kbar": prof.kbar, "rbar": prof.rbar,
+        "a": prof.a, "b": prof.b, "u": prof.u, "v": prof.v, "w": prof.w,
+        "gamma": prof.gamma, "rho_star": prof.rho_star,
+        "alpha": prof.alpha_star, "beta": prof.beta_star,
+        "alpha_beta": prof.product,
+        "identifiable": check_identifiability(prof),
+    }
+
+
 def cmd_decompose(args):
     Y = read_matrix_csv(args.input)
     if args.lam is None:
@@ -184,35 +197,20 @@ def cmd_diagnose(args):
     m, n = target.shape
     c = args.c
     mu = 1.0 if args.mu is None else args.mu
-    lam_con = args.lam if args.lam is not None else default_lambda((m, n), prof, "constrained")
-    lam_reg = args.lam if args.lam is not None else default_lambda((m, n), prof, "regularized")
-    v_con = check_conditions(prof, "constrained", c, lam_con)
-    v_reg = check_conditions(prof, "regularized", c, lam_reg, mu=mu)
     payload = {
+        **_profile_fields(prof),
         "m": m, "n": n,
-        "rho": prof.rho, "rho_star": prof.rho_star,
-        "a": prof.a, "b": prof.b, "m0": prof.m0, "n0": prof.n0,
-        "u": prof.u, "v": prof.v, "w": prof.w, "gamma": prof.gamma,
-        "alpha": prof.alpha_star, "beta": prof.beta_star,
-        "alpha_beta": prof.product,
-        "kbar": prof.kbar, "rbar": prof.rbar,
-        "identifiable": check_identifiability(prof),
+        "rho": prof.rho, "m0": prof.m0, "n0": prof.n0,
         "c": c, "mu": mu,
-        "constrained_lambda": lam_con,
-        "constrained_cond1": v_con.passed[0],
-        "constrained_cond2": v_con.passed[1],
-        "constrained_cond3": v_con.passed[2],
-        "constrained_all_passed": v_con.all_passed,
-        "constrained_lambda_min": v_con.lambda_window[0],
-        "constrained_lambda_max": v_con.lambda_window[1],
-        "regularized_lambda": lam_reg,
-        "regularized_cond1": v_reg.passed[0],
-        "regularized_cond2": v_reg.passed[1],
-        "regularized_cond3": v_reg.passed[2],
-        "regularized_all_passed": v_reg.all_passed,
-        "regularized_lambda_min": v_reg.lambda_window[0],
-        "regularized_lambda_max": v_reg.lambda_window[1],
     }
+    for form in ("constrained", "regularized"):
+        lam = args.lam if args.lam is not None else default_lambda((m, n), prof, form)
+        verdict = check_conditions(prof, form, c, lam, mu=mu)
+        payload[f"{form}_lambda"] = lam
+        for i, ok in enumerate(verdict.passed, start=1):
+            payload[f"{form}_cond{i}"] = ok
+        payload[f"{form}_all_passed"] = verdict.all_passed
+        payload[f"{form}_lambda_min"], payload[f"{form}_lambda_max"] = verdict.lambda_window
     write_json(args.report, payload)
     return EXIT_OK
 
@@ -222,11 +220,7 @@ def cmd_certify(args):
     X_L = read_matrix_csv(args.lowrank)
     target = TargetPair(X_S, X_L)
     E = read_matrix_csv(args.noise) if args.noise else None
-    try:
-        cert = build_certificate(target, E, args.lam, args.mu, args.c)
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    cert = build_certificate(target, E, args.lam, args.mu, args.c)
     cap_support = cert.lam / cert.c
     cap_space = 1.0 / cert.c
     payload = {
@@ -262,17 +256,11 @@ def cmd_generate(args):
     write_matrix_csv(f"{prefix}_XS.csv", inst.target.X_S)
     write_matrix_csv(f"{prefix}_XL.csv", inst.target.X_L)
     write_matrix_csv(f"{prefix}_E.csv", inst.E)
-    prof = inst.profile
     write_json(f"{prefix}_meta.json", {
+        **_profile_fields(inst.profile),
         "m": spec.m, "n": spec.n, "rank": spec.rbar, "ktilde": spec.ktilde,
         "sigma": spec.sigma, "seed": spec.seed,
         "amplitude": spec.amplitude, "magnitude_law": spec.magnitude_law,
-        "kbar": prof.kbar, "rbar": prof.rbar,
-        "a": prof.a, "b": prof.b, "u": prof.u, "v": prof.v, "w": prof.w,
-        "gamma": prof.gamma, "rho_star": prof.rho_star,
-        "alpha": prof.alpha_star, "beta": prof.beta_star,
-        "alpha_beta": prof.product,
-        "identifiable": check_identifiability(prof),
         "eps_2to2": inst.eps_2to2,
         "eps_vinf": inst.eps_vinf,
         "eps_star_prime": inst.eps_star_prime,
@@ -296,19 +284,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixIOError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
-    except PreconditionError as exc:
+    except (PreconditionError, NeumannNonConvergence) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except NeumannNonConvergence as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers MatrixIOError and bad argument values.
         print(str(exc), file=sys.stderr)
         return EXIT_IO
 

@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .subspaces import sign_matrix
-
 __all__ = [
     "IncoherenceProfile",
     "ConditionVerdict",
@@ -92,12 +90,7 @@ class IncoherenceProfile:
 def profile(target, rho=None):
     """Compute the incoherence profile of a target pair, evaluated at `rho`
     (optimal balance point when omitted)."""
-    sg = sign_matrix(target.X_S)
-    if sg.size and np.any(sg):
-        m0 = int(np.abs(sg).sum(axis=0).max())
-        n0 = int(np.abs(sg).sum(axis=1).max())
-    else:
-        m0 = n0 = 0
+    m0, n0 = target.support.counts()
     a = float(m0)
     b = float(n0)
     space = target.space
@@ -129,14 +122,9 @@ def check_identifiability(prof):
 
 @dataclass
 class ConditionVerdict:
-    """Outcome of the three-part recovery condition check at fixed
-    (rho, c, lambda, mu)."""
+    """Outcome of the three-part recovery condition check: one flag per
+    inequality and the (lambda_min, lambda_max) window they imply."""
 
-    formulation: str
-    rho: float
-    c: float
-    lam: float
-    mu: float
     passed: tuple
     lambda_window: tuple
 
@@ -186,13 +174,7 @@ def check_conditions(prof, formulation, c, lam, mu=None,
     cond2 = lam <= lam_max
     cond3 = denom > 0 and lam >= lam_min
     return ConditionVerdict(
-        formulation=formulation,
-        rho=prof.rho,
-        c=float(c),
-        lam=float(lam),
-        mu=float(mu) if mu is not None else 0.0,
-        passed=(cond1, cond2, cond3),
-        lambda_window=(lam_min, lam_max),
+        passed=(cond1, cond2, cond3), lambda_window=(lam_min, lam_max),
     )
 
 

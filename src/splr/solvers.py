@@ -19,6 +19,7 @@ from .incoherence import PreconditionError
 from .matrices import as_matrix, singular_values
 from .norms import entrywise_norm, trace_norm
 from .prox import _project_l1_ball, _project_nuclear_ball, _soft_threshold, _svt
+from .subspaces import RowColSpace, project_T
 
 __all__ = [
     "RegularizedConfig",
@@ -150,8 +151,7 @@ def _kkt_trace_block(GL, U, Vt):
     must equal U Vt, and its spectral norm must be at most 1."""
     r = 0.0
     if U.shape[1]:
-        GV = GL @ Vt.T
-        PT = U @ (U.T @ GL) + (GV - U @ (U.T @ GV)) @ Vt
+        PT = project_T(RowColSpace(U, Vt.T, check=False), GL)
         PT -= U @ Vt
         r = float(np.abs(PT).max())
     s = singular_values(GL)

@@ -156,9 +156,9 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
     balance point); the measured per-step contraction doubles as a runtime
     check and is reported in the stats.
 
-    Each partial-sum increment d_k satisfies d_k = (P_a o P_b)(d_{k-1}), so
-    the per-step ratios in the composition's natural norm (v1 for the
-    support side, v-inf for the space side) are recorded when requested.
+    Each partial-sum increment d_k satisfies d_k = (P_a o P_b)(d_{k-1}).
+    The stats hold the step count "iterations", the last Frobenius ratio
+    "q" and the per-step "ratios" in the natural norm (v1 or v-inf).
     """
     R = as_matrix(RHS, "RHS")
     if which == "omega":
@@ -177,7 +177,7 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
         raise ValueError(f"which must be 'omega' or 'T', got {which!r}")
 
     rhs_norm = float(np.linalg.norm(R))
-    stats = {"iterations": 0, "ratios": [], "residual": 0.0, "q": 0.0}
+    stats = {"iterations": 0, "ratios": [], "q": 0.0}
     if rhs_norm == 0.0:
         x = np.zeros_like(R)
         return (x, stats) if return_stats else x
@@ -211,5 +211,4 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
             )
         prev_f = df
         prev_s = ds
-    stats["residual"] = float(np.linalg.norm(x - step(x) - R))
     return (x, stats) if return_stats else x

@@ -32,12 +32,17 @@ __all__ = [
 DETAIL_HEADER = "rank,density,trial,seed,alpha_beta,err_sparse,err_lowrank,success"
 AGGREGATE_HEADER = "rank,density,trials,successes,success_rate"
 
+# A trial succeeds when the solve converges and both relative Frobenius
+# errors are at most SUCCESS_THRESHOLD; every cell solves to SOLVER_TOL.
+SUCCESS_THRESHOLD = 1e-4
+SOLVER_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description: rank values, density values (support draws as a
-    fraction of mn), trials per cell, and the success threshold on both
-    relative Frobenius errors."""
+    """Grid description: shape, ranks, densities (support draws as a
+    fraction of mn), trials per cell, base seed and each solve's iteration
+    cap. Instances take the InstanceSpec defaults (noiseless, fixed +-10)."""
 
     m: int
     n: int
@@ -45,10 +50,7 @@ class SweepSpec:
     densities: tuple
     trials: int
     base_seed: int
-    success_threshold: float = 1e-4
-    solver_tol: float = 1e-7
     solver_max_iter: int = 100000
-    amplitude: float = 10.0
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
@@ -63,21 +65,15 @@ class SweepSpec:
             raise ValueError("densities must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.success_threshold <= 0:
-            raise ValueError("success_threshold must be positive")
 
 
 def _run_cell(spec, rank, density_index, density, trial):
     seed = mix_seed(spec.base_seed, rank, density_index, trial)
     ktilde = int(round(density * spec.m * spec.n))
-    inst = gen_instance(InstanceSpec(
-        m=spec.m, n=spec.n, rbar=rank, ktilde=ktilde,
-        amplitude=spec.amplitude, magnitude_law="fixed", sigma=0.0, seed=seed,
-    ))
+    inst = gen_instance(InstanceSpec(m=spec.m, n=spec.n, rbar=rank, ktilde=ktilde, seed=seed))
     prof = inst.profile
     lam = default_lambda((spec.m, spec.n), prof)
-    cfg = ConstrainedConfig(lam=lam, tol=spec.solver_tol,
-                            max_iter=spec.solver_max_iter)
+    cfg = ConstrainedConfig(lam=lam, tol=SOLVER_TOL, max_iter=spec.solver_max_iter)
     try:
         report = solve_constrained(inst.Y, cfg)
         errs = recovery_errors(report, inst.target)
@@ -89,8 +85,8 @@ def _run_cell(spec, rank, density_index, density, trial):
         converged = False
     success = bool(
         converged
-        and err_sparse <= spec.success_threshold
-        and err_lowrank <= spec.success_threshold
+        and err_sparse <= SUCCESS_THRESHOLD
+        and err_lowrank <= SUCCESS_THRESHOLD
     )
     return (rank, density, trial, seed, prof.product, err_sparse, err_lowrank, success)
 

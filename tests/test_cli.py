@@ -8,12 +8,14 @@ import pytest
 
 import splr.cli
 from splr.cli import main
+from splr.matrices import RandomStream
 from splr.matrixio import read_matrix_csv, write_matrix_csv
 from splr.norms import entrywise_norm, trace_norm
 from splr.solvers import ConstrainedConfig, RegularizedConfig
 from splr.synth import InstanceSpec, gen_instance
 
 from .helpers import flat_instance, probe_seed
+from .test_solvers import degenerate_inputs
 
 REPORT_KEYS = {
     "mode", "lambda", "mu_or_eps", "iterations", "converged", "objective",
@@ -236,6 +238,33 @@ def test_exit_code_non_convergence(tmp_path):
     assert code == 2
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is False
+
+
+@pytest.mark.parametrize("mode", ["regularized", "constrained"])
+@pytest.mark.parametrize("kind", ["row", "column", "scalar", "zero", 1e-8, 1e8])
+def test_decompose_degenerate_inputs_exit_cleanly(tmp_path, mode, kind):
+    # Degenerate shapes solve outright; extreme amplitudes under a small
+    # iteration cap may stop short, which must show as exit 2 with finite
+    # outputs, never as a crash.
+    capped = not isinstance(kind, str)
+    if capped:
+        Y = kind * RandomStream(probe_seed("amplitude")).gaussian(6, 6)
+    else:
+        Y = degenerate_inputs()[kind]
+    ypath = tmp_path / "y.csv"
+    write_matrix_csv(ypath, Y)
+    extra = ["--mu", 0.5] if mode == "regularized" else []
+    if capped:
+        extra += ["--max-iter", 5]
+    code = run_cli(*decompose_args(tmp_path, ypath, mode, *extra))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert code == (0 if report["converged"] else 2)
+    if not capped:
+        assert code == 0
+    for name in ("xs.csv", "xl.csv"):
+        X = read_matrix_csv(tmp_path / name)
+        assert X.shape == Y.shape and np.all(np.isfinite(X))
+    assert all(math.isfinite(report[key]) for key in ("objective", "residual_v2"))
 
 
 def test_usage_errors_exit_1(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from splr.matrices import RandomStream
 from splr.norms import entrywise_norm, trace_norm
@@ -196,19 +197,33 @@ def test_ball_projections_idempotent_and_nonexpansive():
 def test_l1_projection_optimality_against_bisection():
     # Independent oracle: the projection solves max(|x| - theta, 0) with the
     # unique theta >= 0 making the budget tight; find theta by bisection.
-    stream = RandomStream(probe_seed("l1oracle"))
-    for _ in range(25):
-        M = stream.gaussian(4, 4) * 2.0
-        eps = 0.3 + 2.0 * float(stream.uniforms(1)[0])
-        if entrywise_norm(M, 1) <= eps:
-            continue
-        lo, hi = 0.0, float(np.abs(M).max())
+    # The nuclear-ball case applies the same shrink to a scipy spectrum.
+    def shrink(x, eps):
+        lo, hi = 0.0, float(x.max())
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if np.maximum(np.abs(M) - mid, 0.0).sum() > eps:
+            if np.maximum(x - mid, 0.0).sum() > eps:
                 lo = mid
             else:
                 hi = mid
-        theta = 0.5 * (lo + hi)
-        ref = np.sign(M) * np.maximum(np.abs(M) - theta, 0.0)
-        assert np.max(np.abs(project_l1_ball(M, eps) - ref)) <= 1e-8
+        return np.maximum(x - 0.5 * (lo + hi), 0.0)
+
+    def l1_ref(M, eps):
+        return np.sign(M) * shrink(np.abs(M), eps)
+
+    def nuclear_ref(M, eps):
+        U, s, Vt = scipy.linalg.svd(M, full_matrices=False)
+        return (U * shrink(s, eps)) @ Vt
+
+    stream = RandomStream(probe_seed("l1oracle"))
+    cases = (
+        (project_l1_ball, l1_ref, lambda M: entrywise_norm(M, 1), (4, 4)),
+        (project_nuclear_ball, nuclear_ref, trace_norm, (4, 6)),
+    )
+    for project, ref, norm, shape in cases:
+        for _ in range(25):
+            M = stream.gaussian(*shape) * 2.0
+            eps = 0.3 + 2.0 * float(stream.uniforms(1)[0])
+            if norm(M) <= eps:
+                continue
+            assert np.max(np.abs(project(M, eps) - ref(M, eps))) <= 1e-8

@@ -12,6 +12,7 @@ from splr.certificate import perturbation_scales
 from splr.incoherence import (
     PreconditionError,
     check_conditions,
+    default_lambda,
     profile,
     simplified_parameters,
 )
@@ -237,6 +238,112 @@ def test_constrained_zero_cap_forces_exact_split():
     )
     assert rep.converged
     assert rep.residual_v2 <= 1e-8
+
+
+@functools.lru_cache(maxsize=1)
+def exact_split_run():
+    """A noiseless 20x20 rank-2 instance inside the admissible-lambda
+    window, split exactly at tol 1e-9; shared by the metamorphic tests."""
+    t, _ = flat_instance(20, 20, 2, 20, 10.0, probe_seed("exactmeta"))
+    lam = default_lambda(t.shape, profile(t))
+    rep = solve_constrained(t.X_S + t.X_L, ConstrainedConfig(lam=lam, tol=1e-9))
+    assert rep.converged
+    return t, lam, rep
+
+
+def assert_split_close(rep, X_S, X_L, rel):
+    assert rep.converged
+    for got, want in ((rep.X_S_hat, X_S), (rep.X_L_hat, X_L)):
+        assert entrywise_norm(got - want, 2) <= rel * entrywise_norm(want, 2)
+
+
+def test_exact_split_scale_covariance():
+    # The exact split is positively homogeneous: splitting cY at tolerance
+    # c*tol gives c times the split of Y.
+    t, lam, base = exact_split_run()
+    Y = t.X_S + t.X_L
+    for c in (0.25, 4.0):
+        rep = solve_constrained(c * Y, ConstrainedConfig(lam=lam, tol=c * 1e-9))
+        assert_split_close(rep, c * base.X_S_hat, c * base.X_L_hat, 1e-8)
+
+
+def test_exact_split_transpose_symmetry():
+    t, lam, base = exact_split_run()
+    rep = solve_constrained((t.X_S + t.X_L).T, ConstrainedConfig(lam=lam, tol=1e-9))
+    assert_split_close(rep, base.X_S_hat.T, base.X_L_hat.T, 1e-9)
+
+
+def test_exact_split_permutation_invariance():
+    t, lam, base = exact_split_run()
+    stream = RandomStream(probe_seed("exactperm"))
+    rows = np.argsort(stream.uniforms(20))
+    cols = np.argsort(stream.uniforms(20))
+    Y = (t.X_S + t.X_L)[rows][:, cols]
+    rep = solve_constrained(Y, ConstrainedConfig(lam=lam, tol=1e-9))
+    assert_split_close(rep, base.X_S_hat[rows][:, cols], base.X_L_hat[rows][:, cols], 1e-9)
+
+
+def test_exact_split_recovers_planted_pair():
+    t, lam, base = exact_split_run()
+    assert_split_close(base, t.X_S, t.X_L, 1e-8)
+    # Zero corruption (Y = X_L) and zero rank (Y = X_S) each come back whole
+    # with an exactly zero other part.
+    for Y, S_want, L_want in ((t.X_L, 0.0 * t.X_S, t.X_L), (t.X_S, t.X_S, 0.0 * t.X_L)):
+        rep = solve_constrained(Y, ConstrainedConfig(lam=lam, tol=1e-9))
+        assert rep.converged
+        assert entrywise_norm(rep.X_S_hat - S_want, 2) <= 1e-8 * entrywise_norm(Y, 2)
+        assert entrywise_norm(rep.X_L_hat - L_want, 2) <= 1e-8 * entrywise_norm(Y, 2)
+
+
+def degenerate_inputs():
+    """1 x n, m x 1, 1 x 1 and all-zero observations."""
+    stream = RandomStream(probe_seed("degenerate"))
+    return {
+        "row": stream.gaussian(1, 7),
+        "column": stream.gaussian(7, 1),
+        "scalar": np.array([[3.0]]),
+        "zero": np.zeros((5, 6)),
+    }
+
+
+def degenerate_solves(Y, max_iter=100000):
+    """Both solvers on Y: penalized without and with a box, exact split,
+    and relaxed with a box."""
+    lam = 1.0 / math.sqrt(max(Y.shape))
+    return (
+        solve_regularized(Y, RegularizedConfig(lam=lam, mu=0.5, max_iter=max_iter)),
+        solve_regularized(Y, RegularizedConfig(lam=lam, mu=0.5, b=1.0, max_iter=max_iter)),
+        solve_constrained(Y, ConstrainedConfig(lam=lam, max_iter=max_iter)),
+        solve_constrained(Y, ConstrainedConfig(
+            lam=lam, eps_v1=0.1, eps_star=0.1, b=2.0, max_iter=max_iter)),
+    )
+
+
+def assert_finite_report(rep, shape):
+    for X in (rep.X_S_hat, rep.X_L_hat):
+        assert X.shape == shape and np.all(np.isfinite(X))
+    assert math.isfinite(rep.objective) and math.isfinite(rep.residual_v2)
+
+
+@pytest.mark.parametrize("name", ["row", "column", "scalar", "zero"])
+def test_degenerate_shapes_converge(name):
+    Y = degenerate_inputs()[name]
+    for rep in degenerate_solves(Y):
+        assert rep.converged
+        assert_finite_report(rep, Y.shape)
+        if name == "zero":
+            assert not rep.X_S_hat.any() and not rep.X_L_hat.any()
+
+
+@pytest.mark.parametrize("amplitude", [1e-8, 1e8])
+def test_extreme_amplitudes_finish_with_finite_outputs(amplitude):
+    # With a small cap a solve may stop short, but it must say so and keep
+    # its outputs finite.
+    Y = amplitude * RandomStream(probe_seed("amplitude")).gaussian(6, 6)
+    for rep in degenerate_solves(Y, max_iter=5):
+        assert rep.iterations <= 5
+        assert rep.converged or rep.iterations == 5
+        assert_finite_report(rep, Y.shape)
 
 
 def test_constrained_relaxed_residual_caps():

@@ -48,9 +48,11 @@ def test_support_set_validation():
 
 
 def test_support_counts():
-    s = SupportSet(3, 3, [(0, 0), (0, 1), (2, 1)])
-    per_row, per_col = s.counts()
-    assert per_row == 2 and per_col == 2
+    # Column 1 holds three cells and row 0 two, so a swapped pair shows.
+    s = SupportSet(3, 4, [(0, 0), (0, 1), (1, 1), (2, 1)])
+    per_col, per_row = s.counts()
+    assert (per_col, per_row) == (3, 2)
+    assert SupportSet(3, 4, []).counts() == (0, 0)
 
 
 def test_rowcol_space_rejects_nonorthonormal():

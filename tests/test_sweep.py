@@ -40,9 +40,6 @@ def test_spec_validation_errors():
         SweepSpec(m=8, n=8, ranks=(1,), densities=(1.5,), trials=1, base_seed=0)
     with pytest.raises(ValueError):
         SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=0, base_seed=0)
-    with pytest.raises(ValueError):
-        SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=1, base_seed=0,
-                  success_threshold=0.0)
 
 
 def test_sweep_rows_deterministic_and_job_invariant():
@@ -63,10 +60,10 @@ def test_zero_density_always_succeeds():
 
 
 def test_success_flags_match_threshold():
-    spec = small_spec()
     rows, _ = base_run()
+    threshold = splr.sweep.SUCCESS_THRESHOLD
     for _, _, _, _, _, err_s, err_l, success in rows:
-        within = err_s <= spec.success_threshold and err_l <= spec.success_threshold
+        within = err_s <= threshold and err_l <= threshold
         # success additionally requires solver convergence, so it can only
         # be stricter than the error test.
         if success:
