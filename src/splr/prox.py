@@ -9,7 +9,7 @@ entry and call the unchecked kernels (leading underscore) in their loops.
 
 import numpy as np
 
-from .matrices import as_matrix, thin_svd
+from .matrices import RandomStream, as_matrix, thin_svd
 
 __all__ = [
     "soft_threshold",
@@ -36,10 +36,111 @@ def soft_threshold(M, t):
     return _soft_threshold(M, t)
 
 
-def _svt(M, t):
+# The threshold steps of a solve take the partial path only when min(m, n)
+# is at least PARTIAL_SVT_MIN_DIM; smaller problems always take a full SVD.
+PARTIAL_SVT_MIN_DIM = 100
+# Block columns beyond the last kept rank, and the one growth step.
+_PARTIAL_PAD = 10
+_PARTIAL_PASSES = 2
+
+
+def _partial_svt(M, t, V, stream):
+    """Leading singular triplets (U, s, Vt) of M for a threshold t, by block
+    subspace iteration from the n x l start block V (Halko, Martinsson &
+    Tropp, arXiv:0909.4061), or None when declined.
+
+    Each pass orthonormalizes M V, then M^T of that; after _PARTIAL_PASSES
+    passes, Rayleigh-Ritz on M V gives l Ritz triplets. They are accepted
+    only when the smallest Ritz value is below t, so that every value above
+    t has its triplet in the block. Otherwise the block grows once by
+    _PARTIAL_PAD columns drawn from stream and is iterated again. Declines
+    when that fails too, or when 4l > min(m, n).
+    """
+    for _ in range(2):
+        if 4 * V.shape[1] > min(M.shape):
+            return None
+        for _ in range(_PARTIAL_PASSES):
+            Q = np.linalg.qr(M @ V)[0]
+            V = np.linalg.qr(M.T @ Q)[0]
+        U, s, Wt = thin_svd(M @ V)
+        Vt = Wt @ V.T
+        if s[-1] < t:
+            return U, s, Vt
+        V = np.hstack([Vt.T, stream.gaussian(M.shape[1], _PARTIAL_PAD)])
+    return None
+
+
+class SvtWarmStart:
+    """Warm-start state of one solve's threshold steps.
+
+    block holds the leading rank + _PARTIAL_PAD rows of the last step's
+    whole right singular block, kept and unkept rows alike (of Vt after a
+    full SVD, of the l Ritz rows after a partial one), where rank is the
+    number of values above that step's threshold. A partial step starts
+    from these rows, padded with columns from a fixed-seed stream where
+    the block is short.
+
+    The first step, and every step of a solve with min(m, n) below
+    PARTIAL_SVT_MIN_DIM, takes the full SVD. So does every step after a
+    declined partial one until the kept rank falls below the rank kept
+    then, so that a solve does not pay for both paths sweep after sweep.
+    partial says whether the last step took the partial path, and
+    partial_svds counts those steps. Setting enabled to False sends every
+    later step to the full SVD.
+    """
+
+    def __init__(self, shape):
+        self.enabled = min(shape) >= PARTIAL_SVT_MIN_DIM
+        self.block = None
+        self.rank = 0
+        self.declined_rank = None
+        self.partial = False
+        self.partial_svds = 0
+        self.stream = RandomStream(0)
+
+    def _start_block(self):
+        if self.block is None:
+            return None
+        if self.declined_rank is not None and self.rank >= self.declined_rank:
+            return None
+        V = self.block.T
+        short = self.rank + _PARTIAL_PAD - V.shape[1]
+        if short > 0:
+            V = np.hstack([V, self.stream.gaussian(V.shape[0], short)])
+        return V
+
+    def factors(self, M, t):
+        """(U, s, Vt) for thresholding M by t: the partial triplets when a
+        partial step is taken and accepted, else the full thin SVD."""
+        self.partial = False
+        if not self.enabled:
+            return thin_svd(M)
+        V = self._start_block()
+        out = None if V is None else _partial_svt(M, t, V, self.stream)
+        self.partial = out is not None
+        if out is None:
+            out = thin_svd(M)
+        rank = int(np.count_nonzero(out[1] > t))
+        # A copy of only the rows the next step starts from, so that a full
+        # SVD's Vt is not held through the rest of the sweep.
+        self.block = out[2][:rank + _PARTIAL_PAD].copy()
+        if self.partial:
+            self.partial_svds += 1
+            self.declined_rank = None
+        elif V is not None:
+            self.declined_rank = rank
+        self.rank = rank
+        return out
+
+
+def _svt(M, t, warm=None):
     """Singular-value threshold of M by t, with the kept factors:
-    (X, U, s, Vt) where X = U diag(s) Vt and every s is positive."""
-    U, s, Vt = thin_svd(M)
+    (X, U, s, Vt) where X = U diag(s) Vt and every s is positive.
+
+    Without warm this takes a full thin SVD. With an SvtWarmStart it may
+    compute only the leading triplets (see SvtWarmStart.factors).
+    """
+    U, s, Vt = thin_svd(M) if warm is None else warm.factors(M, t)
     s = np.maximum(s - t, 0.0)
     keep = s > 0
     if not keep.any():

@@ -18,7 +18,13 @@ import numpy as np
 from .incoherence import PreconditionError, inverse_mu
 from .matrices import as_matrix
 from .norms import entrywise_norm, trace_norm
-from .prox import _project_l1_ball, _project_nuclear_ball, _soft_threshold, _svt
+from .prox import (
+    SvtWarmStart,
+    _project_l1_ball,
+    _project_nuclear_ball,
+    _soft_threshold,
+    _svt,
+)
 from .subspaces import _kkt_l1_block, _kkt_trace_block
 
 __all__ = [
@@ -125,7 +131,7 @@ def _residual_norms(R):
     return entrywise_norm(R, 1), trace_norm(R), entrywise_norm(R, 2)
 
 
-def _admm(Y, lam, copies, stop, max_iter, S_box=None, b_L=math.inf):
+def _admm(Y, lam, copies, stop, tol, max_iter, S_box=None, b_L=math.inf):
     """Gauss-Seidel ADMM on lam*||X_S||_1 + ||X_L||_* plus the residual
     terms, shared by both solvers. Y must already be validated.
 
@@ -145,8 +151,18 @@ def _admm(Y, lam, copies, stop, max_iter, S_box=None, b_L=math.inf):
     stop(X_S, X_L_hat, X_L_factors, D, pri, dua) is true, where D = X_S +
     X_L - Y and pri and dua are the primal and dual residuals.
 
+    When min(m, n) >= PARTIAL_SVT_MIN_DIM, the threshold step computes only
+    the leading singular triplets, warm-started from the last sweep's
+    whole right singular block (see prox.SvtWarmStart); smaller problems
+    take a full SVD every sweep. A stop on a sweep that took the partial
+    path is accepted only if the full SVD of the same centre gives an X_L
+    within tol/eta in Frobenius norm. Otherwise the loop goes on, and
+    every later sweep takes the full SVD.
+
     Returns X_S, X_L_hat, the (U, s, Vt) factors of the last X_L, the
-    iteration count, the converged flag and the penalty diagnostics.
+    iteration count, the converged flag and the diagnostics: final
+    residuals, the penalty and its rescalings, and partial_svds, the
+    number of threshold steps served by the partial path.
     """
     k = max(1, len(copies))
     boxed = not math.isinf(b_L)
@@ -158,6 +174,7 @@ def _admm(Y, lam, copies, stop, max_iter, S_box=None, b_L=math.inf):
     V = np.zeros(Y.shape)
     converged = False
     rescalings = 0
+    warm = SvtWarmStart(Y.shape)
     pri = dua = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -178,8 +195,12 @@ def _admm(Y, lam, copies, stop, max_iter, S_box=None, b_L=math.inf):
             C += R_bar
         if boxed:
             C = (k * C + B - V) / (k + 1)
-        X_L_new, *factors = _svt(C, 1.0 / ((k + boxed) * eta))
-        del C  # full-size temporaries are freed early to keep peak memory down
+        t_L = 1.0 / ((k + boxed) * eta)
+        X_L_new, *factors = _svt(C, t_L, warm)
+        # Full-size temporaries are freed early to keep peak memory down; the
+        # centre of a partial step is kept for the exit check.
+        centre = C if warm.partial else None
+        del C
         # Dual residual of the X_S (X_L) step: eta times the change in the
         # blocks updated after it, summed over the constraints it enters.
         dual_S = X_L_new - X_L
@@ -194,6 +215,7 @@ def _admm(Y, lam, copies, stop, max_iter, S_box=None, b_L=math.inf):
                 W[j] += r
                 pri_parts.append(np.linalg.norm(r))
             dual_L = (R[0] if k == 1 else sum(R)) - R_sum
+            del R_sum, R_bar  # freed early: a partial step keeps its centre
             dual_S *= k
             np.subtract(dual_L, dual_S, out=dual_S)
         else:
@@ -213,8 +235,12 @@ def _admm(Y, lam, copies, stop, max_iter, S_box=None, b_L=math.inf):
         dua = eta * math.hypot(*dual_parts)
         del dual_S, dual_L
         if stop(X_S, B if boxed else X_L, factors, D, pri, dua):
-            converged = True
-            break
+            if (centre is None
+                    or eta * np.linalg.norm(_svt(centre, t_L)[0] - X_L) <= tol):
+                converged = True
+                break
+            warm.enabled = False
+        del centre
         if iterations % 10 == 0:
             if pri > 10.0 * dua:
                 scale = 2.0
@@ -233,6 +259,7 @@ def _admm(Y, lam, copies, stop, max_iter, S_box=None, b_L=math.inf):
         "dual_residual": dua,
         "penalty_final": eta,
         "penalty_rescalings": rescalings,
+        "partial_svds": warm.partial_svds,
     }
     return X_S, B if boxed else X_L, factors, iterations, converged, diagnostics
 
@@ -274,7 +301,7 @@ def solve_regularized(Y, cfg):
         return kkt <= tol
 
     X_S, X_L, (U, s, Vt), iterations, converged, diagnostics = _admm(
-        Y, lam, [shrink], stop, cfg.max_iter, S_box=S_box)
+        Y, lam, [shrink], stop, tol, cfg.max_iter, S_box=S_box)
     R = X_S + X_L - Y
     if not converged:
         kkt = max(_kkt_l1_block(Y, X_S, R / (-lam * mu), b),
@@ -324,7 +351,7 @@ def solve_constrained(Y, cfg):
                 and trace_norm(R_hat) - cfg.eps_star <= 10.0 * tol)
 
     X_S, X_L_hat, _, iterations, converged, diagnostics = _admm(
-        Y, lam, copies, stop, cfg.max_iter, b_L=cfg.b)
+        Y, lam, copies, stop, tol, cfg.max_iter, b_L=cfg.b)
     rv1, rst, rv2 = _residual_norms(X_S + X_L_hat - Y)
     obj = lam * entrywise_norm(X_S, 1) + trace_norm(X_L_hat)
     return SolveReport(

@@ -93,17 +93,20 @@ def _run_cell(spec, rank, density_index, density, trial):
 
 def run_sweep(spec, jobs=1):
     """Run every (rank, density, trial) cell; returns (detail_rows,
-    aggregate_rows) in deterministic grid order regardless of jobs."""
+    aggregate_rows) in deterministic grid order regardless of jobs.
+
+    The cells run on min(jobs, os.cpu_count(), number of cells) threads."""
     cells = [
         (rank, di, density, trial)
         for rank in spec.ranks
         for di, density in enumerate(spec.densities)
         for trial in range(spec.trials)
     ]
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    if workers <= 1:
         rows = [_run_cell(spec, *cell) for cell in cells]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda cell: _run_cell(spec, *cell), cells))
     aggregate = []
     idx = 0

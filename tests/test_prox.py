@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import splr.prox
 from splr.matrices import RandomStream
 from splr.norms import entrywise_norm, trace_norm
 from splr.prox import (
+    SvtWarmStart,
+    _svt,
     clip_entries,
     project_l1_ball,
     project_nuclear_ball,
@@ -101,6 +104,62 @@ def test_svt_rotation_equivariance():
     left = svt(Ql @ M @ Qr.T, 0.7)
     right = Ql @ svt(M, 0.7) @ Qr.T
     assert np.max(np.abs(left - right)) <= 1e-8
+
+
+def test_partial_svt_matches_full_svt_at_a_cluster():
+    # Five large values, three just above t = 1 and three just below it,
+    # and a tail under t/2: there is no spectral gap at the threshold.
+    m, t = 160, 1.0
+    stream = RandomStream(probe_seed("partialsvt"))
+    U = np.linalg.qr(stream.gaussian(m, m))[0]
+    V = np.linalg.qr(stream.gaussian(m, m))[0]
+    cluster = t + np.array([3e-3, 1e-3, 1e-4, -1e-4, -1e-3, -3e-3])
+    spectrum = np.concatenate([[20.0, 12.0, 8.0, 5.0, 3.0], cluster,
+                               0.5 * 0.97 ** np.arange(m - 11)])
+    M0 = (U * spectrum) @ V.T
+    warm = SvtWarmStart(M0.shape)
+    _svt(M0, t, warm)
+    assert not warm.partial and warm.rank == 8
+    # The next sweep's centre: a small drift from the last one.
+    M = M0 + 1e-6 * stream.gaussian(m, m) / math.sqrt(m)
+    X, _, s, _ = _svt(M, t, warm)
+    assert warm.partial and warm.partial_svds == 1
+    ref = svt(M, t)
+    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+    ref_s = np.linalg.svd(M, compute_uv=False)
+    assert s.size == np.count_nonzero(ref_s > t) == 8
+    assert np.allclose(s, ref_s[:8] - t, rtol=0.0, atol=1e-10 * ref_s[0])
+
+
+def test_declined_partial_step_skips_until_rank_falls(monkeypatch):
+    calls = []
+
+    def decline(M, t, V, stream):
+        calls.append(V.shape[1])
+
+    monkeypatch.setattr(splr.prox, "_partial_svt", decline)
+    warm = SvtWarmStart((100, 100))
+    for rank in (5, 5, 6, 6, 4, 4, 3):
+        M = np.diag(np.r_[np.full(rank, 2.0), np.full(100 - rank, 0.5)])
+        _svt(M, 1.0, warm)
+        assert warm.rank == rank and not warm.partial
+    # Tried after the first step (block of 5 + 10), declined, then skipped
+    # until the kept rank fell below 5, tried once more and skipped again.
+    assert calls == [15, 14]
+
+
+def test_small_problems_never_take_the_partial_path(monkeypatch):
+    def fail(*args):
+        raise AssertionError("partial path taken below the size rule")
+
+    monkeypatch.setattr(splr.prox, "_partial_svt", fail)
+    stream = RandomStream(probe_seed("partialsmall"))
+    warm = SvtWarmStart((99, 400))
+    M = stream.gaussian(99, 400)
+    for _ in range(3):
+        X = _svt(M, 5.0, warm)[0]
+        assert np.array_equal(X, svt(M, 5.0))
+    assert warm.partial_svds == 0
 
 
 def test_prox_l1_box_infinite_box_equals_soft():

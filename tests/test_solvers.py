@@ -595,3 +595,74 @@ def test_error_bound_regularized_limits():
         bound_theorem3(badp, 2.0, 0.3, 1e-3, 0.0, 0.0, 0.0, 5, 1)
     with pytest.raises(ValueError):
         bound_theorem3(prof, 1.0, 0.3, 1e-3, 0.0, 0.0, 0.0, 5, 1)
+
+
+@functools.lru_cache(maxsize=1)
+def partial_instance():
+    """A 160x160 rank-3 split with 2% corruptions: above the partial-SVD
+    size rule, small enough for the suite."""
+    inst = gen_instance(InstanceSpec(m=160, n=160, rbar=3, ktilde=512,
+                                     seed=probe_seed("partial160")))
+    return inst.Y, 1.0 / math.sqrt(160)
+
+
+def partial_solve(mode):
+    Y, lam = partial_instance()
+    if mode == "constrained":
+        return solve_constrained(Y, ConstrainedConfig(lam=lam))
+    return solve_regularized(Y, RegularizedConfig(lam=lam, mu=0.2))
+
+
+def decline_partial(monkeypatch):
+    monkeypatch.setattr(splr.prox, "_partial_svt", lambda M, t, V, stream: None)
+
+
+def assert_close_pair(rep, ref, rel):
+    for a, b in ((rep.X_S_hat, ref.X_S_hat), (rep.X_L_hat, ref.X_L_hat)):
+        assert np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("mode", ["constrained", "regularized"])
+def test_partial_svd_solve_matches_full_svd_solve(monkeypatch, mode):
+    fast = partial_solve(mode)
+    again = partial_solve(mode)
+    decline_partial(monkeypatch)
+    ref = partial_solve(mode)
+    assert fast.converged and ref.converged
+    assert fast.diagnostics["partial_svds"] > 0
+    assert ref.diagnostics["partial_svds"] == 0
+    assert fast.iterations <= ref.iterations + 2
+    assert_close_pair(fast, ref, 1e-9)
+    assert np.array_equal(fast.X_S_hat, again.X_S_hat)
+    assert np.array_equal(fast.X_L_hat, again.X_L_hat)
+    assert fast.iterations == again.iterations
+
+
+def test_small_solve_takes_no_partial_svd():
+    inst = gen_instance(InstanceSpec(m=30, n=30, rbar=2, ktilde=30, seed=5))
+    rep = solve_constrained(inst.Y, ConstrainedConfig(lam=1.0 / math.sqrt(30)))
+    assert rep.converged and rep.diagnostics["partial_svds"] == 0
+    rep = solve_regularized(inst.Y, RegularizedConfig(lam=1.0 / math.sqrt(30), mu=0.2))
+    assert rep.converged and rep.diagnostics["partial_svds"] == 0
+
+
+def test_exit_check_falls_back_to_full_svd(monkeypatch):
+    # Inflate every accepted partial step's values: the solve may stop on
+    # such a sweep only if the full SVD of its centre agrees, so it must
+    # finish on full SVDs and land on the full-path solution.
+    real = splr.prox._partial_svt
+
+    def inflated(M, t, V, stream):
+        out = real(M, t, V, stream)
+        if out is None:
+            return None
+        U, s, Vt = out
+        return U, s * (1.0 + 1e-7), Vt
+
+    decline_partial(monkeypatch)
+    ref = partial_solve("constrained")
+    monkeypatch.setattr(splr.prox, "_partial_svt", inflated)
+    rep = partial_solve("constrained")
+    assert rep.converged
+    assert 0 < rep.diagnostics["partial_svds"] < rep.iterations - 1
+    assert_close_pair(rep, ref, 1e-9)

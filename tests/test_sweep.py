@@ -138,3 +138,31 @@ def test_solver_bug_propagates_out_of_sweep(monkeypatch, jobs):
     spec = SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=2, base_seed=3)
     with pytest.raises(TypeError, match="solver bug"):
         run_sweep(spec, jobs=jobs)
+
+
+@pytest.mark.parametrize("cpus, trials, expected", [(4, 6, 4), (4, 3, 3), (None, 6, None)])
+def test_thread_pool_capped_by_cpus_and_cells(monkeypatch, cpus, trials, expected):
+    # A recording stand-in for the executor: the test starts no thread.
+    created = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(splr.sweep, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(splr.sweep.os, "cpu_count", lambda: cpus)
+    spec = SweepSpec(m=8, n=8, ranks=(1,), densities=(0.05,), trials=trials,
+                     base_seed=3, solver_max_iter=50)
+    rows, agg = run_sweep(spec, jobs=10 ** 6)
+    # os.cpu_count() may return None; the sweep then runs serially.
+    assert created == ([] if expected is None else [expected])
+    assert (rows, agg) == run_sweep(spec)
