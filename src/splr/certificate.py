@@ -224,7 +224,7 @@ def subgradient_check(target, Q_total, lam, c, probes, seed):
     """
     if probes < 1:
         raise ValueError("probes must be at least 1")
-    if c <= 1:
+    if not c > 1:
         raise ValueError("c must exceed 1")
     Q = as_matrix(Q_total, "Q_total")
     support, space = target.support, target.space

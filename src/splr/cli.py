@@ -58,7 +58,7 @@ def _parse_float_grid(text):
         return [float(parts[0])]
     if len(parts) == 3:
         lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
+        if not (step > 0 and hi >= lo):
             raise ValueError(f"bad grid {text!r}")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return [lo + i * step for i in range(count)]

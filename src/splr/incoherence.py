@@ -152,7 +152,7 @@ def check_conditions(prof, formulation, c, lam, mu=None,
     the constrained form is the same with those terms zeroed. Returns the
     per-condition verdicts and the implied feasible lambda window.
     """
-    if c <= 1:
+    if not c > 1:
         raise ValueError("c must exceed 1")
     if formulation not in ("constrained", "regularized"):
         raise ValueError(f"unknown formulation {formulation!r}")

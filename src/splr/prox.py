@@ -39,12 +39,12 @@ def soft_threshold(M, t):
 # The threshold steps of a solve take the partial path only when min(m, n)
 # is at least PARTIAL_SVT_MIN_DIM; smaller problems always take a full SVD.
 PARTIAL_SVT_MIN_DIM = 100
-# Block columns beyond the last kept rank, and the one growth step.
+# Block columns beyond the last kept rank.
 _PARTIAL_PAD = 10
 _PARTIAL_PASSES = 2
 
 
-def _partial_svt(M, t, V, stream):
+def _partial_svt(M, t, V):
     """Leading singular triplets (U, s, Vt) of M for a threshold t, by block
     subspace iteration from the n x l start block V (Halko, Martinsson &
     Tropp, arXiv:0909.4061), or None when declined.
@@ -52,22 +52,13 @@ def _partial_svt(M, t, V, stream):
     Each pass orthonormalizes M V, then M^T of that; after _PARTIAL_PASSES
     passes, Rayleigh-Ritz on M V gives l Ritz triplets. They are accepted
     only when the smallest Ritz value is below t, so that every value above
-    t has its triplet in the block. Otherwise the block grows once by
-    _PARTIAL_PAD columns drawn from stream and is iterated again. Declines
-    when that fails too, or when 4l > min(m, n).
+    t has its triplet in the block.
     """
-    for _ in range(2):
-        if 4 * V.shape[1] > min(M.shape):
-            return None
-        for _ in range(_PARTIAL_PASSES):
-            Q = np.linalg.qr(M @ V)[0]
-            V = np.linalg.qr(M.T @ Q)[0]
-        U, s, Wt = thin_svd(M @ V)
-        Vt = Wt @ V.T
-        if s[-1] < t:
-            return U, s, Vt
-        V = np.hstack([Vt.T, stream.gaussian(M.shape[1], _PARTIAL_PAD)])
-    return None
+    for _ in range(_PARTIAL_PASSES):
+        Q = np.linalg.qr(M @ V)[0]
+        V = np.linalg.qr(M.T @ Q)[0]
+    U, s, Wt = thin_svd(M @ V)
+    return (U, s, Wt @ V.T) if s[-1] < t else None
 
 
 class SvtWarmStart:
@@ -77,37 +68,24 @@ class SvtWarmStart:
     whole right singular block, kept and unkept rows alike (of Vt after a
     full SVD, of the l Ritz rows after a partial one), where rank is the
     number of values above that step's threshold. A partial step starts
-    from these rows, padded with columns from a fixed-seed stream where
-    the block is short.
+    from these rows, padded where short with columns from a fixed-seed
+    stream.
 
-    The first step, and every step of a solve with min(m, n) below
-    PARTIAL_SVT_MIN_DIM, takes the full SVD. So does every step after a
-    declined partial one until the kept rank falls below the rank kept
-    then, so that a solve does not pay for both paths sweep after sweep.
-    partial says whether the last step took the partial path, and
-    partial_svds counts those steps. Setting enabled to False sends every
-    later step to the full SVD.
+    The full SVD serves the first step, a declined partial step, and every
+    step while min(m, n) < PARTIAL_SVT_MIN_DIM or 4 (rank + _PARTIAL_PAD) >
+    min(m, n); that cap is checked before padding, so a refused step draws
+    nothing from the stream. partial says whether the last step took the
+    partial path and partial_svds counts those steps. Setting enabled to
+    False sends every later step to the full SVD.
     """
 
     def __init__(self, shape):
         self.enabled = min(shape) >= PARTIAL_SVT_MIN_DIM
         self.block = None
         self.rank = 0
-        self.declined_rank = None
         self.partial = False
         self.partial_svds = 0
         self.stream = RandomStream(0)
-
-    def _start_block(self):
-        if self.block is None:
-            return None
-        if self.declined_rank is not None and self.rank >= self.declined_rank:
-            return None
-        V = self.block.T
-        short = self.rank + _PARTIAL_PAD - V.shape[1]
-        if short > 0:
-            V = np.hstack([V, self.stream.gaussian(V.shape[0], short)])
-        return V
 
     def factors(self, M, t):
         """(U, s, Vt) for thresholding M by t: the partial triplets when a
@@ -115,22 +93,32 @@ class SvtWarmStart:
         self.partial = False
         if not self.enabled:
             return thin_svd(M)
-        V = self._start_block()
-        out = None if V is None else _partial_svt(M, t, V, self.stream)
+        out = None
+        width = self.rank + _PARTIAL_PAD
+        if self.block is not None and 4 * width <= min(M.shape):
+            V = self.block.T
+            short = width - V.shape[1]
+            if short > 0:
+                V = np.hstack([V, self.stream.gaussian(V.shape[0], short)])
+            out = _partial_svt(M, t, V)
         self.partial = out is not None
+        self.partial_svds += self.partial
         if out is None:
             out = thin_svd(M)
-        rank = int(np.count_nonzero(out[1] > t))
-        # A copy of only the rows the next step starts from, so that a full
-        # SVD's Vt is not held through the rest of the sweep.
-        self.block = out[2][:rank + _PARTIAL_PAD].copy()
-        if self.partial:
-            self.partial_svds += 1
-            self.declined_rank = None
-        elif V is not None:
-            self.declined_rank = rank
-        self.rank = rank
+        self.rank = int(np.count_nonzero(out[1] > t))
+        # Copy only the rows the next step starts from: no full Vt is held.
+        self.block = out[2][:self.rank + _PARTIAL_PAD].copy()
         return out
+
+
+def _shrink_spectrum(M, U, s, Vt, t):
+    """(X, U, s, Vt) of M = U diag(s) Vt with s shrunk by t, zeros dropped."""
+    s = np.maximum(s - t, 0.0)
+    keep = s > 0
+    if not keep.any():
+        return np.zeros_like(M), U[:, :0], s[:0], Vt[:0]
+    U, s, Vt = U[:, keep], s[keep], Vt[keep, :]
+    return (U * s) @ Vt, U, s, Vt
 
 
 def _svt(M, t, warm=None):
@@ -141,12 +129,7 @@ def _svt(M, t, warm=None):
     compute only the leading triplets (see SvtWarmStart.factors).
     """
     U, s, Vt = thin_svd(M) if warm is None else warm.factors(M, t)
-    s = np.maximum(s - t, 0.0)
-    keep = s > 0
-    if not keep.any():
-        return np.zeros_like(M), U[:, :0], s[:0], Vt[:0]
-    U, s, Vt = U[:, keep], s[keep], Vt[keep, :]
-    return (U * s) @ Vt, U, s, Vt
+    return _shrink_spectrum(M, U, s, Vt, t)
 
 
 def svt(M, t):
@@ -187,19 +170,17 @@ def clip_entries(M, b):
     return np.clip(M, -b, b)
 
 
-def _project_l1_vector(x, eps):
-    """Project nonnegative vector x onto the simplex-scaled l1 ball of
-    radius eps (sort-based threshold rule); returns the shrink amounts
-    applied entrywise."""
+def _l1_ball_shrink(x, eps):
+    """The shrink theta that projects the nonnegative vector x onto the l1
+    ball of radius eps as max(x - theta, 0) (sort-based rule); 0 when x is
+    already inside."""
     if x.sum() <= eps:
-        return x.copy()
+        return 0.0
     u = np.sort(x)[::-1]
     css = np.cumsum(u) - eps
     idx = np.arange(1, x.size + 1)
-    cond = u - css / idx > 0
-    k = idx[cond][-1]
-    theta = css[k - 1] / k
-    return np.maximum(x - theta, 0.0)
+    k = idx[u - css / idx > 0][-1]
+    return css[k - 1] / k
 
 
 def _project_l1_ball(M, eps):
@@ -208,8 +189,7 @@ def _project_l1_ball(M, eps):
     a = np.abs(M)
     if a.sum() <= eps:
         return M.copy()
-    shrunk = _project_l1_vector(a.ravel(), eps).reshape(M.shape)
-    return np.sign(M) * shrunk
+    return _soft_threshold(M, _l1_ball_shrink(a.ravel(), eps))
 
 
 def project_l1_ball(M, eps):
@@ -230,11 +210,7 @@ def _project_nuclear_ball(M, eps):
     U, s, Vt = thin_svd(M)
     if s.sum() <= eps:
         return M.copy()
-    s = _project_l1_vector(s, eps)
-    keep = s > 0
-    if not keep.any():
-        return np.zeros_like(M)
-    return (U[:, keep] * s[keep]) @ Vt[keep, :]
+    return _shrink_spectrum(M, U, s, Vt, _l1_ball_shrink(s, eps))[0]
 
 
 def project_nuclear_ball(M, eps):

@@ -39,6 +39,19 @@ __all__ = [
 ]
 
 
+def _validate_shared(cfg):
+    """The checks both configs share. Negated comparisons, so that NaN fails
+    each check."""
+    if not cfg.lam > 0:
+        raise ValueError("lambda must be positive")
+    if not cfg.b > 0:
+        raise ValueError("box radius must be positive")
+    if not cfg.tol >= 0:
+        raise ValueError("tol must be nonnegative")
+    if cfg.max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 @dataclass
 class RegularizedConfig:
     """Parameters of the penalized solve: lam and mu positive, b the box
@@ -52,17 +65,9 @@ class RegularizedConfig:
     max_iter: int = 100000
 
     def validate(self):
-        # Negated comparisons, so that NaN fails each check.
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        _validate_shared(self)
         if not self.mu > 0:
             raise ValueError("mu must be positive")
-        if not self.b > 0:
-            raise ValueError("box radius must be positive")
-        if not self.tol >= 0:
-            raise ValueError("tol must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -80,17 +85,9 @@ class ConstrainedConfig:
     max_iter: int = 100000
 
     def validate(self):
-        # Negated comparisons, so that NaN fails each check.
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        _validate_shared(self)
         if not (self.eps_v1 >= 0 and self.eps_star >= 0):
             raise ValueError("residual caps must be nonnegative")
-        if not self.b > 0:
-            raise ValueError("box radius must be positive")
-        if not self.tol >= 0:
-            raise ValueError("tol must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -364,9 +361,9 @@ def solve_constrained(Y, cfg):
 def _bound_share(prof, c, lam):
     """Check the premises shared by both error bounds (c > 1, lambda > 0,
     alpha*beta < 1) and return 1/(1 - 1/c)."""
-    if c <= 1:
+    if not c > 1:
         raise ValueError("c must exceed 1")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     if prof.product >= 1:
         raise PreconditionError(

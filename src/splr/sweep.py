@@ -61,7 +61,7 @@ class SweepSpec:
             raise ValueError("ranks and densities must be nonempty")
         if any(r < 0 or r > min(self.m, self.n) for r in self.ranks):
             raise ValueError("ranks must lie in [0, min(m, n)]")
-        if any(d < 0 or d > 1 for d in self.densities):
+        if not all(0 <= d <= 1 for d in self.densities):
             raise ValueError("densities must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")

@@ -59,11 +59,11 @@ class InstanceSpec:
             raise ValueError("rank must satisfy 0 <= rank <= min(m, n)")
         if self.ktilde < 0:
             raise ValueError("ktilde must be nonnegative")
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
         if self.magnitude_law not in MAGNITUDE_LAWS:
             raise ValueError(f"magnitude_law must be one of {MAGNITUDE_LAWS}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
 
 

@@ -223,6 +223,9 @@ def test_subgradient_check_decoupled_no_violation():
     cert = build_certificate(t, None, 1.0, 1.0, 2.0)
     worst = subgradient_check(t, cert.Q_omega + cert.Q_T, 1.0, 2.0, 100, probe_seed("sg"))
     assert worst <= 1e-9
+    for c in (1.0, math.nan):
+        with pytest.raises(ValueError, match="c must exceed 1"):
+            subgradient_check(t, cert.Q_omega + cert.Q_T, 1.0, c, 10, probe_seed("sg"))
 
 
 def test_subgradient_check_rejects_corrupt_certificate():

@@ -338,6 +338,30 @@ def test_decompose_nan_setting_exits_1(tmp_path, flag, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("generate", "--sigma", "nan", "sigma"),
+    ("diagnose", "--c", "nan", "c must exceed 1"),
+    ("sweep", "--densities", "nan", "densities"),
+    ("sweep", "--densities", "0:nan:0.1", "bad grid"),
+], ids=["generate-sigma", "diagnose-c", "sweep-densities", "sweep-density-grid"])
+def test_nan_setting_exits_1(tmp_path, command, flag, value, message, capsys):
+    t, _ = flat_instance(8, 8, 1, 4, 10.0, probe_seed("clinan"))
+    sp, lp = tmp_path / "s.csv", tmp_path / "l.csv"
+    write_matrix_csv(sp, t.X_S)
+    write_matrix_csv(lp, t.X_L)
+    args = {
+        "generate": ["--m", 8, "--n", 8, "--rank", 1, "--ktilde", 4, "--seed", 1,
+                     "--out-prefix", tmp_path / "gen"],
+        "diagnose": ["--sparse", sp, "--lowrank", lp, "--report", tmp_path / "r.json"],
+        "sweep": ["--m", 8, "--n", 8, "--ranks", 1, "--trials", 1, "--seed", 1,
+                  "--out", tmp_path / "sw.csv"],
+    }[command]
+    assert run_cli(command, *args, flag, value) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "s.csv"]
+
+
 def test_constrained_binding_box_exits_cleanly(tmp_path):
     inst = gen_instance(InstanceSpec(m=30, n=30, rbar=2, ktilde=30, seed=5))
     ypath = tmp_path / "y.csv"

@@ -175,8 +175,9 @@ def test_uncertainty_principle():
 
 def test_check_conditions_requires_c_above_one():
     prof = make_profile(1.0, 1.0, 0.02, 0.02, 0.02, 0.01)
-    with pytest.raises(ValueError):
-        check_conditions(prof, "constrained", 1.0, 0.1)
+    for c in (1.0, math.nan):
+        with pytest.raises(ValueError):
+            check_conditions(prof, "constrained", c, 0.1)
 
 
 def test_check_conditions_fails_on_nonidentifiable():

@@ -131,21 +131,29 @@ def test_partial_svt_matches_full_svt_at_a_cluster():
     assert np.allclose(s, ref_s[:8] - t, rtol=0.0, atol=1e-10 * ref_s[0])
 
 
-def test_declined_partial_step_skips_until_rank_falls(monkeypatch):
+def test_partial_step_refused_over_the_size_cap(monkeypatch):
+    # 100 x 100: a partial step needs 4 (rank + 10) <= 100, so rank <= 15.
     calls = []
-
-    def decline(M, t, V, stream):
-        calls.append(V.shape[1])
-
-    monkeypatch.setattr(splr.prox, "_partial_svt", decline)
     warm = SvtWarmStart((100, 100))
-    for rank in (5, 5, 6, 6, 4, 4, 3):
+
+    def leading(M, t, V):
+        calls.append(V.shape[1])
+        U, s, Vt = np.linalg.svd(M)
+        return U[:, :V.shape[1]], s[:V.shape[1]], Vt[:V.shape[1]]
+
+    monkeypatch.setattr(splr.prox, "_partial_svt", leading)
+    stream_at = []
+    for rank, partial in ((5, False), (14, True), (16, True), (16, False),
+                          (15, False), (3, True)):
         M = np.diag(np.r_[np.full(rank, 2.0), np.full(100 - rank, 0.5)])
         _svt(M, 1.0, warm)
-        assert warm.rank == rank and not warm.partial
-    # Tried after the first step (block of 5 + 10), declined, then skipped
-    # until the kept rank fell below 5, tried once more and skipped again.
-    assert calls == [15, 14]
+        assert warm.rank == rank and warm.partial == partial
+        stream_at.append(warm.stream._pos)
+    # The third step pads its 15-row block to 24 columns. The fourth finds a
+    # 24-row block short of rank 16 + 10 = 26 > 25 and is refused before
+    # padding; the fifth is refused too, and the sixth, at rank 15, is tried.
+    assert calls == [15, 24, 25]
+    assert stream_at[1] == 0 < stream_at[2] == stream_at[3] == stream_at[4]
 
 
 def test_small_problems_never_take_the_partial_path(monkeypatch):

@@ -541,10 +541,9 @@ def test_error_bound_constrained_hand_values():
     badp = make_profile(2, 2, 0.5, 0.5, 0.5, 0.1)
     with pytest.raises(PreconditionError):
         bound_theorem2(badp, 2.0, 1.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        bound_theorem2(flatp, 1.0, 1.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        bound_theorem2(flatp, 2.0, 0.0, 0.1, 0.1)
+    for c, lam in ((1.0, 1.0), (math.nan, 1.0), (2.0, 0.0), (2.0, math.nan)):
+        with pytest.raises(ValueError):
+            bound_theorem2(flatp, c, lam, 0.1, 0.1)
 
 
 def test_error_bound_regularized_hand_formula():
@@ -614,7 +613,7 @@ def partial_solve(mode):
 
 
 def decline_partial(monkeypatch):
-    monkeypatch.setattr(splr.prox, "_partial_svt", lambda M, t, V, stream: None)
+    monkeypatch.setattr(splr.prox, "_partial_svt", lambda M, t, V: None)
 
 
 def assert_close_pair(rep, ref, rel):
@@ -652,8 +651,8 @@ def test_exit_check_falls_back_to_full_svd(monkeypatch):
     # finish on full SVDs and land on the full-path solution.
     real = splr.prox._partial_svt
 
-    def inflated(M, t, V, stream):
-        out = real(M, t, V, stream)
+    def inflated(M, t, V):
+        out = real(M, t, V)
         if out is None:
             return None
         U, s, Vt = out

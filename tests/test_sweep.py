@@ -38,6 +38,8 @@ def test_spec_validation_errors():
         SweepSpec(m=8, n=8, ranks=(9,), densities=(0.1,), trials=1, base_seed=0)
     with pytest.raises(ValueError):
         SweepSpec(m=8, n=8, ranks=(1,), densities=(1.5,), trials=1, base_seed=0)
+    with pytest.raises(ValueError, match="densities"):
+        SweepSpec(m=8, n=8, ranks=(1,), densities=(math.nan,), trials=1, base_seed=0)
     with pytest.raises(ValueError):
         SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=0, base_seed=0)
 

@@ -28,6 +28,9 @@ def test_spec_validation_errors():
         InstanceSpec(m=5, n=5, rbar=1, ktilde=3, magnitude_law="cauchy")
     with pytest.raises(ValueError):
         InstanceSpec(m=5, n=5, rbar=1, ktilde=3, sigma=-0.1)
+    for name in ("amplitude", "sigma"):
+        with pytest.raises(ValueError):
+            InstanceSpec(m=5, n=5, rbar=1, ktilde=3, **{name: math.nan})
 
 
 def test_support_empty_when_no_draws():
