@@ -13,18 +13,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .incoherence import PreconditionError, check_conditions, inverse_mu, profile
-from .matrices import RandomStream, as_matrix, frobenius_inner
+from .incoherence import (
+    PreconditionError,
+    _check_premises,
+    check_conditions,
+    inverse_mu,
+    profile,
+)
+from .matrices import RandomStream, as_matrix, frobenius_inner, singular_values
 from .norms import entrywise_norm, induced_norm, trace_norm
 from .subspaces import (
     _kkt_l1_block,
     _kkt_trace_block,
+    _project_support,
+    _project_T,
     neumann_inverse,
     orth_matrix,
-    project_support,
-    project_support_complement,
     project_T,
-    project_T_complement,
     sign_matrix,
 )
 
@@ -105,17 +110,10 @@ def build_certificate(target, E, lam, mu, c, tol=1e-12):
     window exists; construction is still attempted (fully decoupled
     patterns converge regardless) and the four bounds that rest on the
     geometric factor are reported as vacuous. Neumann non-convergence
-    propagates.
+    propagates. The premises on c and lambda are those of check_conditions.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     support, space = target.support, target.space
-    m, n = target.shape
-    if E is None:
-        E = np.zeros((m, n))
-    E = as_matrix(E, "E")
-    if E.shape != (m, n):
-        raise ValueError("E must match the target shape")
+    E = np.zeros(target.shape) if E is None else as_matrix(E, "E", target.shape)
 
     eps_2to2, eps_vinf, eps_star_prime = perturbation_scales(space, E)
     imu = inverse_mu(mu, eps_2to2, eps_vinf, eps_star_prime)
@@ -136,14 +134,14 @@ def build_certificate(target, E, lam, mu, c, tol=1e-12):
 
     sg = sign_matrix(target.X_S)
     om = orth_matrix(space)
-    rhs_support = lam * sg - project_support(support, om) \
-        - imu * project_support(support, E - project_T(space, E))
+    rhs_support = lam * sg - _project_support(support, om) \
+        - imu * _project_support(support, E - _project_T(space, E))
     Q_omega = neumann_inverse(support, space, "omega", rhs_support, tol=tol)
-    Q_T = om - project_T(space, Q_omega + imu * E)
+    Q_T = om - _project_T(space, Q_omega + imu * E)
 
     total = Q_omega + Q_T + imu * E
-    on_support = project_support(support, total)
-    on_space = project_T(space, total)
+    on_support = _project_support(support, total)
+    on_space = _project_T(space, total)
     feas = (
         entrywise_norm(on_support - lam * sg, np.inf),
         entrywise_norm(on_space - om, np.inf),
@@ -185,8 +183,9 @@ def verify_bounds(cert, prof):
     geo = 1.0 / (1.0 - ab) if ab < 1.0 else math.inf
 
     qo_spec = induced_norm(cert.Q_omega, "2->2")
-    qt_spec = induced_norm(cert.Q_T, "2->2")
-    qt_trace = trace_norm(cert.Q_T)
+    qt_sv = singular_values(cert.Q_T)
+    qt_spec = float(qt_sv[0]) if qt_sv.size else 0.0
+    qt_trace = float(qt_sv.sum())
     qt_max = entrywise_norm(cert.Q_T, np.inf)
     qo_max = entrywise_norm(cert.Q_omega, np.inf)
     qo_l1 = entrywise_norm(cert.Q_omega, 1)
@@ -224,9 +223,8 @@ def subgradient_check(target, Q_total, lam, c, probes, seed):
     """
     if probes < 1:
         raise ValueError("probes must be at least 1")
-    if not c > 1:
-        raise ValueError("c must exceed 1")
-    Q = as_matrix(Q_total, "Q_total")
+    _check_premises(c, lam)
+    Q = as_matrix(Q_total, "Q_total", target.shape)
     support, space = target.support, target.space
 
     tol = 1e-9
@@ -255,8 +253,8 @@ def subgradient_check(target, Q_total, lam, c, probes, seed):
         X_L = target.X_L + delta_L
         lhs = lam * entrywise_norm(X_S, 1) + trace_norm(X_L) - base
         rhs = frobenius_inner(Q, delta_S + delta_L) + share * (
-            lam * entrywise_norm(project_support_complement(support, delta_S), 1)
-            + trace_norm(project_T_complement(space, delta_L))
+            lam * entrywise_norm(delta_S - _project_support(support, delta_S), 1)
+            + trace_norm(delta_L - _project_T(space, delta_L))
         )
         worst = max(worst, rhs - lhs)
     return worst

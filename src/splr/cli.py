@@ -151,8 +151,8 @@ def cmd_decompose(args):
     tol = {} if args.tol is None else {"tol": args.tol}
     start = time.perf_counter()
     if args.mode == "regularized":
-        if args.mu is None or args.mu <= 0:
-            raise ValueError("regularized mode requires --mu > 0")
+        if args.mu is None:
+            raise ValueError("regularized mode requires --mu")
         cfg = RegularizedConfig(
             lam=args.lam, mu=args.mu, b=args.b, max_iter=args.max_iter, **tol,
         )

@@ -28,11 +28,22 @@ class PreconditionError(ValueError):
     """A stated precondition (premise inequality, condition check) failed."""
 
 
+def _check_premises(c, lam):
+    """1 < c < inf and 0 < lambda < inf, the premises of every condition
+    check, certificate and error bound. NaN fails both comparisons."""
+    if not 1.0 < c < math.inf:
+        raise ValueError(f"c must exceed 1 and be finite, got {c!r}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
+
+
 def inverse_mu(mu, *scales):
     """1/mu, the weight of the perturbation scales; 0 when mu is None or
-    not positive, which requires every given scale to be zero."""
+    not positive, which requires every given scale to be zero. A NaN mu raises."""
     if mu is not None and mu > 0:
         return 1.0 / mu
+    if mu is not None and math.isnan(mu):
+        raise ValueError("mu must not be NaN")
     if any(scales):
         raise ValueError("mu must be positive when perturbation scales are nonzero")
     return 0.0
@@ -81,20 +92,21 @@ class IncoherenceProfile:
         self.beta_star = self.beta(self.rho)
         self.product = self.alpha_star * self.beta_star
 
+    def _balance(self, rho):
+        """rho, or the profile's own when omitted; 0 < rho < inf."""
+        r = self.rho if rho is None else rho
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {r!r}")
+        return r
+
     def alpha(self, rho=None):
         """max(rho*a, b/rho): the balanced count norm at rho."""
-        r = self.rho if rho is None else rho
-        if r <= 0:
-            raise ValueError("rho must be positive")
-        if self.a == 0 and self.b == 0:
-            return 0.0
+        r = self._balance(rho)
         return max(r * self.a, self.b / r)
 
     def beta(self, rho=None):
         """u/rho + v*rho + w: subspace coherence at rho."""
-        r = self.rho if rho is None else rho
-        if r <= 0:
-            raise ValueError("rho must be positive")
+        r = self._balance(rho)
         return self.u / r + self.v * r + self.w
 
 
@@ -152,8 +164,7 @@ def check_conditions(prof, formulation, c, lam, mu=None,
     the constrained form is the same with those terms zeroed. Returns the
     per-condition verdicts and the implied feasible lambda window.
     """
-    if not c > 1:
-        raise ValueError("c must exceed 1")
+    _check_premises(c, lam)
     if formulation not in ("constrained", "regularized"):
         raise ValueError(f"unknown formulation {formulation!r}")
     imu = 0.0 if formulation == "constrained" else inverse_mu(mu, eps_2to2, eps_vinf)
@@ -161,7 +172,6 @@ def check_conditions(prof, formulation, c, lam, mu=None,
     iev = imu * eps_vinf
 
     alpha = prof.alpha_star
-    beta = prof.beta_star
     ab = prof.product
     gamma = prof.gamma
 
@@ -188,21 +198,22 @@ def simplified_parameters(prof, formulation, eps_2to2=0.0, eps_vinf=0.0):
     Regularized: requires alpha*gamma <= 1/41 and alpha*beta <= 3/41; returns
     lambda = (15/82)/alpha and mu = max(4*eps_2to2, (2/15)*eps_vinf/lambda).
     Constrained: requires alpha*gamma <= 1/15 and alpha*beta <= 1/5; returns
-    lambda = sqrt((5/3)*gamma/alpha) with mu = None, verifying the window
-    membership 5*gamma <= lambda <= 1/(3*alpha) defensively.
+    lambda = sqrt((5/3)*gamma/alpha) with mu = None, which lies in the window
+    [5*gamma, 1/(3*alpha)] because both ends reduce to alpha*gamma <= 1/15.
+    An empty support (alpha = 0) has no rule.
     """
     alpha = prof.alpha(prof.rho_star)
     beta = prof.beta(prof.rho_star)
     gamma = prof.gamma
     ag = alpha * gamma
     ab = alpha * beta
+    if alpha == 0:
+        raise PreconditionError("support is empty; no parameter rule applies")
     if formulation == "regularized":
         if ag > 1.0 / 41.0:
             raise PreconditionError(f"alpha*gamma = {ag:.6g} exceeds 1/41")
         if ab > 3.0 / 41.0:
             raise PreconditionError(f"alpha*beta = {ab:.6g} exceeds 3/41")
-        if alpha == 0:
-            raise PreconditionError("support is empty; no parameter rule applies")
         lam = (15.0 / 82.0) / alpha
         mu = max(4.0 * eps_2to2, (2.0 / 15.0) * eps_vinf / lam)
         return lam, mu
@@ -211,16 +222,7 @@ def simplified_parameters(prof, formulation, eps_2to2=0.0, eps_vinf=0.0):
             raise PreconditionError(f"alpha*gamma = {ag:.6g} exceeds 1/15")
         if ab > 1.0 / 5.0:
             raise PreconditionError(f"alpha*beta = {ab:.6g} exceeds 1/5")
-        if alpha == 0:
-            raise PreconditionError("support is empty; no parameter rule applies")
-        lam = math.sqrt((5.0 / 3.0) * gamma / alpha)
-        lo, hi = 5.0 * gamma, 1.0 / (3.0 * alpha)
-        slack = 1e-12 * max(1.0, hi)
-        if not (lo - slack <= lam <= hi + slack):
-            raise PreconditionError(
-                f"lambda = {lam:.6g} falls outside [{lo:.6g}, {hi:.6g}]"
-            )
-        return lam, None
+        return math.sqrt((5.0 / 3.0) * gamma / alpha), None
     raise ValueError(f"unknown formulation {formulation!r}")
 
 

@@ -19,19 +19,17 @@ class FactorizationError(RuntimeError):
     """Raised when the SVD iteration fails to converge."""
 
 
-def as_matrix(M, name="matrix"):
-    """Validate and convert input to a finite 2-D float64 array."""
+def as_matrix(M, name="matrix", shape=None):
+    """Validate and convert input to a finite 2-D float64 array, of the
+    given shape (a tuple) when one is given: the library's one shape rule."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
+    if shape is not None and A.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {A.shape}")
     return A
-
-
-def check_same_shape(A, B):
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +108,7 @@ def svd(M):
 def frobenius_inner(A, B):
     """Trace inner product tr(A^T B) = sum_ij A_ij * B_ij."""
     A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    check_same_shape(A, B)
+    B = as_matrix(B, "B", A.shape)
     return float(np.sum(A * B))
 
 

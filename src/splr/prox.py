@@ -147,9 +147,7 @@ def prox_l1_box(V, center, t, b):
     soft thresholding. The box must have positive radius.
     """
     V = as_matrix(V, "V")
-    center = as_matrix(center, "center")
-    if V.shape != center.shape:
-        raise ValueError("V and center must share a shape")
+    center = as_matrix(center, "center", V.shape)
     if t < 0:
         raise ValueError("threshold must be nonnegative")
     if b <= 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .incoherence import PreconditionError, inverse_mu
+from .incoherence import PreconditionError, _check_premises, inverse_mu
 from .matrices import as_matrix
 from .norms import entrywise_norm, trace_norm
 from .prox import (
@@ -358,13 +358,12 @@ def solve_constrained(Y, cfg):
     )
 
 
-def _bound_share(prof, c, lam):
-    """Check the premises shared by both error bounds (c > 1, lambda > 0,
-    alpha*beta < 1) and return 1/(1 - 1/c)."""
-    if not c > 1:
-        raise ValueError("c must exceed 1")
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+def _bound_share(prof, c, lam, *scales):
+    """Check the premises of both error bounds (c and lambda, nonnegative
+    perturbation scales, alpha*beta < 1) and return 1/(1 - 1/c)."""
+    _check_premises(c, lam)
+    if not all(s >= 0 for s in scales):
+        raise ValueError(f"perturbation scales must be nonnegative, got {scales!r}")
     if prof.product >= 1:
         raise PreconditionError(
             f"alpha*beta = {prof.product:.6g} is not < 1; the bound does not apply"
@@ -375,7 +374,7 @@ def _bound_share(prof, c, lam):
 def bound_theorem2(prof, c, lam, eps_v1, eps_star):
     """Worst-case v1 error of either component for the constrained program
     under residual caps (eps_v1, eps_star)."""
-    share = _bound_share(prof, c, lam)
+    share = _bound_share(prof, c, lam, eps_v1, eps_star)
     ab = prof.product
     ratio = (2.0 - ab) / (1.0 - ab)
     return (1.0 + share * ratio) * eps_v1 + share * ratio * eps_star / lam
@@ -389,7 +388,7 @@ def bound_theorem3(prof, c, lam, mu, eps_2to2, eps_vinf, eps_star_prime,
     The v2 bound is min(v1 bound, sqrt(2*b*v1 bound)) when a box radius b
     is in force. A mu <= 0 counts as 0 (see inverse_mu).
     """
-    share = _bound_share(prof, c, lam)
+    share = _bound_share(prof, c, lam, eps_2to2, eps_vinf, eps_star_prime)
     imu = inverse_mu(mu, eps_2to2, eps_vinf, eps_star_prime)
     mu = max(mu, 0.0)
     iev = imu * eps_vinf

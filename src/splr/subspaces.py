@@ -1,13 +1,17 @@
 """Support and row/column-space structure of a target decomposition: the two
 orthogonal projectors, sign/orth extraction, l1 and trace-norm subgradient
 tests, and the Neumann-series inverse of (identity minus composed projectors).
+
+The public functions validate their inputs. The Neumann series, the
+certificate and the subgradient tests call the unchecked projector kernels
+(leading underscore) on matrices already validated at their entry.
 """
 
 import math
 
 import numpy as np
 
-from .matrices import as_matrix, check_same_shape, singular_values, svd
+from .matrices import as_matrix, singular_values, svd
 
 
 class NeumannNonConvergence(RuntimeError):
@@ -102,8 +106,7 @@ class TargetPair:
 
     def __init__(self, X_S, X_L):
         self.X_S = as_matrix(X_S, "X_S")
-        self.X_L = as_matrix(X_L, "X_L")
-        check_same_shape(self.X_S, self.X_L)
+        self.X_L = as_matrix(X_L, "X_L", self.X_S.shape)
         self.support = SupportSet.from_matrix(self.X_S)
         self.space = RowColSpace.from_matrix(self.X_L)
 
@@ -118,25 +121,27 @@ def orth_matrix(space):
     return space.U @ space.V.T
 
 
-def project_support(support, M):
-    """Keep entries on the support cells, zero elsewhere."""
-    A = as_matrix(M)
-    if A.shape != (support.m, support.n):
-        raise ValueError(f"shape mismatch: {A.shape} vs ({support.m}, {support.n})")
+def _project_support(support, A):
     return np.where(support.mask, A, 0.0)
 
 
-def project_T(space, M):
-    """Orthogonal projection onto matrices whose columns lie in span(U) or
-    whose rows lie in span(V): U U^T M + M V V^T - U U^T M V V^T."""
-    A = as_matrix(M)
-    if A.shape != (space.m, space.n):
-        raise ValueError(f"shape mismatch: {A.shape} vs ({space.m}, {space.n})")
+def project_support(support, M):
+    """Keep entries on the support cells, zero elsewhere."""
+    return _project_support(support, as_matrix(M, shape=(support.m, support.n)))
+
+
+def _project_T(space, A):
     if space.r == 0:
         return np.zeros_like(A)
     UtM = space.U.T @ A
     MV = A @ space.V
     return space.U @ UtM + (MV - space.U @ (UtM @ space.V)) @ space.V.T
+
+
+def project_T(space, M):
+    """Orthogonal projection onto matrices whose columns lie in span(U) or
+    whose rows lie in span(V): U U^T M + M V V^T - U U^T M V V^T."""
+    return _project_T(space, as_matrix(M, shape=(space.m, space.n)))
 
 
 def _kkt_l1_block(Y, X_S, GS, b):
@@ -165,18 +170,10 @@ def _kkt_trace_block(GL, U, Vt):
     """Worst violation of GL in the trace-norm subdifferential at the
     matrix with thin factors U, Vt: its projection onto their tangent space
     must equal U Vt, and its spectral norm must be at most 1."""
-    PT = project_T(RowColSpace(U, Vt.T, check=False), GL)
+    PT = _project_T(RowColSpace(U, Vt.T, check=False), GL)
     PT -= U @ Vt
     s = singular_values(GL)
     return max(float(np.abs(PT).max(initial=0.0)), float(s[0]) - 1.0 if s.size else 0.0)
-
-
-def project_support_complement(support, M):
-    return as_matrix(M) - project_support(support, M)
-
-
-def project_T_complement(space, M):
-    return as_matrix(M) - project_T(space, M)
 
 
 def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
@@ -192,16 +189,16 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
     The stats hold the step count "iterations", the last Frobenius ratio
     "q" and the per-step "ratios" in the natural norm (v1 or v-inf).
     """
-    R = as_matrix(RHS, "RHS")
+    R = as_matrix(RHS, "RHS", (support.m, support.n))
     if which == "omega":
         def step(x):
-            return project_support(support, project_T(space, x))
+            return _project_support(support, _project_T(space, x))
 
         def stat_norm(x):
             return float(np.abs(x).sum())
     elif which == "T":
         def step(x):
-            return project_T(space, project_support(support, x))
+            return _project_T(space, _project_support(support, x))
 
         def stat_norm(x):
             return float(np.abs(x).max()) if x.size else 0.0

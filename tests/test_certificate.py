@@ -3,6 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import splr.certificate
+import splr.matrices
+import splr.norms
+import splr.prox
+import splr.subspaces
 from splr.certificate import (
     BOUND_NAMES,
     build_certificate,
@@ -223,9 +228,41 @@ def test_subgradient_check_decoupled_no_violation():
     cert = build_certificate(t, None, 1.0, 1.0, 2.0)
     worst = subgradient_check(t, cert.Q_omega + cert.Q_T, 1.0, 2.0, 100, probe_seed("sg"))
     assert worst <= 1e-9
-    for c in (1.0, math.nan):
+    for c in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="c must exceed 1"):
             subgradient_check(t, cert.Q_omega + cert.Q_T, 1.0, c, 10, probe_seed("sg"))
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            subgradient_check(t, cert.Q_omega + cert.Q_T, lam, 2.0, 10, probe_seed("sg"))
+    with pytest.raises(ValueError, match=r"Q_total must have shape \(4, 4\)"):
+        subgradient_check(t, np.zeros((4, 5)), 1.0, 2.0, 10, probe_seed("sg"))
+
+
+def test_certificate_validates_input_once(monkeypatch):
+    # Validation runs at the public entry, not in the Neumann loop: the
+    # number of as_matrix calls must not grow with the number of steps.
+    real = splr.matrices.as_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    for mod in (splr.matrices, splr.norms, splr.subspaces, splr.certificate, splr.prox):
+        monkeypatch.setattr(mod, "as_matrix", counting)
+    t, _ = flat_instance(40, 40, 1, 40, 10.0, probe_seed("validatecert"))
+    lo, hi = check_conditions(profile(t), "regularized", 2.0, 0.1, mu=1.0).lambda_window
+    lam = 0.5 * (lo + hi)
+    RHS = RandomStream(probe_seed("validatecertrhs")).gaussian(40, 40)
+    steps, counts = [], []
+    for tol in (1e-4, 1e-12):
+        calls.clear()
+        _, stats = neumann_inverse(t.support, t.space, "omega", RHS, tol=tol,
+                                   return_stats=True)
+        build_certificate(t, None, lam, 1.0, 2.0, tol=tol)
+        steps.append(stats["iterations"])
+        counts.append(len(calls))
+    assert steps[0] < steps[1]
+    assert counts[0] == counts[1]
 
 
 def test_subgradient_check_rejects_corrupt_certificate():

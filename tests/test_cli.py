@@ -341,9 +341,18 @@ def test_decompose_nan_setting_exits_1(tmp_path, flag, capsys):
 @pytest.mark.parametrize("command, flag, value, message", [
     ("generate", "--sigma", "nan", "sigma"),
     ("diagnose", "--c", "nan", "c must exceed 1"),
+    ("diagnose", "--c", "inf", "c must exceed 1"),
+    ("diagnose", "--rho", "nan", "rho must be positive"),
+    ("diagnose", "--rho", "inf", "rho must be positive"),
+    ("diagnose", "--lambda", "nan", "lambda must be positive"),
+    ("diagnose", "--mu", "nan", "mu must not be NaN"),
+    ("certify", "--c", "inf", "c must exceed 1"),
+    ("certify", "--lambda", "nan", "lambda must be positive"),
     ("sweep", "--densities", "nan", "densities"),
     ("sweep", "--densities", "0:nan:0.1", "bad grid"),
-], ids=["generate-sigma", "diagnose-c", "sweep-densities", "sweep-density-grid"])
+], ids=["generate-sigma", "diagnose-c", "diagnose-c-inf", "diagnose-rho",
+        "diagnose-rho-inf", "diagnose-lambda", "diagnose-mu", "certify-c-inf",
+        "certify-lambda", "sweep-densities", "sweep-density-grid"])
 def test_nan_setting_exits_1(tmp_path, command, flag, value, message, capsys):
     t, _ = flat_instance(8, 8, 1, 4, 10.0, probe_seed("clinan"))
     sp, lp = tmp_path / "s.csv", tmp_path / "l.csv"
@@ -353,6 +362,8 @@ def test_nan_setting_exits_1(tmp_path, command, flag, value, message, capsys):
         "generate": ["--m", 8, "--n", 8, "--rank", 1, "--ktilde", 4, "--seed", 1,
                      "--out-prefix", tmp_path / "gen"],
         "diagnose": ["--sparse", sp, "--lowrank", lp, "--report", tmp_path / "r.json"],
+        "certify": ["--sparse", sp, "--lowrank", lp, "--lambda", 0.1, "--mu", 1.0,
+                    "--c", 2.0, "--report", tmp_path / "r.json"],
         "sweep": ["--m", 8, "--n", 8, "--ranks", 1, "--trials", 1, "--seed", 1,
                   "--out", tmp_path / "sw.csv"],
     }[command]

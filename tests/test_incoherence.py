@@ -131,6 +131,10 @@ def test_rho_star_minimizes_product_on_grid():
     for log_rho in np.linspace(-3, 3, 61):
         rho = prof.rho_star * math.exp(log_rho)
         assert prof.alpha(rho) * prof.beta(rho) >= best - 1e-9
+    for rho in (0.0, math.nan, math.inf):
+        for balanced in (prof.alpha, prof.beta):
+            with pytest.raises(ValueError, match="rho must be positive"):
+                balanced(rho)
 
 
 def test_identifiability_dense_vector_instance():
@@ -175,9 +179,14 @@ def test_uncertainty_principle():
 
 def test_check_conditions_requires_c_above_one():
     prof = make_profile(1.0, 1.0, 0.02, 0.02, 0.02, 0.01)
-    for c in (1.0, math.nan):
-        with pytest.raises(ValueError):
+    for c in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c must exceed 1"):
             check_conditions(prof, "constrained", c, 0.1)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            check_conditions(prof, "constrained", 2.0, lam)
+    with pytest.raises(ValueError, match="mu must not be NaN"):
+        check_conditions(prof, "regularized", 2.0, 0.1, mu=math.nan)
 
 
 def test_check_conditions_fails_on_nonidentifiable():
@@ -274,6 +283,24 @@ def test_simplified_parameters_constrained_accepts_and_bounds():
     assert mu is None
     assert lam == pytest.approx(math.sqrt((5.0 / 3.0) * 1e-4 / 10.0), rel=1e-12)
     assert 5.0 * prof.gamma <= lam <= 1.0 / (3.0 * prof.alpha_star)
+
+
+def test_simplified_parameters_constrained_lambda_in_window():
+    # lambda = sqrt((5/3)*gamma/alpha) lies in [5*gamma, 1/(3*alpha)]
+    # whenever alpha*gamma <= 1/15: both ends reduce to that premise. The
+    # power-of-two alphas put alpha*gamma = 1/15 exactly; t = 0 is gamma = 0.
+    cases = [(a, b, t) for a, b in ((1, 1), (4, 4), (1, 4), (2, 3), (7, 5), (30, 2))
+             for t in (0.0, 0.01, 0.3, 0.7, 0.999)]
+    cases += [(1, 1, 1.0), (4, 4, 1.0), (1, 4, 1.0)]
+    for a, b, t in cases:
+        alpha = make_profile(a, b, 0.0, 0.0, 0.0, 0.0).alpha_star
+        for w in (0.0, 0.1 / alpha):
+            prof = make_profile(a, b, 0.0, 0.0, w, t / (15.0 * alpha))
+            if t == 1.0:
+                assert prof.alpha_star * prof.gamma == 1.0 / 15.0
+            lam, _ = simplified_parameters(prof, "constrained")
+            lo, hi = 5.0 * prof.gamma, 1.0 / (3.0 * prof.alpha_star)
+            assert lo * (1.0 - 1e-12) <= lam <= hi * (1.0 + 1e-12), (a, b, t, w)
 
 
 def test_simplified_parameters_regularized_premise_failure():

@@ -4,7 +4,6 @@ import pytest
 from splr.matrices import (
     RandomStream,
     as_matrix,
-    check_same_shape,
     frobenius_inner,
     gaussian_matrix,
     mix_seed,
@@ -143,9 +142,11 @@ def test_as_matrix_rejects_nonfinite_and_nonrect():
         as_matrix(np.zeros((2, 2, 2)))
 
 
-def test_check_same_shape():
-    with pytest.raises(ValueError):
-        check_same_shape(np.zeros((2, 2)), np.zeros((3, 2)))
+def test_as_matrix_shape():
+    A = np.zeros((3, 2))
+    assert as_matrix(A, "A", (3, 2)) is A
+    with pytest.raises(ValueError, match=r"A must have shape \(2, 2\), got \(3, 2\)"):
+        as_matrix(A, "A", (2, 2))
 
 
 def test_mix_seed_distinct_streams():

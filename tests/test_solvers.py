@@ -544,6 +544,9 @@ def test_error_bound_constrained_hand_values():
     for c, lam in ((1.0, 1.0), (math.nan, 1.0), (2.0, 0.0), (2.0, math.nan)):
         with pytest.raises(ValueError):
             bound_theorem2(flatp, c, lam, 0.1, 0.1)
+    for eps_v1 in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="perturbation scales must be nonnegative"):
+            bound_theorem2(flatp, 2.0, 1.0, eps_v1, 0.1)
 
 
 def test_error_bound_regularized_hand_formula():
@@ -594,6 +597,10 @@ def test_error_bound_regularized_limits():
         bound_theorem3(badp, 2.0, 0.3, 1e-3, 0.0, 0.0, 0.0, 5, 1)
     with pytest.raises(ValueError):
         bound_theorem3(prof, 1.0, 0.3, 1e-3, 0.0, 0.0, 0.0, 5, 1)
+    with pytest.raises(ValueError, match="mu must not be NaN"):
+        bound_theorem3(prof, 2.0, 0.3, math.nan, 0.0, 0.0, 0.0, 5, 1)
+    with pytest.raises(ValueError, match="perturbation scales must be nonnegative"):
+        bound_theorem3(prof, 2.0, 0.3, 1e-3, 0.0, math.nan, 0.0, 5, 1)
 
 
 @functools.lru_cache(maxsize=1)

@@ -14,9 +14,7 @@ from splr.subspaces import (
     neumann_inverse,
     orth_matrix,
     project_support,
-    project_support_complement,
     project_T,
-    project_T_complement,
     sign_matrix,
 )
 from splr.synth import InstanceSpec, gen_instance, gen_subspaces, gen_support
@@ -127,10 +125,10 @@ def test_project_complement_cases():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     full = SupportSet(2, 2, [(i, j) for i in range(2) for j in range(2)])
     empty = SupportSet(2, 2, [])
-    assert np.array_equal(project_support_complement(full, M), np.zeros((2, 2)))
-    assert np.array_equal(project_support_complement(empty, M), M)
+    assert np.array_equal(M - project_support(full, M), np.zeros((2, 2)))
+    assert np.array_equal(M - project_support(empty, M), M)
     space = RowColSpace(np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]))
-    assert np.allclose(project_T_complement(space, M), [[0.0, 0.0], [0.0, 4.0]],
+    assert np.allclose(M - project_T(space, M), [[0.0, 0.0], [0.0, 4.0]],
                        atol=1e-12)
 
 
@@ -151,7 +149,7 @@ def test_projector_idempotence_and_self_adjointness():
         assert frobenius_inner(TA, B) == pytest.approx(
             frobenius_inner(A, project_T(space, B)), abs=1e-10
         )
-        comp = project_T_complement(space, A)
+        comp = A - project_T(space, A)
         assert abs(frobenius_inner(TA, comp)) <= 1e-10 * max(1.0, np.linalg.norm(A) ** 2)
 
 
@@ -223,6 +221,9 @@ def test_neumann_zero_rhs():
     t, _ = flat_instance(6, 6, 1, 4, 10.0, probe_seed("nzero"))
     x = neumann_inverse(t.support, t.space, "T", np.zeros((6, 6)))
     assert np.array_equal(x, np.zeros((6, 6)))
+    for RHS in (np.zeros((6, 5)), np.ones((6, 5))):
+        with pytest.raises(ValueError, match=r"RHS must have shape \(6, 6\)"):
+            neumann_inverse(t.support, t.space, "T", RHS)
 
 
 def test_neumann_dense_vector_residual():
