@@ -184,7 +184,7 @@ def verify_bounds(cert, prof):
 
     qo_spec = induced_norm(cert.Q_omega, "2->2")
     qt_sv = singular_values(cert.Q_T)
-    qt_spec = float(qt_sv[0]) if qt_sv.size else 0.0
+    qt_spec = float(qt_sv.max(initial=0.0))
     qt_trace = float(qt_sv.sum())
     qt_max = entrywise_norm(cert.Q_T, np.inf)
     qo_max = entrywise_norm(cert.Q_omega, np.inf)

@@ -28,13 +28,22 @@ class PreconditionError(ValueError):
     """A stated precondition (premise inequality, condition check) failed."""
 
 
-def _check_premises(c, lam):
-    """1 < c < inf and 0 < lambda < inf, the premises of every condition
-    check, certificate and error bound. NaN fails both comparisons."""
+def _check_premises(c, lam, *scales):
+    """1 < c < inf, 0 < lambda < inf and scales >= 0, NaN failing each: the
+    premises of every condition check, certificate and error bound."""
     if not 1.0 < c < math.inf:
         raise ValueError(f"c must exceed 1 and be finite, got {c!r}")
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
+    if not all(s >= 0 for s in scales):
+        raise ValueError(f"perturbation scales must be nonnegative, got {scales!r}")
+
+
+def _check_rho(rho):
+    """0 < rho < inf, the rule for every balance parameter; NaN fails it."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    return rho
 
 
 def inverse_mu(mu, *scales):
@@ -52,7 +61,7 @@ def inverse_mu(mu, *scales):
 def optimal_rho(a, b):
     """Balance point sqrt(b/a) minimizing the scaled count norm (and hence
     its products with the coherence terms); 1 when either count is zero."""
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):
         raise ValueError("counts must be nonnegative")
     if a == 0 or b == 0:
         return 1.0
@@ -94,10 +103,7 @@ class IncoherenceProfile:
 
     def _balance(self, rho):
         """rho, or the profile's own when omitted; 0 < rho < inf."""
-        r = self.rho if rho is None else rho
-        if not 0.0 < r < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {r!r}")
-        return r
+        return _check_rho(self.rho if rho is None else rho)
 
     def alpha(self, rho=None):
         """max(rho*a, b/rho): the balanced count norm at rho."""
@@ -117,18 +123,13 @@ def profile(target, rho=None):
     a = float(m0)
     b = float(n0)
     space = target.space
-    if space.r:
-        UUt = space.U @ space.U.T
-        VVt = space.V @ space.V.T
-        u = float(np.abs(UUt).max())
-        v = float(np.abs(VVt).max())
-        w = float(
-            np.sqrt((space.U ** 2).sum(axis=1).max())
-            * np.sqrt((space.V ** 2).sum(axis=1).max())
-        )
-        gamma = float(np.abs(space.U @ space.V.T).max())
-    else:
-        u = v = w = gamma = 0.0
+    u = float(np.abs(space.U @ space.U.T).max())
+    v = float(np.abs(space.V @ space.V.T).max())
+    w = float(
+        np.sqrt((space.U ** 2).sum(axis=1).max())
+        * np.sqrt((space.V ** 2).sum(axis=1).max())
+    )
+    gamma = float(np.abs(space.U @ space.V.T).max())
     rho_star = optimal_rho(a, b)
     return IncoherenceProfile(
         a=a, b=b, m0=m0, n0=n0, u=u, v=v, w=w, gamma=gamma,
@@ -164,7 +165,7 @@ def check_conditions(prof, formulation, c, lam, mu=None,
     the constrained form is the same with those terms zeroed. Returns the
     per-condition verdicts and the implied feasible lambda window.
     """
-    _check_premises(c, lam)
+    _check_premises(c, lam, eps_2to2, eps_vinf)
     if formulation not in ("constrained", "regularized"):
         raise ValueError(f"unknown formulation {formulation!r}")
     imu = 0.0 if formulation == "constrained" else inverse_mu(mu, eps_2to2, eps_vinf)

@@ -25,7 +25,7 @@ def as_matrix(M, name="matrix", shape=None):
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
+    if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     if shape is not None and A.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {A.shape}")
@@ -83,9 +83,7 @@ def thin_svd(A):
 
 def _numerical_rank(s):
     """Count of singular values above RANK_TRUNCATION * sigma_1."""
-    if s.size and s[0] > 0:
-        return int(np.count_nonzero(s > RANK_TRUNCATION * s[0]))
-    return 0
+    return int(np.count_nonzero(s > RANK_TRUNCATION * s.max(initial=0.0)))
 
 
 def singular_values(M):

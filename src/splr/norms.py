@@ -5,6 +5,7 @@ computed exactly by a small dense linear program.
 
 import numpy as np
 
+from .incoherence import _check_rho
 from .matrices import as_matrix, singular_values
 
 FLAT_NORM_SIZE_CAP = 256
@@ -18,8 +19,8 @@ def entrywise_norm(M, p):
         return float(np.abs(A).sum())
     if p == 2:
         return float(np.linalg.norm(A))
-    if p == np.inf or p == float("inf"):
-        return float(np.abs(A).max()) if A.size else 0.0
+    if p == np.inf:
+        return float(np.abs(A).max(initial=0.0))
     raise ValueError(f"unsupported entry-wise norm order: {p!r}")
 
 
@@ -35,16 +36,15 @@ def induced_norm(M, mode):
     """
     A = as_matrix(M)
     if mode == "1->1":
-        return float(np.abs(A).sum(axis=0).max()) if A.size else 0.0
+        return float(np.abs(A).sum(axis=0).max(initial=0.0))
     if mode == "inf->inf":
-        return float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
+        return float(np.abs(A).sum(axis=1).max(initial=0.0))
     if mode == "1->2":
-        return float(np.sqrt((A * A).sum(axis=0).max())) if A.size else 0.0
+        return float(np.sqrt((A * A).sum(axis=0).max(initial=0.0)))
     if mode == "2->inf":
-        return float(np.sqrt((A * A).sum(axis=1).max())) if A.size else 0.0
+        return float(np.sqrt((A * A).sum(axis=1).max(initial=0.0)))
     if mode == "2->2":
-        s = singular_values(A)
-        return float(s[0]) if s.size else 0.0
+        return float(singular_values(A).max(initial=0.0))
     raise ValueError(f"unknown induced norm mode {mode!r}; expected one of {_INDUCED_MODES}")
 
 
@@ -55,8 +55,7 @@ def trace_norm(M):
 
 def sharp_norm(M, rho):
     """max(rho * ||M||_{1->1}, (1/rho) * ||M||_{inf->inf})."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     return max(rho * induced_norm(M, "1->1"), induced_norm(M, "inf->inf") / rho)
 
 
@@ -110,16 +109,13 @@ def flat_norm(M, rho):
     entry suffices. Exact small-scale diagnostic; sizes are capped at
     m*n <= 256.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     A = as_matrix(M)
     m, n = A.shape
     if m * n > FLAT_NORM_SIZE_CAP:
         raise ValueError(
             f"flat_norm supports m*n <= {FLAT_NORM_SIZE_CAP}, got {m}x{n}"
         )
-    if m * n == 0:
-        return 0.0
     rows, cols = np.divmod(np.arange(m * n), n)
     cons = np.vstack([
         rho * (cols == np.arange(n)[:, None]),

@@ -31,7 +31,7 @@ def soft_threshold(M, t):
     Entries with |x| exactly equal to t map to 0.
     """
     M = as_matrix(M, "M")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold must be nonnegative")
     return _soft_threshold(M, t)
 
@@ -115,8 +115,6 @@ def _shrink_spectrum(M, U, s, Vt, t):
     """(X, U, s, Vt) of M = U diag(s) Vt with s shrunk by t, zeros dropped."""
     s = np.maximum(s - t, 0.0)
     keep = s > 0
-    if not keep.any():
-        return np.zeros_like(M), U[:, :0], s[:0], Vt[:0]
     U, s, Vt = U[:, keep], s[keep], Vt[keep, :]
     return (U * s) @ Vt, U, s, Vt
 
@@ -135,7 +133,7 @@ def _svt(M, t, warm=None):
 def svt(M, t):
     """Singular-value thresholding: soft-threshold the spectrum by t."""
     M = as_matrix(M, "M")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold must be nonnegative")
     return _svt(M, t)[0]
 
@@ -148,23 +146,18 @@ def prox_l1_box(V, center, t, b):
     """
     V = as_matrix(V, "V")
     center = as_matrix(center, "center", V.shape)
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold must be nonnegative")
-    if b <= 0:
+    if not b > 0:
         raise ValueError("box radius must be positive")
-    X = _soft_threshold(V, t)
-    if np.isinf(b):
-        return X
-    return np.clip(X, center - b, center + b)
+    return np.clip(_soft_threshold(V, t), center - b, center + b)
 
 
 def clip_entries(M, b):
     """Clip every entry into [-b, b]; b = inf returns a copy."""
     M = as_matrix(M, "M")
-    if b <= 0:
+    if not b > 0:
         raise ValueError("bound must be positive")
-    if np.isinf(b):
-        return M.copy()
     return np.clip(M, -b, b)
 
 
@@ -197,7 +190,7 @@ def project_l1_ball(M, eps):
     a copy.
     """
     M = as_matrix(M, "M")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("radius must be nonnegative")
     return _project_l1_ball(M, eps)
 
@@ -215,6 +208,6 @@ def project_nuclear_ball(M, eps):
     """Euclidean projection onto the nuclear-norm ball of radius eps:
     project the spectrum onto the l1 ball of that radius."""
     M = as_matrix(M, "M")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("radius must be nonnegative")
     return _project_nuclear_ball(M, eps)

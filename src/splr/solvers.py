@@ -361,9 +361,7 @@ def solve_constrained(Y, cfg):
 def _bound_share(prof, c, lam, *scales):
     """Check the premises of both error bounds (c and lambda, nonnegative
     perturbation scales, alpha*beta < 1) and return 1/(1 - 1/c)."""
-    _check_premises(c, lam)
-    if not all(s >= 0 for s in scales):
-        raise ValueError(f"perturbation scales must be nonnegative, got {scales!r}")
+    _check_premises(c, lam, *scales)
     if prof.product >= 1:
         raise PreconditionError(
             f"alpha*beta = {prof.product:.6g} is not < 1; the bound does not apply"

@@ -58,8 +58,6 @@ class SupportSet:
 
     def counts(self):
         """(max nonzero cells in any column, max in any row)."""
-        if not self.cells:
-            return 0, 0
         col_counts = self.mask.sum(axis=0)
         row_counts = self.mask.sum(axis=1)
         return int(col_counts.max()), int(row_counts.max())
@@ -77,9 +75,9 @@ class RowColSpace:
         r = U.shape[1]
         if r > min(U.shape[0], V.shape[0]):
             raise ValueError("rank exceeds ambient dimensions")
-        if check and r:
+        if check:
             for name, Q in (("U", U), ("V", V)):
-                err = np.abs(Q.T @ Q - np.eye(r)).max()
+                err = np.abs(Q.T @ Q - np.eye(r)).max(initial=0.0)
                 if err > 1e-8:
                     raise ValueError(f"{name} columns are not orthonormal (deviation {err:.2e})")
         self.U = U
@@ -131,8 +129,6 @@ def project_support(support, M):
 
 
 def _project_T(space, A):
-    if space.r == 0:
-        return np.zeros_like(A)
     UtM = space.U.T @ A
     MV = A @ space.V
     return space.U @ UtM + (MV - space.U @ (UtM @ space.V)) @ space.V.T
@@ -173,7 +169,7 @@ def _kkt_trace_block(GL, U, Vt):
     PT = _project_T(RowColSpace(U, Vt.T, check=False), GL)
     PT -= U @ Vt
     s = singular_values(GL)
-    return max(float(np.abs(PT).max(initial=0.0)), float(s[0]) - 1.0 if s.size else 0.0)
+    return max(float(np.abs(PT).max(initial=0.0)), float(s.max(initial=0.0)) - 1.0)
 
 
 def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
@@ -189,6 +185,8 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
     The stats hold the step count "iterations", the last Frobenius ratio
     "q" and the per-step "ratios" in the natural norm (v1 or v-inf).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     R = as_matrix(RHS, "RHS", (support.m, support.n))
     if which == "omega":
         def step(x):
@@ -201,7 +199,7 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
             return _project_T(space, _project_support(support, x))
 
         def stat_norm(x):
-            return float(np.abs(x).max()) if x.size else 0.0
+            return float(np.abs(x).max())
     else:
         raise ValueError(f"which must be 'omega' or 'T', got {which!r}")
 
@@ -211,8 +209,9 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
         x = np.zeros_like(R)
         return (x, stats) if return_stats else x
 
+    # prev_f, prev_s > 0: R is nonzero and a step with df <= tol ends the loop.
     x = R.copy()
-    d = R.copy()
+    d = R
     prev_f = rhs_norm
     prev_s = stat_norm(R)
     cap = 50
@@ -221,16 +220,14 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
         d = step(d)
         k += 1
         df = float(np.linalg.norm(d))
-        if prev_f > 0:
-            q = df / prev_f
-            stats["q"] = q
-            # A ratio within 1e-12 of 1 is rounding on a direction the
-            # composition fixes, not a contraction: it keeps the last cap.
-            if 0 < q < 1.0 - 1e-12:
-                cap = math.ceil(math.log(tol / rhs_norm) / math.log(q)) + 50
+        q = df / prev_f
+        stats["q"] = q
+        # A ratio within 1e-12 of 1 is rounding on a direction the
+        # composition fixes, not a contraction: it keeps the last cap.
+        if 0 < q < 1.0 - 1e-12:
+            cap = math.ceil(math.log(tol / rhs_norm) / math.log(q)) + 50
         ds = stat_norm(d)
-        if prev_s > 0:
-            stats["ratios"].append(ds / prev_s)
+        stats["ratios"].append(ds / prev_s)
         x += d
         stats["iterations"] = k
         if df <= tol:

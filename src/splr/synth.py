@@ -84,8 +84,6 @@ def gen_support(m, n, ktilde, seed):
     """ktilde uniform cell draws with replacement, collapsed to a set."""
     if ktilde < 0:
         raise ValueError("ktilde must be nonnegative")
-    if ktilde == 0:
-        return SupportSet(m, n, [])
     flat = RandomStream(seed).integers(ktilde, m * n)
     return SupportSet(m, n, ((int(f) // n, int(f) % n) for f in flat))
 
@@ -127,16 +125,15 @@ def gen_instance(spec):
 
     X_S = np.zeros((m, n))
     k = support.kbar
-    if k:
-        stream = RandomStream(mix_seed(spec.seed, _TAG_MAGNITUDES))
-        signs = 2.0 * stream.integers(k, 2).astype(float) - 1.0
-        if spec.magnitude_law == "fixed":
-            vals = signs * spec.amplitude
-        else:
-            mags = spec.amplitude * (0.1 + 0.9 * stream.uniforms(k))
-            vals = signs * mags
-        rows, cols = zip(*support.cells)
-        X_S[list(rows), list(cols)] = vals
+    stream = RandomStream(mix_seed(spec.seed, _TAG_MAGNITUDES))
+    signs = 2.0 * stream.integers(k, 2).astype(float) - 1.0
+    if spec.magnitude_law == "fixed":
+        vals = signs * spec.amplitude
+    else:
+        mags = spec.amplitude * (0.1 + 0.9 * stream.uniforms(k))
+        vals = signs * mags
+    # Boolean indexing is row-major, the order of support.cells.
+    X_S[support.mask] = vals
 
     if spec.sigma > 0:
         E = spec.sigma * RandomStream(mix_seed(spec.seed, _TAG_NOISE)).gaussian(m, n)

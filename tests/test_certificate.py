@@ -68,6 +68,17 @@ def test_decoupled_certificate_is_exact():
     assert np.array_equal(cert.Q_omega, sg)
     assert np.array_equal(cert.Q_T, orth)
     assert cert.feasibility_residuals == (0.0, 0.0)
+    # A rank-0 target decouples any support: Q_omega = lambda*sign(X_S) and
+    # Q_T is an exact +0.0 matrix, so every space-block bound measures 0.
+    X_S = np.zeros((4, 4)); X_S[0, 0] = -5.0; X_S[2, 1] = 3.0
+    cert = build_certificate(TargetPair(X_S, np.zeros((4, 4))), None, 0.5, 1.0, 2.0)
+    assert np.array_equal(cert.Q_omega, 0.5 * np.sign(X_S))
+    assert not cert.Q_T.any() and not np.signbit(cert.Q_T).any()
+    assert cert.feasibility_residuals == (0.0, 0.0)
+    diag = dict(zip(BOUND_NAMES, cert.bound_diagnostics))
+    for name in ("space_block_spectral", "space_block_trace", "space_block_maxabs"):
+        assert diag[name][0] == 0.0
+    assert cert.all_bounds_satisfied
 
 
 def test_decoupled_bound_equalities():
@@ -173,6 +184,9 @@ def test_residuals_scale_with_tolerance():
         worst[tol] = max(cert.feasibility_residuals)
         assert worst[tol] <= 10.0 * tol
     assert worst[1e-7] <= 0.5 * worst[1e-3]
+    for tol in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            build_certificate(t, None, lam, mu, 2.0, tol=tol)
 
 
 def test_lambda_outside_window_raises():

@@ -215,6 +215,16 @@ def test_generate_writes_instance_files(tmp_path):
     assert meta["m"] == 12 and meta["n"] == 9
     assert meta["kbar"] == int(np.count_nonzero(X_S))
     assert meta["rbar"] == 2
+    # With no outliers and no low-rank part every file holds +0.0 zeros.
+    code = run_cli("generate", "--m", 3, "--n", 4, "--rank", 0, "--ktilde", 0,
+                   "--seed", 5, "--out-prefix", prefix)
+    assert code == 0
+    for part in ("Y", "XS", "XL", "E"):
+        text = open(f"{prefix}_{part}.csv").read()
+        assert "-" not in text
+        assert np.array_equal(read_matrix_csv(f"{prefix}_{part}.csv"), np.zeros((3, 4)))
+    meta = json.loads(open(f"{prefix}_meta.json").read())
+    assert (meta["kbar"], meta["rbar"], meta["alpha"], meta["beta"]) == (0, 0, 0.0, 0.0)
 
 
 def test_sweep_cli_deterministic_and_density_zero(tmp_path):

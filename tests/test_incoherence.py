@@ -84,8 +84,9 @@ def test_optimal_rho_closed_form():
     assert optimal_rho(3.0, 3.0) == 1.0
     assert optimal_rho(0.0, 5.0) == 1.0
     assert optimal_rho(5.0, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        optimal_rho(-1.0, 2.0)
+    for a, b in ((-1.0, 2.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            optimal_rho(a, b)
 
 
 def golden_section_min(f, lo, hi, tol=1e-10):
@@ -158,7 +159,17 @@ def test_identifiability_empty_support():
     X_L = np.outer([1.0, 1.0], [1.0, -1.0])
     prof = profile(TargetPair(np.zeros((2, 2)), X_L))
     assert prof.alpha_star == 0.0
+    assert (prof.a, prof.b, prof.m0, prof.n0, prof.kbar) == (0.0, 0.0, 0, 0, 0)
+    assert prof.rho_star == 1.0
     assert check_identifiability(prof)
+    # A rank-0 target: every coherence term of m x 0 factors is +0.0.
+    for X_S in (np.zeros((3, 2)), np.diag([-1.0, 2.0, 0.0])[:, :2]):
+        prof = profile(TargetPair(X_S, np.zeros((3, 2))))
+        terms = (prof.u, prof.v, prof.w, prof.gamma, prof.beta_star, prof.product)
+        assert all(type(x) is float and math.copysign(1.0, x) == 1.0 and x == 0.0
+                   for x in terms)
+        assert prof.rbar == 0
+        assert check_identifiability(prof)
 
 
 def test_uncertainty_principle():
@@ -187,6 +198,13 @@ def test_check_conditions_requires_c_above_one():
             check_conditions(prof, "constrained", 2.0, lam)
     with pytest.raises(ValueError, match="mu must not be NaN"):
         check_conditions(prof, "regularized", 2.0, 0.1, mu=math.nan)
+    # A negative or NaN scale would move the lambda window, not close it.
+    t, _ = flat_instance(20, 20, 1, 20, 10.0, 5)
+    prof = profile(t)
+    for scale in (-0.5, math.nan):
+        for name in ("eps_2to2", "eps_vinf"):
+            with pytest.raises(ValueError, match="perturbation scales must be nonnegative"):
+                check_conditions(prof, "regularized", 2.0, 0.3, mu=1.0, **{name: scale})
 
 
 def test_check_conditions_fails_on_nonidentifiable():

@@ -23,11 +23,17 @@ def test_svd_diagonal():
 
 
 def test_svd_zero_matrix_has_rank_zero():
-    f = svd(np.zeros((2, 2)))
-    assert f.r == 0
-    assert f.U.shape == (2, 0)
-    assert f.V.shape == (2, 0)
-    assert f.singular_values.shape == (0,)
+    # An all-zero matrix and the empty 0x3 and 2x0 ones have no singular
+    # value above the cutoff.
+    for m, n in ((2, 2), (0, 3), (2, 0)):
+        Z = as_matrix(np.zeros((m, n)))
+        assert Z.shape == (m, n) and Z.dtype == np.float64
+        f = svd(Z)
+        assert f.r == 0
+        assert f.U.shape == (m, 0)
+        assert f.V.shape == (n, 0)
+        assert f.singular_values.shape == (0,)
+        assert singular_values(Z).shape == (0,)
 
 
 def test_svd_antidiagonal_reconstructs():

@@ -58,8 +58,15 @@ def test_entrywise_norms_hand_values():
 
 
 def test_entrywise_norm_zero():
-    for p in (1, 2, math.inf):
-        assert entrywise_norm(np.zeros((3, 2)), p) == 0.0
+    # All-zero and empty matrices have every entrywise and induced norm 0.
+    for shape in ((3, 2), (0, 3), (2, 0)):
+        Z = np.zeros(shape)
+        for p in (1, 2, math.inf):
+            got = entrywise_norm(Z, p)
+            assert type(got) is float and got == 0.0
+        for mode in ("1->1", "1->2", "2->2", "2->inf", "inf->inf"):
+            got = induced_norm(Z, mode)
+            assert type(got) is float and got == 0.0
 
 
 def test_entrywise_norm_bad_order():
@@ -110,15 +117,18 @@ def test_sharp_norm_hand_values():
 
 
 def test_sharp_norm_rejects_nonpositive_rho():
-    with pytest.raises(ValueError):
-        sharp_norm(A_HAND, 0.0)
-    with pytest.raises(ValueError):
-        sharp_norm(A_HAND, -1.0)
+    for rho in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            sharp_norm(A_HAND, rho)
 
 
 def test_flat_norm_zero_matrix():
     for rho in (0.25, 1.0, 4.0):
         assert flat_norm(np.zeros((3, 3)), rho) == pytest.approx(0.0, abs=1e-10)
+        # The program on an empty matrix has no variables; its optimum is 0.
+        for shape in ((0, 3), (2, 0)):
+            got = flat_norm(np.zeros(shape), rho)
+            assert type(got) is float and got == 0.0
 
 
 def test_flat_norm_single_cell():
@@ -134,8 +144,9 @@ def test_flat_norm_size_cap():
 
 
 def test_flat_norm_rejects_nonpositive_rho():
-    with pytest.raises(ValueError):
-        flat_norm(np.eye(2), 0.0)
+    for rho in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            flat_norm(np.eye(2), rho)
 
 
 def test_flat_norm_matches_lp_oracle():

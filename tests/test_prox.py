@@ -55,8 +55,10 @@ def test_soft_threshold_tie_gives_exact_zero():
 
 
 def test_soft_threshold_rejects_negative_step():
-    with pytest.raises(ValueError):
-        soft_threshold(np.eye(2), -1.0)
+    for t in (-1.0, math.nan):
+        for threshold in (soft_threshold, svt):
+            with pytest.raises(ValueError, match="threshold must be nonnegative"):
+                threshold(np.eye(2), t)
 
 
 def test_soft_threshold_first_order_optimality():
@@ -81,7 +83,12 @@ def test_svt_full_shrinkage():
     stream = RandomStream(probe_seed("svtfull"))
     M = stream.gaussian(4, 4)
     sigma1 = np.linalg.svd(M, compute_uv=False)[0]
-    assert np.allclose(svt(M, sigma1 * 1.001), np.zeros((4, 4)), atol=1e-12)
+    # Every singular value is below t: no factor is kept, and the empty
+    # product is an exact +0.0 matrix of M's shape.
+    for A in (M, M[:3]):
+        X = svt(A, sigma1 * 1.001)
+        assert X.shape == A.shape and X.dtype == np.float64
+        assert not X.any() and not np.signbit(X).any()
 
 
 def test_svt_shrinks_singular_values():
@@ -173,8 +180,17 @@ def test_small_problems_never_take_the_partial_path(monkeypatch):
 def test_prox_l1_box_infinite_box_equals_soft():
     stream = RandomStream(probe_seed("boxinf"))
     V = stream.gaussian(4, 4)
-    out = prox_l1_box(V, np.zeros((4, 4)), 0.5, math.inf)
-    assert np.array_equal(out, soft_threshold(V, 0.5))
+    V[0, :2] = (-0.0, -0.25)
+    soft = soft_threshold(V, 0.5)
+    # sign(-0.0) is +0.0, while -0.25 shrinks to -0.0.
+    assert np.signbit(soft[0, :2]).tolist() == [False, True]
+    # An infinite box clips nothing: same values and sign bits, in a new
+    # array; clip_entries at b = inf returns a copy of its input.
+    for out, want, src in ((prox_l1_box(V, np.zeros((4, 4)), 0.5, math.inf), soft, V),
+                           (clip_entries(V, math.inf), V, V)):
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+        assert not np.shares_memory(out, src)
 
 
 def test_prox_l1_box_scalar_case():
@@ -189,8 +205,14 @@ def test_prox_l1_box_feasible_identity_at_zero_step():
 
 
 def test_prox_l1_box_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        prox_l1_box(np.eye(2), np.zeros((2, 2)), 0.1, 0.0)
+    for b in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="box radius must be positive"):
+            prox_l1_box(np.eye(2), np.zeros((2, 2)), 0.1, b)
+        with pytest.raises(ValueError, match="bound must be positive"):
+            clip_entries(np.eye(2), b)
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            prox_l1_box(np.eye(2), np.zeros((2, 2)), t, 1.0)
 
 
 def test_prox_l1_box_first_order_optimality():
@@ -230,6 +252,10 @@ def test_project_l1_ball_feasible_and_zero():
     M = np.array([[0.5, -0.25], [0.0, 0.25]])
     assert np.array_equal(project_l1_ball(M, 2.0), M)
     assert np.array_equal(project_l1_ball(M, 0.0), np.zeros((2, 2)))
+    for eps in (-1.0, math.nan):
+        for project in (project_l1_ball, project_nuclear_ball):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                project(M, eps)
 
 
 def test_project_nuclear_ball_hand_value():

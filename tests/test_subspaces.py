@@ -77,6 +77,10 @@ def test_orth_matrix_axis_aligned():
 def test_orth_matrix_rank_zero():
     space = RowColSpace.from_matrix(np.zeros((3, 3)))
     assert np.array_equal(orth_matrix(space), np.zeros((3, 3)))
+    # Empty factors pass the orthonormality check.
+    space = RowColSpace(np.zeros((3, 0)), np.zeros((4, 0)))
+    assert space.r == 0
+    assert np.array_equal(orth_matrix(space), np.zeros((3, 4)))
 
 
 def test_orth_matrix_dense_rank_one():
@@ -110,6 +114,14 @@ def test_project_T_rank_zero():
     space = RowColSpace.from_matrix(np.zeros((2, 2)))
     M = np.ones((2, 2))
     assert np.array_equal(project_T(space, M), np.zeros((2, 2)))
+    # Products with m x 0 factors are exact +0.0 zeros, whatever the signs
+    # of M's entries, on wide and tall shapes too.
+    for m, n in ((2, 2), (1, 5), (5, 1)):
+        space = RowColSpace.from_matrix(np.zeros((m, n)))
+        M = -np.arange(m * n, dtype=float).reshape(m, n)
+        P = project_T(space, M)
+        assert P.shape == (m, n) and P.dtype == np.float64
+        assert not P.any() and not np.signbit(P).any()
 
 
 def test_project_T_membership_fixed_point():
@@ -215,6 +227,12 @@ def test_neumann_decoupled_single_step():
     x, stats = neumann_inverse(support, space, "omega", RHS, return_stats=True)
     assert np.array_equal(x, RHS)
     assert stats["iterations"] <= 1
+    # A rank-0 space decouples every support: one zero step on either side.
+    space = RowColSpace(np.zeros((4, 0)), np.zeros((4, 0)))
+    for which in ("omega", "T"):
+        x, stats = neumann_inverse(support, space, which, RHS, return_stats=True)
+        assert np.array_equal(x, RHS)
+        assert stats == {"iterations": 1, "ratios": [0.0], "q": 0.0}
 
 
 def test_neumann_zero_rhs():
@@ -281,3 +299,7 @@ def test_neumann_rejects_unknown_side():
     t, _ = flat_instance(4, 4, 1, 2, 10.0, probe_seed("nside"))
     with pytest.raises(ValueError):
         neumann_inverse(t.support, t.space, "both", np.zeros((4, 4)))
+    for tol in (0.0, -1e-12, np.nan, np.inf):
+        for RHS in (np.zeros((4, 4)), np.ones((4, 4))):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                neumann_inverse(t.support, t.space, "omega", RHS, tol=tol)

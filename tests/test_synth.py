@@ -6,6 +6,7 @@ import pytest
 from splr.incoherence import check_identifiability, proposition1_bounds
 from splr.norms import entrywise_norm, induced_norm
 from splr.synth import (
+    MAGNITUDE_LAWS,
     InstanceSpec,
     gen_instance,
     gen_subspaces,
@@ -36,6 +37,16 @@ def test_spec_validation_errors():
 def test_support_empty_when_no_draws():
     sup = gen_support(8, 9, 0, probe_seed("sup0"))
     assert sup.kbar == 0 and sup.cells == ()
+    assert not sup.mask.any() and sup.mask.shape == (8, 9)
+    # No draws and rank 0: every part of the instance is +0.0.
+    for law in MAGNITUDE_LAWS:
+        inst = gen_instance(InstanceSpec(m=8, n=9, rbar=0, ktilde=0, magnitude_law=law,
+                                         seed=probe_seed("inst0")))
+        for X in (inst.Y, inst.target.X_S, inst.target.X_L, inst.E):
+            assert X.shape == (8, 9) and X.dtype == np.float64
+            assert not X.any() and not np.signbit(X).any()
+        assert inst.profile.kbar == inst.profile.rbar == 0
+        assert inst.profile.product == 0.0
 
 
 def test_support_draws_collapse_and_stay_in_range():
