@@ -20,17 +20,22 @@ from .incoherence import (
     inverse_mu,
     profile,
 )
-from .matrices import RandomStream, as_matrix, frobenius_inner, singular_values
-from .norms import entrywise_norm, induced_norm, trace_norm
+from .matrices import (
+    RandomStream,
+    _factored_singular_values,
+    _singular_values,
+    as_matrix,
+    frobenius_inner,
+)
+from .norms import _entrywise_norm, _induced_norm, entrywise_norm, trace_norm
 from .subspaces import (
     _kkt_l1_block,
     _kkt_trace_block,
+    _neumann_inverse,
     _project_support,
     _project_T,
-    neumann_inverse,
+    _project_T_factored,
     orth_matrix,
-    project_T,
-    sign_matrix,
 )
 
 __all__ = [
@@ -88,12 +93,26 @@ class DualCertificate:
 def perturbation_scales(space, E):
     """(spectral norm of E, max-abs of E plus max-abs of its space
     projection, trace norm of the space projection)."""
-    PTE = project_T(space, E)
-    return (
-        induced_norm(E, "2->2"),
-        entrywise_norm(E, np.inf) + entrywise_norm(PTE, np.inf),
-        trace_norm(PTE),
+    return _perturbation_scales(space, as_matrix(E, "E", (space.m, space.n)))[0]
+
+
+def _perturbation_scales(space, E):
+    """perturbation_scales of a validated E, and the space projection P_T(E).
+
+    P_T(E) = U (U^T E) + B V^T = [U, B] [(U^T E)^T, V]^T has rank at most
+    2r, so its trace norm comes from those two m x 2r and n x 2r factors;
+    only the spectral norm of E takes a dense SVD.
+    """
+    PTE, UtE, B = _project_T_factored(space, E)
+    star = _factored_singular_values(
+        np.hstack([space.U, B]), np.hstack([UtE.T, space.V])
+    ).sum()
+    scales = (
+        _induced_norm(E, "2->2"),
+        _entrywise_norm(E, np.inf) + _entrywise_norm(PTE, np.inf),
+        float(star),
     )
+    return scales, PTE
 
 
 def build_certificate(target, E, lam, mu, c, tol=1e-12):
@@ -115,7 +134,7 @@ def build_certificate(target, E, lam, mu, c, tol=1e-12):
     support, space = target.support, target.space
     E = np.zeros(target.shape) if E is None else as_matrix(E, "E", target.shape)
 
-    eps_2to2, eps_vinf, eps_star_prime = perturbation_scales(space, E)
+    (eps_2to2, eps_vinf, eps_star_prime), PTE = _perturbation_scales(space, E)
     imu = inverse_mu(mu, eps_2to2, eps_vinf, eps_star_prime)
     prof = profile(target)
     verdict = check_conditions(
@@ -132,23 +151,23 @@ def build_certificate(target, E, lam, mu, c, tol=1e-12):
             f"lambda = {lam:.6g} falls below the admissible lower limit {lo:.6g}"
         )
 
-    sg = sign_matrix(target.X_S)
+    sg = np.sign(target.X_S)
     om = orth_matrix(space)
     rhs_support = lam * sg - _project_support(support, om) \
-        - imu * _project_support(support, E - _project_T(space, E))
-    Q_omega = neumann_inverse(support, space, "omega", rhs_support, tol=tol)
+        - imu * _project_support(support, E - PTE)
+    Q_omega, _ = _neumann_inverse(support, space, "omega", rhs_support, tol)
     Q_T = om - _project_T(space, Q_omega + imu * E)
 
     total = Q_omega + Q_T + imu * E
     on_support = _project_support(support, total)
     on_space = _project_T(space, total)
     feas = (
-        entrywise_norm(on_support - lam * sg, np.inf),
-        entrywise_norm(on_space - om, np.inf),
+        _entrywise_norm(on_support - lam * sg, np.inf),
+        _entrywise_norm(on_space - om, np.inf),
     )
     compl = (
-        entrywise_norm(total - on_support, np.inf),
-        induced_norm(total - on_space, "2->2"),
+        _entrywise_norm(total - on_support, np.inf),
+        _induced_norm(total - on_space, "2->2"),
     )
     cert = DualCertificate(
         Q_omega=Q_omega, Q_T=Q_T, lam=float(lam),
@@ -182,14 +201,16 @@ def verify_bounds(cert, prof):
     core = lam + gamma + iev
     geo = 1.0 / (1.0 - ab) if ab < 1.0 else math.inf
 
-    qo_spec = induced_norm(cert.Q_omega, "2->2")
-    qt_sv = singular_values(cert.Q_T)
+    Q_omega = as_matrix(cert.Q_omega, "Q_omega")
+    Q_T = as_matrix(cert.Q_T, "Q_T", Q_omega.shape)
+    qo_spec = _induced_norm(Q_omega, "2->2")
+    qt_sv = _singular_values(Q_T)
     qt_spec = float(qt_sv.max(initial=0.0))
     qt_trace = float(qt_sv.sum())
-    qt_max = entrywise_norm(cert.Q_T, np.inf)
-    qo_max = entrywise_norm(cert.Q_omega, np.inf)
-    qo_l1 = entrywise_norm(cert.Q_omega, 1)
-    sum_sq = entrywise_norm(cert.Q_omega + cert.Q_T, 2) ** 2
+    qt_max = _entrywise_norm(Q_T, np.inf)
+    qo_max = _entrywise_norm(Q_omega, np.inf)
+    qo_l1 = _entrywise_norm(Q_omega, 1)
+    sum_sq = _entrywise_norm(Q_omega + Q_T, 2) ** 2
 
     pairs = [
         (qo_spec, alpha * geo * core),

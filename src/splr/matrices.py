@@ -86,11 +86,26 @@ def _numerical_rank(s):
     return int(np.count_nonzero(s > RANK_TRUNCATION * s.max(initial=0.0)))
 
 
+def _singular_values(A):
+    s = _lapack_svd(A, False)
+    return s[:_numerical_rank(s)]
+
+
 def singular_values(M):
     """Nonincreasing singular values of M above 1e-10 * sigma_1, computed
     without singular vectors."""
-    s = _lapack_svd(as_matrix(M), False)
-    return s[:_numerical_rank(s)]
+    return _singular_values(as_matrix(M))
+
+
+def _factored_singular_values(L, R):
+    """singular_values of L @ R.T without forming it.
+
+    With thin QR factorizations L = Q_L R_L and R = Q_R R_R, the product is
+    Q_L (R_L R_R^T) Q_R^T, and Q_L, Q_R have orthonormal columns, so it has
+    the singular values of the small core R_L R_R^T. For k factor columns
+    this costs O((m + n) k^2 + k^3) instead of a dense m x n SVD.
+    """
+    return _singular_values(np.linalg.qr(L, mode="r") @ np.linalg.qr(R, mode="r").T)
 
 
 def svd(M):

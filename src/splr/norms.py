@@ -6,7 +6,7 @@ computed exactly by a small dense linear program.
 import numpy as np
 
 from .incoherence import _check_rho
-from .matrices import as_matrix, singular_values
+from .matrices import _singular_values, as_matrix, singular_values
 
 FLAT_NORM_SIZE_CAP = 256
 
@@ -14,7 +14,10 @@ FLAT_NORM_SIZE_CAP = 256
 def entrywise_norm(M, p):
     """Entry-wise p-norm for p in {1, 2, inf}: sum of |entries|, Frobenius,
     or max |entry|."""
-    A = as_matrix(M)
+    return _entrywise_norm(as_matrix(M), p)
+
+
+def _entrywise_norm(A, p):
     if p == 1:
         return float(np.abs(A).sum())
     if p == 2:
@@ -34,7 +37,10 @@ def induced_norm(M, mode):
     1->2: max column Euclidean norm; 2->inf: max row Euclidean norm;
     2->2: largest singular value.
     """
-    A = as_matrix(M)
+    return _induced_norm(as_matrix(M), mode)
+
+
+def _induced_norm(A, mode):
     if mode == "1->1":
         return float(np.abs(A).sum(axis=0).max(initial=0.0))
     if mode == "inf->inf":
@@ -44,7 +50,7 @@ def induced_norm(M, mode):
     if mode == "2->inf":
         return float(np.sqrt((A * A).sum(axis=1).max(initial=0.0)))
     if mode == "2->2":
-        return float(singular_values(A).max(initial=0.0))
+        return float(_singular_values(A).max(initial=0.0))
     raise ValueError(f"unknown induced norm mode {mode!r}; expected one of {_INDUCED_MODES}")
 
 
@@ -56,7 +62,8 @@ def trace_norm(M):
 def sharp_norm(M, rho):
     """max(rho * ||M||_{1->1}, (1/rho) * ||M||_{inf->inf})."""
     _check_rho(rho)
-    return max(rho * induced_norm(M, "1->1"), induced_norm(M, "inf->inf") / rho)
+    A = as_matrix(M)
+    return max(rho * _induced_norm(A, "1->1"), _induced_norm(A, "inf->inf") / rho)
 
 
 def _simplex_maximize(A, b, c):

@@ -162,25 +162,24 @@ def clip_entries(M, b):
 
 
 def _l1_ball_shrink(x, eps):
-    """The shrink theta that projects the nonnegative vector x onto the l1
-    ball of radius eps as max(x - theta, 0) (sort-based rule); 0 when x is
-    already inside."""
-    if x.sum() <= eps:
-        return 0.0
+    """The shrink theta that projects the nonnegative vector x, whose sum
+    exceeds eps, onto the l1 ball of radius eps as max(x - theta, 0)
+    (sort-based rule). The sorted sum can round to at most eps, which makes
+    the rule's theta negative; theta is then 0, so no entry moves outward."""
     u = np.sort(x)[::-1]
     css = np.cumsum(u) - eps
     idx = np.arange(1, x.size + 1)
     k = idx[u - css / idx > 0][-1]
-    return css[k - 1] / k
+    return max(css[k - 1] / k, 0.0)
 
 
 def _project_l1_ball(M, eps):
     if eps == 0:
         return np.zeros_like(M)
-    a = np.abs(M)
+    a = np.abs(M).ravel()
     if a.sum() <= eps:
         return M.copy()
-    return _soft_threshold(M, _l1_ball_shrink(a.ravel(), eps))
+    return _soft_threshold(M, _l1_ball_shrink(a, eps))
 
 
 def project_l1_ball(M, eps):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .matrices import as_matrix, singular_values, svd
+from .matrices import _singular_values, as_matrix, svd
 
 
 class NeumannNonConvergence(RuntimeError):
@@ -128,10 +128,17 @@ def project_support(support, M):
     return _project_support(support, as_matrix(M, shape=(support.m, support.n)))
 
 
+def _project_T_factored(space, A):
+    """(P_T(A), U^T A, B) with P_T(A) = U (U^T A) + B V^T and
+    B = A V - U (U^T A V): a sum of two rank-r products, so P_T(A) has
+    rank at most 2r."""
+    UtA = space.U.T @ A
+    B = A @ space.V - space.U @ (UtA @ space.V)
+    return space.U @ UtA + B @ space.V.T, UtA, B
+
+
 def _project_T(space, A):
-    UtM = space.U.T @ A
-    MV = A @ space.V
-    return space.U @ UtM + (MV - space.U @ (UtM @ space.V)) @ space.V.T
+    return _project_T_factored(space, A)[0]
 
 
 def project_T(space, M):
@@ -168,7 +175,7 @@ def _kkt_trace_block(GL, U, Vt):
     must equal U Vt, and its spectral norm must be at most 1."""
     PT = _project_T(RowColSpace(U, Vt.T, check=False), GL)
     PT -= U @ Vt
-    s = singular_values(GL)
+    s = _singular_values(GL)
     return max(float(np.abs(PT).max(initial=0.0)), float(s.max(initial=0.0)) - 1.0)
 
 
@@ -183,11 +190,19 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
 
     Each partial-sum increment d_k satisfies d_k = (P_a o P_b)(d_{k-1}).
     The stats hold the step count "iterations", the last Frobenius ratio
-    "q" and the per-step "ratios" in the natural norm (v1 or v-inf).
+    "q" and the per-step "ratios" in the natural norm (v1 or v-inf). A step
+    whose ratio is within 1e-12 of 1, or above it, is no contraction: the
+    series then gets at most 50 more steps before NeumannNonConvergence.
     """
+    R = as_matrix(RHS, "RHS", (support.m, support.n))
+    x, stats = _neumann_inverse(support, space, which, R, tol)
+    return (x, stats) if return_stats else x
+
+
+def _neumann_inverse(support, space, which, R, tol):
+    """neumann_inverse of a validated RHS R; returns (x, stats)."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    R = as_matrix(RHS, "RHS", (support.m, support.n))
     if which == "omega":
         def step(x):
             return _project_support(support, _project_T(space, x))
@@ -206,8 +221,7 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
     rhs_norm = float(np.linalg.norm(R))
     stats = {"iterations": 0, "ratios": [], "q": 0.0}
     if rhs_norm == 0.0:
-        x = np.zeros_like(R)
-        return (x, stats) if return_stats else x
+        return np.zeros_like(R), stats
 
     # prev_f, prev_s > 0: R is nonzero and a step with df <= tol ends the loop.
     x = R.copy()
@@ -215,6 +229,7 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
     prev_f = rhs_norm
     prev_s = stat_norm(R)
     cap = 50
+    stalled = False
     k = 0
     while True:
         d = step(d)
@@ -223,8 +238,13 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
         q = df / prev_f
         stats["q"] = q
         # A ratio within 1e-12 of 1 is rounding on a direction the
-        # composition fixes, not a contraction: it keeps the last cap.
-        if 0 < q < 1.0 - 1e-12:
+        # composition fixes, or a contraction needing ~1e12 steps per
+        # e-fold decrease. Either way the cap falls to 50 steps ahead and
+        # no later ratio raises it; until then each ratio sets the cap.
+        if q >= 1.0 - 1e-12:
+            stalled = True
+            cap = min(cap, k + 50)
+        elif q > 0 and not stalled:
             cap = math.ceil(math.log(tol / rhs_norm) / math.log(q)) + 50
         ds = stat_norm(d)
         stats["ratios"].append(ds / prev_s)
@@ -239,4 +259,4 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
             )
         prev_f = df
         prev_s = ds
-    return (x, stats) if return_stats else x
+    return x, stats

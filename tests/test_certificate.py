@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from splr.matrices import RandomStream, mix_seed
 from splr.norms import entrywise_norm, induced_norm, trace_norm
 from splr.solvers import bound_theorem3
 from splr.subspaces import (
+    NeumannNonConvergence,
     RowColSpace,
     TargetPair,
     neumann_inverse,
@@ -222,6 +224,35 @@ def test_perturbation_scales_match_direct_norms():
     assert istar == pytest.approx(trace_norm(PT), rel=1e-12)
 
 
+def orthonormal(stream, m, k):
+    return np.linalg.qr(stream.gaussian(m, k))[0]
+
+
+def test_space_projection_trace_norm_matches_dense():
+    # The trace norm of P_T(E) comes from a 2r x 2r core; it must match the
+    # dense spectrum of P_T(E), truncation at 1e-10 * sigma_1 included.
+    stream = RandomStream(probe_seed("factoredtrace"))
+    for m, n, r in ((14, 9, 2), (9, 14, 2), (11, 11, 3), (8, 6, 0), (5, 8, 3), (6, 6, 6)):
+        space = RowColSpace(orthonormal(stream, m, r), orthonormal(stream, n, r))
+        for scale in (1.0, 1e-9, 1e9):
+            E = scale * stream.gaussian(m, n)
+            dense = trace_norm(project_T(space, E))
+            assert perturbation_scales(space, E)[2] == pytest.approx(dense, rel=1e-12)
+        star = perturbation_scales(space, np.zeros((m, n)))[2]
+        assert star == 0.0 and not np.signbit(star)
+    # E = X diag(s) Y^T with orthonormal X = [U, U_perp], Y = [V_perp, V]
+    # pairs each u_i with a v_perp and each u_perp with a v_i, so E lies in
+    # the tangent space with singular values s. The last three fall between
+    # 1e-16 and 1e-10 of the first and are truncated on both sides.
+    X, Y = orthonormal(stream, 10, 6), orthonormal(stream, 9, 6)
+    space = RowColSpace(X[:, :3], Y[:, 3:])
+    s = np.array([1.0, 0.3, 1e-9, 1e-11, 1e-13, 1e-15])
+    E = (X * s) @ Y.T
+    star = perturbation_scales(space, E)[2]
+    assert star == pytest.approx(trace_norm(project_T(space, E)), rel=1e-12)
+    assert star == pytest.approx(1.3 + 1e-9, rel=1e-12)
+
+
 def test_subgradient_inequality_is_tight_at_base_point():
     # With zero deviations both sides of the probed inequality vanish:
     # the objective difference is zero and so is the certificate pairing.
@@ -277,6 +308,38 @@ def test_certificate_validates_input_once(monkeypatch):
         counts.append(len(calls))
     assert steps[0] < steps[1]
     assert counts[0] == counts[1]
+    # With a nonzero E, only E is validated (plus Q_omega and Q_T in
+    # verify_bounds), and only E, the off-space part of the total, Q_omega
+    # and Q_T take a dense 40 x 40 spectrum: the trace norm of P_T(E) comes
+    # from a 2r x 2r core.
+    dense = []
+    real_svd = splr.matrices._lapack_svd
+
+    def counting_svd(A, compute_uv):
+        dense.append(A.shape == (40, 40))
+        return real_svd(A, compute_uv)
+    monkeypatch.setattr(splr.matrices, "_lapack_svd", counting_svd)
+    E = 1e-3 * RandomStream(probe_seed("validatecertnoise")).gaussian(40, 40)
+    ie2, iev, _ = perturbation_scales(t.space, E)
+    assert sum(dense) == 1
+    lo, hi = check_conditions(profile(t), "regularized", 2.0, 0.1, mu=1.0,
+                              eps_2to2=ie2, eps_vinf=iev).lambda_window
+    calls.clear()
+    dense.clear()
+    build_certificate(t, E, 0.5 * (lo + hi), 1.0, 2.0)
+    assert len(calls) <= 4
+    assert sum(dense) == 4
+
+
+def test_certificate_stops_on_stalling_series():
+    # Support 11 of 12 cells against a rank-1 space (alpha*beta = 3): the
+    # Neumann step ratio climbs toward 1, 0.68, 0.979, ..., and is within
+    # 1e-12 of 1 from step 20 on. The series must stop 50 steps later, not
+    # run on under a cap set by the last ratio below that band.
+    G = np.arange(12.0).reshape(3, 4) - 1
+    with pytest.raises(NeumannNonConvergence) as err:
+        build_certificate(TargetPair(G, np.ones((3, 4))), None, 0.3, None, 2.0)
+    assert int(re.search(r"exceeded (\d+) steps", str(err.value)).group(1)) <= 100
 
 
 def test_subgradient_check_rejects_corrupt_certificate():

@@ -188,16 +188,21 @@ def test_certify_report_continuous_in_noise(tmp_path):
 
 def test_certify_noncontractive_pair_exits_3(tmp_path, capsys):
     # X_S = X_L with every cell nonzero: P_Omega is the identity and the
-    # Neumann series cannot contract; it must stop and report, not run on.
+    # Neumann series cannot contract. In the second pair the step ratio
+    # climbs toward 1 and reaches it within 1e-12 at step 20. Both must
+    # stop and report, not run on.
     X = gen_instance(InstanceSpec(m=20, n=20, rbar=2, ktilde=0, seed=3)).target.X_L
-    path = tmp_path / "XL.csv"
-    write_matrix_csv(path, X)
-    rpt = tmp_path / "cert.json"
-    code = run_cli("certify", "--sparse", path, "--lowrank", path,
-                   "--lambda", 0.1, "--mu", 1, "--c", 2, "--report", rpt)
-    assert code == 3
-    assert "contraction" in capsys.readouterr().err
-    assert not rpt.exists()
+    G = np.arange(12.0).reshape(3, 4) - 1
+    for X_S, X_L, lam in ((X, X, 0.1), (G, np.ones((3, 4)), 0.3)):
+        sp, lp = tmp_path / "XS.csv", tmp_path / "XL.csv"
+        write_matrix_csv(sp, X_S)
+        write_matrix_csv(lp, X_L)
+        rpt = tmp_path / "cert.json"
+        code = run_cli("certify", "--sparse", sp, "--lowrank", lp,
+                       "--lambda", lam, "--mu", 1, "--c", 2, "--report", rpt)
+        assert code == 3
+        assert "contraction" in capsys.readouterr().err
+        assert not rpt.exists()
 
 
 def test_generate_writes_instance_files(tmp_path):

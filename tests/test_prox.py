@@ -258,6 +258,23 @@ def test_project_l1_ball_feasible_and_zero():
                 project(M, eps)
 
 
+def test_project_l1_ball_fortran_order_lands_on_ball():
+    # With numpy 2.4, |M| sums to 18.671948877917004 in Fortran memory
+    # order, 18.671948877917007 in C order and 18.671948877917 sorted. At
+    # eps = the Fortran sum the point is outside by the C-order sum that
+    # the projection tests, and the sort-based shrink rounds to -1.8e-16:
+    # it must be clamped to 0, not move entries outward. Well outside, the
+    # Fortran input projects like the C-ordered one.
+    M = RandomStream(34).gaussian(4, 5)
+    F = np.asfortranarray(M)
+    for eps in (float(np.abs(F).sum()), 10.0):
+        P = project_l1_ball(F, eps)
+        assert np.array_equal(P, project_l1_ball(M, eps))
+        assert np.all(np.abs(P) <= np.abs(M))
+        assert np.abs(P).sum() == pytest.approx(eps, rel=1e-12)
+    assert splr.prox._l1_ball_shrink(np.abs(M).ravel(), float(np.abs(F).sum())) == 0.0
+
+
 def test_project_nuclear_ball_hand_value():
     out = project_nuclear_ball(np.diag([3.0, 1.0]), 2.0)
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-10)
