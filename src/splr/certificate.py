@@ -25,9 +25,8 @@ from .matrices import (
     _factored_singular_values,
     _singular_values,
     as_matrix,
-    frobenius_inner,
 )
-from .norms import _entrywise_norm, _induced_norm, entrywise_norm, trace_norm
+from .norms import _entrywise_norm, _induced_norm
 from .subspaces import (
     _kkt_l1_block,
     _kkt_trace_block,
@@ -258,11 +257,15 @@ def subgradient_check(target, Q_total, lam, c, probes, seed):
 
     m, n = target.shape
     stream = RandomStream(seed)
-    base = lam * entrywise_norm(target.X_S, 1) + trace_norm(target.X_L)
+
+    def objective(X_S, X_L):
+        return lam * _entrywise_norm(X_S, 1) + float(_singular_values(X_L).sum())
+
+    base = objective(target.X_S, target.X_L)
     amp = max(
         1.0,
-        entrywise_norm(target.X_S, np.inf),
-        entrywise_norm(target.X_L, np.inf),
+        _entrywise_norm(target.X_S, np.inf),
+        _entrywise_norm(target.X_L, np.inf),
     )
     share = 1.0 - 1.0 / c
     worst = -math.inf
@@ -270,12 +273,10 @@ def subgradient_check(target, Q_total, lam, c, probes, seed):
         scale = amp * 10.0 ** (2.0 * stream.uniforms(1)[0] - 1.0)
         delta_S = scale * stream.gaussian(m, n)
         delta_L = scale * stream.gaussian(m, n)
-        X_S = target.X_S + delta_S
-        X_L = target.X_L + delta_L
-        lhs = lam * entrywise_norm(X_S, 1) + trace_norm(X_L) - base
-        rhs = frobenius_inner(Q, delta_S + delta_L) + share * (
-            lam * entrywise_norm(delta_S - _project_support(support, delta_S), 1)
-            + trace_norm(delta_L - _project_T(space, delta_L))
+        lhs = objective(target.X_S + delta_S, target.X_L + delta_L) - base
+        rhs = float(np.sum(Q * (delta_S + delta_L))) + share * objective(
+            delta_S - _project_support(support, delta_S),
+            delta_L - _project_T(space, delta_L),
         )
         worst = max(worst, rhs - lhs)
     return worst

@@ -17,7 +17,7 @@ import numpy as np
 
 from .incoherence import PreconditionError, _check_premises, inverse_mu
 from .matrices import as_matrix
-from .norms import entrywise_norm, trace_norm
+from .norms import _entrywise_norm, entrywise_norm, trace_norm
 from .prox import (
     SvtWarmStart,
     _project_l1_ball,
@@ -128,7 +128,8 @@ def _residual_norms(R):
     return entrywise_norm(R, 1), trace_norm(R), entrywise_norm(R, 2)
 
 
-def _admm(Y, lam, copies, stop, tol, max_iter, S_box=None, b_L=math.inf):
+def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
+          b_L=math.inf):
     """Gauss-Seidel ADMM on lam*||X_S||_1 + ||X_L||_* plus the residual
     terms, shared by both solvers. Y must already be validated.
 
@@ -143,8 +144,11 @@ def _admm(Y, lam, copies, stop, tol, max_iter, S_box=None, b_L=math.inf):
     Each sweep takes the l1 prox in X_S, then the singular-value threshold
     in X_L, each at the mean of the centres of the k constraints the block
     enters (thresholds lam/(k*eta) and 1/(k*eta)), then updates every copy
-    and dual. The penalty eta starts at 1 and is rebalanced every 10 sweeps
-    when one residual exceeds the other tenfold. The loop exits when
+    and dual. The penalty eta starts at eta0 and is rebalanced every 10
+    sweeps (Boyd et al. 2011, ADMM, section 3.4.1) when one of eta0*pri and
+    dua exceeds the other tenfold: eta0*pri rather than pri, so that a
+    caller whose eta0 scales as 1/Y compares two scale-free quantities and
+    takes the same sweeps on cY as on Y. The loop exits when
     stop(X_S, X_L_hat, X_L_factors, D, pri, dua) is true, where D = X_S +
     X_L - Y and pri and dua are the primal and dual residuals.
 
@@ -163,7 +167,7 @@ def _admm(Y, lam, copies, stop, tol, max_iter, S_box=None, b_L=math.inf):
     """
     k = max(1, len(copies))
     boxed = not math.isinf(b_L)
-    eta = 1.0
+    eta = eta0
     X_L = np.zeros(Y.shape)
     W = [np.zeros(Y.shape) for _ in range(k)]
     R = [np.zeros(Y.shape) for _ in copies]
@@ -239,9 +243,9 @@ def _admm(Y, lam, copies, stop, tol, max_iter, S_box=None, b_L=math.inf):
             warm.enabled = False
         del centre
         if iterations % 10 == 0:
-            if pri > 10.0 * dua:
+            if eta0 * pri > 10.0 * dua:
                 scale = 2.0
-            elif dua > 10.0 * pri:
+            elif dua > 10.0 * eta0 * pri:
                 scale = 0.5
             else:
                 continue
@@ -269,6 +273,12 @@ def solve_regularized(Y, cfg):
     1) * (X_S + X_L - Y + W). Each sweep takes the box-constrained l1 prox
     in X_S and the singular-value threshold in X_L.
 
+    The penalty starts at eta0 = mn/(4*||Y||_1) (Candes, Li, Ma & Wright,
+    arXiv:0912.3599), or at 1 when that is infinite (Y = 0, or entries so
+    small that the quotient overflows), and _admm rebalances it on eta0*pri
+    against dua. Both the start and the rebalancing then scale as 1/Y, so
+    the solve of (cY, c*mu) takes the same sweeps as that of (Y, mu).
+
     Exit requires the first-order optimality residual of (X_S, X_L) to be
     at most cfg.tol: with R = X_S + X_L - Y, -R/(lam*mu) must lie in the l1
     subdifferential at X_S (relaxed at box edges) and -R/mu in the
@@ -281,6 +291,10 @@ def solve_regularized(Y, cfg):
     Y = as_matrix(Y, "Y")
     lam, mu, b, tol = cfg.lam, cfg.mu, cfg.b, cfg.tol
     S_box = None if math.isinf(b) else (Y - b, Y + b)
+    l1 = _entrywise_norm(Y, 1)
+    eta0 = Y.size / (4.0 * l1) if l1 > 0 else math.inf
+    if math.isinf(eta0):  # Y = 0, or so near it that the start overflows
+        eta0 = 1.0
     kkt = math.inf
     spectral_checks = 0
 
@@ -298,7 +312,7 @@ def solve_regularized(Y, cfg):
         return kkt <= tol
 
     X_S, X_L, (U, s, Vt), iterations, converged, diagnostics = _admm(
-        Y, lam, [shrink], stop, tol, cfg.max_iter, S_box=S_box)
+        Y, lam, [shrink], stop, tol, cfg.max_iter, eta0, S_box=S_box)
     R = X_S + X_L - Y
     if not converged:
         kkt = max(_kkt_l1_block(Y, X_S, R / (-lam * mu), b),
@@ -323,7 +337,8 @@ def solve_constrained(Y, cfg):
     The residual gets one copy per residual ball, projected onto it at
     every sweep. A cap of zero on either norm forces a zero residual, so
     that case (the exact split) keeps a single copy fixed at R = 0. A finite
-    box adds a clipped copy of X_L, returned as X_L_hat.
+    box adds a clipped copy of X_L, returned as X_L_hat. The penalty starts
+    at 1 whatever the scale of Y.
 
     Exit requires primal and dual residuals at most cfg.tol, and in the
     relaxed mode also that the solution's own residual norms exceed the
@@ -348,7 +363,7 @@ def solve_constrained(Y, cfg):
                 and trace_norm(R_hat) - cfg.eps_star <= 10.0 * tol)
 
     X_S, X_L_hat, _, iterations, converged, diagnostics = _admm(
-        Y, lam, copies, stop, tol, cfg.max_iter, b_L=cfg.b)
+        Y, lam, copies, stop, tol, cfg.max_iter, 1.0, b_L=cfg.b)
     rv1, rst, rv2 = _residual_norms(X_S + X_L_hat - Y)
     obj = lam * entrywise_norm(X_S, 1) + trace_norm(X_L_hat)
     return SolveReport(

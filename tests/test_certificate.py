@@ -331,6 +331,28 @@ def test_certificate_validates_input_once(monkeypatch):
     assert sum(dense) == 4
 
 
+def test_subgradient_check_validates_input_once(monkeypatch):
+    # Q_total is validated at the entry; the probe loop calls the unchecked
+    # kernels, so the count of as_matrix calls does not grow with probes.
+    real = splr.matrices.as_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    t = decoupled_pair()
+    cert = build_certificate(t, None, 1.0, 1.0, 2.0)
+    Q = cert.Q_omega + cert.Q_T
+    for mod in (splr.matrices, splr.norms, splr.subspaces, splr.certificate):
+        monkeypatch.setattr(mod, "as_matrix", counting)
+    counts = []
+    for probes in (10, 20):
+        calls.clear()
+        subgradient_check(t, Q, 1.0, 2.0, probes, probe_seed("sg"))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 1
+
+
 def test_certificate_stops_on_stalling_series():
     # Support 11 of 12 cells against a rank-1 space (alpha*beta = 3): the
     # Neumann step ratio climbs toward 1, 0.68, 0.979, ..., and is within

@@ -78,7 +78,18 @@ def test_regularized_small_input_keeps_origin():
     rep = solve_regularized(Y, RegularizedConfig(lam=lam, mu=mu))
     assert np.array_equal(rep.X_S_hat, np.zeros((5, 5)))
     assert np.array_equal(rep.X_L_hat, np.zeros((5, 5)))
-    assert rep.converged and rep.iterations == 1
+    # The start penalty mn/(4*||Y||_1) thresholds below sigma_1(Y) on the
+    # first sweep; the second sweep lands on the origin.
+    assert rep.converged and rep.iterations == 2
+
+
+def test_regularized_subnormal_input_keeps_origin():
+    # mn/(4*||Y||_1) overflows for subnormal entries; the solve must start
+    # at 1 instead of at an infinite penalty (which would give NaN centres).
+    Y = 1e-310 * RandomStream(probe_seed("subnormal")).gaussian(6, 6)
+    rep = solve_regularized(Y, RegularizedConfig(lam=0.35, mu=0.5))
+    assert rep.converged
+    assert not rep.X_S_hat.any() and not rep.X_L_hat.any()
 
 
 def test_regularized_objective_monotone_in_sweeps():
@@ -160,6 +171,26 @@ def test_regularized_scale_covariance():
         for got, want in ((rep.X_S_hat, base.X_S_hat), (rep.X_L_hat, base.X_L_hat)):
             err = entrywise_norm(got - c * want, 2)
             assert err <= 1e-8 * entrywise_norm(c * want, 2)
+
+
+def test_regularized_iterations_scale_free():
+    # The start penalty mn/(4*||Y||_1) and the rebalancing on eta0*pri
+    # against dua both scale as 1/Y, so (cY, c*mu) takes as many sweeps as
+    # (Y, mu). A fixed start of 1 takes more sweeps the further c is from 1.
+    t, E = flat_instance(16, 16, 1, 8, 10.0, probe_seed("scalecov"), 0.1)
+    cases = (
+        (t.X_S + t.X_L + E, 0.3, 0.5, 1e-8),
+        (RandomStream(1).gaussian(8, 8), 0.35, 0.3, 1e-6),
+    )
+    for Y, lam, mu, tol in cases:
+        counts = set()
+        for c in (1.0, 1e-6, 1e-3, 1e3, 1e6):
+            rep = solve_regularized(
+                c * Y, RegularizedConfig(lam=lam, mu=mu * c, tol=tol, max_iter=1000)
+            )
+            assert rep.converged, c
+            counts.add(rep.iterations)
+        assert len(counts) == 1, counts
 
 
 def test_regularized_transpose_symmetry():

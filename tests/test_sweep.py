@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +120,28 @@ def test_written_outputs_byte_identical_across_runs(tmp_path):
     assert open(a1, "rb").read() == open(a2, "rb").read()
     assert detail_1.decode().splitlines()[0] == DETAIL_HEADER
     assert open(a1).read().splitlines()[0] == AGGREGATE_HEADER
+
+
+def test_sweep_csvs_invariant_under_blas_threads(tmp_path):
+    # Each run is a fresh interpreter, so OPENBLAS_NUM_THREADS is set before
+    # numpy loads its BLAS; the two runs must write the same bytes.
+    src = os.path.dirname(os.path.dirname(splr.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / f"threads{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "splr.cli", "sweep", "--m", "30", "--n", "30",
+             "--ranks", "1:2", "--densities", "0.02:0.06:0.02", "--trials", "2",
+             "--seed", "7", "--out", str(out)],
+            env=env, check=True, timeout=120,
+        )
+        outputs.append(tuple(open(path, "rb").read()
+                             for path in sweep_output_paths(out)))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].decode().splitlines()) == 1 + 2 * 3 * 2
 
 
 def test_factorization_failure_scores_cell_as_failed(monkeypatch):
