@@ -29,6 +29,25 @@ def format_float(x):
     return repr(float(x))
 
 
+def _parse_fields(path, lineno, fields):
+    """The fields of one line as floats, one at a time, so that the first
+    that is not a finite number is named."""
+    row = []
+    for field in fields:
+        try:
+            value = float(field)
+        except ValueError:
+            raise MatrixIOError(
+                f"{path}: line {lineno}: {field!r} is not a number"
+            ) from None
+        if not math.isfinite(value):
+            raise MatrixIOError(
+                f"{path}: line {lineno}: non-finite value {field!r}"
+            )
+        row.append(value)
+    return row
+
+
 def read_matrix_csv(path):
     """Parse a headerless CSV of numbers into a matrix.
 
@@ -49,19 +68,16 @@ def read_matrix_csv(path):
                 raise MatrixIOError(
                     f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
                 )
-            row = []
-            for field in fields:
-                try:
-                    value = float(field)
-                except ValueError:
-                    raise MatrixIOError(
-                        f"{path}: line {lineno}: {field!r} is not a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise MatrixIOError(
-                        f"{path}: line {lineno}: non-finite value {field!r}"
-                    )
-                row.append(value)
+            # One pass parses the line and one sum tests it: a non-finite
+            # value makes the sum non-finite. Only a line that fails either
+            # (or whose finite values overflow the sum) is parsed again
+            # field by field.
+            try:
+                row = list(map(float, fields))
+            except ValueError:
+                row = None
+            if row is None or not math.isfinite(sum(row)):
+                row = _parse_fields(path, lineno, fields)
             rows.append(row)
     if not rows:
         raise MatrixIOError(f"{path}: empty matrix file")
@@ -88,7 +104,10 @@ def write_matrix_csv(path, M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    lines = [",".join(format_float(x) for x in row) for row in M]
+    # repr of a Python float is format_float's text; tolist() converts a
+    # row's entries to floats in one call, a row at a time so that only one
+    # row of float objects is alive at once.
+    lines = [",".join(map(repr, row.tolist())) for row in M]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -3,6 +3,8 @@ the hybrid max norm built from scaled column/row sums, and its dual norm
 computed exactly by a small dense linear program.
 """
 
+import math
+
 import numpy as np
 
 from .incoherence import _check_rho
@@ -21,10 +23,29 @@ def _entrywise_norm(A, p):
     if p == 1:
         return float(np.abs(A).sum())
     if p == 2:
-        return float(np.linalg.norm(A))
+        with np.errstate(over="ignore"):
+            return _frobenius(A)
     if p == np.inf:
         return float(np.abs(A).max(initial=0.0))
     raise ValueError(f"unsupported entry-wise norm order: {p!r}")
+
+
+def _frobenius(A):
+    """Frobenius norm by np.linalg.norm's arithmetic, without its wrapper:
+    the square root of the dot product of the raveled entries. Where that
+    sum of squares overflows, the entries are divided by max|A| first, so
+    the norm is finite whenever it is representable; elsewhere the value
+    is np.linalg.norm's to the bit. The caller ignores overflow
+    (np.errstate(over="ignore"))."""
+    x = A.ravel(order="K")
+    sq = x.dot(x)
+    if sq < math.inf:
+        return math.sqrt(sq)
+    scale = float(np.abs(x).max())
+    if not scale < math.inf:  # an infinite entry
+        return scale
+    x = x / scale
+    return scale * math.sqrt(x.dot(x))
 
 
 _INDUCED_MODES = ("1->1", "1->2", "2->2", "2->inf", "inf->inf")

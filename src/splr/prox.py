@@ -21,8 +21,16 @@ __all__ = [
 ]
 
 
-def _soft_threshold(M, t):
-    return np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
+def _soft_threshold(M, t, out=None, sign=None):
+    """sign(M) * max(|M| - t, 0), written into out and with sign(M) written
+    into sign, buffers of M's shape that alias neither M nor each other,
+    when they are given. The product keeps np.sign's sign bits (np.copysign
+    would not: it gives -0.0 where np.sign(-0.0) * 0.0 gives +0.0)."""
+    sign = np.sign(M, out=sign)
+    out = np.abs(M, out=out)
+    out -= t
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(sign, out, out=out)
 
 
 def soft_threshold(M, t):

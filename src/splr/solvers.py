@@ -17,7 +17,7 @@ import numpy as np
 
 from .incoherence import PreconditionError, _check_premises, inverse_mu
 from .matrices import as_matrix
-from .norms import _entrywise_norm, entrywise_norm, trace_norm
+from .norms import _entrywise_norm, _frobenius, entrywise_norm, trace_norm
 from .prox import (
     SvtWarmStart,
     _project_l1_ball,
@@ -124,8 +124,33 @@ def recovery_errors(report, target):
     }
 
 
+def _scaled_sum_squares(R, c):
+    """c times the sum of the squared entries of R. Where the plain sum of
+    squares overflows, R is divided by max|R| first and c meets one factor
+    of the scale before the other; elsewhere the value is c *
+    float((R ** 2).sum()) to the bit."""
+    with np.errstate(over="ignore"):
+        sq = float((R ** 2).sum())
+    if sq < math.inf:
+        return c * sq
+    scale = float(np.abs(R).max())
+    if not scale < math.inf:  # an infinite entry
+        return c * sq
+    return c * scale * (scale * float(((R / scale) ** 2).sum()))
+
+
 def _residual_norms(R):
     return entrywise_norm(R, 1), trace_norm(R), entrywise_norm(R, 2)
+
+
+def _sum_into(out, arrays):
+    """sum(arrays), written into out. Python's sum starts from int 0, and
+    0 + -0.0 is +0.0, so here too the first addend's zeros lose their
+    sign."""
+    np.add(arrays[0], 0.0, out=out)
+    for A in arrays[1:]:
+        out += A
+    return out
 
 
 def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
@@ -136,10 +161,11 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     copies lists the proxes of the residual terms: the residual X_S + X_L
     - Y gets one copy R_j per entry, with its own constraint X_S + X_L - Y
     = R_j and scaled dual W_j, and prox(V, eta) returns the new R_j from V
-    = X_S + X_L - Y + W_j (it may overwrite V). An empty list forces exact
-    agreement: a single constraint with R fixed at 0. S_box = (lo, hi)
-    keeps X_S entrywise in [lo, hi]. A finite b_L adds a copy B of X_L with
-    the constraint X_L = B and dual V, and B is returned as X_L_hat.
+    = X_S + X_L - Y + W_j (it may overwrite V and return it). An empty list
+    forces exact agreement: a single constraint with R fixed at 0. S_box =
+    (lo, hi) keeps X_S entrywise in [lo, hi]. A finite b_L adds a copy B of
+    X_L with the constraint X_L = B and dual V, and B is returned as
+    X_L_hat.
 
     Each sweep takes the l1 prox in X_S, then the singular-value threshold
     in X_L, each at the mean of the centres of the k constraints the block
@@ -149,8 +175,19 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     dua exceeds the other tenfold: eta0*pri rather than pri, so that a
     caller whose eta0 scales as 1/Y compares two scale-free quantities and
     takes the same sweeps on cY as on Y. The loop exits when
-    stop(X_S, X_L_hat, X_L_factors, D, pri, dua) is true, where D = X_S +
-    X_L - Y and pri and dua are the primal and dual residuals.
+    stop(X_S, X_L_hat, X_L_factors, D, pri, dua, work) is true, where D =
+    X_S + X_L - Y, pri and dua are the primal and dual residuals, and work
+    is a free full-size buffer; stop may overwrite D and work.
+
+    The full-size work arrays live across sweeps and are updated in place:
+    the centre C of the threshold steps, X_S (the soft threshold writes
+    into it, with D as its sign buffer), D, the dual residual, and per copy
+    its residual D - R_j and the buffer for D + W_j (the previous R_j's
+    buffer once the shrink has kept its argument). X_L is the one array a
+    sweep allocates anew, since the threshold step's product forms it.
+    Every update keeps the operand order of the plain expressions, so the
+    bits are theirs. The Frobenius norms overflow only where they must (see
+    norms._frobenius).
 
     When min(m, n) >= PARTIAL_SVT_MIN_DIM, the threshold step computes only
     the leading singular triplets, warm-started from the last sweep's
@@ -168,26 +205,37 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     k = max(1, len(copies))
     boxed = not math.isinf(b_L)
     eta = eta0
-    X_L = np.zeros(Y.shape)
-    W = [np.zeros(Y.shape) for _ in range(k)]
-    R = [np.zeros(Y.shape) for _ in copies]
-    B = np.zeros(Y.shape)
-    V = np.zeros(Y.shape)
+    shape = Y.shape
+    C, X_S, D, dual = (np.empty(shape) for _ in range(4))
+    r = [np.empty(shape) for _ in copies]
+    V_j = np.empty(shape) if copies else None
+    W = [np.zeros(shape) for _ in range(k)]
+    R = [np.zeros(shape) for _ in copies]
+    X_L = np.zeros(shape)
+    if k > 1:
+        W_bar, R_sum, R_bar = (np.empty(shape) for _ in range(3))
+    if boxed:
+        B, V = np.zeros(shape), np.zeros(shape)
+        B_next, r_B = np.empty(shape), np.empty(shape)
     converged = False
     rescalings = 0
-    warm = SvtWarmStart(Y.shape)
+    warm = SvtWarmStart(shape)
     pri = dua = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        W_bar = W[0] if k == 1 else sum(W) / k
-        if copies:
-            R_sum = R[0] if k == 1 else sum(R)
-            R_bar = R_sum if k == 1 else R_sum / k
-        C = Y - X_L
+        if k == 1:
+            W_bar = W[0]
+            if copies:
+                R_sum = R_bar = R[0]
+        else:
+            _sum_into(W_bar, W)
+            W_bar /= k
+            np.divide(_sum_into(R_sum, R), k, out=R_bar)
+        np.subtract(Y, X_L, out=C)
         C -= W_bar
         if copies:
             C += R_bar
-        X_S = _soft_threshold(C, lam / (k * eta))
+        _soft_threshold(C, lam / (k * eta), out=X_S, sign=D)
         if S_box is not None:
             np.clip(X_S, *S_box, out=X_S)
         np.subtract(Y, X_S, out=C)
@@ -195,53 +243,62 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
         if copies:
             C += R_bar
         if boxed:
-            C = (k * C + B - V) / (k + 1)
+            C *= k
+            C += B
+            C -= V
+            C /= k + 1
         t_L = 1.0 / ((k + boxed) * eta)
         X_L_new, *factors = _svt(C, t_L, warm)
-        # Full-size temporaries are freed early to keep peak memory down; the
-        # centre of a partial step is kept for the exit check.
-        centre = C if warm.partial else None
-        del C
         # Dual residual of the X_S (X_L) step: eta times the change in the
         # blocks updated after it, summed over the constraints it enters.
-        dual_S = X_L_new - X_L
+        np.subtract(X_L_new, X_L, out=dual)
         X_L = X_L_new
-        D = X_S + X_L - Y
+        np.add(X_S, X_L, out=D)
+        D -= Y
         dual_L = None
-        pri_parts = []
         if copies:
             for j, prox in enumerate(copies):
-                R[j] = prox(D + W[j], eta)
-                r = D - R[j]
-                W[j] += r
-                pri_parts.append(np.linalg.norm(r))
-            dual_L = (R[0] if k == 1 else sum(R)) - R_sum
-            del R_sum, R_bar  # freed early: a partial step keeps its centre
-            dual_S *= k
-            np.subtract(dual_L, dual_S, out=dual_S)
+                R[j] = prox(np.add(D, W[j], out=V_j), eta)
+                if R[j] is V_j:  # the next sweep needs another buffer
+                    V_j = None
+                np.subtract(D, R[j], out=r[j])
+                W[j] += r[j]
+            if k == 1:
+                # R_sum is the previous R[0]: its buffer takes dual_L now
+                # and D + W_0 in the next sweep.
+                dual_L = np.subtract(R[0], R_sum, out=R_sum)
+                if V_j is None:
+                    V_j = R_sum
+            else:
+                dual_L = np.subtract(_sum_into(R_bar, R), R_sum, out=R_sum)
+            dual *= k
+            np.subtract(dual_L, dual, out=dual)
+            pri_parts = [*r]
         else:
             W[0] += D
-            pri_parts.append(np.linalg.norm(D))
+            pri_parts = [D]
         if boxed:
-            B_new = np.clip(X_L + V, -b_L, b_L)
-            dual_L = B_new - B if dual_L is None else dual_L + (B_new - B)
-            B = B_new
-            r = X_L - B
-            V += r
-            pri_parts.append(np.linalg.norm(r))
-        dual_parts = [np.linalg.norm(dual_S)]
-        if dual_L is not None:
-            dual_parts.append(np.linalg.norm(dual_L))
-        pri = math.hypot(*pri_parts)
-        dua = eta * math.hypot(*dual_parts)
-        del dual_S, dual_L
-        if stop(X_S, B if boxed else X_L, factors, D, pri, dua):
-            if (centre is None
-                    or eta * np.linalg.norm(_svt(centre, t_L)[0] - X_L) <= tol):
+            B_new = np.add(X_L, V, out=B_next)
+            np.clip(B_new, -b_L, b_L, out=B_new)
+            B_step = np.subtract(B_new, B, out=B)
+            if dual_L is None:
+                dual_L = B_step
+            else:
+                dual_L += B_step
+            B, B_next = B_new, B_step
+            np.subtract(X_L, B, out=r_B)
+            V += r_B
+            pri_parts.append(r_B)
+        dual_parts = [dual] if dual_L is None else [dual, dual_L]
+        with np.errstate(over="ignore"):
+            pri = math.hypot(*map(_frobenius, pri_parts))
+            dua = eta * math.hypot(*map(_frobenius, dual_parts))
+        if stop(X_S, B if boxed else X_L, factors, D, pri, dua, dual):
+            if (not warm.partial
+                    or eta * _entrywise_norm(_svt(C, t_L)[0] - X_L, 2) <= tol):
                 converged = True
                 break
             warm.enabled = False
-        del centre
         if iterations % 10 == 0:
             if eta0 * pri > 10.0 * dua:
                 scale = 2.0
@@ -302,13 +359,17 @@ def solve_regularized(Y, cfg):
         V *= eta * mu / (eta * mu + 1.0)
         return V
 
-    def stop(X_S, X_L, factors, D, pri, dua):
+    def stop(X_S, X_L, factors, D, pri, dua, work):
         nonlocal kkt, spectral_checks
-        kkt = _kkt_l1_block(Y, X_S, D / (-lam * mu), b)
+        kkt = _kkt_l1_block(Y, X_S, np.divide(D, -lam * mu, out=D), b, work)
         if kkt > tol:
             return False
         spectral_checks += 1
-        kkt = max(kkt, _kkt_trace_block(D / -mu, factors[0], factors[2]))
+        # The l1 block overwrote D: rebuild it as _admm does.
+        GL = np.add(X_S, X_L, out=D)
+        GL -= Y
+        GL /= -mu
+        kkt = max(kkt, _kkt_trace_block(GL, factors[0], factors[2]))
         return kkt <= tol
 
     X_S, X_L, (U, s, Vt), iterations, converged, diagnostics = _admm(
@@ -318,7 +379,7 @@ def solve_regularized(Y, cfg):
         kkt = max(_kkt_l1_block(Y, X_S, R / (-lam * mu), b),
                   _kkt_trace_block(R / -mu, U, Vt))
     obj = (
-        (0.5 / mu) * float((R ** 2).sum())
+        _scaled_sum_squares(R, 0.5 / mu)
         + lam * entrywise_norm(X_S, 1)
         + float(s.sum())
     )
@@ -353,12 +414,13 @@ def solve_constrained(Y, cfg):
         lambda V, eta: _project_nuclear_ball(V, cfg.eps_star),
     ]
 
-    def stop(X_S, X_L_hat, factors, D, pri, dua):
+    def stop(X_S, X_L_hat, factors, D, pri, dua, work):
         if pri > tol or dua > tol:
             return False
         if exact:
             return True
-        R_hat = X_S + X_L_hat - Y
+        R_hat = np.add(X_S, X_L_hat, out=work)
+        R_hat -= Y
         return (entrywise_norm(R_hat, 1) - cfg.eps_v1 <= 10.0 * tol
                 and trace_norm(R_hat) - cfg.eps_star <= 10.0 * tol)
 

@@ -147,14 +147,16 @@ def project_T(space, M):
     return _project_T(space, as_matrix(M, shape=(space.m, space.n)))
 
 
-def _kkt_l1_block(Y, X_S, GS, b):
+def _kkt_l1_block(Y, X_S, GS, b, work=None):
     """Worst violation of GS in the l1 subdifferential at X_S: GS must
     match sign(X_S) on its support and stay within [-1, 1] off it, with
     one-sided relaxations at entries on the edge of the box |X_S - Y| <= b
-    (Y may be None when b is inf)."""
-    sg = np.sign(X_S)
-    on = sg != 0
-    viol = np.where(on, np.abs(GS - sg), np.abs(GS) - 1.0)
+    (Y may be None when b is inf).
+
+    GS is overwritten. work, a buffer of X_S's shape, receives sign(X_S)
+    when it is given."""
+    sg = np.sign(X_S, out=work)
+    edge_viol = 0.0
     if not np.isinf(b):
         # At a box edge the stationarity equation gains a one-signed
         # multiplier: at the upper edge GS may exceed the plain subgradient,
@@ -163,10 +165,18 @@ def _kkt_l1_block(Y, X_S, GS, b):
         edge = 1e-12 * max(1.0, b)
         upper = D >= b - edge
         lower = D <= -b + edge
-        viol[upper | lower] = -np.inf
-        viol = np.maximum(viol, np.where(upper, np.where(on, sg, -1.0) - GS, -np.inf))
-        viol = np.maximum(viol, np.where(lower, GS - np.where(on, sg, 1.0), -np.inf))
-    return float(viol.max(initial=0.0))
+        on = sg != 0
+        edge_viol = max(
+            (np.where(on, sg, -1.0) - GS)[upper].max(initial=0.0),
+            (GS - np.where(on, sg, 1.0))[lower].max(initial=0.0),
+        )
+    # |GS - sg| on the support; off it sg is 0 and this is |GS| - 1.
+    GS -= sg
+    np.abs(GS, out=GS)
+    GS -= sg == 0
+    if not np.isinf(b):
+        GS[upper | lower] = -np.inf
+    return float(max(GS.max(initial=0.0), edge_viol))
 
 
 def _kkt_trace_block(GL, U, Vt):

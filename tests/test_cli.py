@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from splr.cli import main
 from splr.matrices import RandomStream
 from splr.matrixio import read_matrix_csv, write_matrix_csv
 from splr.norms import entrywise_norm, trace_norm
-from splr.solvers import ConstrainedConfig, RegularizedConfig
+from splr.solvers import ConstrainedConfig, RegularizedConfig, solve_constrained
 from splr.synth import InstanceSpec, gen_instance
 
 from .helpers import flat_instance, probe_seed
@@ -406,3 +408,38 @@ def test_console_script_installed():
     out = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert out.returncode == 0
     assert "decompose" in out.stdout
+
+
+@pytest.mark.parametrize("mode", ["constrained", "regularized"])
+def test_decompose_agrees_across_blas_threads(tmp_path, mode):
+    # Each run is a fresh interpreter, so OPENBLAS_NUM_THREADS is set before
+    # numpy loads its BLAS. At 120x120 the threshold steps take the partial
+    # path. The outputs agreed to the bit when measured; the bound leaves
+    # room for BLAS builds that split the products across threads.
+    inst = gen_instance(InstanceSpec(m=120, n=120, rbar=3, ktilde=288, seed=4))
+    ypath = tmp_path / "y.csv"
+    write_matrix_csv(ypath, inst.Y)
+    lam = 1.0 / math.sqrt(120)
+    rep = solve_constrained(inst.Y, ConstrainedConfig(lam=lam))
+    assert rep.diagnostics["partial_svds"] > 0
+    src = os.path.dirname(os.path.dirname(splr.cli.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / threads
+        out.mkdir()
+        args = [str(a) for a in decompose_args(out, ypath, mode, "--lambda", lam)]
+        if mode == "regularized":
+            args += ["--mu", "0.2"]
+        subprocess.run([sys.executable, "-m", "splr.cli", *args],
+                       env=env, check=True, timeout=120)
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is True
+        runs.append((report["iterations"], read_matrix_csv(out / "xs.csv"),
+                     read_matrix_csv(out / "xl.csv")))
+    (it1, S1, L1), (it2, S2, L2) = runs
+    assert it1 == it2
+    assert np.linalg.norm(S1 - S2) <= 1e-12 * np.linalg.norm(S1)
+    assert np.linalg.norm(L1 - L2) <= 1e-12 * np.linalg.norm(L1)

@@ -77,6 +77,56 @@ def test_read_rejects_empty_file(tmp_path):
     assert "empty" in str(err.value)
 
 
+def written_bytes_reference(M):
+    rows = np.asarray(M, dtype=float)
+    return ("\n".join(",".join(format_float(x) for x in row) for row in rows)
+            + "\n").encode("ascii")
+
+
+EXTREMES = np.array([[-0.0, 5e-324, 1e-5], [1e16, 1.7976931348623157e308, -1e-5]])
+
+
+@pytest.mark.parametrize("M", [
+    EXTREMES,
+    -EXTREMES,
+    np.asfortranarray(RandomStream(probe_seed("fortran")).gaussian(4, 3)),
+    np.arange(-6, 6).reshape(3, 4),
+    RandomStream(probe_seed("row")).gaussian(1, 9),
+    RandomStream(probe_seed("col")).gaussian(9, 1),
+], ids=["extremes", "negated", "fortran", "integer", "row", "column"])
+def test_write_matrix_bytes_match_format_float(tmp_path, M):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M)
+    assert path.read_bytes() == written_bytes_reference(M)
+    assert read_matrix_csv(path).tobytes() == np.asarray(M, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3,inf\n4,5\n6\n", "line 2: non-finite value 'inf'"),
+    ("1,2\n3,4\n5\n6,nan\n", "line 3: expected 2 fields, got 1"),
+    ("1,2\n3,four\n5,nan\n", "line 2: 'four' is not a number"),
+    ("1,2\ninf,four\n", "line 2: non-finite value 'inf'"),
+    ("1,2\nfour,inf\n", "line 2: 'four' is not a number"),
+    ("1,2\n\n3,-inf\n", "line 3: non-finite value '-inf'"),
+    ("\n \n", "empty matrix file"),
+])
+def test_read_names_the_first_bad_line_and_field(tmp_path, text, message):
+    # The first offending line wins, and within it the first bad field,
+    # whichever kind of error comes later in the file.
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MatrixIOError) as err:
+        read_matrix_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_read_accepts_finite_values_whose_row_sum_overflows(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1.7976931348623157e308,1.7976931348623157e308\n-1e308,-1e308\n")
+    M = read_matrix_csv(path)
+    assert np.array_equal(M, [[1.7976931348623157e308] * 2, [-1e308] * 2])
+
+
 def test_write_matrix_rejects_non_2d(tmp_path):
     with pytest.raises(ValueError):
         write_matrix_csv(tmp_path / "bad.csv", np.zeros(3))

@@ -69,6 +69,15 @@ def test_entrywise_norm_zero():
             assert type(got) is float and got == 0.0
 
 
+def test_frobenius_is_numpys_below_overflow_and_finite_above():
+    M = RandomStream(probe_seed("frob")).gaussian(7, 5)
+    for A in (M, M.T, M[::2], 1e150 * M, 1e-160 * M):
+        assert entrywise_norm(A, 2) == np.linalg.norm(A)
+    assert entrywise_norm(np.full((3, 4), 1e300), 2) == pytest.approx(1e300 * math.sqrt(12), rel=1e-15)
+    big = 1e200 * M
+    assert entrywise_norm(big, 2) == pytest.approx(1e200 * np.linalg.norm(M), rel=1e-14)
+
+
 def test_entrywise_norm_bad_order():
     with pytest.raises(ValueError):
         entrywise_norm(A_HAND, 3)

@@ -54,6 +54,25 @@ def test_soft_threshold_tie_gives_exact_zero():
     assert np.array_equal(out, [[0.0, 0.0]])
 
 
+def test_soft_threshold_buffers_match_formula_bit_for_bit():
+    # Signed zeros, ties |x| = t, t = 0 and subnormals: written into
+    # buffers, the kernel gives the plain expression's bits, sign bits too.
+    tiny = 5e-324
+    special = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, tiny, -tiny, 3 * tiny,
+               -3 * tiny, 1e-310, -1e-310, 2.0, -2.0, 1e300]
+    gauss = RandomStream(probe_seed("soft-bits")).gaussian(1, 17).ravel()
+    M = np.concatenate([special, gauss]).reshape(4, 8)
+    for t in (0.0, 0.5, 1.0, tiny, 3 * tiny, 1e-310):
+        ref = np.sign(M) * np.maximum(np.abs(M) - t, 0.0)
+        out, sign = np.empty_like(M), np.empty_like(M)
+        got = splr.prox._soft_threshold(M, t, out=out, sign=sign)
+        assert got is out
+        assert got.tobytes() == ref.tobytes()
+        assert splr.prox._soft_threshold(M, t).tobytes() == ref.tobytes()
+        assert soft_threshold(M, t).tobytes() == ref.tobytes()
+    assert np.signbit(splr.prox._soft_threshold(M, 0.5)).any()
+
+
 def test_soft_threshold_rejects_negative_step():
     for t in (-1.0, math.nan):
         for threshold in (soft_threshold, svt):

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -703,3 +705,36 @@ def test_exit_check_falls_back_to_full_svd(monkeypatch):
     assert rep.converged
     assert 0 < rep.diagnostics["partial_svds"] < rep.iterations - 1
     assert_close_pair(rep, ref, 1e-9)
+
+
+# Traced peaks of the two partial_instance() solves, in m x n float64
+# arrays, as measured before the loop kept its work arrays across sweeps.
+PEAK_ARRAYS_BEFORE = {"constrained": 10.50, "regularized": 14.45}
+
+
+@pytest.mark.parametrize("mode", ["constrained", "regularized"])
+def test_solve_peak_memory_does_not_grow(mode):
+    # tracemalloc counts numpy's buffers and gives the same peak run to run.
+    Y, _ = partial_instance()
+    tracemalloc.start()
+    try:
+        partial_solve(mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (Y.size * 8) <= PEAK_ARRAYS_BEFORE[mode]
+
+
+def test_regularized_finite_report_near_overflow():
+    # At |Y| ~ 1e155 the plain sums of squares of the loop's residuals and
+    # of the objective overflow; the report must still scale with Y.
+    G = RandomStream(1).gaussian(6, 6)
+    ref = solve_regularized(G, RegularizedConfig(lam=0.4, mu=0.5))
+    assert ref.converged
+    for c in (1e155, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_regularized(G * c, RegularizedConfig(lam=0.4, mu=0.5 * c))
+        assert rep.converged and rep.iterations == ref.iterations
+        assert math.isclose(rep.objective / c, ref.objective, rel_tol=1e-12)
+        assert math.isclose(rep.residual_v2 / c, ref.residual_v2, rel_tol=1e-12)
