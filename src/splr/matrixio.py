@@ -6,7 +6,7 @@ output never lands at the destination path.
 import json
 import math
 import os
-import tempfile
+import warnings
 
 import numpy as np
 
@@ -48,12 +48,9 @@ def _parse_fields(path, lineno, fields):
     return row
 
 
-def read_matrix_csv(path):
-    """Parse a headerless CSV of numbers into a matrix.
-
-    Ragged rows, non-numeric fields, non-finite values, and empty files all
-    raise MatrixIOError naming the offending line.
-    """
+def _scan_matrix_csv(path):
+    """read_matrix_csv's line scan: the authority on which files parse, and
+    on the message, line number and precedence of every MatrixIOError."""
     rows = []
     width = None
     with open(path, "r", encoding="ascii") as fh:
@@ -84,11 +81,49 @@ def read_matrix_csv(path):
     return np.array(rows, dtype=float)
 
 
+def read_matrix_csv(path):
+    """Parse a headerless CSV of numbers into a matrix.
+
+    Ragged rows, non-numeric fields, non-finite values, and empty files all
+    raise MatrixIOError naming the offending line.
+
+    numpy's parser reads the file in one pass, without a Python float per
+    entry. It accepts a subset of what the line scan accepts, with the same
+    values, so the scan runs only when that parse raises, finds no data or
+    yields a non-finite entry: the scan then raises the error or, for the
+    spellings only it accepts (whitespace-only lines, digits grouped with
+    underscores), returns the matrix.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            M = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        M = None
+    if M is None or M.size == 0 or not np.isfinite(M).all():
+        return _scan_matrix_csv(path)
+    return M
+
+
+def _create_temp(directory):
+    """A new file in directory, open for writing: (fd, path). It gets the
+    mode a plain open() gives a new file, 0o666 less the umask, where
+    tempfile.mkstemp gives 0o600; the umask is applied by the kernel, so no
+    call reads or sets the process umask."""
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def write_text_atomic(path, text):
     """Write text to path via a same-directory temp file and rename."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    fd, tmp = _create_temp(directory)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)

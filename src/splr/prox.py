@@ -7,9 +7,12 @@ The public functions validate their inputs. The solvers validate once at
 entry and call the unchecked kernels (leading underscore) in their loops.
 """
 
+import math
+
 import numpy as np
 
-from .matrices import RandomStream, as_matrix, thin_svd
+from .matrices import RandomStream, _lapack_svd, as_matrix, thin_svd
+from .norms import _frobenius
 
 __all__ = [
     "soft_threshold",
@@ -136,6 +139,31 @@ def _svt(M, t, warm=None):
     """
     U, s, Vt = thin_svd(M) if warm is None else warm.factors(M, t)
     return _shrink_spectrum(M, U, s, Vt, t)
+
+
+def _svt_gap_bound(M, t, U, s, Vt, out, work):
+    """An upper bound on ||U diag(s) Vt - svt(M, t)||_F for kept factors U,
+    s, Vt (orthonormal columns and rows, every s positive), such as _svt
+    returns; out and work are free buffers of M's shape.
+
+    svt(M, t) minimizes F(X) = ||X - M||_F^2 / 2 + t ||X||_*, which is
+    1-strongly convex, so the distance from X to it is at most that from 0
+    to the subdifferential of F at X (the trace-norm prox of Cai, Candes &
+    Shen, arXiv:0810.3286). With sigma = s + t and P, P' the complement
+    projectors of U and V, that distance squared is ||U^T M - diag(sigma)
+    Vt||_F^2 + ||P M V||_F^2 + sum_j (sigma_j(P M P') - t)_+^2. The first
+    two terms need r x n and m x r products; the third the singular values
+    of one m x n matrix, without vectors.
+    """
+    UtM = U.T @ M
+    MV = M @ Vt.T
+    UtM_res = UtM - (s + t)[:, None] * Vt
+    MV -= U @ (U.T @ MV)  # P M V
+    PMP = np.subtract(M, np.matmul(U, UtM, out=out), out=out)
+    PMP -= np.matmul(MV, Vt, out=work)
+    tail = np.maximum(_lapack_svd(PMP, False) - t, 0.0)
+    with np.errstate(over="ignore"):
+        return math.hypot(_frobenius(UtM_res), _frobenius(MV), _frobenius(tail))
 
 
 def svt(M, t):

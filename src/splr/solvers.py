@@ -24,6 +24,7 @@ from .prox import (
     _project_nuclear_ball,
     _soft_threshold,
     _svt,
+    _svt_gap_bound,
 )
 from .subspaces import _kkt_l1_block, _kkt_trace_block
 
@@ -193,14 +194,20 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     the leading singular triplets, warm-started from the last sweep's
     whole right singular block (see prox.SvtWarmStart); smaller problems
     take a full SVD every sweep. A stop on a sweep that took the partial
-    path is accepted only if the full SVD of the same centre gives an X_L
-    within tol/eta in Frobenius norm. Otherwise the loop goes on, and
-    every later sweep takes the full SVD.
+    path is accepted only if X_L lies within tol/eta in Frobenius norm of
+    the full threshold of the same centre. An upper bound on that distance
+    from the kept triplets and one values-only spectrum (see
+    prox._svt_gap_bound) settles most such stops; when it does not, the
+    full SVD of the centre measures the distance itself. If that too
+    exceeds tol/eta, the loop goes on, and every later sweep takes the
+    full SVD.
 
     Returns X_S, X_L_hat, the (U, s, Vt) factors of the last X_L, the
     iteration count, the converged flag and the diagnostics: final
-    residuals, the penalty and its rescalings, and partial_svds, the
-    number of threshold steps served by the partial path.
+    residuals, the penalty and its rescalings, partial_svds, the number of
+    threshold steps served by the partial path, and exit_gap_bound, eta
+    times the bound at the last stop checked on a partial step (None when
+    there was none).
     """
     k = max(1, len(copies))
     boxed = not math.isinf(b_L)
@@ -221,6 +228,7 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     rescalings = 0
     warm = SvtWarmStart(shape)
     pri = dua = math.inf
+    exit_gap_bound = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if k == 1:
@@ -294,7 +302,10 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
             pri = math.hypot(*map(_frobenius, pri_parts))
             dua = eta * math.hypot(*map(_frobenius, dual_parts))
         if stop(X_S, B if boxed else X_L, factors, D, pri, dua, dual):
-            if (not warm.partial
+            if warm.partial:
+                # stop is done with D and dual: the bound takes them.
+                exit_gap_bound = eta * _svt_gap_bound(C, t_L, *factors, D, dual)
+            if (not warm.partial or exit_gap_bound <= tol
                     or eta * _entrywise_norm(_svt(C, t_L)[0] - X_L, 2) <= tol):
                 converged = True
                 break
@@ -318,6 +329,7 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
         "penalty_final": eta,
         "penalty_rescalings": rescalings,
         "partial_svds": warm.partial_svds,
+        "exit_gap_bound": exit_gap_bound,
     }
     return X_S, B if boxed else X_L, factors, iterations, converged, diagnostics
 

@@ -1,9 +1,11 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
+from splr import matrixio
 from splr.matrices import RandomStream
 from splr.matrixio import (
     MatrixIOError,
@@ -166,3 +168,75 @@ def test_json_sanitizes_non_finite_and_numpy_scalars(tmp_path):
     assert back["npf"] == 2.5 and back["npi"] == 3 and back["npb"] is True
     assert back["seq"] == [1, 0.5]
     assert back["nested"] == {"x": "inf"}
+
+
+# Spellings on which numpy's parser and the line scan were compared: each
+# must read as the scan reads it, to the bit or to the error text.
+SPELLINGS = {
+    "spaces": " 1 , 2 \n3,  4\n",
+    "tabs": "1\t,\t2\n3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "no_final_newline": "1,2\n3,4",
+    "signs_and_dots": "+1,.5\n5.,-0.0\n",
+    "leading_zeros": "007,1E3\n1e-320,4\n",
+    "long_digits": "0.1000000000000000055511151231257827,2.4703282292062328e-324\n",
+    "whitespace_only_line": "1,2\n   \n3,4\n",
+    "underscore": "1_0,2\n3,4\n",
+    "overflow": "1e400,2\n3,4\n",
+    "nan": "nan,2\n3,4\n",
+    "minus_inf": "1,-inf\n3,4\n",
+    "Infinity": "Infinity,2\n3,4\n",
+    "empty_file": "",
+    "empty_field": "1,,2\n3,4,5\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "ragged": "1,2\n3\nx,y\n",
+    "quotes": '"1",2\n3,4\n',
+    "hash": "1,2 # note\n3,4\n",
+    "hex": "0x10,2\n3,4\n",
+    "non_ascii": "1,2\n3,é4\n",
+    "single_column": "1\n2\n3\n",
+    "single_row": "1,2,3\n",
+}
+
+
+def read_outcome(read, path):
+    try:
+        M = read(path)
+    except (MatrixIOError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+    return M.shape, M.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SPELLINGS))
+def test_read_matches_line_scan(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(SPELLINGS[name].encode("utf-8"))
+    assert (read_outcome(read_matrix_csv, path)
+            == read_outcome(matrixio._scan_matrix_csv, path))
+
+
+def test_read_skips_line_scan_on_plain_files(tmp_path, monkeypatch):
+    # A file numpy parses to finite values never reaches the line scan.
+    path = tmp_path / "m.csv"
+    M = RandomStream(probe_seed("plain")).gaussian(6, 4)
+    write_matrix_csv(path, M)
+    monkeypatch.setattr(matrixio, "_scan_matrix_csv", None)
+    assert read_matrix_csv(path).tobytes() == M.tobytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_atomic_write_gets_the_mode_of_a_plain_create(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as fh:
+            fh.write("x\n")
+        write_text_atomic(tmp_path / "atomic.txt", "x\n")
+        write_matrix_csv(tmp_path / "m.csv", np.eye(2))
+        write_json(tmp_path / "r.json", {"ok": 1})
+    finally:
+        os.umask(old)
+    expected = 0o666 & ~umask
+    assert stat.S_IMODE(plain.stat().st_mode) == expected
+    for name in ("atomic.txt", "m.csv", "r.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == expected

@@ -681,6 +681,7 @@ def test_small_solve_takes_no_partial_svd():
     inst = gen_instance(InstanceSpec(m=30, n=30, rbar=2, ktilde=30, seed=5))
     rep = solve_constrained(inst.Y, ConstrainedConfig(lam=1.0 / math.sqrt(30)))
     assert rep.converged and rep.diagnostics["partial_svds"] == 0
+    assert rep.diagnostics["exit_gap_bound"] is None
     rep = solve_regularized(inst.Y, RegularizedConfig(lam=1.0 / math.sqrt(30), mu=0.2))
     assert rep.converged and rep.diagnostics["partial_svds"] == 0
 
@@ -705,6 +706,66 @@ def test_exit_check_falls_back_to_full_svd(monkeypatch):
     assert rep.converged
     assert 0 < rep.diagnostics["partial_svds"] < rep.iterations - 1
     assert_close_pair(rep, ref, 1e-9)
+
+
+@pytest.mark.parametrize("mode", ["constrained", "regularized"])
+def test_settled_exit_check_takes_no_second_full_svd(monkeypatch, mode):
+    # The first sweep takes the one full SVD with vectors; the bound
+    # settles the stop on a partial step without another.
+    Y, _ = partial_instance()
+    real = splr.matrices._lapack_svd
+    full = []
+
+    def counting(A, compute_uv):
+        if compute_uv and A.shape == Y.shape:
+            full.append(A.shape)
+        return real(A, compute_uv)
+
+    monkeypatch.setattr(splr.matrices, "_lapack_svd", counting)
+    rep = partial_solve(mode)
+    assert rep.converged and len(full) == 1
+    tol = (ConstrainedConfig if mode == "constrained" else RegularizedConfig).tol
+    assert rep.diagnostics["exit_gap_bound"] <= tol
+
+
+def rotated(Q, scale, stream):
+    """Q's columns moved by about scale and orthonormalized, signs kept."""
+    Q2, R = np.linalg.qr(Q + scale * stream.gaussian(*Q.shape))
+    return Q2 * np.sign(np.diag(R))
+
+
+@pytest.mark.parametrize("shape", [(120, 150), (150, 120)], ids=["120x150", "150x120"])
+@pytest.mark.parametrize("rank", [5, 20])
+@pytest.mark.parametrize("perturb", ["exact", "rotated", "dropped_first",
+                                     "dropped_last", "inflated"])
+def test_svt_gap_bound(shape, rank, perturb):
+    # t lies between the rank-th and the next singular value of C. Exact
+    # kept triplets give a bound at rounding level; perturbed ones a bound
+    # at least the true gap. A dropped or inflated value leaves the bound
+    # equal to the gap in exact arithmetic, so there the two may differ by
+    # rounding in either direction.
+    stream = RandomStream(probe_seed("gap", *shape, rank, perturb))
+    C = stream.gaussian(*shape)
+    U, s, Vt = np.linalg.svd(C, full_matrices=False)
+    t = 0.5 * (s[rank - 1] + s[rank])
+    U, s, Vt = U[:, :rank], s[:rank] - t, Vt[:rank]
+    if perturb == "rotated":
+        U = rotated(U, 1e-6, stream)
+        Vt = rotated(Vt.T, 1e-6, stream).T
+    elif perturb == "inflated":
+        s = s * (1.0 + 1e-7)
+    elif perturb != "exact":
+        keep = np.arange(rank) != (0 if perturb == "dropped_first" else rank - 1)
+        U, s, Vt = U[:, keep], s[keep], Vt[keep]
+    bound = splr.prox._svt_gap_bound(C, t, U, s, Vt, np.empty(C.shape),
+                                     np.empty(C.shape))
+    slack = 1e-12 * np.linalg.norm(C)
+    if perturb == "exact":
+        assert bound <= slack
+    else:
+        gap = np.linalg.norm((U * s) @ Vt - splr.prox.svt(C, t))
+        assert gap > 1e3 * slack
+        assert bound >= gap - slack
 
 
 # Traced peaks of the two partial_instance() solves, in m x n float64
