@@ -22,12 +22,13 @@ from .incoherence import (
 )
 from .matrices import (
     RandomStream,
-    _factored_singular_values,
     _singular_values,
+    _T_singular_values,
     as_matrix,
 )
 from .norms import _entrywise_norm, _induced_norm
 from .subspaces import (
+    RowColSpace,
     _kkt_l1_block,
     _kkt_trace_block,
     _neumann_inverse,
@@ -70,10 +71,13 @@ class DualCertificate:
     lambda/c and 1/c. bound_diagnostics: seven (measured, bound, satisfied)
     triples in BOUND_NAMES order. The perturbation scales eps_2to2,
     eps_vinf, eps_star_prime are measured on E at build time; E is not kept.
+    space is the target's row/column space, in whose tangent space Q_T
+    lies; verify_bounds takes Q_T's spectrum through it.
     """
 
     Q_omega: np.ndarray
     Q_T: np.ndarray
+    space: RowColSpace
     lam: float
     mu: float
     c: float
@@ -98,14 +102,12 @@ def perturbation_scales(space, E):
 def _perturbation_scales(space, E):
     """perturbation_scales of a validated E, and the space projection P_T(E).
 
-    P_T(E) = U (U^T E) + B V^T = [U, B] [(U^T E)^T, V]^T has rank at most
-    2r, so its trace norm comes from those two m x 2r and n x 2r factors;
-    only the spectral norm of E takes a dense SVD.
+    P_T(E) = U (U^T E) + B V^T has rank at most 2r, so its trace norm
+    comes from the factors (U^T E, B); the spectral norm of E comes from
+    the top eigenvalue of its Gram. Neither takes a dense SVD.
     """
     PTE, UtE, B = _project_T_factored(space, E)
-    star = _factored_singular_values(
-        np.hstack([space.U, B]), np.hstack([UtE.T, space.V])
-    ).sum()
+    star = _T_singular_values(space.U, UtE, B, space.V.T).sum()
     scales = (
         _induced_norm(E, "2->2"),
         _entrywise_norm(E, np.inf) + _entrywise_norm(PTE, np.inf),
@@ -169,7 +171,7 @@ def build_certificate(target, E, lam, mu, c, tol=1e-12):
         _induced_norm(total - on_space, "2->2"),
     )
     cert = DualCertificate(
-        Q_omega=Q_omega, Q_T=Q_T, lam=float(lam),
+        Q_omega=Q_omega, Q_T=Q_T, space=space, lam=float(lam),
         mu=float(mu) if mu is not None else 0.0, c=float(c),
         eps_2to2=eps_2to2, eps_vinf=eps_vinf, eps_star_prime=eps_star_prime,
         feasibility_residuals=feas, complement_norms=compl,
@@ -189,6 +191,8 @@ def verify_bounds(cert, prof):
     When alpha*beta >= 1 the geometric factor is undefined, so the four
     bounds built on it are reported as +inf (vacuously satisfied); the
     remaining three do not involve it and are evaluated as usual.
+    Q_T lies in the tangent space of cert.space, so its spectrum comes from
+    the factors of its projection there, without a dense SVD.
     """
     alpha = prof.alpha_star
     ab = prof.product
@@ -203,7 +207,8 @@ def verify_bounds(cert, prof):
     Q_omega = as_matrix(cert.Q_omega, "Q_omega")
     Q_T = as_matrix(cert.Q_T, "Q_T", Q_omega.shape)
     qo_spec = _induced_norm(Q_omega, "2->2")
-    qt_sv = _singular_values(Q_T)
+    _, UtQ, B = _project_T_factored(cert.space, Q_T)
+    qt_sv = _T_singular_values(cert.space.U, UtQ, B, cert.space.V.T)
     qt_spec = float(qt_sv.max(initial=0.0))
     qt_trace = float(qt_sv.sum())
     qt_max = _entrywise_norm(Q_T, np.inf)

@@ -6,8 +6,10 @@ a counter, so every value is a pure function of (seed, position) and streams
 are reproducible across platforms and processes.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Relative singular-value cutoff: sigma_i is kept iff sigma_i > RANK_TRUNCATION * sigma_1.
 RANK_TRUNCATION = 1e-10
@@ -97,15 +99,38 @@ def singular_values(M):
     return _singular_values(as_matrix(M))
 
 
-def _factored_singular_values(L, R):
-    """singular_values of L @ R.T without forming it.
+def _spectral_norm(A):
+    """Largest singular value of A, from the top eigenvalue of its Gram
+    matrix on the smaller side.
 
-    With thin QR factorizations L = Q_L R_L and R = Q_R R_R, the product is
-    Q_L (R_L R_R^T) Q_R^T, and Q_L, Q_R have orthonormal columns, so it has
-    the singular values of the small core R_L R_R^T. For k factor columns
-    this costs O((m + n) k^2 + k^3) instead of a dense m x n SVD.
+    A is first scaled by the power of two 2^-e with max|A| in
+    [2^(e-1), 2^e), which is exact and keeps the Gram's entries at most
+    max(m, n) in magnitude, so the Gram cannot overflow at any finite
+    scale of A. The Gram and its eigenvalue carry rounding of order
+    max(m, n)*eps*sigma_1^2, so sigma_1 has a relative error of order
+    max(m, n)*eps at worst. Zero and empty matrices give 0.0.
     """
-    return _singular_values(np.linalg.qr(L, mode="r") @ np.linalg.qr(R, mode="r").T)
+    amax = float(np.abs(A).max(initial=0.0))
+    if amax == 0.0:
+        return 0.0
+    e = math.frexp(amax)[1]
+    S = np.ldexp(A, -e)
+    G = S @ S.T if S.shape[0] <= S.shape[1] else S.T @ S
+    return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0)), e)
+
+
+def _T_singular_values(U, X, B, Vt):
+    """singular_values of U X + B Vt without forming it, for U (m x r)
+    and Vt^T (n x r) with orthonormal columns and B (m x r) orthogonal to
+    U: the form of a tangent-space projection (see
+    subspaces._project_T_factored).
+
+    With a thin QR B = Q R, the matrix is [U, Q] [X; R Vt] and [U, Q] has
+    orthonormal columns, so its values are those of the 2r x n stack
+    [X; R Vt]. That costs one m x r QR and a 2r x n spectrum instead of a
+    dense m x n SVD.
+    """
+    return _singular_values(np.vstack([X, np.linalg.qr(B, mode="r") @ Vt]))
 
 
 def svd(M):

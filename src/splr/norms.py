@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .incoherence import _check_rho
-from .matrices import _singular_values, as_matrix, singular_values
+from .matrices import _spectral_norm, as_matrix, singular_values
 
 FLAT_NORM_SIZE_CAP = 256
 
@@ -71,7 +71,7 @@ def _induced_norm(A, mode):
     if mode == "2->inf":
         return float(np.sqrt((A * A).sum(axis=1).max(initial=0.0)))
     if mode == "2->2":
-        return float(_singular_values(A).max(initial=0.0))
+        return _spectral_norm(A)
     raise ValueError(f"unknown induced norm mode {mode!r}; expected one of {_INDUCED_MODES}")
 
 

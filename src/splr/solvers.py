@@ -343,10 +343,11 @@ def solve_regularized(Y, cfg):
     in X_S and the singular-value threshold in X_L.
 
     The penalty starts at eta0 = mn/(4*||Y||_1) (Candes, Li, Ma & Wright,
-    arXiv:0912.3599), or at 1 when that is infinite (Y = 0, or entries so
-    small that the quotient overflows), and _admm rebalances it on eta0*pri
-    against dua. Both the start and the rebalancing then scale as 1/Y, so
-    the solve of (cY, c*mu) takes the same sweeps as that of (Y, mu).
+    arXiv:0912.3599), or at 1 when that is not positive and finite (Y = 0,
+    or entries so small or so large that the quotient overflows or
+    underflows), and _admm rebalances it on eta0*pri against dua. Both the
+    start and the rebalancing then scale as 1/Y, so the solve of (cY, c*mu)
+    takes the same sweeps as that of (Y, mu).
 
     Exit requires the first-order optimality residual of (X_S, X_L) to be
     at most cfg.tol: with R = X_S + X_L - Y, -R/(lam*mu) must lie in the l1
@@ -361,8 +362,8 @@ def solve_regularized(Y, cfg):
     lam, mu, b, tol = cfg.lam, cfg.mu, cfg.b, cfg.tol
     S_box = None if math.isinf(b) else (Y - b, Y + b)
     l1 = _entrywise_norm(Y, 1)
-    eta0 = Y.size / (4.0 * l1) if l1 > 0 else math.inf
-    if math.isinf(eta0):  # Y = 0, or so near it that the start overflows
+    eta0 = Y.size / 4.0 / l1 if l1 > 0 else math.inf
+    if not 0.0 < eta0 < math.inf:  # Y = 0, or a quotient out of range
         eta0 = 1.0
     kkt = math.inf
     spectral_checks = 0

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .matrices import _singular_values, as_matrix, svd
+from .matrices import _spectral_norm, as_matrix, svd
+from .norms import _frobenius
 
 
 class NeumannNonConvergence(RuntimeError):
@@ -185,8 +186,7 @@ def _kkt_trace_block(GL, U, Vt):
     must equal U Vt, and its spectral norm must be at most 1."""
     PT = _project_T(RowColSpace(U, Vt.T, check=False), GL)
     PT -= U @ Vt
-    s = _singular_values(GL)
-    return max(float(np.abs(PT).max(initial=0.0)), float(s.max(initial=0.0)) - 1.0)
+    return max(float(np.abs(PT).max(initial=0.0)), _spectral_norm(GL) - 1.0)
 
 
 def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
@@ -228,7 +228,7 @@ def _neumann_inverse(support, space, which, R, tol):
     else:
         raise ValueError(f"which must be 'omega' or 'T', got {which!r}")
 
-    rhs_norm = float(np.linalg.norm(R))
+    rhs_norm = _frobenius(R)
     stats = {"iterations": 0, "ratios": [], "q": 0.0}
     if rhs_norm == 0.0:
         return np.zeros_like(R), stats
@@ -244,7 +244,7 @@ def _neumann_inverse(support, space, which, R, tol):
     while True:
         d = step(d)
         k += 1
-        df = float(np.linalg.norm(d))
+        df = _frobenius(d)
         q = df / prev_f
         stats["q"] = q
         # A ratio within 1e-12 of 1 is rounding on a direction the

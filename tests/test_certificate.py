@@ -229,8 +229,9 @@ def orthonormal(stream, m, k):
 
 
 def test_space_projection_trace_norm_matches_dense():
-    # The trace norm of P_T(E) comes from a 2r x 2r core; it must match the
-    # dense spectrum of P_T(E), truncation at 1e-10 * sigma_1 included.
+    # The trace norm of P_T(E) comes from a 2r x n core after one QR; it
+    # must match the dense spectrum of P_T(E), truncation at 1e-10 * sigma_1
+    # included.
     stream = RandomStream(probe_seed("factoredtrace"))
     for m, n, r in ((14, 9, 2), (9, 14, 2), (11, 11, 3), (8, 6, 0), (5, 8, 3), (6, 6, 6)):
         space = RowColSpace(orthonormal(stream, m, r), orthonormal(stream, n, r))
@@ -309,26 +310,37 @@ def test_certificate_validates_input_once(monkeypatch):
     assert steps[0] < steps[1]
     assert counts[0] == counts[1]
     # With a nonzero E, only E is validated (plus Q_omega and Q_T in
-    # verify_bounds), and only E, the off-space part of the total, Q_omega
-    # and Q_T take a dense 40 x 40 spectrum: the trace norm of P_T(E) comes
-    # from a 2r x 2r core.
-    dense = []
+    # verify_bounds), and no 40 x 40 matrix takes a dense SVD: the spectral
+    # norms of E, of the off-space part of the total and of Q_omega come
+    # from the Gram's top eigenvalue, and the spectra of P_T(E) and Q_T,
+    # which lie in the tangent space, from a 2r x n core.
+    dense, sigma1 = [], []
     real_svd = splr.matrices._lapack_svd
+    real_sigma1 = splr.matrices._spectral_norm
 
     def counting_svd(A, compute_uv):
         dense.append(A.shape == (40, 40))
         return real_svd(A, compute_uv)
+
+    def counting_sigma1(A):
+        sigma1.append(A.shape)
+        return real_sigma1(A)
     monkeypatch.setattr(splr.matrices, "_lapack_svd", counting_svd)
+    for mod in (splr.norms, splr.subspaces):
+        monkeypatch.setattr(mod, "_spectral_norm", counting_sigma1)
     E = 1e-3 * RandomStream(probe_seed("validatecertnoise")).gaussian(40, 40)
     ie2, iev, _ = perturbation_scales(t.space, E)
-    assert sum(dense) == 1
+    assert sum(dense) == 0
+    assert len(sigma1) == 1
     lo, hi = check_conditions(profile(t), "regularized", 2.0, 0.1, mu=1.0,
                               eps_2to2=ie2, eps_vinf=iev).lambda_window
     calls.clear()
     dense.clear()
+    sigma1.clear()
     build_certificate(t, E, 0.5 * (lo + hi), 1.0, 2.0)
     assert len(calls) <= 4
-    assert sum(dense) == 4
+    assert sum(dense) == 0
+    assert sigma1 == [(40, 40)] * 3
 
 
 def test_subgradient_check_validates_input_once(monkeypatch):
@@ -397,3 +409,45 @@ def test_verify_bounds_standalone_matches_stored():
     assert len(again) == 7
     for (m1, b1, s1), (m2, b2, s2) in zip(cert.bound_diagnostics, again):
         assert m1 == m2 and b1 == b2 and s1 == s2
+
+
+def test_certificate_matches_dense_reference():
+    # The certificate's spectra come from the Gram's top eigenvalue and from
+    # tangent-space cores. Rebuilt with every spectrum taken from a dense
+    # np.linalg.svd, each measurement and bound agrees to 1e-12 relative
+    # and the seven flags are equal, on certify-sized flat targets.
+    def dense_sigma1(A):
+        return float(np.linalg.svd(A, compute_uv=False).max(initial=0.0))
+
+    def dense_T_values(U, X, B, Vt):
+        s = np.linalg.svd(U @ X + B @ Vt, compute_uv=False)
+        return s[s > 1e-10 * s.max(initial=0.0)]
+
+    def measurements(cert):
+        return [cert.eps_2to2, cert.eps_vinf, cert.eps_star_prime,
+                *cert.feasibility_residuals, *cert.complement_norms,
+                *(v for meas, bnd, _ in cert.bound_diagnostics for v in (meas, bnd))]
+
+    families = ((40, 1, 1.5, (20, 80)), (40, 2, 1.5, (10, 40)),
+                (60, 1, 2.0, (30, 120)), (60, 2, 1.5, (30, 120)))
+    for fi, (m, r, c, (klo, khi)) in enumerate(families):
+        for i in range(3):
+            seed = probe_seed("densecert", fi, i)
+            kbar = klo + (khi - klo) * i // 2
+            t, E = flat_instance(m, m, r, kbar, 10.0, seed, sigma=1e-3)
+            ie2, iev, _ = perturbation_scales(t.space, E)
+            lo, hi = check_conditions(profile(t), "regularized", c, 0.1, mu=1.0,
+                                      eps_2to2=ie2, eps_vinf=iev).lambda_window
+            assert lo < hi
+            lam = 0.5 * (lo + hi)
+            cert = build_certificate(t, E, lam, 1.0, c, tol=1e-9)
+            with pytest.MonkeyPatch.context() as mp:
+                for mod in (splr.norms, splr.subspaces):
+                    mp.setattr(mod, "_spectral_norm", dense_sigma1)
+                mp.setattr(splr.certificate, "_T_singular_values", dense_T_values)
+                ref = build_certificate(t, E, lam, 1.0, c, tol=1e-9)
+            got, want = measurements(cert), measurements(ref)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-12, abs=1e-300)
+            assert [ok for *_, ok in cert.bound_diagnostics] \
+                == [ok for *_, ok in ref.bound_diagnostics]

@@ -17,7 +17,7 @@ from splr.solvers import ConstrainedConfig, RegularizedConfig, solve_constrained
 from splr.synth import InstanceSpec, gen_instance
 
 from .helpers import flat_instance, probe_seed
-from .test_solvers import degenerate_inputs
+from .test_solvers import degenerate_inputs, overflow_l1_instance
 
 REPORT_KEYS = {
     "mode", "lambda", "mu_or_eps", "iterations", "converged", "objective",
@@ -296,6 +296,17 @@ def test_decompose_degenerate_inputs_exit_cleanly(tmp_path, mode, kind):
         X = read_matrix_csv(tmp_path / name)
         assert X.shape == Y.shape and np.all(np.isfinite(X))
     assert all(math.isfinite(report[key]) for key in ("objective", "residual_v2"))
+
+
+def test_decompose_regularized_when_4_l1_overflows(tmp_path):
+    Y, c = overflow_l1_instance()
+    ypath = tmp_path / "y.csv"
+    write_matrix_csv(ypath, c * Y)
+    code = run_cli(*decompose_args(tmp_path, ypath, "regularized",
+                                   "--mu", 0.2 * c, "--lambda", 1.0 / math.sqrt(120)))
+    assert code in (0, 2)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert code == (0 if report["converged"] else 2)
 
 
 def test_usage_errors_exit_1(tmp_path):

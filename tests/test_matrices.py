@@ -3,6 +3,9 @@ import pytest
 
 from splr.matrices import (
     RandomStream,
+    _numerical_rank,
+    _spectral_norm,
+    _T_singular_values,
     as_matrix,
     frobenius_inner,
     gaussian_matrix,
@@ -86,6 +89,57 @@ def test_singular_values_match_svd():
     assert singular_values(np.zeros((4, 3))).shape == (0,)
     with pytest.raises(ValueError):
         singular_values(np.array([[1.0, np.nan]]))
+
+
+def test_spectral_norm_matches_svd():
+    # sigma_1 from the top eigenvalue of the Gram on the smaller side, with
+    # a power-of-two prescale: relative error of order min(m, n) * eps at
+    # any scale, on tall, wide, rank-deficient and sparse inputs.
+    stream = RandomStream(probe_seed("sigma1"))
+    low_rank = stream.gaussian(40, 2) @ stream.gaussian(2, 30)
+    sparse = stream.gaussian(50, 50) * (stream.uniforms(2500).reshape(50, 50) < 0.05)
+    cases = [
+        stream.gaussian(60, 25),
+        stream.gaussian(25, 60),
+        low_rank,
+        low_rank.T,
+        sparse,
+        stream.gaussian(1, 9),
+        stream.gaussian(9, 1),
+        stream.gaussian(100, 3),
+    ]
+    for M in cases:
+        for scale in (1.0, 1e-200, 1e200):
+            A = scale * M
+            want = np.linalg.svd(A, compute_uv=False)[0]
+            got = _spectral_norm(A)
+            assert abs(got - want) <= 1e-13 * want
+
+
+def test_spectral_norm_of_zero_and_empty():
+    for shape in ((4, 3), (0, 3), (3, 0)):
+        got = _spectral_norm(np.zeros(shape))
+        assert type(got) is float and got == 0.0 and not np.signbit(got)
+
+
+def test_T_singular_values_match_dense():
+    # U X + B Vt with orthonormal U, V and B orthogonal to U, the form of a
+    # tangent-space projection: one QR of B and a 2r x n spectrum give the
+    # dense values, and the same count above the rank cutoff.
+    stream = RandomStream(probe_seed("tvalues"))
+    for m, n in ((30, 20), (20, 30)):
+        for r in (0, 1, 3):
+            U = np.linalg.qr(stream.gaussian(m, r))[0]
+            Vt = np.linalg.qr(stream.gaussian(n, r))[0].T
+            X = stream.gaussian(r, n)
+            G = stream.gaussian(m, r)
+            for B in (G - U @ (U.T @ G), np.zeros((m, r))):
+                dense = np.linalg.svd(U @ X + B @ Vt, compute_uv=False)
+                want = dense[:_numerical_rank(dense)]
+                got = _T_singular_values(U, X, B, Vt)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want), initial=0.0) \
+                    <= 1e-13 * want.max(initial=0.0)
 
 
 def test_gaussian_matrix_deterministic():

@@ -195,6 +195,25 @@ def test_regularized_iterations_scale_free():
         assert len(counts) == 1, counts
 
 
+def overflow_l1_instance():
+    """A 120 x 120 Y, and the scale 1e304 at which 4 * ||Y||_1 overflows
+    while ||Y||_1 does not."""
+    return gen_instance(InstanceSpec(m=120, n=120, rbar=3, ktilde=300, seed=4)).Y, 1e304
+
+
+def test_regularized_start_penalty_when_4_l1_overflows():
+    # mn/(4*||Y||_1) is taken as (mn/4)/||Y||_1, which stays positive and
+    # finite where 4*||Y||_1 overflows, so the solve keeps its scale-free
+    # sweep count instead of dividing by a zero start penalty.
+    Y, c = overflow_l1_instance()
+    assert math.isinf(4.0 * entrywise_norm(c * Y, 1))
+    lam = 1.0 / math.sqrt(120)
+    reps = [solve_regularized(k * Y, RegularizedConfig(lam=lam, mu=0.2 * k))
+            for k in (1.0, c)]
+    assert all(rep.converged for rep in reps)
+    assert reps[0].iterations == reps[1].iterations
+
+
 def test_regularized_transpose_symmetry():
     t, E = flat_instance(14, 18, 1, 8, 10.0, probe_seed("transpose"), 0.1)
     Y = t.X_S + t.X_L + E
