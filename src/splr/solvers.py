@@ -155,7 +155,7 @@ def _sum_into(out, arrays):
 
 
 def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
-          b_L=math.inf):
+          b_L=math.inf, abandon=None):
     """Gauss-Seidel ADMM on lam*||X_S||_1 + ||X_L||_* plus the residual
     terms, shared by both solvers. Y must already be validated.
 
@@ -202,12 +202,20 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     exceeds tol/eta, the loop goes on, and every later sweep takes the
     full SVD.
 
+    abandon, when given, is a predicate abandon(X_L, s) on the last
+    threshold step's output and its kept singular values. It runs every 10
+    sweeps, after the exit test and before the rebalancing; when it holds,
+    the loop ends unconverged. A caller that can prove from (X_L, s) that
+    the solve will not reach the answer it wants uses it to stop early;
+    a sweep that it lets pass is computed as without it, to the bit.
+
     Returns X_S, X_L_hat, the (U, s, Vt) factors of the last X_L, the
     iteration count, the converged flag and the diagnostics: final
     residuals, the penalty and its rescalings, partial_svds, the number of
-    threshold steps served by the partial path, and exit_gap_bound, eta
-    times the bound at the last stop checked on a partial step (None when
-    there was none).
+    threshold steps served by the partial path, exit_gap_bound, eta times
+    the bound at the last stop checked on a partial step (None when there
+    was none), and abandoned_at, the sweep at which abandon held (None
+    when it never did).
     """
     k = max(1, len(copies))
     boxed = not math.isinf(b_L)
@@ -228,7 +236,7 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     rescalings = 0
     warm = SvtWarmStart(shape)
     pri = dua = math.inf
-    exit_gap_bound = None
+    exit_gap_bound = abandoned_at = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if k == 1:
@@ -311,6 +319,9 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
                 break
             warm.enabled = False
         if iterations % 10 == 0:
+            if abandon is not None and abandon(X_L, factors[1]):
+                abandoned_at = iterations
+                break
             if eta0 * pri > 10.0 * dua:
                 scale = 2.0
             elif dua > 10.0 * eta0 * pri:
@@ -330,6 +341,7 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
         "penalty_rescalings": rescalings,
         "partial_svds": warm.partial_svds,
         "exit_gap_bound": exit_gap_bound,
+        "abandoned_at": abandoned_at,
     }
     return X_S, B if boxed else X_L, factors, iterations, converged, diagnostics
 
@@ -418,6 +430,12 @@ def solve_constrained(Y, cfg):
     relaxed mode also that the solution's own residual norms exceed the
     caps by at most 10*cfg.tol; hitting max_iter returns converged=False.
     """
+    return _solve_constrained(Y, cfg)
+
+
+def _solve_constrained(Y, cfg, abandon=None):
+    """solve_constrained, with _admm's abandon predicate passed through
+    (the sweep's proof of non-recovery)."""
     cfg.validate()
     Y = as_matrix(Y, "Y")
     lam, tol = cfg.lam, cfg.tol
@@ -438,7 +456,8 @@ def solve_constrained(Y, cfg):
                 and trace_norm(R_hat) - cfg.eps_star <= 10.0 * tol)
 
     X_S, X_L_hat, _, iterations, converged, diagnostics = _admm(
-        Y, lam, copies, stop, tol, cfg.max_iter, 1.0, b_L=cfg.b)
+        Y, lam, copies, stop, tol, cfg.max_iter, 1.0, b_L=cfg.b,
+        abandon=abandon)
     rv1, rst, rv2 = _residual_norms(X_S + X_L_hat - Y)
     obj = lam * entrywise_norm(X_S, 1) + trace_norm(X_L_hat)
     return SolveReport(

@@ -4,6 +4,12 @@ recovery errors plus a success flag per trial and success rates per cell.
 
 Per-trial seeds depend only on the grid coordinates and the base seed, so
 results are identical regardless of execution order or worker count.
+
+A trial knows its planted pair, so its solve is abandoned, and the trial
+scored as failed, as soon as the solver's feasible point proves that no
+minimizer of the program passes the success test (see _non_recovery_test).
+The error columns of an abandoned trial are those of the solver's iterate
+at the sweep where it stopped.
 """
 
 import math
@@ -14,8 +20,8 @@ from dataclasses import dataclass
 from .incoherence import default_lambda
 from .matrices import FactorizationError, mix_seed
 from .matrixio import format_float, write_text_atomic
-from .norms import entrywise_norm
-from .solvers import ConstrainedConfig, solve_constrained
+from .norms import _entrywise_norm, entrywise_norm, trace_norm
+from .solvers import ConstrainedConfig, _solve_constrained
 from .synth import InstanceSpec, gen_instance
 
 __all__ = [
@@ -36,6 +42,11 @@ AGGREGATE_HEADER = "rank,density,trials,successes,success_rate"
 # errors are at most SUCCESS_THRESHOLD; every cell solves to SOLVER_TOL.
 SUCCESS_THRESHOLD = 1e-4
 SOLVER_TOL = 1e-7
+# Slack of the non-recovery test, relative to the planted objective: it
+# covers the suboptimality of a converged solve's output, whose relative
+# duality gap was at most 3e-7 on converged 30x30 cells at SOLVER_TOL. A
+# larger slack only makes the test fire later or never.
+ABANDON_SLACK = 1e-5
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,45 @@ class SweepSpec:
             raise ValueError("trials must be at least 1")
 
 
+def _planted_bound(target, lam):
+    """(f0, margin) for the planted pair (S0, L0) of target.
+
+    Let f(S, L) = lam*||S||_1 + ||L||_* and f0 = f(S0, L0). The subgradient
+    lam*sign(S0) + U V^T of f at (S0, L0) and Cauchy-Schwarz give f >= f0 -
+    margin on every pair whose relative Frobenius errors are at most delta =
+    SUCCESS_THRESHOLD (the success test), with margin = delta*(lam*sqrt(k)*
+    max(1, ||S0||_F) + sqrt(r)*max(1, ||L0||_F)), k = nnz(S0) and r =
+    rank(L0).
+    """
+    S0, L0 = target.X_S, target.X_L
+    f0 = lam * entrywise_norm(S0, 1) + trace_norm(L0)
+    margin = SUCCESS_THRESHOLD * (
+        lam * math.sqrt(target.support.kbar) * max(1.0, entrywise_norm(S0, 2))
+        + math.sqrt(target.space.r) * max(1.0, entrywise_norm(L0, 2)))
+    return f0, margin
+
+
+def _non_recovery_test(inst, lam):
+    """The abandon predicate (see solvers._admm) of the exact split of a
+    noiseless instance: true once the solve proves that no minimizer passes
+    the success test.
+
+    The pair (Y - X_L, X_L) is feasible and ||X_L||_* is the sum of its
+    kept singular values s, so once lam*||Y - X_L||_1 + sum(s) < f0 -
+    margin - ABANDON_SLACK*f0 (see _planted_bound) the optimum lies below
+    f0 - margin, and with it every minimizer. A planted pair that is
+    optimal never trips the test. Each call costs O(mn) and no SVD.
+    """
+    f0, margin = _planted_bound(inst.target, lam)
+    floor = f0 - margin - ABANDON_SLACK * f0
+    Y = inst.Y
+
+    def abandon(X_L, s):
+        return lam * _entrywise_norm(Y - X_L, 1) + float(s.sum()) < floor
+
+    return abandon
+
+
 def _run_cell(spec, rank, density_index, density, trial):
     seed = mix_seed(spec.base_seed, rank, density_index, trial)
     ktilde = int(round(density * spec.m * spec.n))
@@ -75,7 +125,7 @@ def _run_cell(spec, rank, density_index, density, trial):
     lam = default_lambda((spec.m, spec.n), prof)
     cfg = ConstrainedConfig(lam=lam, tol=SOLVER_TOL, max_iter=spec.solver_max_iter)
     try:
-        report = solve_constrained(inst.Y, cfg)
+        report = _solve_constrained(inst.Y, cfg, _non_recovery_test(inst, lam))
         err_sparse = (entrywise_norm(report.X_S_hat - inst.target.X_S, 2)
                       / max(1.0, entrywise_norm(inst.target.X_S, 2)))
         err_lowrank = (entrywise_norm(report.X_L_hat - inst.target.X_L, 2)

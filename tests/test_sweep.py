@@ -1,13 +1,22 @@
 import functools
+import inspect
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import splr.sweep
+from splr.incoherence import default_lambda
 from splr.matrices import FactorizationError
+from splr.solvers import (
+    ConstrainedConfig,
+    _solve_constrained,
+    recovery_errors,
+    solve_constrained,
+)
 from splr.sweep import (
     AGGREGATE_HEADER,
     DETAIL_HEADER,
@@ -18,6 +27,7 @@ from splr.sweep import (
     sweep_output_paths,
     write_sweep_outputs,
 )
+from splr.synth import InstanceSpec, gen_instance
 
 
 def small_spec():
@@ -145,10 +155,10 @@ def test_sweep_csvs_invariant_under_blas_threads(tmp_path):
 
 
 def test_factorization_failure_scores_cell_as_failed(monkeypatch):
-    def fail(Y, cfg):
+    def fail(Y, cfg, abandon):
         raise FactorizationError("SVD did not converge")
 
-    monkeypatch.setattr(splr.sweep, "solve_constrained", fail)
+    monkeypatch.setattr(splr.sweep, "_solve_constrained", fail)
     spec = SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=2, base_seed=3)
     rows, agg = run_sweep(spec)
     for row in rows:
@@ -158,10 +168,10 @@ def test_factorization_failure_scores_cell_as_failed(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_solver_bug_propagates_out_of_sweep(monkeypatch, jobs):
-    def broken(Y, cfg):
+    def broken(Y, cfg, abandon):
         raise TypeError("solver bug")
 
-    monkeypatch.setattr(splr.sweep, "solve_constrained", broken)
+    monkeypatch.setattr(splr.sweep, "_solve_constrained", broken)
     spec = SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=2, base_seed=3)
     with pytest.raises(TypeError, match="solver bug"):
         run_sweep(spec, jobs=jobs)
@@ -193,3 +203,114 @@ def test_thread_pool_capped_by_cpus_and_cells(monkeypatch, cpus, trials, expecte
     # os.cpu_count() may return None; the sweep then runs serially.
     assert created == ([] if expected is None else [expected])
     assert (rows, agg) == run_sweep(spec)
+
+
+def test_solve_constrained_signature_unchanged():
+    # The sweep's abandon predicate reaches the loop through a private path.
+    assert list(inspect.signature(splr.solve_constrained).parameters) == ["Y", "cfg"]
+
+
+def _objective(lam, S, L):
+    return lam * float(np.abs(S).sum()) + float(np.linalg.svd(L, compute_uv=False).sum())
+
+
+@pytest.mark.parametrize("rank, ktilde, seed", [(2, 60, 1), (0, 60, 2), (3, 0, 3), (0, 0, 4)])
+def test_planted_margin_bounds_objective_on_success_set(rank, ktilde, seed):
+    # Every pair within the success test's relative Frobenius errors has
+    # f >= f0 - margin; moving along -sign(S0) and -U V^T reaches the bound.
+    inst = gen_instance(InstanceSpec(m=30, n=30, rbar=rank, ktilde=ktilde, seed=seed))
+    target = inst.target
+    S0, L0 = target.X_S, target.X_L
+    lam = 1.0 / math.sqrt(30)
+    f0, margin = splr.sweep._planted_bound(target, lam)
+    assert f0 == pytest.approx(_objective(lam, S0, L0), rel=1e-12)
+    delta = splr.sweep.SUCCESS_THRESHOLD
+    radius_S = delta * max(1.0, np.linalg.norm(S0))
+    radius_L = delta * max(1.0, np.linalg.norm(L0))
+    stream = np.random.default_rng(seed)
+
+    def unit(D):
+        norm = np.linalg.norm(D)
+        return D / norm if norm > 0 else D
+
+    sign_dir = unit(np.sign(S0))
+    uv_dir = unit(target.space.U @ target.space.V.T)
+    directions = [(sign_dir, uv_dir), (-sign_dir, -uv_dir),
+                  (-sign_dir, uv_dir), (sign_dir, -uv_dir)]
+    directions += [(unit(stream.standard_normal((30, 30))),
+                    unit(stream.standard_normal((30, 30)))) for _ in range(20)]
+    slack = 1e-12 * max(1.0, f0)
+    for dS, dL in directions:
+        for scale in (1.0, stream.uniform()):
+            f = _objective(lam, S0 + scale * radius_S * dS, L0 + scale * radius_L * dL)
+            assert f >= f0 - margin - slack
+    tight = _objective(lam, S0 - radius_S * sign_dir, L0 - radius_L * uv_dir)
+    assert tight == pytest.approx(f0 - margin, abs=slack)
+
+
+@pytest.mark.parametrize("rank, ktilde, seed", [(1, 45, 0), (1, 45, 1), (2, 45, 0), (1, 90, 3)])
+def test_recovered_cell_never_trips_abandon(rank, ktilde, seed):
+    inst = gen_instance(InstanceSpec(m=30, n=30, rbar=rank, ktilde=ktilde, seed=seed))
+    lam = default_lambda((30, 30), inst.profile)
+    cfg = ConstrainedConfig(lam=lam, tol=splr.sweep.SOLVER_TOL, max_iter=1000)
+    calls = []
+
+    def counted(X_L, s):
+        calls.append(None)
+        return test(X_L, s)
+
+    test = splr.sweep._non_recovery_test(inst, lam)
+    with_test = _solve_constrained(inst.Y, cfg, counted)
+    plain = solve_constrained(inst.Y, cfg)
+    assert with_test.converged and len(calls) == with_test.iterations // 10 > 0
+    errors = recovery_errors(with_test, inst.target)
+    threshold = splr.sweep.SUCCESS_THRESHOLD
+    assert errors["sparse_v2"] <= threshold * np.linalg.norm(inst.target.X_S)
+    assert errors["lowrank_v2"] <= threshold * np.linalg.norm(inst.target.X_L)
+    assert with_test.diagnostics["abandoned_at"] is None
+    assert plain.diagnostics["abandoned_at"] is None
+    assert with_test.iterations == plain.iterations
+    assert np.array_equal(with_test.X_S_hat, plain.X_S_hat)
+    assert np.array_equal(with_test.X_L_hat, plain.X_L_hat)
+
+
+@pytest.mark.parametrize("settings", [{"eps_v1": 0.5, "eps_star": 0.5}, {"b": 2.0}])
+def test_public_solver_never_abandons(settings):
+    inst = gen_instance(InstanceSpec(m=12, n=12, rbar=1, ktilde=10, seed=5))
+    rep = solve_constrained(inst.Y, ConstrainedConfig(lam=1 / math.sqrt(12), tol=1e-6,
+                                                      max_iter=200, **settings))
+    assert rep.diagnostics["abandoned_at"] is None
+
+
+def test_abandoned_cell_stops_unconverged_and_fails(monkeypatch):
+    calls, solves = [], []
+
+    def recording(Y, cfg, abandon):
+        def counted(X_L, s):
+            calls.append(None)
+            return abandon(X_L, s)
+
+        report = _solve_constrained(Y, cfg, counted)
+        solves.append((Y, cfg, report))
+        return report
+
+    monkeypatch.setattr(splr.sweep, "_solve_constrained", recording)
+    spec = SweepSpec(m=30, n=30, ranks=(4,), densities=(0.2,), trials=1, base_seed=1,
+                     solver_max_iter=1000)
+    (row,), _ = run_sweep(spec)
+    (Y, cfg, report), = solves
+    at = report.diagnostics["abandoned_at"]
+    assert not report.converged
+    assert at is not None and 10 < at < cfg.max_iter and at % 10 == 0
+    assert report.iterations == at
+    assert len(calls) == at // 10
+    assert not row[7] and math.isfinite(row[5]) and math.isfinite(row[6])
+    # Without the test, the same cell at the same cap fails as well.
+    plain = solve_constrained(Y, cfg)
+    target = gen_instance(InstanceSpec(m=30, n=30, rbar=4, ktilde=180, seed=row[3])).target
+    assert np.array_equal(target.X_S + target.X_L, Y)
+    errors = recovery_errors(plain, target)
+    threshold = splr.sweep.SUCCESS_THRESHOLD
+    assert not (plain.converged
+                and errors["sparse_v2"] <= threshold * np.linalg.norm(target.X_S)
+                and errors["lowrank_v2"] <= threshold * np.linalg.norm(target.X_L))
