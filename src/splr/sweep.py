@@ -7,9 +7,12 @@ results are identical regardless of execution order or worker count.
 
 A trial knows its planted pair, so its solve is abandoned, and the trial
 scored as failed, as soon as the solver's feasible point proves that no
-minimizer of the program passes the success test (see _non_recovery_test).
-The error columns of an abandoned trial are those of the solver's iterate
-at the sweep where it stopped.
+converged output passes the success test (see _non_recovery_test). The
+proof compares the feasible point's objective with the planted one, less a
+margin from one pair of subgradients, of the l1 term at the planted sparse
+part and of the trace norm at the planted low-rank part, that lie close to
+each other (see _planted_margin). The error columns of an abandoned trial
+are those of the solver's iterate at the sweep where it stopped.
 """
 
 import math
@@ -17,10 +20,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .incoherence import default_lambda
-from .matrices import FactorizationError, mix_seed
+from .matrices import FactorizationError, _singular_values, mix_seed, thin_svd
 from .matrixio import format_float, write_text_atomic
-from .norms import _entrywise_norm, entrywise_norm, trace_norm
+from .norms import _entrywise_norm
 from .solvers import ConstrainedConfig, _solve_constrained
 from .synth import InstanceSpec, gen_instance
 
@@ -43,10 +48,18 @@ AGGREGATE_HEADER = "rank,density,trials,successes,success_rate"
 SUCCESS_THRESHOLD = 1e-4
 SOLVER_TOL = 1e-7
 # Slack of the non-recovery test, relative to the planted objective: it
-# covers the suboptimality of a converged solve's output, whose relative
-# duality gap was at most 3e-7 on converged 30x30 cells at SOLVER_TOL. A
-# larger slack only makes the test fire later or never.
-ABANDON_SLACK = 1e-5
+# covers the suboptimality of a converged solve's output. On the 2,268
+# cells that converged, out of the 3,328 30x30 cells of the benchmark's 32
+# recorded sweep sets solved at SOLVER_TOL with a 1000-sweep cap and no
+# abandon test, the exit duality gap (primal value less <Q, Y>, Q the
+# solver's scaled dual scaled into the dual ball) was at most 3.8e-7 of f0,
+# and at most 3.5e-7 on the 917 recovered ones. The slack is the round
+# value at least three times that. A larger slack only makes the test fire
+# later or never.
+ABANDON_SLACK = 2e-6
+# Alternating projections, one SVD each, that bring the two planted
+# subgradients of _planted_margin together. Any number gives a valid margin.
+MARGIN_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -76,43 +89,100 @@ class SweepSpec:
             raise ValueError("densities must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not self.solver_max_iter >= 1:
+            raise ValueError("solver_max_iter must be at least 1")
 
 
-def _planted_bound(target, lam):
-    """(f0, margin) for the planted pair (S0, L0) of target.
+def _planted_objective(target, lam):
+    """f0 = f(S0, L0), f(S, L) = lam*||S||_1 + ||L||_*, at the planted pair."""
+    return (lam * _entrywise_norm(target.X_S, 1)
+            + float(_singular_values(target.X_L).sum()))
 
-    Let f(S, L) = lam*||S||_1 + ||L||_* and f0 = f(S0, L0). The subgradient
-    lam*sign(S0) + U V^T of f at (S0, L0) and Cauchy-Schwarz give f >= f0 -
-    margin on every pair whose relative Frobenius errors are at most delta =
-    SUCCESS_THRESHOLD (the success test), with margin = delta*(lam*sqrt(k)*
-    max(1, ||S0||_F) + sqrt(r)*max(1, ||L0||_F)), k = nnz(S0) and r =
-    rank(L0).
+
+def _closest_subgradients(target, lam):
+    """(G_S, G_L) with G_S in lam*d||S0||_1 and G_L in d||L0||_*, brought
+    close to each other in Frobenius norm by alternating projections.
+
+    Starting from G_L = U V^T, each of MARGIN_PASSES passes projects G_L
+    onto the first set (lam*sign(S0) on the support, G_L clipped to [-lam,
+    lam] off it), then that G_S onto the second (U V^T plus the projection
+    of G_S onto the complement of the tangent space, its singular values
+    clipped at 1), at one SVD. A last projection onto the first set needs
+    no SVD. Projections onto convex sets never move the pair apart.
     """
-    S0, L0 = target.X_S, target.X_L
-    f0 = lam * entrywise_norm(S0, 1) + trace_norm(L0)
-    margin = SUCCESS_THRESHOLD * (
-        lam * math.sqrt(target.support.kbar) * max(1.0, entrywise_norm(S0, 2))
-        + math.sqrt(target.space.r) * max(1.0, entrywise_norm(L0, 2)))
-    return f0, margin
+    U, V = target.space.U, target.space.V
+    UVt = U @ V.T
+    on_support = target.support.mask
+    sign = lam * np.sign(target.X_S)
+
+    def l1_subgradient(G_L):
+        return np.where(on_support, sign, np.clip(G_L, -lam, lam))
+
+    G_L = UVt
+    for _ in range(MARGIN_PASSES):
+        P = l1_subgradient(G_L)
+        P -= U @ (U.T @ P)
+        P -= (P @ V) @ V.T
+        W, s, Zt = thin_svd(P)
+        G_L = UVt + (W * np.minimum(s, 1.0)) @ Zt
+    return l1_subgradient(G_L), G_L
+
+
+def _planted_margin(target, lam):
+    """margin with f >= f0 - margin (see _planted_objective) on every pair
+    (S, L) that passes the success test, with relative Frobenius errors at
+    most delta = SUCCESS_THRESHOLD, and has ||S + L - Y||_F <= SOLVER_TOL,
+    as a converged output has.
+
+    With S + L - Y = e and subgradients G_S, G_L at the planted pair (see
+    _closest_subgradients), f >= f0 + <G_S, S - S0> + <G_L, L - L0>, which
+    is f0 + <G_S - G_L, S - S0> + <G_L, e> and also f0 + <G_L - G_S, L -
+    L0> + <G_S, e>. The success test bounds ||S - S0||_F by delta*a and
+    ||L - L0||_F by delta*b, with a = max(1, ||S0||_F) and b = max(1,
+    ||L0||_F). Taking the form with the smaller bound, Cauchy-Schwarz gives
+    margin = delta*min(a, b)*||G_S - G_L||_F + SOLVER_TOL*max(||G_S||_F,
+    ||G_L||_F). The first projection already gives ||G_S - G_L||_F <=
+    ||lam*sign(S0) - U V^T||_F <= lam*sqrt(k) + sqrt(r), k = nnz(S0) and r
+    = rank(L0), so the first term never exceeds the margin delta*(lam*
+    sqrt(k)*a + sqrt(r)*b) of the two subgradient blocks taken apart.
+    Costs MARGIN_PASSES SVDs.
+    """
+    G_S, G_L = _closest_subgradients(target, lam)
+    a = max(1.0, _entrywise_norm(target.X_S, 2))
+    b = max(1.0, _entrywise_norm(target.X_L, 2))
+    return (SUCCESS_THRESHOLD * min(a, b) * _entrywise_norm(G_S - G_L, 2)
+            + SOLVER_TOL * max(_entrywise_norm(G_S, 2), _entrywise_norm(G_L, 2)))
 
 
 def _non_recovery_test(inst, lam):
     """The abandon predicate (see solvers._admm) of the exact split of a
-    noiseless instance: true once the solve proves that no minimizer passes
-    the success test.
+    noiseless instance: true once the solve proves that no converged
+    output passes the success test.
 
     The pair (Y - X_L, X_L) is feasible and ||X_L||_* is the sum of its
-    kept singular values s, so once lam*||Y - X_L||_1 + sum(s) < f0 -
-    margin - ABANDON_SLACK*f0 (see _planted_bound) the optimum lies below
-    f0 - margin, and with it every minimizer. A planted pair that is
-    optimal never trips the test. Each call costs O(mn) and no SVD.
+    kept singular values s. Once lam*||Y - X_L||_1 + sum(s) < f0*(1 -
+    ABANDON_SLACK) - margin (see _planted_objective and _planted_margin),
+    the optimum lies below f0 - margin by more than a converged output's
+    suboptimality, so no converged output passes the test. A planted pair
+    that is optimal never trips it. A call costs O(mn). The first call
+    whose value falls below f0*(1 - ABANDON_SLACK) also computes the
+    margin, at MARGIN_PASSES SVDs; a trial whose planted pair is optimal
+    never gets there.
     """
-    f0, margin = _planted_bound(inst.target, lam)
-    floor = f0 - margin - ABANDON_SLACK * f0
+    target = inst.target
+    f0 = _planted_objective(target, lam)
+    start = f0 - ABANDON_SLACK * f0
+    floor = None
     Y = inst.Y
 
     def abandon(X_L, s):
-        return lam * _entrywise_norm(Y - X_L, 1) + float(s.sum()) < floor
+        nonlocal floor
+        value = lam * _entrywise_norm(Y - X_L, 1) + float(s.sum())
+        if not value < start:
+            return False
+        if floor is None:
+            floor = start - _planted_margin(target, lam)
+        return value < floor
 
     return abandon
 
@@ -126,10 +196,10 @@ def _run_cell(spec, rank, density_index, density, trial):
     cfg = ConstrainedConfig(lam=lam, tol=SOLVER_TOL, max_iter=spec.solver_max_iter)
     try:
         report = _solve_constrained(inst.Y, cfg, _non_recovery_test(inst, lam))
-        err_sparse = (entrywise_norm(report.X_S_hat - inst.target.X_S, 2)
-                      / max(1.0, entrywise_norm(inst.target.X_S, 2)))
-        err_lowrank = (entrywise_norm(report.X_L_hat - inst.target.X_L, 2)
-                       / max(1.0, entrywise_norm(inst.target.X_L, 2)))
+        err_sparse = (_entrywise_norm(report.X_S_hat - inst.target.X_S, 2)
+                      / max(1.0, _entrywise_norm(inst.target.X_S, 2)))
+        err_lowrank = (_entrywise_norm(report.X_L_hat - inst.target.X_L, 2)
+                       / max(1.0, _entrywise_norm(inst.target.X_L, 2)))
         converged = report.converged
     except FactorizationError:
         err_sparse = err_lowrank = math.inf

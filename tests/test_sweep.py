@@ -10,7 +10,7 @@ import pytest
 
 import splr.sweep
 from splr.incoherence import default_lambda
-from splr.matrices import FactorizationError
+from splr.matrices import FactorizationError, thin_svd
 from splr.solvers import (
     ConstrainedConfig,
     _solve_constrained,
@@ -55,6 +55,10 @@ def test_spec_validation_errors():
         SweepSpec(m=8, n=8, ranks=(1,), densities=(math.nan,), trials=1, base_seed=0)
     with pytest.raises(ValueError):
         SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=0, base_seed=0)
+    for cap in (0, -1, math.nan):
+        with pytest.raises(ValueError, match="solver_max_iter"):
+            SweepSpec(m=8, n=8, ranks=(1,), densities=(0.1,), trials=1, base_seed=0,
+                      solver_max_iter=cap)
 
 
 def test_sweep_rows_deterministic_and_job_invariant():
@@ -214,42 +218,94 @@ def _objective(lam, S, L):
     return lam * float(np.abs(S).sum()) + float(np.linalg.svd(L, compute_uv=False).sum())
 
 
-@pytest.mark.parametrize("rank, ktilde, seed", [(2, 60, 1), (0, 60, 2), (3, 0, 3), (0, 0, 4)])
+@pytest.mark.parametrize("rank, ktilde, seed",
+                         [(2, 60, 1), (0, 60, 2), (3, 0, 3), (0, 0, 4), (8, 300, 2)])
 def test_planted_margin_bounds_objective_on_success_set(rank, ktilde, seed):
-    # Every pair within the success test's relative Frobenius errors has
-    # f >= f0 - margin; moving along -sign(S0) and -U V^T reaches the bound.
+    # Every pair within the success test's relative Frobenius errors whose
+    # residual S + L - Y is at most SOLVER_TOL has f >= f0 - margin.
     inst = gen_instance(InstanceSpec(m=30, n=30, rbar=rank, ktilde=ktilde, seed=seed))
     target = inst.target
     S0, L0 = target.X_S, target.X_L
     lam = 1.0 / math.sqrt(30)
-    f0, margin = splr.sweep._planted_bound(target, lam)
+    f0 = splr.sweep._planted_objective(target, lam)
+    margin = splr.sweep._planted_margin(target, lam)
     assert f0 == pytest.approx(_objective(lam, S0, L0), rel=1e-12)
-    delta = splr.sweep.SUCCESS_THRESHOLD
-    radius_S = delta * max(1.0, np.linalg.norm(S0))
-    radius_L = delta * max(1.0, np.linalg.norm(L0))
+    delta, tol = splr.sweep.SUCCESS_THRESHOLD, splr.sweep.SOLVER_TOL
+    a, b = max(1.0, np.linalg.norm(S0)), max(1.0, np.linalg.norm(L0))
+    # The subgradients and the margin built from them.
+    G_S, G_L = splr.sweep._closest_subgradients(target, lam)
+    on = target.support.mask
+    assert np.array_equal(G_S[on], lam * np.sign(S0[on]))
+    assert np.abs(G_S).max(initial=0.0) <= lam
+    U, V = target.space.U, target.space.V
+    W = G_L - U @ V.T
+    assert np.abs(U.T @ W).max(initial=0.0) <= 1e-12
+    assert np.abs(W @ V).max(initial=0.0) <= 1e-12
+    assert np.linalg.norm(W, 2) <= 1.0 + 1e-12
+    assert margin == pytest.approx(
+        delta * min(a, b) * np.linalg.norm(G_S - G_L)
+        + tol * max(np.linalg.norm(G_S), np.linalg.norm(G_L)), rel=1e-12)
+    # Never above the margin of the two subgradient blocks taken apart.
+    old = delta * (lam * math.sqrt(target.support.kbar) * a + math.sqrt(target.space.r) * b)
+    assert margin <= old
+    if rank and ktilde:
+        assert margin < 0.1 * old
+
     stream = np.random.default_rng(seed)
 
     def unit(D):
         norm = np.linalg.norm(D)
         return D / norm if norm > 0 else D
 
-    sign_dir = unit(np.sign(S0))
-    uv_dir = unit(target.space.U @ target.space.V.T)
-    directions = [(sign_dir, uv_dir), (-sign_dir, -uv_dir),
-                  (-sign_dir, uv_dir), (sign_dir, -uv_dir)]
-    directions += [(unit(stream.standard_normal((30, 30))),
-                    unit(stream.standard_normal((30, 30)))) for _ in range(20)]
+    radius = delta * min(a, b) - tol
+    coupled = unit(G_S - G_L)
+    directions = [coupled, -coupled]
+    directions += [unit(stream.standard_normal((30, 30))) for _ in range(20)]
+    residuals = [np.zeros((30, 30)), -tol * unit(G_S), -tol * unit(G_L),
+                 tol * unit(stream.standard_normal((30, 30)))]
     slack = 1e-12 * max(1.0, f0)
-    for dS, dL in directions:
+    for D in directions:
         for scale in (1.0, stream.uniform()):
-            f = _objective(lam, S0 + scale * radius_S * dS, L0 + scale * radius_L * dL)
-            assert f >= f0 - margin - slack
-    tight = _objective(lam, S0 - radius_S * sign_dir, L0 - radius_L * uv_dir)
-    assert tight == pytest.approx(f0 - margin, abs=slack)
+            for e in residuals:
+                # S + L - Y = e, and both errors stay within the success test.
+                for S, L in ((S0 + scale * radius * D, L0 - scale * radius * D + e),
+                             (S0 + scale * radius * D + e, L0 - scale * radius * D)):
+                    assert np.linalg.norm(S - S0) <= delta * a
+                    assert np.linalg.norm(L - L0) <= delta * b
+                    assert _objective(lam, S, L) >= f0 - margin - slack
+
+
+def test_planted_margin_nearly_reached_where_planted_pair_is_not_optimal():
+    # On an instance whose planted pair is not optimal, the feasible step
+    # along -(G_S - G_L) to the edge of the success set lowers f by more
+    # than half the margin: the bound is within a factor of two of tight.
+    target = gen_instance(InstanceSpec(m=30, n=30, rbar=8, ktilde=300, seed=2)).target
+    S0, L0 = target.X_S, target.X_L
+    lam = 1.0 / math.sqrt(30)
+    f0 = splr.sweep._planted_objective(target, lam)
+    margin = splr.sweep._planted_margin(target, lam)
+    G_S, G_L = splr.sweep._closest_subgradients(target, lam)
+    radius = splr.sweep.SUCCESS_THRESHOLD * min(np.linalg.norm(S0), np.linalg.norm(L0))
+    D = radius * (G_S - G_L) / np.linalg.norm(G_S - G_L)
+    assert f0 - 0.5 * margin > _objective(lam, S0 - D, L0 + D) >= f0 - margin
+
+
+def _count_margin_svds(monkeypatch):
+    """Record each SVD the sweep module itself takes (the margin's); the
+    solver's threshold steps take theirs in prox."""
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return thin_svd(A)
+
+    monkeypatch.setattr(splr.sweep, "thin_svd", counted)
+    return calls
 
 
 @pytest.mark.parametrize("rank, ktilde, seed", [(1, 45, 0), (1, 45, 1), (2, 45, 0), (1, 90, 3)])
-def test_recovered_cell_never_trips_abandon(rank, ktilde, seed):
+def test_recovered_cell_never_trips_abandon(monkeypatch, rank, ktilde, seed):
+    margin_svds = _count_margin_svds(monkeypatch)
     inst = gen_instance(InstanceSpec(m=30, n=30, rbar=rank, ktilde=ktilde, seed=seed))
     lam = default_lambda((30, 30), inst.profile)
     cfg = ConstrainedConfig(lam=lam, tol=splr.sweep.SOLVER_TOL, max_iter=1000)
@@ -272,6 +328,8 @@ def test_recovered_cell_never_trips_abandon(rank, ktilde, seed):
     assert with_test.iterations == plain.iterations
     assert np.array_equal(with_test.X_S_hat, plain.X_S_hat)
     assert np.array_equal(with_test.X_L_hat, plain.X_L_hat)
+    # The objective never fell far enough to need the margin.
+    assert margin_svds == []
 
 
 @pytest.mark.parametrize("settings", [{"eps_v1": 0.5, "eps_star": 0.5}, {"b": 2.0}])
@@ -282,8 +340,11 @@ def test_public_solver_never_abandons(settings):
     assert rep.diagnostics["abandoned_at"] is None
 
 
-def test_abandoned_cell_stops_unconverged_and_fails(monkeypatch):
+def _abandoned_cell(monkeypatch, spec):
+    """Run the one-cell spec, check that its solve was abandoned, and
+    return its row, its planted pair and the solve without the test."""
     calls, solves = [], []
+    margin_svds = _count_margin_svds(monkeypatch)
 
     def recording(Y, cfg, abandon):
         def counted(X_L, s):
@@ -295,8 +356,6 @@ def test_abandoned_cell_stops_unconverged_and_fails(monkeypatch):
         return report
 
     monkeypatch.setattr(splr.sweep, "_solve_constrained", recording)
-    spec = SweepSpec(m=30, n=30, ranks=(4,), densities=(0.2,), trials=1, base_seed=1,
-                     solver_max_iter=1000)
     (row,), _ = run_sweep(spec)
     (Y, cfg, report), = solves
     at = report.diagnostics["abandoned_at"]
@@ -304,13 +363,48 @@ def test_abandoned_cell_stops_unconverged_and_fails(monkeypatch):
     assert at is not None and 10 < at < cfg.max_iter and at % 10 == 0
     assert report.iterations == at
     assert len(calls) == at // 10
+    # The margin is computed once.
+    assert len(margin_svds) == splr.sweep.MARGIN_PASSES
     assert not row[7] and math.isfinite(row[5]) and math.isfinite(row[6])
-    # Without the test, the same cell at the same cap fails as well.
-    plain = solve_constrained(Y, cfg)
-    target = gen_instance(InstanceSpec(m=30, n=30, rbar=4, ktilde=180, seed=row[3])).target
+    (rank,), (density,) = spec.ranks, spec.densities
+    ktilde = int(round(density * spec.m * spec.n))
+    target = gen_instance(InstanceSpec(m=spec.m, n=spec.n, rbar=rank, ktilde=ktilde,
+                                       seed=row[3])).target
     assert np.array_equal(target.X_S + target.X_L, Y)
-    errors = recovery_errors(plain, target)
+    return row, at, target, solve_constrained(Y, cfg)
+
+
+def _passes_success_test(report, target):
+    errors = recovery_errors(report, target)
     threshold = splr.sweep.SUCCESS_THRESHOLD
-    assert not (plain.converged
-                and errors["sparse_v2"] <= threshold * np.linalg.norm(target.X_S)
-                and errors["lowrank_v2"] <= threshold * np.linalg.norm(target.X_L))
+    return (report.converged
+            and errors["sparse_v2"] <= threshold * np.linalg.norm(target.X_S)
+            and errors["lowrank_v2"] <= threshold * np.linalg.norm(target.X_L))
+
+
+def test_abandoned_cell_stops_unconverged_and_fails(monkeypatch):
+    spec = SweepSpec(m=30, n=30, ranks=(4,), densities=(0.2,), trials=1, base_seed=1,
+                     solver_max_iter=1000)
+    _, _, target, plain = _abandoned_cell(monkeypatch, spec)
+    # Without the test, the same cell at the same cap fails as well.
+    assert not _passes_success_test(plain, target)
+
+
+def test_cell_at_the_cap_without_the_coupled_margin_abandons(monkeypatch):
+    # The margin of the two subgradient blocks taken apart, with a slack of
+    # 1e-5*f0, left this cell to run to the cap.
+    spec = SweepSpec(m=30, n=30, ranks=(4,), densities=(0.09,), trials=1,
+                     base_seed=3269124617377818898, solver_max_iter=1000)
+    _, at, target, plain = _abandoned_cell(monkeypatch, spec)
+    assert at <= 200
+    assert not plain.converged and plain.iterations == 1000
+
+
+def test_uncapped_wrong_split_abandons_long_before_it_converges(monkeypatch):
+    spec = SweepSpec(m=30, n=30, ranks=(2,), densities=(0.21,), trials=1,
+                     base_seed=3405518497848117532)
+    _, at, target, plain = _abandoned_cell(monkeypatch, spec)
+    # Without the test the solve converges, to a split outside the success
+    # set, after ten times as many sweeps.
+    assert plain.converged and plain.iterations >= 10 * at
+    assert not _passes_success_test(plain, target)
