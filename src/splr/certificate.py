@@ -22,11 +22,10 @@ from .incoherence import (
 )
 from .matrices import (
     RandomStream,
-    _singular_values,
     _T_singular_values,
     as_matrix,
 )
-from .norms import _entrywise_norm, _induced_norm
+from .norms import _entrywise_norm, _induced_norm, _trace_norm
 from .subspaces import (
     RowColSpace,
     _kkt_l1_block,
@@ -264,7 +263,7 @@ def subgradient_check(target, Q_total, lam, c, probes, seed):
     stream = RandomStream(seed)
 
     def objective(X_S, X_L):
-        return lam * _entrywise_norm(X_S, 1) + float(_singular_values(X_L).sum())
+        return lam * _entrywise_norm(X_S, 1) + _trace_norm(X_L)
 
     base = objective(target.X_S, target.X_L)
     amp = max(

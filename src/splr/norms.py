@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .incoherence import _check_rho
-from .matrices import _spectral_norm, as_matrix, singular_values
+from .matrices import _singular_values, _spectral_norm, as_matrix
 
 FLAT_NORM_SIZE_CAP = 256
 
@@ -77,7 +77,11 @@ def _induced_norm(A, mode):
 
 def trace_norm(M):
     """Sum of singular values."""
-    return float(singular_values(M).sum())
+    return _trace_norm(as_matrix(M))
+
+
+def _trace_norm(A):
+    return float(_singular_values(A).sum())
 
 
 def sharp_norm(M, rho):

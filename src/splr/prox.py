@@ -60,14 +60,20 @@ def _partial_svt(M, t, V):
     subspace iteration from the n x l start block V (Halko, Martinsson &
     Tropp, arXiv:0909.4061), or None when declined.
 
-    Each pass orthonormalizes M V, then M^T of that; after _PARTIAL_PASSES
-    passes, Rayleigh-Ritz on M V gives l Ritz triplets. They are accepted
-    only when the smallest Ritz value is below t, so that every value above
-    t has its triplet in the block.
+    Each pass orthonormalizes M^T (M V) with one QR. M V is first scaled
+    by the power of two that brings its largest entry into [1/2, 1), which
+    is exact and keeps the second product from overflowing or underflowing
+    at any scale of M. After _PARTIAL_PASSES passes, Rayleigh-Ritz on M V
+    gives l Ritz triplets. They are accepted only when the smallest Ritz
+    value is below t, the sign that every value above t has its triplet in
+    the block. It is not a proof: on a flat spectrum, two passes from a
+    random block can reach below t and still miss values above it, so a
+    solve holds its answer to the full threshold at its exit check.
     """
     for _ in range(_PARTIAL_PASSES):
-        Q = np.linalg.qr(M @ V)[0]
-        V = np.linalg.qr(M.T @ Q)[0]
+        W = M @ V
+        e = math.frexp(float(np.abs(W).max()))[1]
+        V = np.linalg.qr(M.T @ np.ldexp(W, -e, out=W))[0]
     U, s, Wt = thin_svd(M @ V)
     return (U, s, Wt @ V.T) if s[-1] < t else None
 
@@ -75,25 +81,29 @@ def _partial_svt(M, t, V):
 class SvtWarmStart:
     """Warm-start state of one solve's threshold steps.
 
-    block holds the leading rank + _PARTIAL_PAD rows of the last step's
-    whole right singular block, kept and unkept rows alike (of Vt after a
-    full SVD, of the l Ritz rows after a partial one), where rank is the
-    number of values above that step's threshold. A partial step starts
-    from these rows, padded where short with columns from a fixed-seed
-    stream.
+    While min(m, n) >= PARTIAL_SVT_MIN_DIM, every step, the first one
+    included, first tries the partial path from a block of width columns.
+    The first step's block is min(m, n) // 4 columns wide, the widest that
+    the cap below admits, all drawn from a fixed-seed stream. After a step,
+    width is rank + _PARTIAL_PAD, where rank is the number of values above
+    that step's threshold, and block holds the leading width rows of the
+    step's whole right singular block, kept and unkept rows alike (of Vt
+    after a full SVD, of the l Ritz rows after a partial one). The next
+    step starts from these rows, padded where short with columns from the
+    same stream.
 
-    The full SVD serves the first step, a declined partial step, and every
-    step while min(m, n) < PARTIAL_SVT_MIN_DIM or 4 (rank + _PARTIAL_PAD) >
-    min(m, n); that cap is checked before padding, so a refused step draws
-    nothing from the stream. partial says whether the last step took the
-    partial path and partial_svds counts those steps. Setting enabled to
-    False sends every later step to the full SVD.
+    The full SVD serves a declined partial step, and every step while
+    min(m, n) < PARTIAL_SVT_MIN_DIM or 4 * width > min(m, n); that cap is
+    checked before padding, so a refused step draws nothing from the
+    stream. partial says whether the last step took the partial path and
+    partial_svds counts those steps. Setting enabled to False sends every
+    later step to the full SVD.
     """
 
     def __init__(self, shape):
         self.enabled = min(shape) >= PARTIAL_SVT_MIN_DIM
-        self.block = None
-        self.rank = 0
+        self.block = np.empty((0, shape[1]))
+        self.width = min(shape) // 4
         self.partial = False
         self.partial_svds = 0
         self.stream = RandomStream(0)
@@ -105,10 +115,9 @@ class SvtWarmStart:
         if not self.enabled:
             return thin_svd(M)
         out = None
-        width = self.rank + _PARTIAL_PAD
-        if self.block is not None and 4 * width <= min(M.shape):
+        if 4 * self.width <= min(M.shape):
             V = self.block.T
-            short = width - V.shape[1]
+            short = self.width - V.shape[1]
             if short > 0:
                 V = np.hstack([V, self.stream.gaussian(V.shape[0], short)])
             out = _partial_svt(M, t, V)
@@ -116,9 +125,9 @@ class SvtWarmStart:
         self.partial_svds += self.partial
         if out is None:
             out = thin_svd(M)
-        self.rank = int(np.count_nonzero(out[1] > t))
+        self.width = int(np.count_nonzero(out[1] > t)) + _PARTIAL_PAD
         # Copy only the rows the next step starts from: no full Vt is held.
-        self.block = out[2][:self.rank + _PARTIAL_PAD].copy()
+        self.block = out[2][:self.width].copy()
         return out
 
 

@@ -17,7 +17,13 @@ import numpy as np
 
 from .incoherence import PreconditionError, _check_premises, inverse_mu
 from .matrices import as_matrix
-from .norms import _entrywise_norm, _frobenius, entrywise_norm, trace_norm
+from .norms import (
+    _entrywise_norm,
+    _frobenius,
+    _trace_norm,
+    entrywise_norm,
+    trace_norm,
+)
 from .prox import (
     SvtWarmStart,
     _project_l1_ball,
@@ -141,7 +147,7 @@ def _scaled_sum_squares(R, c):
 
 
 def _residual_norms(R):
-    return entrywise_norm(R, 1), trace_norm(R), entrywise_norm(R, 2)
+    return _entrywise_norm(R, 1), _trace_norm(R), _entrywise_norm(R, 2)
 
 
 def _sum_into(out, arrays):
@@ -191,12 +197,13 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     norms._frobenius).
 
     When min(m, n) >= PARTIAL_SVT_MIN_DIM, the threshold step computes only
-    the leading singular triplets, warm-started from the last sweep's
-    whole right singular block (see prox.SvtWarmStart); smaller problems
-    take a full SVD every sweep. A stop on a sweep that took the partial
-    path is accepted only if X_L lies within tol/eta in Frobenius norm of
-    the full threshold of the same centre. An upper bound on that distance
-    from the kept triplets and one values-only spectrum (see
+    the leading singular triplets: the first sweep from a block drawn from
+    a fixed-seed stream, every later sweep warm-started from the last
+    one's whole right singular block (see prox.SvtWarmStart). Smaller
+    problems take a full SVD every sweep. A stop on a sweep that took the
+    partial path is accepted only if X_L lies within tol/eta in Frobenius
+    norm of the full threshold of the same centre. An upper bound on that
+    distance from the kept triplets and one values-only spectrum (see
     prox._svt_gap_bound) settles most such stops; when it does not, the
     full SVD of the centre measures the distance itself. If that too
     exceeds tol/eta, the loop goes on, and every later sweep takes the
@@ -405,7 +412,7 @@ def solve_regularized(Y, cfg):
                   _kkt_trace_block(R / -mu, U, Vt))
     obj = (
         _scaled_sum_squares(R, 0.5 / mu)
-        + lam * entrywise_norm(X_S, 1)
+        + lam * _entrywise_norm(X_S, 1)
         + float(s.sum())
     )
     rv1, rst, rv2 = _residual_norms(R)
@@ -452,14 +459,16 @@ def _solve_constrained(Y, cfg, abandon=None):
             return True
         R_hat = np.add(X_S, X_L_hat, out=work)
         R_hat -= Y
-        return (entrywise_norm(R_hat, 1) - cfg.eps_v1 <= 10.0 * tol
-                and trace_norm(R_hat) - cfg.eps_star <= 10.0 * tol)
+        return (_entrywise_norm(R_hat, 1) - cfg.eps_v1 <= 10.0 * tol
+                and _trace_norm(R_hat) - cfg.eps_star <= 10.0 * tol)
 
-    X_S, X_L_hat, _, iterations, converged, diagnostics = _admm(
+    X_S, X_L_hat, (_, s, _), iterations, converged, diagnostics = _admm(
         Y, lam, copies, stop, tol, cfg.max_iter, 1.0, b_L=cfg.b,
         abandon=abandon)
     rv1, rst, rv2 = _residual_norms(X_S + X_L_hat - Y)
-    obj = lam * entrywise_norm(X_S, 1) + trace_norm(X_L_hat)
+    # Unboxed, X_L_hat is the last threshold step's U diag(s) Vt.
+    nuclear = float(s.sum()) if math.isinf(cfg.b) else _trace_norm(X_L_hat)
+    obj = lam * _entrywise_norm(X_S, 1) + nuclear
     return SolveReport(
         X_S_hat=X_S, X_L_hat=X_L_hat, iterations=iterations, objective=obj,
         residual_v1=rv1, residual_star=rst, residual_v2=rv2,

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .incoherence import default_lambda
-from .matrices import FactorizationError, _singular_values, mix_seed, thin_svd
+from .matrices import FactorizationError, mix_seed, thin_svd
 from .matrixio import format_float, write_text_atomic
-from .norms import _entrywise_norm
+from .norms import _entrywise_norm, _trace_norm
 from .solvers import ConstrainedConfig, _solve_constrained
 from .synth import InstanceSpec, gen_instance
 
@@ -95,8 +95,7 @@ class SweepSpec:
 
 def _planted_objective(target, lam):
     """f0 = f(S0, L0), f(S, L) = lam*||S||_1 + ||L||_*, at the planted pair."""
-    return (lam * _entrywise_norm(target.X_S, 1)
-            + float(_singular_values(target.X_L).sum()))
+    return lam * _entrywise_norm(target.X_S, 1) + _trace_norm(target.X_L)
 
 
 def _closest_subgradients(target, lam):

@@ -132,33 +132,94 @@ def test_svt_rotation_equivariance():
     assert np.max(np.abs(left - right)) <= 1e-8
 
 
-def test_partial_svt_matches_full_svt_at_a_cluster():
-    # Five large values, three just above t = 1 and three just below it,
-    # and a tail under t/2: there is no spectral gap at the threshold.
-    m, t = 160, 1.0
-    stream = RandomStream(probe_seed("partialsvt"))
+def cluster_matrix(m, t, top, stream):
+    """Five values from top down to 0.15 top, three just above t and three
+    just below it, and a tail under t/2: there is no spectral gap at the
+    threshold."""
     U = np.linalg.qr(stream.gaussian(m, m))[0]
     V = np.linalg.qr(stream.gaussian(m, m))[0]
     cluster = t + np.array([3e-3, 1e-3, 1e-4, -1e-4, -1e-3, -3e-3])
-    spectrum = np.concatenate([[20.0, 12.0, 8.0, 5.0, 3.0], cluster,
-                               0.5 * 0.97 ** np.arange(m - 11)])
-    M0 = (U * spectrum) @ V.T
+    spectrum = np.concatenate([top * np.array([1.0, 0.6, 0.4, 0.25, 0.15]),
+                               cluster, 0.5 * 0.97 ** np.arange(m - 11)])
+    return (U * spectrum) @ V.T
+
+
+def test_partial_svt_matches_full_svt_at_a_cluster():
+    m, t = 160, 1.0
+    stream = RandomStream(probe_seed("partialsvt"))
+    M0 = cluster_matrix(m, t, 20.0, stream)
     warm = SvtWarmStart(M0.shape)
-    _svt(M0, t, warm)
-    assert not warm.partial and warm.rank == 8
-    # The next sweep's centre: a small drift from the last one.
+    # The first step starts from a 40-column block of the stream. Two
+    # passes from a random start resolve the 1e-4 gaps of the cluster only
+    # roughly, but they keep the right count.
+    X, _, s, _ = _svt(M0, t, warm)
+    assert warm.partial and warm.width == 8 + 10 and warm.stream._pos == 40 * m
+    ref_s = np.linalg.svd(M0, compute_uv=False)
+    assert np.allclose(s, ref_s[:8] - t, rtol=0.0, atol=1e-5)
+    # The next sweep's centre, a small drift from the last one, starts from
+    # the first step's 18 leading rows.
     M = M0 + 1e-6 * stream.gaussian(m, m) / math.sqrt(m)
     X, _, s, _ = _svt(M, t, warm)
-    assert warm.partial and warm.partial_svds == 1
+    assert warm.partial and warm.partial_svds == 2
     ref = svt(M, t)
-    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.linalg.norm(X - ref) <= 1e-8 * np.linalg.norm(ref)
     ref_s = np.linalg.svd(M, compute_uv=False)
     assert s.size == np.count_nonzero(ref_s > t) == 8
-    assert np.allclose(s, ref_s[:8] - t, rtol=0.0, atol=1e-10 * ref_s[0])
+    assert np.allclose(s, ref_s[:8] - t, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("top", [20.0, 1e3, 1e5, 1e7])
+def test_one_qr_step_matches_full_threshold_over_scales(top):
+    # A step from the exact leading rank + 10 right singular vectors of the
+    # last centre, as after a full step. With one QR per pass, the Gram
+    # product squares the spread of the spectrum, up to (sigma_1/t)^2 = 1e14
+    # here; the kept values still agree with the full SVD's to 1e-10 plus
+    # the full SVD's own rounding level, eps*sigma_1.
+    m, t = 160, 1.0
+    stream = RandomStream(probe_seed("partialsvt"))
+    M0 = cluster_matrix(m, t, top, stream)
+    M = M0 + 1e-6 * stream.gaussian(m, m) / math.sqrt(m)
+    block = np.linalg.svd(M0)[2][:18].T
+    U, s, Vt = splr.prox._partial_svt(M, t, block)
+    ref_s = np.linalg.svd(M, compute_uv=False)
+    assert np.count_nonzero(s > t) == np.count_nonzero(ref_s > t) == 8
+    assert np.allclose(s[:8], ref_s[:8], rtol=0.0,
+                       atol=1e-10 + 16 * np.finfo(float).eps * top)
+    X = splr.prox._shrink_spectrum(M, U, s, Vt, t)[0]
+    ref = svt(M, t)
+    assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 1000, 1e300, 1e-300])
+def test_partial_step_at_extreme_scales(scale):
+    # M^T M V would overflow (or underflow) at these scales; the partial
+    # step still gives the scaled triplets of the unscaled matrix.
+    m, t = 160, 1.0
+    M = cluster_matrix(m, t, 20.0, RandomStream(probe_seed("partialscale")))
+    block = RandomStream(probe_seed("partialblock")).gaussian(m, 40)
+    U, s, Vt = splr.prox._partial_svt(M, t, block)
+    U2, s2, Vt2 = splr.prox._partial_svt(M * scale, t * scale, block)
+    assert np.allclose(s2 / scale, s, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.abs(U2.T @ U).diagonal(), 1.0, rtol=0.0, atol=1e-9)
+    assert np.allclose(np.abs(Vt2 @ Vt.T).diagonal(), 1.0, rtol=0.0, atol=1e-9)
+
+
+def test_declined_step_falls_back_to_the_full_svd():
+    # A 240 x 240 Gaussian thresholded at 0.4 sigma_1 keeps more values than
+    # the first step's 60-column block can hold: the Ritz test declines the
+    # step and the full SVD serves it, to the bit.
+    M = RandomStream(probe_seed("partialdecline")).gaussian(240, 240)
+    t = 0.4 * np.linalg.svd(M, compute_uv=False)[0]
+    warm = SvtWarmStart(M.shape)
+    X = _svt(M, t, warm)[0]
+    assert not warm.partial and warm.partial_svds == 0
+    assert warm.stream._pos == 60 * 240 and warm.width > 60 + 10
+    assert np.array_equal(X, svt(M, t))
 
 
 def test_partial_step_refused_over_the_size_cap(monkeypatch):
     # 100 x 100: a partial step needs 4 (rank + 10) <= 100, so rank <= 15.
+    # The first step's block is 100 // 4 = 25 columns, all from the stream.
     calls = []
     warm = SvtWarmStart((100, 100))
 
@@ -169,17 +230,19 @@ def test_partial_step_refused_over_the_size_cap(monkeypatch):
 
     monkeypatch.setattr(splr.prox, "_partial_svt", leading)
     stream_at = []
-    for rank, partial in ((5, False), (14, True), (16, True), (16, False),
+    for rank, partial in ((5, True), (14, True), (16, True), (16, False),
                           (15, False), (3, True)):
         M = np.diag(np.r_[np.full(rank, 2.0), np.full(100 - rank, 0.5)])
         _svt(M, 1.0, warm)
-        assert warm.rank == rank and warm.partial == partial
+        assert warm.width == rank + 10 and warm.partial == partial
         stream_at.append(warm.stream._pos)
-    # The third step pads its 15-row block to 24 columns. The fourth finds a
-    # 24-row block short of rank 16 + 10 = 26 > 25 and is refused before
-    # padding; the fifth is refused too, and the sixth, at rank 15, is tried.
-    assert calls == [15, 24, 25]
-    assert stream_at[1] == 0 < stream_at[2] == stream_at[3] == stream_at[4]
+    # The second step starts from the first's 15 leading rows, and the third
+    # pads them to 24 columns. The fourth finds a 24-row block short of rank
+    # 16 + 10 = 26 > 25 and is refused before padding; the fifth is refused
+    # too, and the sixth, at rank 15, is tried.
+    assert calls == [25, 15, 24, 25]
+    assert stream_at[0] == stream_at[1] == 25 * 100
+    assert stream_at[1] < stream_at[2] == stream_at[3] == stream_at[4]
 
 
 def test_small_problems_never_take_the_partial_path(monkeypatch):

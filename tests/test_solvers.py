@@ -729,8 +729,9 @@ def test_exit_check_falls_back_to_full_svd(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["constrained", "regularized"])
 def test_settled_exit_check_takes_no_second_full_svd(monkeypatch, mode):
-    # The first sweep takes the one full SVD with vectors; the bound
-    # settles the stop on a partial step without another.
+    # Every sweep, the first one included, takes the partial path, and the
+    # bound settles the stop on a partial step: the whole solve takes no
+    # dense m x n SVD with vectors.
     Y, _ = partial_instance()
     real = splr.matrices._lapack_svd
     full = []
@@ -742,9 +743,38 @@ def test_settled_exit_check_takes_no_second_full_svd(monkeypatch, mode):
 
     monkeypatch.setattr(splr.matrices, "_lapack_svd", counting)
     rep = partial_solve(mode)
-    assert rep.converged and len(full) == 1
+    assert rep.converged and len(full) == 0
+    assert rep.diagnostics["partial_svds"] == rep.iterations
     tol = (ConstrainedConfig if mode == "constrained" else RegularizedConfig).tol
     assert rep.diagnostics["exit_gap_bound"] <= tol
+
+
+def test_declined_first_step_solve_matches_full_svd_solve(monkeypatch):
+    # With noise of 0.3 and lambda = 2/sqrt(160), the first centre keeps
+    # more values than the first step's 40-column block holds: the Ritz
+    # test declines that step and the full SVD serves it. The solve then
+    # falls to rank 3 on partial steps and lands on the full-path solution.
+    Y, lam = partial_instance()
+    Y = Y + 0.3 * RandomStream(probe_seed("noise160")).gaussian(*Y.shape)
+    cfg = RegularizedConfig(lam=2.0 * lam, mu=10.0)
+    real = splr.prox._partial_svt
+    accepted = []
+
+    def recording(M, t, V):
+        out = real(M, t, V)
+        accepted.append(out is not None)
+        return out
+
+    monkeypatch.setattr(splr.prox, "_partial_svt", recording)
+    rep = solve_regularized(Y, cfg)
+    decline_partial(monkeypatch)
+    ref = solve_regularized(Y, cfg)
+    assert rep.converged and ref.converged
+    assert accepted[0] is False and all(accepted[1:])
+    assert rep.diagnostics["partial_svds"] == len(accepted) - 1 > 0
+    assert np.linalg.matrix_rank(rep.X_L_hat) == 3
+    assert rep.iterations <= ref.iterations + 2
+    assert_close_pair(rep, ref, 1e-9)
 
 
 def rotated(Q, scale, stream):
