@@ -6,7 +6,6 @@ from .certificate import (
     BOUND_NAMES,
     DualCertificate,
     build_certificate,
-    subgradient_check,
     verify_bounds,
 )
 from .incoherence import (

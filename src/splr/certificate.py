@@ -4,8 +4,7 @@ Builds the two-block certificate (one block supported on the sparse
 pattern, one inside the low-rank row/column space) from one Neumann series
 and one closed form, then measures the feasibility equations, the
 complement-norm caps, and the seven norm bounds that make the certificate
-useful. Also provides a direct subgradient membership and
-strong-monotonicity probe for a total certificate matrix.
+useful.
 """
 
 import math
@@ -13,23 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .incoherence import (
-    PreconditionError,
-    _check_premises,
-    check_conditions,
-    inverse_mu,
-    profile,
-)
-from .matrices import (
-    RandomStream,
-    _T_singular_values,
-    as_matrix,
-)
-from .norms import _entrywise_norm, _induced_norm, _trace_norm
+from .incoherence import PreconditionError, check_conditions, inverse_mu, profile
+from .matrices import _T_singular_values, as_matrix
+from .norms import _entrywise_norm, _induced_norm
 from .subspaces import (
     RowColSpace,
-    _kkt_l1_block,
-    _kkt_trace_block,
     _neumann_inverse,
     _project_support,
     _project_T,
@@ -42,7 +29,6 @@ __all__ = [
     "DualCertificate",
     "build_certificate",
     "verify_bounds",
-    "subgradient_check",
 ]
 
 # Order of bound_diagnostics entries; each is (measured, bound, satisfied).
@@ -225,62 +211,3 @@ def verify_bounds(cert, prof):
         (sum_sq, lam * qo_l1 * (1.0 + iev / lam) + qt_trace * (1.0 + 2.0 * ie2)),
     ]
     return [(meas, bnd, _flag(meas, bnd)) for meas, bnd in pairs]
-
-
-def subgradient_check(target, Q_total, lam, c, probes, seed):
-    """Verify Q_total is a simultaneous subgradient at the target and probe
-    the strong-monotonicity inequality it implies.
-
-    Membership uses the solvers' optimality tests at tolerance 1e-9: Q/lambda
-    in the l1 subdifferential at X_S, Q in the trace-norm one at X_L. On
-    the support the tolerance thus applies to Q/lambda, stricter than on Q
-    when lambda < 1. Failure raises PreconditionError with one message per
-    side (scaled-l1 or trace-norm). Then samples
-    `probes` random matrix pairs and returns the worst violation of
-
-        objective(X_S, X_L) - objective(target)
-            >= <Q, delta_S + delta_L>
-               + (1 - 1/c) * (lambda*||off-support part of delta_S||_1
-                              + ||off-space part of delta_L||_trace)
-
-    as max(rhs - lhs); nonpositive means no violation observed.
-    """
-    if probes < 1:
-        raise ValueError("probes must be at least 1")
-    _check_premises(c, lam)
-    Q = as_matrix(Q_total, "Q_total", target.shape)
-    support, space = target.support, target.space
-
-    tol = 1e-9
-    viol = _kkt_l1_block(None, target.X_S, Q / lam, math.inf)
-    if viol > tol:
-        raise PreconditionError(f"scaled-l1 membership fails by {viol:.3g}")
-    viol = _kkt_trace_block(Q, space.U, space.V.T)
-    if viol > tol:
-        raise PreconditionError(f"trace-norm membership fails by {viol:.3g}")
-
-    m, n = target.shape
-    stream = RandomStream(seed)
-
-    def objective(X_S, X_L):
-        return lam * _entrywise_norm(X_S, 1) + _trace_norm(X_L)
-
-    base = objective(target.X_S, target.X_L)
-    amp = max(
-        1.0,
-        _entrywise_norm(target.X_S, np.inf),
-        _entrywise_norm(target.X_L, np.inf),
-    )
-    share = 1.0 - 1.0 / c
-    worst = -math.inf
-    for _ in range(probes):
-        scale = amp * 10.0 ** (2.0 * stream.uniforms(1)[0] - 1.0)
-        delta_S = scale * stream.gaussian(m, n)
-        delta_L = scale * stream.gaussian(m, n)
-        lhs = objective(target.X_S + delta_S, target.X_L + delta_L) - base
-        rhs = float(np.sum(Q * (delta_S + delta_L))) + share * objective(
-            delta_S - _project_support(support, delta_S),
-            delta_L - _project_T(space, delta_L),
-        )
-        worst = max(worst, rhs - lhs)
-    return worst

@@ -30,19 +30,27 @@ def _entrywise_norm(A, p):
     raise ValueError(f"unsupported entry-wise norm order: {p!r}")
 
 
+# Sums of squares below tiny/eps = 2**-970 are recomputed from rescaled
+# entries. A square that rounds into the subnormal range, or to 0, is off
+# by at most 2**-1075, so for fewer than 2**52 entries these errors sum to
+# less than half an ulp of any sum at or above the threshold.
+_FROBENIUS_RESCALE_BELOW = np.finfo(float).tiny / np.finfo(float).eps
+
+
 def _frobenius(A):
     """Frobenius norm by np.linalg.norm's arithmetic, without its wrapper:
     the square root of the dot product of the raveled entries. Where that
-    sum of squares overflows, the entries are divided by max|A| first, so
-    the norm is finite whenever it is representable; elsewhere the value
-    is np.linalg.norm's to the bit. The caller ignores overflow
-    (np.errstate(over="ignore"))."""
+    sum of squares overflows, or falls below _FROBENIUS_RESCALE_BELOW
+    (where subnormal squares could move it), the entries are divided by
+    max|A| first, so the norm is accurate whenever it is representable;
+    elsewhere the value is np.linalg.norm's to the bit. The caller ignores
+    overflow (np.errstate(over="ignore"))."""
     x = A.ravel(order="K")
     sq = x.dot(x)
-    if sq < math.inf:
+    if _FROBENIUS_RESCALE_BELOW <= sq < math.inf:
         return math.sqrt(sq)
-    scale = float(np.abs(x).max())
-    if not scale < math.inf:  # an infinite entry
+    scale = float(np.abs(x).max(initial=0.0))
+    if not 0.0 < scale < math.inf:  # zero or empty, or an infinite or NaN entry
         return scale
     x = x / scale
     return scale * math.sqrt(x.dot(x))

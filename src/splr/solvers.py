@@ -55,7 +55,7 @@ def _validate_shared(cfg):
         raise ValueError("box radius must be positive")
     if not cfg.tol >= 0:
         raise ValueError("tol must be nonnegative")
-    if cfg.max_iter < 1:
+    if not cfg.max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
 
 
@@ -131,21 +131,6 @@ def recovery_errors(report, target):
     }
 
 
-def _scaled_sum_squares(R, c):
-    """c times the sum of the squared entries of R. Where the plain sum of
-    squares overflows, R is divided by max|R| first and c meets one factor
-    of the scale before the other; elsewhere the value is c *
-    float((R ** 2).sum()) to the bit."""
-    with np.errstate(over="ignore"):
-        sq = float((R ** 2).sum())
-    if sq < math.inf:
-        return c * sq
-    scale = float(np.abs(R).max())
-    if not scale < math.inf:  # an infinite entry
-        return c * sq
-    return c * scale * (scale * float(((R / scale) ** 2).sum()))
-
-
 def _residual_norms(R):
     return _entrywise_norm(R, 1), _trace_norm(R), _entrywise_norm(R, 2)
 
@@ -193,8 +178,8 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     buffer once the shrink has kept its argument). X_L is the one array a
     sweep allocates anew, since the threshold step's product forms it.
     Every update keeps the operand order of the plain expressions, so the
-    bits are theirs. The Frobenius norms overflow only where they must (see
-    norms._frobenius).
+    bits are theirs. The Frobenius norms overflow and underflow only where
+    they must (see norms._frobenius).
 
     When min(m, n) >= PARTIAL_SVT_MIN_DIM, the threshold step computes only
     the leading singular triplets: the first sweep from a block drawn from
@@ -410,12 +395,10 @@ def solve_regularized(Y, cfg):
     if not converged:
         kkt = max(_kkt_l1_block(Y, X_S, R / (-lam * mu), b),
                   _kkt_trace_block(R / -mu, U, Vt))
-    obj = (
-        _scaled_sum_squares(R, 0.5 / mu)
-        + lam * _entrywise_norm(X_S, 1)
-        + float(s.sum())
-    )
     rv1, rst, rv2 = _residual_norms(R)
+    # The data term ||R||_F^2 / (2 mu), in an order that stays finite
+    # wherever the value is.
+    obj = (0.5 / mu * rv2) * rv2 + lam * _entrywise_norm(X_S, 1) + float(s.sum())
     diagnostics.update(kkt_residual=kkt, spectral_checks=spectral_checks)
     return SolveReport(
         X_S_hat=X_S, X_L_hat=X_L, iterations=iterations, objective=obj,

@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from splr.certificate import perturbation_scales
+from splr.incoherence import check_conditions, profile
 from splr.matrices import RandomStream, mix_seed
 from splr.subspaces import TargetPair
 
@@ -72,6 +74,34 @@ def flat_instance(m, n, rbar, kbar, amplitude, seed, sigma=0.0):
 
     E = sigma * stream.gaussian(m, n) if sigma > 0 else np.zeros((m, n))
     return TargetPair(X_S, X_L), E
+
+
+def decoupled_pair():
+    """Rank-2 space on the first two coordinates, support at (3,3).
+
+    The support never meets a row or column the space touches, so both
+    projector compositions vanish.
+    """
+    X_L = np.zeros((4, 4))
+    X_L[0, 0] = 2.0
+    X_L[1, 1] = 1.0
+    X_S = np.zeros((4, 4))
+    X_S[3, 3] = 5.0
+    return TargetPair(X_S, X_L)
+
+
+def valid_instance(i, sigma=0.0):
+    # kbar stays below the side length so every row and column holds at
+    # most one support cell; denser patterns shrink the c=2 window to a
+    # point on this matrix size.
+    t, E = flat_instance(30, 30, 1, 3 + 2 * (i % 14), 10.0, probe_seed("vcert", i), sigma)
+    prof = profile(t)
+    mu = 1.0
+    ie2, iev, _ = perturbation_scales(t.space, E)
+    verdict = check_conditions(prof, "regularized", 2.0, 0.1, mu=mu, eps_2to2=ie2, eps_vinf=iev)
+    lo, hi = verdict.lambda_window
+    assert lo < hi
+    return t, E, 0.5 * (lo + hi), mu
 
 
 def probe_seed(*parts):

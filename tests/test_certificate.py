@@ -13,7 +13,6 @@ from splr.certificate import (
     BOUND_NAMES,
     build_certificate,
     perturbation_scales,
-    subgradient_check,
     verify_bounds,
 )
 from splr.incoherence import PreconditionError, check_conditions, profile
@@ -31,35 +30,7 @@ from splr.subspaces import (
     sign_matrix,
 )
 
-from .helpers import flat_instance, probe_seed
-
-
-def decoupled_pair():
-    """Rank-2 space on the first two coordinates, support at (3,3).
-
-    The support never meets a row or column the space touches, so both
-    projector compositions vanish.
-    """
-    X_L = np.zeros((4, 4))
-    X_L[0, 0] = 2.0
-    X_L[1, 1] = 1.0
-    X_S = np.zeros((4, 4))
-    X_S[3, 3] = 5.0
-    return TargetPair(X_S, X_L)
-
-
-def valid_instance(i, sigma=0.0):
-    # kbar stays below the side length so every row and column holds at
-    # most one support cell; denser patterns shrink the c=2 window to a
-    # point on this matrix size.
-    t, E = flat_instance(30, 30, 1, 3 + 2 * (i % 14), 10.0, probe_seed("vcert", i), sigma)
-    prof = profile(t)
-    mu = 1.0
-    ie2, iev, _ = perturbation_scales(t.space, E)
-    verdict = check_conditions(prof, "regularized", 2.0, 0.1, mu=mu, eps_2to2=ie2, eps_vinf=iev)
-    lo, hi = verdict.lambda_window
-    assert lo < hi
-    return t, E, 0.5 * (lo + hi), mu
+from .helpers import decoupled_pair, flat_instance, probe_seed, valid_instance
 
 
 def test_decoupled_certificate_is_exact():
@@ -269,20 +240,6 @@ def test_subgradient_inequality_is_tight_at_base_point():
     assert moved - base == 0.0 == rhs
 
 
-def test_subgradient_check_decoupled_no_violation():
-    t = decoupled_pair()
-    cert = build_certificate(t, None, 1.0, 1.0, 2.0)
-    worst = subgradient_check(t, cert.Q_omega + cert.Q_T, 1.0, 2.0, 100, probe_seed("sg"))
-    assert worst <= 1e-9
-    for c in (1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="c must exceed 1"):
-            subgradient_check(t, cert.Q_omega + cert.Q_T, 1.0, c, 10, probe_seed("sg"))
-    for lam in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="lambda must be positive"):
-            subgradient_check(t, cert.Q_omega + cert.Q_T, lam, 2.0, 10, probe_seed("sg"))
-    with pytest.raises(ValueError, match=r"Q_total must have shape \(4, 4\)"):
-        subgradient_check(t, np.zeros((4, 5)), 1.0, 2.0, 10, probe_seed("sg"))
-
 
 def test_certificate_validates_input_once(monkeypatch):
     # Validation runs at the public entry, not in the Neumann loop: the
@@ -343,27 +300,6 @@ def test_certificate_validates_input_once(monkeypatch):
     assert sigma1 == [(40, 40)] * 3
 
 
-def test_subgradient_check_validates_input_once(monkeypatch):
-    # Q_total is validated at the entry; the probe loop calls the unchecked
-    # kernels, so the count of as_matrix calls does not grow with probes.
-    real = splr.matrices.as_matrix
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-    t = decoupled_pair()
-    cert = build_certificate(t, None, 1.0, 1.0, 2.0)
-    Q = cert.Q_omega + cert.Q_T
-    for mod in (splr.matrices, splr.norms, splr.subspaces, splr.certificate):
-        monkeypatch.setattr(mod, "as_matrix", counting)
-    counts = []
-    for probes in (10, 20):
-        calls.clear()
-        subgradient_check(t, Q, 1.0, 2.0, probes, probe_seed("sg"))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == 1
-
 
 def test_certificate_stops_on_stalling_series():
     # Support 11 of 12 cells against a rank-1 space (alpha*beta = 3): the
@@ -376,30 +312,6 @@ def test_certificate_stops_on_stalling_series():
     assert int(re.search(r"exceeded (\d+) steps", str(err.value)).group(1)) <= 100
 
 
-def test_subgradient_check_rejects_corrupt_certificate():
-    t = decoupled_pair()
-    cert = build_certificate(t, None, 1.0, 1.0, 2.0)
-    # An entry above lambda off the support breaks the scaled-l1 side. A
-    # block on rows and columns 2-3, outside the space, with entries below
-    # lambda keeps both projections but lifts the spectral norm to ~1.85.
-    cases = (
-        ({(0, 3): 2.0 * cert.lam}, "scaled-l1"),
-        ({(2, 2): 0.9, (2, 3): 0.9, (3, 2): 0.9}, "trace-norm"),
-    )
-    for cells, side in cases:
-        corrupt = cert.Q_omega + cert.Q_T
-        for cell, value in cells.items():
-            corrupt[cell] += value
-        with pytest.raises(PreconditionError, match=side):
-            subgradient_check(t, corrupt, 1.0, 2.0, 10, probe_seed("sgbad"))
-
-
-def test_subgradient_check_valid_instance():
-    t, E, lam, mu = valid_instance(8)
-    cert = build_certificate(t, E, lam, mu, 2.0)
-    Q = cert.Q_omega + cert.Q_T
-    worst = subgradient_check(t, Q, lam, 2.0, 50, probe_seed("sgvalid"))
-    assert worst <= 1e-9
 
 
 def test_verify_bounds_standalone_matches_stored():

@@ -214,6 +214,24 @@ def test_regularized_start_penalty_when_4_l1_overflows():
     assert reps[0].iterations == reps[1].iterations
 
 
+def test_regularized_report_at_tiny_scales():
+    # At c = 1e-200 the residuals' sums of squares are subnormal or 0: the
+    # norms must rescale rather than read 0, or the penalty is never
+    # rebalanced (102 sweeps, no rescaling) and the objective loses its
+    # data term.
+    Y, _ = overflow_l1_instance()
+    lam = 1.0 / math.sqrt(120)
+    ref = solve_regularized(Y, RegularizedConfig(lam=lam, mu=0.2))
+    assert ref.converged
+    for c in (1e-150, 1e-200):
+        rep = solve_regularized(c * Y, RegularizedConfig(lam=lam, mu=0.2 * c))
+        assert rep.converged and rep.iterations == ref.iterations
+        assert (rep.diagnostics["penalty_rescalings"]
+                == ref.diagnostics["penalty_rescalings"])
+        assert math.isclose(rep.residual_v2 / c, ref.residual_v2, rel_tol=1e-12)
+        assert math.isclose(rep.objective / c, ref.objective, rel_tol=1e-12)
+
+
 def test_regularized_transpose_symmetry():
     t, E = flat_instance(14, 18, 1, 8, 10.0, probe_seed("transpose"), 0.1)
     Y = t.X_S + t.X_L + E
@@ -251,7 +269,7 @@ NAN_CASES = [
     (cfg, f.name)
     for cfg in (RegularizedConfig(lam=1.0, mu=1.0),
                 ConstrainedConfig(lam=1.0, eps_v1=1.0, eps_star=1.0))
-    for f in dataclasses.fields(cfg) if f.type in (float, "float")
+    for f in dataclasses.fields(cfg) if f.type in (float, "float", int, "int")
 ]
 
 
