@@ -164,7 +164,11 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     enters (thresholds lam/(k*eta) and 1/(k*eta)), then updates every copy
     and dual. The penalty eta starts at eta0 and is rebalanced every 10
     sweeps (Boyd et al. 2011, ADMM, section 3.4.1) when one of eta0*pri and
-    dua exceeds the other tenfold: eta0*pri rather than pri, so that a
+    dua exceeds the other tenfold, or, once one of them is at most tol,
+    when the other exceeds tol and the first twofold: near the exit the
+    lagging residual would otherwise stay up to ten times above tol
+    (balancing against the stopping test, as in Wohlberg,
+    arXiv:1704.06209). It compares eta0*pri rather than pri, so that a
     caller whose eta0 scales as 1/Y compares two scale-free quantities and
     takes the same sweeps on cY as on Y. The loop exits when
     stop(X_S, X_L_hat, X_L_factors, D, pri, dua, work) is true, where D =
@@ -314,9 +318,11 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
             if abandon is not None and abandon(X_L, factors[1]):
                 abandoned_at = iterations
                 break
-            if eta0 * pri > 10.0 * dua:
+            if eta0 * pri > 10.0 * dua or (
+                    dua <= tol < eta0 * pri and eta0 * pri > 2.0 * dua):
                 scale = 2.0
-            elif dua > 10.0 * eta0 * pri:
+            elif dua > 10.0 * eta0 * pri or (
+                    eta0 * pri <= tol < dua and dua > 2.0 * eta0 * pri):
                 scale = 0.5
             else:
                 continue
@@ -414,7 +420,9 @@ def solve_constrained(Y, cfg):
     every sweep. A cap of zero on either norm forces a zero residual, so
     that case (the exact split) keeps a single copy fixed at R = 0. A finite
     box adds a clipped copy of X_L, returned as X_L_hat. The penalty starts
-    at 1 whatever the scale of Y.
+    at 1 whatever the scale of Y. Every 10 sweeps _admm doubles or halves
+    it when one residual exceeds the other tenfold, or twofold once the
+    other already meets tol, so that neither lags far behind at the exit.
 
     Exit requires primal and dual residuals at most cfg.tol, and in the
     relaxed mode also that the solution's own residual norms exceed the

@@ -17,7 +17,6 @@ are those of the solver's iterate at the sweep where it stopped.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,6 +225,9 @@ def run_sweep(spec, jobs=1):
     if workers <= 1:
         rows = [_run_cell(spec, *cell) for cell in cells]
     else:
+        # Imported here: it loads logging, which a serial sweep never uses.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda cell: _run_cell(spec, *cell), cells))
     aggregate = []

@@ -505,6 +505,31 @@ def test_constrained_slack_box_matches_unboxed():
     assert entrywise_norm(rep.X_L_hat - free.X_L_hat, np.inf) <= 1e-6
 
 
+def test_constrained_binding_tight_box_iteration_ceiling():
+    # At b = 1 the box binds. From about sweep 5,000 the dual residual
+    # meets tol while the primal one sits 2-5 times above it; doubling the
+    # penalty there takes 6,704 sweeps, against 9,029 when only a tenfold
+    # gap rebalances.
+    Y, lam, _ = box_instance()
+    rep = solve_constrained(Y, ConstrainedConfig(lam=lam, b=1.0, tol=1e-6))
+    assert rep.converged and rep.iterations <= 7500
+    assert entrywise_norm(rep.X_L_hat, np.inf) <= 1.0
+    assert rep.residual_v2 <= 1e-5
+
+
+def test_constrained_relaxed_iteration_ceiling():
+    # A noisy instance whose primal residual sits 2-4 times above the dual
+    # one from about sweep 350, when the dual one meets tol: 552 sweeps,
+    # against 692 when only a tenfold gap rebalances the penalty.
+    inst = gen_instance(InstanceSpec(m=20, n=20, rbar=2, ktilde=20, sigma=0.01,
+                                     seed=100))
+    ev1, est = entrywise_norm(inst.E, 1), trace_norm(inst.E)
+    rep = solve_constrained(inst.Y, ConstrainedConfig(
+        lam=1.0 / math.sqrt(20), eps_v1=ev1, eps_star=est, tol=1e-4))
+    assert rep.converged and rep.iterations <= 600
+    assert rep.residual_v1 <= ev1 + 1e-3 and rep.residual_star <= est + 1e-3
+
+
 def test_solvers_validate_input_once(monkeypatch):
     # Validation runs at the public entry, not in the ADMM loop: the number
     # of as_matrix calls must not grow with the number of sweeps.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import inspect
 import math
@@ -199,7 +200,8 @@ def test_thread_pool_capped_by_cpus_and_cells(monkeypatch, cpus, trials, expecte
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(splr.sweep, "ThreadPoolExecutor", RecordingExecutor)
+    # run_sweep imports the executor when it needs threads.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(splr.sweep.os, "cpu_count", lambda: cpus)
     spec = SweepSpec(m=8, n=8, ranks=(1,), densities=(0.05,), trials=trials,
                      base_seed=3, solver_max_iter=50)
@@ -207,6 +209,19 @@ def test_thread_pool_capped_by_cpus_and_cells(monkeypatch, cpus, trials, expecte
     # os.cpu_count() may return None; the sweep then runs serially.
     assert created == ([] if expected is None else [expected])
     assert (rows, agg) == run_sweep(spec)
+
+
+def test_import_loads_no_thread_pool():
+    # A serial sweep needs neither concurrent.futures nor the logging it
+    # loads, so importing the package loads neither.
+    src = os.path.dirname(os.path.dirname(splr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, splr; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_solve_constrained_signature_unchanged():
