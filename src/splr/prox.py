@@ -210,11 +210,15 @@ def _l1_ball_shrink(x, eps):
     """The shrink theta that projects the nonnegative vector x, whose sum
     exceeds eps, onto the l1 ball of radius eps as max(x - theta, 0)
     (sort-based rule). The sorted sum can round to at most eps, which makes
-    the rule's theta negative; theta is then 0, so no entry moves outward."""
+    the rule's theta negative; theta is then 0, so no entry moves outward.
+    The rule's test passes at k = 1 in exact arithmetic; when eps is below
+    half an ulp of the largest entry, u_1 - eps rounds to u_1 and no k
+    passes, and k = 1 is taken."""
     u = np.sort(x)[::-1]
     css = np.cumsum(u) - eps
     idx = np.arange(1, x.size + 1)
-    k = idx[u - css / idx > 0][-1]
+    passing = np.flatnonzero(u - css / idx > 0)
+    k = passing[-1] + 1 if passing.size else 1
     return max(css[k - 1] / k, 0.0)
 
 

@@ -5,9 +5,11 @@ the l1 prox in X_S (soft threshold, into a box around Y in the penalized
 program), then the singular-value threshold in X_L, then the prox of each
 residual copy: a closed-form shrink for the penalized program's quadratic
 data fit, l1-ball and nuclear-ball projections for the constrained
-program's residual caps, and entrywise clipping for its box on X_L. The
-penalized solve exits on its first-order optimality residual; the
-constrained solve on its primal and dual residuals.
+program's residual caps, and entrywise clipping for its box on X_L. Each
+copy, and the box, is a constraint block with its own penalty and scaled
+dual, rebalanced on its own primal and dual residuals. The penalized
+solve exits on its first-order optimality residual; the constrained
+solve on the blocks' primal and dual residuals.
 """
 
 import math
@@ -135,13 +137,16 @@ def _residual_norms(R):
     return _entrywise_norm(R, 1), _trace_norm(R), _entrywise_norm(R, 2)
 
 
-def _sum_into(out, arrays):
-    """sum(arrays), written into out. Python's sum starts from int 0, and
-    0 + -0.0 is +0.0, so here too the first addend's zeros lose their
-    sign."""
-    np.add(arrays[0], 0.0, out=out)
-    for A in arrays[1:]:
-        out += A
+def _weighted_mean(arrays, weights, out, work):
+    """sum_j w_j A_j / sum_j w_j, written into out, with work a free buffer
+    for the terms. A single array is its own mean and comes back as it
+    is."""
+    if len(arrays) == 1:
+        return arrays[0]
+    total = sum(weights)
+    np.multiply(arrays[0], weights[0] / total, out=out)
+    for A, w in zip(arrays[1:], weights[1:]):
+        out += np.multiply(A, w / total, out=work)
     return out
 
 
@@ -152,38 +157,61 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
 
     copies lists the proxes of the residual terms: the residual X_S + X_L
     - Y gets one copy R_j per entry, with its own constraint X_S + X_L - Y
-    = R_j and scaled dual W_j, and prox(V, eta) returns the new R_j from V
-    = X_S + X_L - Y + W_j (it may overwrite V and return it). An empty list
-    forces exact agreement: a single constraint with R fixed at 0. S_box =
-    (lo, hi) keeps X_S entrywise in [lo, hi]. A finite b_L adds a copy B of
-    X_L with the constraint X_L = B and dual V, and B is returned as
-    X_L_hat.
+    = R_j, and prox(V, eta_j) returns the new R_j from V = X_S + X_L - Y +
+    W_j (it may overwrite V and return it). An empty list forces exact
+    agreement: a single constraint with R fixed at 0. S_box = (lo, hi)
+    keeps X_S entrywise in [lo, hi]. A finite b_L adds a copy B of X_L with
+    the constraint X_L = B, and B is returned as X_L_hat.
 
-    Each sweep takes the l1 prox in X_S, then the singular-value threshold
-    in X_L, each at the mean of the centres of the k constraints the block
-    enters (thresholds lam/(k*eta) and 1/(k*eta)), then updates every copy
-    and dual. The penalty eta starts at eta0 and is rebalanced every 10
-    sweeps (Boyd et al. 2011, ADMM, section 3.4.1) when one of eta0*pri and
-    dua exceeds the other tenfold, or, once one of them is at most tol,
-    when the other exceeds tol and the first twofold: near the exit the
-    lagging residual would otherwise stay up to ten times above tol
-    (balancing against the stopping test, as in Wohlberg,
-    arXiv:1704.06209). It compares eta0*pri rather than pri, so that a
-    caller whose eta0 scales as 1/Y compares two scale-free quantities and
-    takes the same sweeps on cY as on Y. The loop exits when
-    stop(X_S, X_L_hat, X_L_factors, D, pri, dua, work) is true, where D =
-    X_S + X_L - Y, pri and dua are the primal and dual residuals, and work
-    is a free full-size buffer; stop may overwrite D and work.
+    Each constraint is a block with its own penalty eta_j and scaled dual:
+    W_j for the residual constraints, V for the box, which comes last.
+    With H = sum_j eta_j over the residual blocks, each sweep takes the l1
+    prox in X_S at threshold lam/H, centred at the eta-weighted mean of
+    the residual blocks' centres Y - X_L + R_j - W_j, then the
+    singular-value threshold in X_L at 1/(H + eta_B) (1/H unboxed),
+    centred at the eta-weighted mean of Y - X_S + R_j - W_j and B - V, then
+    updates every copy and dual. With D = X_S + X_L - Y and d the change
+    over the sweep, block j's primal residual is ||D - R_j|| and its dual
+    residual eta_j*||dR_j - dX_L||; the box's are ||X_L - B|| and
+    eta_B*||dB||. A single residual block's dual residual also carries
+    the X_L step's term: it is eta*hypot(||dR - dX_L||, ||dR||), as with a
+    single penalty. With several residual blocks the X_L step's term,
+    ||sum_j eta_j dR_j + eta_B dB||, is not tested (solve_constrained
+    derives the terms and says what leaving it out costs). pri and dua are
+    the hypot of the blocks' residuals.
+
+    Every penalty starts at eta0 and is rebalanced every 10 sweeps on its
+    own block's residuals (Boyd et al. 2011, ADMM, section 3.4.1) when one
+    of eta0*pri_j and dua_j exceeds the other tenfold, or, once one of them
+    is at most tol, when the other exceeds tol and the first twofold: near
+    the exit the lagging residual would otherwise stay up to ten times
+    above tol (balancing against the stopping test, as in Wohlberg,
+    arXiv:1704.06209). A rescaling divides only that block's dual. The
+    rule compares eta0*pri_j rather than pri_j, so that a caller whose eta0
+    scales as 1/Y compares two scale-free quantities and takes the same
+    sweeps on cY as on Y. When a rescaling leaves H at 0 or H + eta_B at
+    inf, the loop ends unconverged: the X_S step would threshold at lam/0,
+    and at an infinite penalty the steps threshold at 0 and a dual
+    residual is inf*0 = NaN. The box's penalty alone may reach 0, as it
+    does for a box that never binds, whose primal residual is exactly 0:
+    its weight in the X_L step's centre is then 0, and B stays the clip of
+    X_L + V. A solve with a single block and no box takes the arithmetic
+    of a single penalty, to the bit.
+
+    The loop exits when stop(X_S, X_L_hat, X_L_factors, D, pri, dua, work)
+    is true, where work is a free full-size buffer; stop may overwrite D
+    and work.
 
     The full-size work arrays live across sweeps and are updated in place:
     the centre C of the threshold steps, X_S (the soft threshold writes
-    into it, with D as its sign buffer), D, the dual residual, and per copy
-    its residual D - R_j and the buffer for D + W_j (the previous R_j's
-    buffer once the shrink has kept its argument). X_L is the one array a
-    sweep allocates anew, since the threshold step's product forms it.
-    Every update keeps the operand order of the plain expressions, so the
-    bits are theirs. The Frobenius norms overflow and underflow only where
-    they must (see norms._frobenius).
+    into it, with D as its sign buffer), D, the change in X_L, with several
+    residual blocks the weighted means of the W_j and R_j, and for the
+    copies one residual buffer and one buffer for D + W_j (the previous
+    R_j's buffer once the shrink has kept its argument). X_L is the one
+    array a sweep allocates anew, since the threshold step's product forms
+    it. Every update keeps the operand order of the plain expressions, so
+    the bits are theirs. The Frobenius norms overflow and underflow only
+    where they must (see norms._frobenius).
 
     When min(m, n) >= PARTIAL_SVT_MIN_DIM, the threshold step computes only
     the leading singular triplets: the first sweep from a block drawn from
@@ -191,12 +219,13 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     one's whole right singular block (see prox.SvtWarmStart). Smaller
     problems take a full SVD every sweep. A stop on a sweep that took the
     partial path is accepted only if X_L lies within tol/eta in Frobenius
-    norm of the full threshold of the same centre. An upper bound on that
-    distance from the kept triplets and one values-only spectrum (see
-    prox._svt_gap_bound) settles most such stops; when it does not, the
-    full SVD of the centre measures the distance itself. If that too
-    exceeds tol/eta, the loop goes on, and every later sweep takes the
-    full SVD.
+    norm of the full threshold of the same centre, where eta, the hypot of
+    the penalties, bounds how far an error in X_L moves dua. An upper
+    bound on that distance from the kept triplets and one values-only
+    spectrum (see prox._svt_gap_bound) settles most such stops; when it
+    does not, the full SVD of the centre measures the distance itself. If
+    that too exceeds tol/eta, the loop goes on, and every later sweep takes
+    the full SVD.
 
     abandon, when given, is a predicate abandon(X_L, s) on the last
     threshold step's output and its kept singular values. It runs every 10
@@ -207,27 +236,28 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
 
     Returns X_S, X_L_hat, the (U, s, Vt) factors of the last X_L, the
     iteration count, the converged flag and the diagnostics: final
-    residuals, the penalty and its rescalings, partial_svds, the number of
-    threshold steps served by the partial path, exit_gap_bound, eta times
-    the bound at the last stop checked on a partial step (None when there
-    was none), and abandoned_at, the sweep at which abandon held (None
-    when it never did).
+    residuals, the penalties in block order and the total number of
+    rescalings, partial_svds, the number of threshold steps served by the
+    partial path, exit_gap_bound, eta times the bound at the last stop
+    checked on a partial step (None when there was none), and
+    abandoned_at, the sweep at which abandon held (None when it never
+    did).
     """
-    k = max(1, len(copies))
+    n_res = max(1, len(copies))
     boxed = not math.isinf(b_L)
-    eta = eta0
+    etas = [eta0] * (n_res + boxed)
     shape = Y.shape
-    C, X_S, D, dual = (np.empty(shape) for _ in range(4))
-    r = [np.empty(shape) for _ in copies]
-    V_j = np.empty(shape) if copies else None
-    W = [np.zeros(shape) for _ in range(k)]
+    C, X_S, D, dX_L = (np.empty(shape) for _ in range(4))
+    if copies:
+        r, spare = np.empty(shape), np.empty(shape)
+    W = [np.zeros(shape) for _ in range(n_res)]
     R = [np.zeros(shape) for _ in copies]
+    W_buf, R_buf = (np.empty(shape), np.empty(shape)) if n_res > 1 else (None, None)
     X_L = np.zeros(shape)
-    if k > 1:
-        W_bar, R_sum, R_bar = (np.empty(shape) for _ in range(3))
     if boxed:
         B, V = np.zeros(shape), np.zeros(shape)
         B_next, r_B = np.empty(shape), np.empty(shape)
+    duals = (W + [V]) if boxed else W
     converged = False
     rescalings = 0
     warm = SvtWarmStart(shape)
@@ -235,19 +265,17 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     exit_gap_bound = abandoned_at = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if k == 1:
-            W_bar = W[0]
-            if copies:
-                R_sum = R_bar = R[0]
-        else:
-            _sum_into(W_bar, W)
-            W_bar /= k
-            np.divide(_sum_into(R_sum, R), k, out=R_bar)
+        eta_res = etas[:n_res]
+        H = sum(eta_res)
+        # r is free until the copies' updates below.
+        W_bar = _weighted_mean(W, eta_res, W_buf, r if copies else None)
+        if copies:
+            R_bar = _weighted_mean(R, eta_res, R_buf, r)
         np.subtract(Y, X_L, out=C)
         C -= W_bar
         if copies:
             C += R_bar
-        _soft_threshold(C, lam / (k * eta), out=X_S, sign=D)
+        _soft_threshold(C, lam / H, out=X_S, sign=D)
         if S_box is not None:
             np.clip(X_S, *S_box, out=X_S)
         np.subtract(Y, X_S, out=C)
@@ -255,60 +283,56 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
         if copies:
             C += R_bar
         if boxed:
-            C *= k
-            C += B
-            C -= V
-            C /= k + 1
-        t_L = 1.0 / ((k + boxed) * eta)
+            t_L = 1.0 / (H + etas[-1])
+            C *= H * t_L
+            np.subtract(B, V, out=r_B)
+            r_B *= etas[-1] * t_L
+            C += r_B
+        else:
+            t_L = 1.0 / H
         X_L_new, *factors = _svt(C, t_L, warm)
-        # Dual residual of the X_S (X_L) step: eta times the change in the
-        # blocks updated after it, summed over the constraints it enters.
-        np.subtract(X_L_new, X_L, out=dual)
+        np.subtract(X_L_new, X_L, out=dX_L)
         X_L = X_L_new
         np.add(X_S, X_L, out=D)
         D -= Y
-        dual_L = None
-        if copies:
-            for j, prox in enumerate(copies):
-                R[j] = prox(np.add(D, W[j], out=V_j), eta)
-                if R[j] is V_j:  # the next sweep needs another buffer
-                    V_j = None
-                np.subtract(D, R[j], out=r[j])
-                W[j] += r[j]
-            if k == 1:
-                # R_sum is the previous R[0]: its buffer takes dual_L now
-                # and D + W_0 in the next sweep.
-                dual_L = np.subtract(R[0], R_sum, out=R_sum)
-                if V_j is None:
-                    V_j = R_sum
-            else:
-                dual_L = np.subtract(_sum_into(R_bar, R), R_sum, out=R_sum)
-            dual *= k
-            np.subtract(dual_L, dual, out=dual)
-            pri_parts = [*r]
-        else:
-            W[0] += D
-            pri_parts = [D]
-        if boxed:
-            B_new = np.add(X_L, V, out=B_next)
-            np.clip(B_new, -b_L, b_L, out=B_new)
-            B_step = np.subtract(B_new, B, out=B)
-            if dual_L is None:
-                dual_L = B_step
-            else:
-                dual_L += B_step
-            B, B_next = B_new, B_step
-            np.subtract(X_L, B, out=r_B)
-            V += r_B
-            pri_parts.append(r_B)
-        dual_parts = [dual] if dual_L is None else [dual, dual_L]
         with np.errstate(over="ignore"):
-            pri = math.hypot(*map(_frobenius, pri_parts))
-            dua = eta * math.hypot(*map(_frobenius, dual_parts))
-        if stop(X_S, B if boxed else X_L, factors, D, pri, dua, dual):
+            if copies:
+                pri_parts, dua_parts = [], []
+                for j, prox in enumerate(copies):
+                    R_old = R[j]
+                    R[j] = prox(np.add(D, W[j], out=spare), etas[j])
+                    np.subtract(D, R[j], out=r)
+                    W[j] += r
+                    pri_parts.append(_frobenius(r))
+                    # R_old's buffer takes dR_j now, and D + W_j next time
+                    # when the shrink has kept its argument.
+                    dR = np.subtract(R[j], R_old, out=R_old)
+                    # Only to keep the bits of a single penalty, a single
+                    # copy's residual also carries the X_L step's term.
+                    x_l_share = _frobenius(dR) if n_res == 1 else 0.0
+                    dR -= dX_L
+                    dua_parts.append(etas[j] * math.hypot(_frobenius(dR), x_l_share))
+                    if R[j] is spare:
+                        spare = R_old
+            else:
+                W[0] += D
+                pri_parts, dua_parts = [_frobenius(D)], [etas[0] * _frobenius(dX_L)]
+            if boxed:
+                B_new = np.add(X_L, V, out=B_next)
+                np.clip(B_new, -b_L, b_L, out=B_new)
+                B_step = np.subtract(B_new, B, out=B)
+                B, B_next = B_new, B_step
+                np.subtract(X_L, B, out=r_B)
+                V += r_B
+                pri_parts.append(_frobenius(r_B))
+                dua_parts.append(etas[-1] * _frobenius(B_step))
+            pri = math.hypot(*pri_parts)
+            dua = math.hypot(*dua_parts)
+        if stop(X_S, B if boxed else X_L, factors, D, pri, dua, dX_L):
             if warm.partial:
-                # stop is done with D and dual: the bound takes them.
-                exit_gap_bound = eta * _svt_gap_bound(C, t_L, *factors, D, dual)
+                # stop is done with D and dX_L: the bound takes them.
+                eta = math.hypot(*etas)
+                exit_gap_bound = eta * _svt_gap_bound(C, t_L, *factors, D, dX_L)
             if (not warm.partial or exit_gap_bound <= tol
                     or eta * _entrywise_norm(_svt(C, t_L)[0] - X_L, 2) <= tol):
                 converged = True
@@ -318,24 +342,25 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
             if abandon is not None and abandon(X_L, factors[1]):
                 abandoned_at = iterations
                 break
-            if eta0 * pri > 10.0 * dua or (
-                    dua <= tol < eta0 * pri and eta0 * pri > 2.0 * dua):
-                scale = 2.0
-            elif dua > 10.0 * eta0 * pri or (
-                    eta0 * pri <= tol < dua and dua > 2.0 * eta0 * pri):
-                scale = 0.5
-            else:
-                continue
-            eta *= scale
-            for Wj in W:
-                Wj /= scale
-            if boxed:
-                V /= scale
-            rescalings += 1
+            rescaled = False
+            for j, (p, d) in enumerate(zip(pri_parts, dua_parts)):
+                p *= eta0
+                if p > 10.0 * d or (d <= tol < p and p > 2.0 * d):
+                    scale = 2.0
+                elif d > 10.0 * p or (p <= tol < d and d > 2.0 * p):
+                    scale = 0.5
+                else:
+                    continue
+                etas[j] *= scale
+                duals[j] /= scale
+                rescalings += 1
+                rescaled = True
+            if rescaled and not (sum(etas[:n_res]) > 0.0 and sum(etas) < math.inf):
+                break
     diagnostics = {
         "primal_residual": pri,
         "dual_residual": dua,
-        "penalty_final": eta,
+        "penalty_final": etas,
         "penalty_rescalings": rescalings,
         "partial_svds": warm.partial_svds,
         "exit_gap_bound": exit_gap_bound,
@@ -419,10 +444,33 @@ def solve_constrained(Y, cfg):
     The residual gets one copy per residual ball, projected onto it at
     every sweep. A cap of zero on either norm forces a zero residual, so
     that case (the exact split) keeps a single copy fixed at R = 0. A finite
-    box adds a clipped copy of X_L, returned as X_L_hat. The penalty starts
-    at 1 whatever the scale of Y. Every 10 sweeps _admm doubles or halves
-    it when one residual exceeds the other tenfold, or twofold once the
-    other already meets tol, so that neither lags far behind at the exit.
+    box adds a clipped copy B of X_L, returned as X_L_hat. Each ball, and
+    the box, is a block of _admm with its own penalty eta_j, which starts at
+    1 whatever the scale of Y. Every 10 sweeps _admm doubles or halves a
+    block's penalty when one of its residuals exceeds the other tenfold, or
+    twofold once the other already meets tol, so that neither lags far
+    behind at the exit.
+
+    The dual residuals follow from the threshold steps. With D = X_S + X_L
+    - Y, scaled duals W_j and V, and d the change over a sweep, the X_S
+    step makes 0 a subgradient of lam*||X_S||_1 + sum_j eta_j (D' - R_j +
+    W_j), where D' holds the old X_L and R_j the old copies. The new duals
+    are W_j + D - R_j with the new ones, so in their terms the step leaves
+    the dual feasibility of X_S off by sum_j eta_j (dR_j - dX_L). The X_L
+    step, written the same way, leaves that of X_L off by sum_j eta_j dR_j
+    + eta_B dB. Block j is charged its term of the first, eta_j ||dR_j -
+    dX_L||, and the box its term of the second, eta_B ||dB||; the exact
+    split's block has dR = 0, so its dual residual is eta ||dX_L||. With
+    both balls, the balls' terms of the second are not tested, so a
+    relaxed solve's converged flag does not certify the X_L step's dual
+    feasibility to tol, as a single pooled penalty's exit test did: at the
+    exits of the relaxed benchmark's 240 solves (seeds 0-39, tol 1e-2) that
+    term reads 2.1 tol in the median and 3.4 tol at most. Testing it took
+    those solves from 13,783 to 16,565-16,943 sweeps (18,197 with one
+    pooled penalty), so most of the per-ball penalties' saving comes from
+    the looser exit; the returned pairs lie as close to tol-1e-10
+    solutions either way (median Frobenius distance 0.038 against 0.036
+    with the pooled penalty, on seeds 0-9).
 
     Exit requires primal and dual residuals at most cfg.tol, and in the
     relaxed mode also that the solution's own residual norms exceed the
@@ -444,7 +492,7 @@ def _solve_constrained(Y, cfg, abandon=None):
     ]
 
     def stop(X_S, X_L_hat, factors, D, pri, dua, work):
-        if pri > tol or dua > tol:
+        if not (pri <= tol and dua <= tol):  # NaN fails
             return False
         if exact:
             return True

@@ -412,6 +412,20 @@ def test_constrained_binding_box_exits_cleanly(tmp_path):
     assert entrywise_norm(X_L, np.inf) <= 3.0
 
 
+def test_decompose_tiny_scale_relaxed_exits_not_converged(tmp_path, capsys):
+    # The relaxed split of a 1e-300-scale row does not converge in 20,000
+    # sweeps; the command must say so by its exit code, not by a traceback.
+    ypath = tmp_path / "y.csv"
+    write_matrix_csv(ypath, 1e-300 * np.array(
+        [[1.37, -0.665, 0.352, 0.903, 0.094, -0.743, -0.922]]))
+    code = run_cli(*decompose_args(
+        tmp_path, ypath, "constrained", "--eps-v1", 7e-302, "--eps-star", 7e-302,
+        "--tol", 1e-306, "--max-iter", 20000))
+    assert code == splr.cli.EXIT_NOT_CONVERGED
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((tmp_path / "report.json").read_text())["converged"] is False
+
+
 def test_console_script_installed():
     exe = shutil.which("splr")
     if exe is None:

@@ -357,6 +357,18 @@ def test_project_l1_ball_fortran_order_lands_on_ball():
     assert splr.prox._l1_ball_shrink(np.abs(M).ravel(), float(np.abs(F).sum())) == 0.0
 
 
+@pytest.mark.parametrize("project", [project_l1_ball, project_nuclear_ball])
+def test_ball_projection_with_radius_below_an_ulp(project):
+    # 1 - 1e-20 rounds to 1, so the sort-based rule's test fails at every
+    # k; the projection must still land within rounding of the ball's
+    # point nearest M instead of raising.
+    for M, nearest in (([[1.0]], [[1e-20]]), ([[3.0, 0.0]], [[1e-20, 0.0]])):
+        P = project(np.array(M), 1e-20)
+        assert P.shape == np.shape(M)
+        assert np.abs(P).sum() <= 1e-20
+        assert np.abs(P - nearest).max() <= 1e-20
+
+
 def test_project_nuclear_ball_hand_value():
     out = project_nuclear_ball(np.diag([3.0, 1.0]), 2.0)
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-10)

@@ -505,29 +505,77 @@ def test_constrained_slack_box_matches_unboxed():
     assert entrywise_norm(rep.X_L_hat - free.X_L_hat, np.inf) <= 1e-6
 
 
+def test_slack_box_penalty_at_zero_does_not_end_the_solve():
+    # A box that never binds has a primal residual of exactly 0, so its
+    # penalty halves at every rescaling while X_L moves; at this scale it
+    # reaches 0 at sweep 10,750. The box's centre weight is then 0, which
+    # is harmless: the solve must run all its sweeps.
+    Y, lam, _ = box_instance()
+    rep = solve_constrained(1e8 * Y, ConstrainedConfig(lam=lam, b=1e9, tol=0.0,
+                                                       max_iter=11000))
+    assert rep.iterations == 11000
+    assert rep.diagnostics["penalty_final"][-1] == 0.0
+    assert_finite_report(rep, Y.shape)
+
+
 def test_constrained_binding_tight_box_iteration_ceiling():
-    # At b = 1 the box binds. From about sweep 5,000 the dual residual
-    # meets tol while the primal one sits 2-5 times above it; doubling the
-    # penalty there takes 6,704 sweeps, against 9,029 when only a tenfold
-    # gap rebalances.
+    # At b = 1 the box binds. With its own penalty, rebalanced on its own
+    # residuals, the box takes 6,401 sweeps, still far from the unboxed 47.
     Y, lam, _ = box_instance()
     rep = solve_constrained(Y, ConstrainedConfig(lam=lam, b=1.0, tol=1e-6))
-    assert rep.converged and rep.iterations <= 7500
+    assert rep.converged and rep.iterations <= 6800
     assert entrywise_norm(rep.X_L_hat, np.inf) <= 1.0
     assert rep.residual_v2 <= 1e-5
 
 
 def test_constrained_relaxed_iteration_ceiling():
-    # A noisy instance whose primal residual sits 2-4 times above the dual
-    # one from about sweep 350, when the dual one meets tol: 552 sweeps,
-    # against 692 when only a tenfold gap rebalances the penalty.
+    # A noisy instance with both residual caps. With one penalty per ball,
+    # each rebalanced on its own ball's residuals, it takes 433 sweeps.
     inst = gen_instance(InstanceSpec(m=20, n=20, rbar=2, ktilde=20, sigma=0.01,
                                      seed=100))
     ev1, est = entrywise_norm(inst.E, 1), trace_norm(inst.E)
     rep = solve_constrained(inst.Y, ConstrainedConfig(
         lam=1.0 / math.sqrt(20), eps_v1=ev1, eps_star=est, tol=1e-4))
-    assert rep.converged and rep.iterations <= 600
+    assert rep.converged and rep.iterations <= 460
     assert rep.residual_v1 <= ev1 + 1e-3 and rep.residual_star <= est + 1e-3
+
+
+def test_relaxed_balls_end_at_their_own_penalties():
+    # The l1-ball and nuclear-ball blocks are rebalanced apart and end at
+    # different penalties; penalty_rescalings counts both.
+    inst = gen_instance(InstanceSpec(m=12, n=12, rbar=1, ktilde=10, sigma=0.01,
+                                     seed=101))
+    rep = solve_constrained(inst.Y, ConstrainedConfig(
+        lam=1.0 / math.sqrt(12), eps_v1=entrywise_norm(inst.E, 1),
+        eps_star=trace_norm(inst.E), tol=1e-4))
+    assert rep.converged
+    l1_ball, nuclear_ball = rep.diagnostics["penalty_final"]
+    assert l1_ball != nuclear_ball
+    assert rep.diagnostics["penalty_rescalings"] >= 2
+
+
+def test_relaxed_split_at_tiny_scale_returns():
+    # Near sweep 10,350 the scaled duals outgrow the caps by 2**53, so a
+    # cap falls below half an ulp of the values the balls project.
+    Y = 1e-300 * np.array([[1.37, -0.665, 0.352, 0.903, 0.094, -0.743, -0.922]])
+    rep = solve_constrained(Y, ConstrainedConfig(
+        lam=1.0 / math.sqrt(7), eps_v1=7e-302, eps_star=7e-302, tol=1e-306,
+        max_iter=20000))
+    assert rep.iterations <= 20000
+    assert_finite_report(rep, Y.shape)
+
+
+def test_runaway_penalty_ends_the_solve_unconverged():
+    # On subnormal data the residuals never balance, and the penalty doubles
+    # every 10 sweeps until it overflows at sweep 10,240. The solve must end
+    # there unconverged, not go on with thresholds of 0 and a NaN dual
+    # residual that the exit test would pass.
+    Y = 1e-310 * np.array([[1.37, -0.665, 0.352, 0.903, 0.094, -0.743, -0.922]])
+    rep = solve_constrained(Y, ConstrainedConfig(lam=1.0 / math.sqrt(7), tol=0.0,
+                                                 max_iter=12000))
+    assert not rep.converged and rep.iterations == 10240
+    assert rep.diagnostics["penalty_final"] == [math.inf]
+    assert_finite_report(rep, Y.shape)
 
 
 def test_solvers_validate_input_once(monkeypatch):
