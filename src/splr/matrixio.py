@@ -29,28 +29,11 @@ def format_float(x):
     return repr(float(x))
 
 
-def _parse_fields(path, lineno, fields):
-    """The fields of one line as floats, one at a time, so that the first
-    that is not a finite number is named."""
-    row = []
-    for field in fields:
-        try:
-            value = float(field)
-        except ValueError:
-            raise MatrixIOError(
-                f"{path}: line {lineno}: {field!r} is not a number"
-            ) from None
-        if not math.isfinite(value):
-            raise MatrixIOError(
-                f"{path}: line {lineno}: non-finite value {field!r}"
-            )
-        row.append(value)
-    return row
-
-
 def _scan_matrix_csv(path):
     """read_matrix_csv's line scan: the authority on which files parse, and
-    on the message, line number and precedence of every MatrixIOError."""
+    on the message, line number and precedence of every MatrixIOError. It
+    parses one field at a time, so that the first that is not a finite
+    number is named."""
     rows = []
     width = None
     with open(path, "r", encoding="ascii") as fh:
@@ -65,16 +48,19 @@ def _scan_matrix_csv(path):
                 raise MatrixIOError(
                     f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
                 )
-            # One pass parses the line and one sum tests it: a non-finite
-            # value makes the sum non-finite. Only a line that fails either
-            # (or whose finite values overflow the sum) is parsed again
-            # field by field.
-            try:
-                row = list(map(float, fields))
-            except ValueError:
-                row = None
-            if row is None or not math.isfinite(sum(row)):
-                row = _parse_fields(path, lineno, fields)
+            row = []
+            for field in fields:
+                try:
+                    value = float(field)
+                except ValueError:
+                    raise MatrixIOError(
+                        f"{path}: line {lineno}: {field!r} is not a number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise MatrixIOError(
+                        f"{path}: line {lineno}: non-finite value {field!r}"
+                    )
+                row.append(value)
             rows.append(row)
     if not rows:
         raise MatrixIOError(f"{path}: empty matrix file")

@@ -131,23 +131,21 @@ class SvtWarmStart:
         return out
 
 
-def _shrink_spectrum(M, U, s, Vt, t):
-    """(X, U, s, Vt) of M = U diag(s) Vt with s shrunk by t, zeros dropped."""
+def _shrink_spectrum(U, s, Vt, t):
+    """(X, U, s, Vt) of U diag(s) Vt with s shrunk by t, zeros dropped."""
     s = np.maximum(s - t, 0.0)
     keep = s > 0
     U, s, Vt = U[:, keep], s[keep], Vt[keep, :]
     return (U * s) @ Vt, U, s, Vt
 
 
-def _svt(M, t, warm=None):
+def _svt(M, t, warm):
     """Singular-value threshold of M by t, with the kept factors:
-    (X, U, s, Vt) where X = U diag(s) Vt and every s is positive.
-
-    Without warm this takes a full thin SVD. With an SvtWarmStart it may
-    compute only the leading triplets (see SvtWarmStart.factors).
+    (X, U, s, Vt) where X = U diag(s) Vt and every s is positive. The
+    factors come from the SvtWarmStart warm, which may compute only the
+    leading triplets (see SvtWarmStart.factors).
     """
-    U, s, Vt = thin_svd(M) if warm is None else warm.factors(M, t)
-    return _shrink_spectrum(M, U, s, Vt, t)
+    return _shrink_spectrum(*warm.factors(M, t), t)
 
 
 def _svt_gap_bound(M, t, U, s, Vt, out, work):
@@ -180,7 +178,7 @@ def svt(M, t):
     M = as_matrix(M, "M")
     if not t >= 0:
         raise ValueError("threshold must be nonnegative")
-    return _svt(M, t)[0]
+    return _shrink_spectrum(*thin_svd(M), t)[0]
 
 
 def prox_l1_box(V, center, t, b):
@@ -249,7 +247,7 @@ def _project_nuclear_ball(M, eps):
     U, s, Vt = thin_svd(M)
     if s.sum() <= eps:
         return M.copy()
-    return _shrink_spectrum(M, U, s, Vt, _l1_ball_shrink(s, eps))[0]
+    return _shrink_spectrum(U, s, Vt, _l1_ball_shrink(s, eps))[0]
 
 
 def project_nuclear_ball(M, eps):

@@ -13,6 +13,7 @@ solve on the blocks' primal and dual residuals.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,8 @@ def _validate_shared(cfg):
         raise ValueError("box radius must be positive")
     if not cfg.tol >= 0:
         raise ValueError("tol must be nonnegative")
-    if not cfg.max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
+    if not (isinstance(cfg.max_iter, numbers.Integral) and cfg.max_iter >= 1):
+        raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass
@@ -172,13 +173,11 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     centred at the eta-weighted mean of Y - X_S + R_j - W_j and B - V, then
     updates every copy and dual. With D = X_S + X_L - Y and d the change
     over the sweep, block j's primal residual is ||D - R_j|| and its dual
-    residual eta_j*||dR_j - dX_L||; the box's are ||X_L - B|| and
-    eta_B*||dB||. A single residual block's dual residual also carries
-    the X_L step's term: it is eta*hypot(||dR - dX_L||, ||dR||), as with a
-    single penalty. With several residual blocks the X_L step's term,
-    ||sum_j eta_j dR_j + eta_B dB||, is not tested (solve_constrained
-    derives the terms and says what leaving it out costs). pri and dua are
-    the hypot of the blocks' residuals.
+    residual eta_j*||dR_j - dX_L||, which is eta*||dX_L|| for the fixed R =
+    0 of exact agreement; the box's are ||X_L - B|| and eta_B*||dB||. The
+    X_L step's term, ||sum_j eta_j dR_j + eta_B dB||, is not tested
+    (solve_constrained derives the terms and says what leaving it out
+    costs). pri and dua are the hypot of the blocks' residuals.
 
     Every penalty starts at eta0 and is rebalanced every 10 sweeps on its
     own block's residuals (Boyd et al. 2011, ADMM, section 3.4.1) when one
@@ -195,8 +194,8 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     residual is inf*0 = NaN. The box's penalty alone may reach 0, as it
     does for a box that never binds, whose primal residual is exactly 0:
     its weight in the X_L step's centre is then 0, and B stays the clip of
-    X_L + V. A solve with a single block and no box takes the arithmetic
-    of a single penalty, to the bit.
+    X_L + V. Exact agreement without a box takes the arithmetic of a
+    single penalty, to the bit.
 
     The loop exits when stop(X_S, X_L_hat, X_L_factors, D, pri, dua, work)
     is true, where work is a free full-size buffer; stop may overwrite D
@@ -218,14 +217,12 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     a fixed-seed stream, every later sweep warm-started from the last
     one's whole right singular block (see prox.SvtWarmStart). Smaller
     problems take a full SVD every sweep. A stop on a sweep that took the
-    partial path is accepted only if X_L lies within tol/eta in Frobenius
-    norm of the full threshold of the same centre, where eta, the hypot of
-    the penalties, bounds how far an error in X_L moves dua. An upper
-    bound on that distance from the kept triplets and one values-only
-    spectrum (see prox._svt_gap_bound) settles most such stops; when it
-    does not, the full SVD of the centre measures the distance itself. If
-    that too exceeds tol/eta, the loop goes on, and every later sweep takes
-    the full SVD.
+    partial path is accepted only if an upper bound on the Frobenius
+    distance from X_L to the full threshold of the same centre, from the
+    kept triplets and one values-only spectrum (see prox._svt_gap_bound),
+    is at most tol/eta, where eta, the hypot of the penalties, bounds how
+    far an error in X_L moves dua. Otherwise the loop goes on, and every
+    later sweep takes the full SVD.
 
     abandon, when given, is a predicate abandon(X_L, s) on the last
     threshold step's output and its kept singular values. It runs every 10
@@ -307,11 +304,8 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
                     # R_old's buffer takes dR_j now, and D + W_j next time
                     # when the shrink has kept its argument.
                     dR = np.subtract(R[j], R_old, out=R_old)
-                    # Only to keep the bits of a single penalty, a single
-                    # copy's residual also carries the X_L step's term.
-                    x_l_share = _frobenius(dR) if n_res == 1 else 0.0
                     dR -= dX_L
-                    dua_parts.append(etas[j] * math.hypot(_frobenius(dR), x_l_share))
+                    dua_parts.append(etas[j] * _frobenius(dR))
                     if R[j] is spare:
                         spare = R_old
             else:
@@ -331,10 +325,9 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
         if stop(X_S, B if boxed else X_L, factors, D, pri, dua, dX_L):
             if warm.partial:
                 # stop is done with D and dX_L: the bound takes them.
-                eta = math.hypot(*etas)
-                exit_gap_bound = eta * _svt_gap_bound(C, t_L, *factors, D, dX_L)
-            if (not warm.partial or exit_gap_bound <= tol
-                    or eta * _entrywise_norm(_svt(C, t_L)[0] - X_L, 2) <= tol):
+                exit_gap_bound = math.hypot(*etas) * _svt_gap_bound(
+                    C, t_L, *factors, D, dX_L)
+            if not warm.partial or exit_gap_bound <= tol:
                 converged = True
                 break
             warm.enabled = False
@@ -458,12 +451,13 @@ def solve_constrained(Y, cfg):
     are W_j + D - R_j with the new ones, so in their terms the step leaves
     the dual feasibility of X_S off by sum_j eta_j (dR_j - dX_L). The X_L
     step, written the same way, leaves that of X_L off by sum_j eta_j dR_j
-    + eta_B dB. Block j is charged its term of the first, eta_j ||dR_j -
-    dX_L||, and the box its term of the second, eta_B ||dB||; the exact
-    split's block has dR = 0, so its dual residual is eta ||dX_L||. With
-    both balls, the balls' terms of the second are not tested, so a
-    relaxed solve's converged flag does not certify the X_L step's dual
-    feasibility to tol, as a single pooled penalty's exit test did: at the
+    + eta_B dB. Every residual block, the penalized program's included, is
+    charged its term of the first, eta_j ||dR_j - dX_L||, and the box its
+    term of the second, eta_B ||dB||. The exact split's block has dR = 0,
+    so its dual residual is eta ||dX_L|| and it has no term in the second.
+    The balls' terms of the second are not tested, so a relaxed solve's
+    converged flag does not certify the X_L step's dual feasibility to
+    tol, as a single pooled penalty's exit test did: at the
     exits of the relaxed benchmark's 240 solves (seeds 0-39, tol 1e-2) that
     term reads 2.1 tol in the median and 3.4 tol at most. Testing it took
     those solves from 13,783 to 16,565-16,943 sweeps (18,197 with one

@@ -51,6 +51,32 @@ def write_decoupled_pair(tmp_path):
     return sp, lp
 
 
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with its import made to fail, every
+    # command below still exits 0.
+    src = os.path.dirname(os.path.dirname(splr.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    p = str(tmp_path / "inst")
+    commands = [
+        ["generate", "--m", 12, "--n", 12, "--rank", 1, "--ktilde", 6, "--seed", 3,
+         "--out-prefix", p],
+        *(["decompose", "--input", f"{p}_Y.csv", "--mode", mode, *extra,
+           "--out-sparse", f"{p}_{mode}_S.csv", "--out-lowrank", f"{p}_{mode}_L.csv",
+           "--report", f"{p}_{mode}.json"]
+          for mode, extra in (("constrained", []), ("regularized", ["--mu", 0.2]))),
+        ["diagnose", "--sparse", f"{p}_XS.csv", "--lowrank", f"{p}_XL.csv",
+         "--report", f"{p}_diagnose.json"],
+        ["sweep", "--m", 8, "--n", 8, "--ranks", 1, "--densities", 0.1, "--trials", 1,
+         "--seed", 0, "--out", tmp_path / "sweep"],
+    ]
+    code = ("import sys; sys.modules['scipy'] = None; from splr.cli import main; "
+            f"print([main(argv) for argv in {[[str(a) for a in c] for c in commands]!r}])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]"
+
+
 def test_decompose_zero_matrix(tmp_path):
     ypath = tmp_path / "y.csv"
     write_matrix_csv(ypath, np.zeros((4, 4)))

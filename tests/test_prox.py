@@ -185,7 +185,7 @@ def test_one_qr_step_matches_full_threshold_over_scales(top):
     assert np.count_nonzero(s > t) == np.count_nonzero(ref_s > t) == 8
     assert np.allclose(s[:8], ref_s[:8], rtol=0.0,
                        atol=1e-10 + 16 * np.finfo(float).eps * top)
-    X = splr.prox._shrink_spectrum(M, U, s, Vt, t)[0]
+    X = splr.prox._shrink_spectrum(U, s, Vt, t)[0]
     ref = svt(M, t)
     assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
 

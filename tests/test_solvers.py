@@ -265,6 +265,18 @@ def test_config_validation_errors():
         solve_constrained(np.zeros((2, 2)), ConstrainedConfig(lam=1.0, max_iter=0))
 
 
+@pytest.mark.parametrize("max_iter", [math.inf, 2.5, 2.0])
+@pytest.mark.parametrize("make", [lambda k: RegularizedConfig(lam=1.0, mu=1.0, max_iter=k),
+                                  lambda k: ConstrainedConfig(lam=1.0, max_iter=k)],
+                         ids=["RegularizedConfig", "ConstrainedConfig"])
+def test_config_validation_rejects_non_integer_max_iter(make, max_iter):
+    # A float count, even a whole one, fails at validate() rather than as a
+    # TypeError from range() inside the solve.
+    with pytest.raises(ValueError, match="max_iter"):
+        make(max_iter).validate()
+    make(2).validate()
+
+
 NAN_CASES = [
     (cfg, f.name)
     for cfg in (RegularizedConfig(lam=1.0, mu=1.0),
@@ -796,10 +808,8 @@ def test_small_solve_takes_no_partial_svd():
     assert rep.converged and rep.diagnostics["partial_svds"] == 0
 
 
-def test_exit_check_falls_back_to_full_svd(monkeypatch):
-    # Inflate every accepted partial step's values: the solve may stop on
-    # such a sweep only if the full SVD of its centre agrees, so it must
-    # finish on full SVDs and land on the full-path solution.
+def inflate_partial(monkeypatch):
+    """Inflate every accepted partial step's values by a factor 1 + 1e-7."""
     real = splr.prox._partial_svt
 
     def inflated(M, t, V):
@@ -809,12 +819,40 @@ def test_exit_check_falls_back_to_full_svd(monkeypatch):
         U, s, Vt = out
         return U, s * (1.0 + 1e-7), Vt
 
+    monkeypatch.setattr(splr.prox, "_partial_svt", inflated)
+
+
+def count_full_svds(monkeypatch, shape):
+    """A list that gains an entry at every m x n SVD with vectors of the
+    given shape."""
+    real = splr.matrices._lapack_svd
+    full = []
+
+    def counting(A, compute_uv):
+        if compute_uv and A.shape == shape:
+            full.append(A.shape)
+        return real(A, compute_uv)
+
+    monkeypatch.setattr(splr.matrices, "_lapack_svd", counting)
+    return full
+
+
+def test_exit_check_falls_back_to_full_svd(monkeypatch):
+    # With inflated partial steps, the gap bound of the first stop exceeds
+    # tol/eta, so the solve must finish on full SVDs and land on the
+    # full-path solution. The open stop takes no SVD to measure the
+    # distance: every dense SVD with vectors serves a threshold step.
+    Y, _ = partial_instance()
+    inflate_partial(monkeypatch)
+    full = count_full_svds(monkeypatch, Y.shape)
+    rep = partial_solve("constrained")
+    full_svds = len(full)
     decline_partial(monkeypatch)
     ref = partial_solve("constrained")
-    monkeypatch.setattr(splr.prox, "_partial_svt", inflated)
-    rep = partial_solve("constrained")
     assert rep.converged
     assert 0 < rep.diagnostics["partial_svds"] < rep.iterations - 1
+    assert rep.diagnostics["exit_gap_bound"] > ConstrainedConfig.tol
+    assert full_svds == rep.iterations - rep.diagnostics["partial_svds"]
     assert_close_pair(rep, ref, 1e-9)
 
 
@@ -824,15 +862,7 @@ def test_settled_exit_check_takes_no_second_full_svd(monkeypatch, mode):
     # bound settles the stop on a partial step: the whole solve takes no
     # dense m x n SVD with vectors.
     Y, _ = partial_instance()
-    real = splr.matrices._lapack_svd
-    full = []
-
-    def counting(A, compute_uv):
-        if compute_uv and A.shape == Y.shape:
-            full.append(A.shape)
-        return real(A, compute_uv)
-
-    monkeypatch.setattr(splr.matrices, "_lapack_svd", counting)
+    full = count_full_svds(monkeypatch, Y.shape)
     rep = partial_solve(mode)
     assert rep.converged and len(full) == 0
     assert rep.diagnostics["partial_svds"] == rep.iterations

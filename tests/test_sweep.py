@@ -62,6 +62,21 @@ def test_spec_validation_errors():
                       solver_max_iter=cap)
 
 
+@pytest.mark.parametrize("value", [math.inf, 2.5, 2.0])
+@pytest.mark.parametrize("name, message", [("m", "dimensions"), ("n", "dimensions"),
+                                           ("trials", "trials"),
+                                           ("solver_max_iter", "solver_max_iter"),
+                                           ("ranks", "ranks")])
+def test_spec_rejects_non_integer_counts(name, message, value):
+    # A float count, even a whole one, fails at the spec rather than as a
+    # TypeError inside run_sweep or a silent truncation.
+    fields = dict(m=8, n=8, ranks=(1,), densities=(0.1,), trials=1, base_seed=0)
+    fields[name] = (value,) if name == "ranks" else value
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(**fields)
+    SweepSpec(**dict(fields, **{name: (2,) if name == "ranks" else 2}))
+
+
 def test_sweep_rows_deterministic_and_job_invariant():
     rows_a, agg_a = base_run()
     rows_b, agg_b = run_sweep(small_spec(), jobs=3)
