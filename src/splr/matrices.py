@@ -7,6 +7,7 @@ are reproducible across platforms and processes.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ def as_matrix(M, name="matrix", shape=None):
     if shape is not None and A.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {A.shape}")
     return A
+
+
+def _is_integer(value, low=-math.inf):
+    """The one rule for counts and seeds: an integer, not a float, >= low."""
+    return isinstance(value, numbers.Integral) and value >= low
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,11 +180,12 @@ def mix_seed(seed, *parts):
     Deterministic across processes (unlike Python's salted hash); used to
     give independent generators to sub-tasks (sweep cells, instance pieces).
     """
-    s = np.uint64(seed & _MASK64)
+    s = seed & _MASK64
     for p in parts:
-        block = np.array([s + np.uint64((int(p) + 1) & _MASK64)], dtype=np.uint64)
-        s = _splitmix64(block * np.uint64(0x9E3779B97F4A7C15))[0]
-    return int(s)
+        # Python ints wrap the fold silently, where uint64 scalars warn.
+        block = np.array([(s + int(p) + 1) & _MASK64], dtype=np.uint64)
+        s = int(_splitmix64(block * np.uint64(0x9E3779B97F4A7C15))[0])
+    return s
 
 
 class RandomStream:

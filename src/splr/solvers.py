@@ -8,18 +8,17 @@ data fit, l1-ball and nuclear-ball projections for the constrained
 program's residual caps, and entrywise clipping for its box on X_L. Each
 copy, and the box, is a constraint block with its own penalty and scaled
 dual, rebalanced on its own primal and dual residuals. The penalized
-solve exits on its first-order optimality residual; the constrained
-solve on the blocks' primal and dual residuals.
+solve exits on a certified relative duality gap; the constrained solve on
+the blocks' primal and dual residuals.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .incoherence import PreconditionError, _check_premises, inverse_mu
-from .matrices import as_matrix
+from .matrices import _is_integer, _spectral_norm, as_matrix
 from .norms import (
     _entrywise_norm,
     _frobenius,
@@ -35,7 +34,6 @@ from .prox import (
     _svt,
     _svt_gap_bound,
 )
-from .subspaces import _kkt_l1_block, _kkt_trace_block
 
 __all__ = [
     "RegularizedConfig",
@@ -52,21 +50,21 @@ __all__ = [
 def _validate_shared(cfg):
     """The checks both configs share. Negated comparisons, so that NaN fails
     each check."""
-    if not cfg.lam > 0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < cfg.lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {cfg.lam!r}")
     if not cfg.b > 0:
         raise ValueError("box radius must be positive")
     if not cfg.tol >= 0:
         raise ValueError("tol must be nonnegative")
-    if not (isinstance(cfg.max_iter, numbers.Integral) and cfg.max_iter >= 1):
+    if not _is_integer(cfg.max_iter, 1):
         raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass
 class RegularizedConfig:
-    """Parameters of the penalized solve: lam and mu positive, b the box
-    radius on entries of X_S - Y (inf disables it), tol the first-order
-    optimality residual required at exit."""
+    """Parameters of the penalized solve: lam and mu positive and finite, b
+    the box radius on entries of X_S - Y (inf disables it), tol the relative
+    duality gap required at exit."""
 
     lam: float
     mu: float
@@ -76,8 +74,8 @@ class RegularizedConfig:
 
     def validate(self):
         _validate_shared(self)
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
 
 
 @dataclass
@@ -362,8 +360,21 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     return X_S, B if boxed else X_L, factors, iterations, converged, diagnostics
 
 
+def _box_conjugate(Q, Y, b, lam):
+    """The conjugate of lam*||S||_1 on the box |S - Y| <= b at Q: the sum
+    over entries of the largest q*s - lam*|s| on [y - b, y + b]. Concave
+    and kinked only at 0, it peaks at an end or at clip(0, y - b, y + b)."""
+    lo, hi = Y - b, Y + b
+    best = np.full(Y.shape, -math.inf)
+    for S in (lo, hi, np.clip(0.0, lo, hi)):
+        np.maximum(best, Q * S - lam * np.abs(S), out=best)
+    return float(best.sum())
+
+
 def solve_regularized(Y, cfg):
-    """ADMM for the penalized program.
+    """ADMM for the penalized program: minimize P = lam*||X_S||_1 +
+    ||X_L||_* + ||R||_F^2 / (2 mu), R = X_S + X_L - Y, with X_S in the box
+    |X_S - Y| <= b when b is finite.
 
     The data-fit term gets one residual copy R with the constraint X_S +
     X_L - Y = R; its prox at penalty eta is the shrink R = eta*mu/(eta*mu +
@@ -371,29 +382,44 @@ def solve_regularized(Y, cfg):
     in X_S and the singular-value threshold in X_L.
 
     The penalty starts at eta0 = mn/(4*||Y||_1) (Candes, Li, Ma & Wright,
-    arXiv:0912.3599), or at 1 when that is not positive and finite (Y = 0,
-    or entries so small or so large that the quotient overflows or
-    underflows), and _admm rebalances it on eta0*pri against dua. Both the
-    start and the rebalancing then scale as 1/Y, so the solve of (cY, c*mu)
-    takes the same sweeps as that of (Y, mu).
+    arXiv:0912.3599), or at 1 when that is not positive and finite, and
+    _admm rebalances it on eta0*pri against dua. Both scale as 1/Y, so the
+    solve of (cY, c*mu) takes the same sweeps as that of (Y, mu).
 
-    Exit requires the first-order optimality residual of (X_S, X_L) to be
-    at most cfg.tol: with R = X_S + X_L - Y, -R/(lam*mu) must lie in the l1
-    subdifferential at X_S (relaxed at box edges) and -R/mu in the
-    trace-norm subdifferential at X_L. The entrywise block is checked every
-    sweep, the spectral block (one tangent-space projection and one
-    sigma_1) only once the entrywise block passes; diagnostics count those
-    spectral checks. Hitting max_iter returns converged=False.
+    Exit requires the relative duality gap (P - d)/P to be at most
+    cfg.tol (Boyd et al. 2011, ADMM, section 3.3). By Fenchel-Young,
+    ||R||_F^2 / (2 mu) >= -<Q, R> - (mu/2)||Q||_F^2 for every Q, so P >=
+    d(Q) = <Q, Y> - (mu/2)||Q||_F^2 - f*(Q) - g*(Q), with f* and g* the
+    conjugates of lam*||.||_1 on the box and of ||.||_*. g* is 0 where
+    ||Q||_2 <= 1 and inf elsewhere; so is f* where ||Q||_inf <= lam without
+    a box, and with one it is the finite _box_conjugate. The dual point is
+    Q = -R/mu, which attains P at the optimum, times kappa = 1/max(1,
+    ||Q||_inf/lam, sigma_bar), the middle term only without a box, and
+    sigma_bar = sigma_1(R)/mu from matrices._spectral_norm inflated by the
+    max(m, n)*eps error its docstring states. P takes ||X_L||_* as sum(s),
+    exact for the threshold step's X_L = U diag(s) Vt, partial steps
+    included. P and d are homogeneous of degree 1 in (Y, X_S, X_L, mu, b),
+    so both are evaluated exactly on these times 2^-e, with max(max|Y|, mu)
+    in [2^(e-1), 2^e), clear of overflow and underflow at any scale.
+
+    sigma_bar, counted in diagnostics["spectral_checks"], is computed only
+    once the gap without it passes. diagnostics["duality_gap"] is the last
+    relative gap computed (0 at P = 0); on hitting max_iter, which returns
+    converged=False, it may lack sigma_bar and certify nothing. The gap
+    certifies the objective, not the first-order residual of (X_S, X_L).
     """
     cfg.validate()
     Y = as_matrix(Y, "Y")
     lam, mu, b, tol = cfg.lam, cfg.mu, cfg.b, cfg.tol
-    S_box = None if math.isinf(b) else (Y - b, Y + b)
+    boxed = not math.isinf(b)
+    S_box = (Y - b, Y + b) if boxed else None
     l1 = _entrywise_norm(Y, 1)
     eta0 = Y.size / 4.0 / l1 if l1 > 0 else math.inf
     if not 0.0 < eta0 < math.inf:  # Y = 0, or a quotient out of range
         eta0 = 1.0
-    kkt = math.inf
+    e = math.frexp(max(_entrywise_norm(Y, np.inf), mu))[1]
+    mu_e, b_e = math.ldexp(mu, -e), math.ldexp(b, -e)
+    gap = math.inf
     spectral_checks = 0
 
     def shrink(V, eta):
@@ -401,29 +427,40 @@ def solve_regularized(Y, cfg):
         return V
 
     def stop(X_S, X_L, factors, D, pri, dua, work):
-        nonlocal kkt, spectral_checks
-        kkt = _kkt_l1_block(Y, X_S, np.divide(D, -lam * mu, out=D), b, work)
-        if kkt > tol:
+        nonlocal gap, spectral_checks
+        # At scale 2^-e: R in D, |X_S| and then Y in work.
+        R = np.ldexp(D, -e, out=D)
+        l1_S = float(np.abs(np.ldexp(X_S, -e, out=work), out=work).sum())
+        r2 = _entrywise_norm(R, 2)
+        primal = lam * l1_S + float(np.ldexp(factors[1], -e).sum()) + (0.5 / mu_e * r2) * r2
+        Y_e = np.ldexp(Y, -e, out=work)
+        RY = float(np.vdot(R, Y_e))
+
+        def relative_gap(scale):
+            k = 1.0 / (scale * mu_e)  # the dual point is -k*R
+            dual = -k * RY - (0.5 * mu_e * k * r2) * (k * r2)
+            if boxed:
+                dual -= _box_conjugate(np.multiply(R, -k), Y_e, b_e, lam)
+            g = primal - dual
+            return g / primal if primal > 0 else (0.0 if g <= 0 else math.inf)
+
+        scale = 1.0 if boxed else max(1.0, float(max(R.max(), -R.min())) / (mu_e * lam))
+        gap = relative_gap(scale)
+        if not gap <= tol:
             return False
         spectral_checks += 1
-        # The l1 block overwrote D: rebuild it as _admm does.
-        GL = np.add(X_S, X_L, out=D)
-        GL -= Y
-        GL /= -mu
-        kkt = max(kkt, _kkt_trace_block(GL, factors[0], factors[2]))
-        return kkt <= tol
+        sigma_bar = _spectral_norm(R) * (1.0 + max(Y.shape) * np.finfo(float).eps) / mu_e
+        if sigma_bar > scale:
+            gap = relative_gap(sigma_bar)
+        return gap <= tol
 
-    X_S, X_L, (U, s, Vt), iterations, converged, diagnostics = _admm(
+    X_S, X_L, (_, s, _), iterations, converged, diagnostics = _admm(
         Y, lam, [shrink], stop, tol, cfg.max_iter, eta0, S_box=S_box)
-    R = X_S + X_L - Y
-    if not converged:
-        kkt = max(_kkt_l1_block(Y, X_S, R / (-lam * mu), b),
-                  _kkt_trace_block(R / -mu, U, Vt))
-    rv1, rst, rv2 = _residual_norms(R)
+    rv1, rst, rv2 = _residual_norms(X_S + X_L - Y)
     # The data term ||R||_F^2 / (2 mu), in an order that stays finite
     # wherever the value is.
     obj = (0.5 / mu * rv2) * rv2 + lam * _entrywise_norm(X_S, 1) + float(s.sum())
-    diagnostics.update(kkt_residual=kkt, spectral_checks=spectral_checks)
+    diagnostics.update(duality_gap=gap, spectral_checks=spectral_checks)
     return SolveReport(
         X_S_hat=X_S, X_L_hat=X_L, iterations=iterations, objective=obj,
         residual_v1=rv1, residual_star=rst, residual_v2=rv2,

@@ -1,17 +1,17 @@
 """Support and row/column-space structure of a target decomposition: the two
-orthogonal projectors, sign/orth extraction, l1 and trace-norm subgradient
-tests, and the Neumann-series inverse of (identity minus composed projectors).
+orthogonal projectors, sign/orth extraction, and the Neumann-series inverse
+of (identity minus composed projectors).
 
-The public functions validate their inputs. The Neumann series, the
-certificate and the subgradient tests call the unchecked projector kernels
-(leading underscore) on matrices already validated at their entry.
+The public functions validate their inputs. The Neumann series and the
+certificate call the unchecked projector kernels (leading underscore) on
+matrices already validated at their entry.
 """
 
 import math
 
 import numpy as np
 
-from .matrices import _spectral_norm, as_matrix, svd
+from .matrices import _spectral_norm, as_matrix, svd  # noqa: F401 (tests patch it)
 from .norms import _frobenius
 
 
@@ -146,47 +146,6 @@ def project_T(space, M):
     """Orthogonal projection onto matrices whose columns lie in span(U) or
     whose rows lie in span(V): U U^T M + M V V^T - U U^T M V V^T."""
     return _project_T(space, as_matrix(M, shape=(space.m, space.n)))
-
-
-def _kkt_l1_block(Y, X_S, GS, b, work=None):
-    """Worst violation of GS in the l1 subdifferential at X_S: GS must
-    match sign(X_S) on its support and stay within [-1, 1] off it, with
-    one-sided relaxations at entries on the edge of the box |X_S - Y| <= b
-    (Y may be None when b is inf).
-
-    GS is overwritten. work, a buffer of X_S's shape, receives sign(X_S)
-    when it is given."""
-    sg = np.sign(X_S, out=work)
-    edge_viol = 0.0
-    if not np.isinf(b):
-        # At a box edge the stationarity equation gains a one-signed
-        # multiplier: at the upper edge GS may exceed the plain subgradient,
-        # at the lower edge it may fall below it.
-        D = X_S - Y
-        edge = 1e-12 * max(1.0, b)
-        upper = D >= b - edge
-        lower = D <= -b + edge
-        on = sg != 0
-        edge_viol = max(
-            (np.where(on, sg, -1.0) - GS)[upper].max(initial=0.0),
-            (GS - np.where(on, sg, 1.0))[lower].max(initial=0.0),
-        )
-    # |GS - sg| on the support; off it sg is 0 and this is |GS| - 1.
-    GS -= sg
-    np.abs(GS, out=GS)
-    GS -= sg == 0
-    if not np.isinf(b):
-        GS[upper | lower] = -np.inf
-    return float(max(GS.max(initial=0.0), edge_viol))
-
-
-def _kkt_trace_block(GL, U, Vt):
-    """Worst violation of GL in the trace-norm subdifferential at the
-    matrix with thin factors U, Vt: its projection onto their tangent space
-    must equal U Vt, and its spectral norm must be at most 1."""
-    PT = _project_T(RowColSpace(U, Vt.T, check=False), GL)
-    PT -= U @ Vt
-    return max(float(np.abs(PT).max(initial=0.0)), _spectral_norm(GL) - 1.0)
 
 
 def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):

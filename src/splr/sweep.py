@@ -16,14 +16,13 @@ are those of the solver's iterate at the sweep where it stopped.
 """
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .incoherence import default_lambda
-from .matrices import FactorizationError, mix_seed, thin_svd
+from .matrices import FactorizationError, _is_integer, mix_seed, thin_svd
 from .matrixio import format_float, write_text_atomic
 from .norms import _entrywise_norm, _trace_norm
 from .solvers import ConstrainedConfig, _solve_constrained
@@ -77,28 +76,23 @@ class SweepSpec:
     solver_max_iter: int = 100000
 
     def __post_init__(self):
-        # A float count, even a whole one, is refused rather than truncated
-        # or passed to range().
         ranks = tuple(self.ranks)
         object.__setattr__(self, "densities", tuple(float(d) for d in self.densities))
-        if not (_is_count(self.m, 1) and _is_count(self.n, 1)):
+        if not (_is_integer(self.m, 1) and _is_integer(self.n, 1)):
             raise ValueError("dimensions must be integers >= 1")
         if not ranks or not self.densities:
             raise ValueError("ranks and densities must be nonempty")
-        if not all(_is_count(r, 0) and r <= min(self.m, self.n) for r in ranks):
+        if not all(_is_integer(r, 0) and r <= min(self.m, self.n) for r in ranks):
             raise ValueError("ranks must be integers in [0, min(m, n)]")
         object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
         if not all(0 <= d <= 1 for d in self.densities):
             raise ValueError("densities must lie in [0, 1]")
-        if not _is_count(self.trials, 1):
+        if not _is_integer(self.trials, 1):
             raise ValueError("trials must be an integer of at least 1")
-        if not _is_count(self.solver_max_iter, 1):
+        if not _is_integer(self.solver_max_iter, 1):
             raise ValueError("solver_max_iter must be an integer of at least 1")
-
-
-def _is_count(value, low):
-    """Whether value is an integer of at least low."""
-    return isinstance(value, numbers.Integral) and value >= low
+        if not _is_integer(self.base_seed):
+            raise ValueError("base_seed must be an integer")
 
 
 def _planted_objective(target, lam):

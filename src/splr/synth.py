@@ -11,7 +11,7 @@ import numpy as np
 
 from .certificate import perturbation_scales
 from .incoherence import IncoherenceProfile, profile
-from .matrices import RandomStream, mix_seed
+from .matrices import RandomStream, _is_integer, mix_seed
 from .subspaces import RowColSpace, SupportSet, TargetPair
 
 __all__ = [
@@ -53,12 +53,14 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be >= 1")
-        if self.rbar < 0 or self.rbar > min(self.m, self.n):
-            raise ValueError("rank must satisfy 0 <= rank <= min(m, n)")
-        if self.ktilde < 0:
-            raise ValueError("ktilde must be nonnegative")
+        if not (_is_integer(self.m, 1) and _is_integer(self.n, 1)):
+            raise ValueError("dimensions must be integers >= 1")
+        if not (_is_integer(self.rbar, 0) and self.rbar <= min(self.m, self.n)):
+            raise ValueError("rank must be an integer with 0 <= rank <= min(m, n)")
+        if not _is_integer(self.ktilde, 0):
+            raise ValueError("ktilde must be a nonnegative integer")
+        if not _is_integer(self.seed):
+            raise ValueError("seed must be an integer")
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
         if self.magnitude_law not in MAGNITUDE_LAWS:

@@ -392,6 +392,27 @@ def test_decompose_nan_setting_exits_1(tmp_path, flag, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("mode, flag", [("constrained", "--lambda"),
+                                        ("regularized", "--mu")])
+def test_decompose_infinite_setting_exits_1(tmp_path, mode, flag, capsys):
+    t, _ = flat_instance(8, 8, 1, 4, 10.0, probe_seed("clinan"))
+    ypath = tmp_path / "y.csv"
+    write_matrix_csv(ypath, t.X_S + t.X_L)
+    extra = ["--mu", 0.5] if mode == "regularized" else []
+    assert run_cli(*decompose_args(tmp_path, ypath, mode, *extra, flag, "inf")) == 1
+    err = capsys.readouterr().err
+    assert "must be positive and finite" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_generate_negative_seed(tmp_path):
+    # --seed -1 masks to 2^64 - 1, whose fold with each sub-stream tag wraps.
+    prefix = tmp_path / "gen"
+    assert run_cli("generate", "--m", 6, "--n", 6, "--rank", 1, "--ktilde", 4,
+                   "--seed", -1, "--out-prefix", prefix) == 0
+    assert read_matrix_csv(f"{prefix}_Y.csv").shape == (6, 6)
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     ("generate", "--sigma", "nan", "sigma"),
     ("diagnose", "--c", "nan", "c must exceed 1"),

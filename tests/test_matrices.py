@@ -214,6 +214,21 @@ def test_mix_seed_distinct_streams():
     assert len(seeds) == 16
 
 
+def test_mix_seed_wraps_without_warning():
+    # The fold wraps modulo 2^64: a base seed of 2^64 - 1, or -1 masked to
+    # it, folds part 0 into 0. The suite turns an overflow warning into an
+    # error.
+    assert mix_seed(2 ** 64 - 1, 0) == mix_seed(-1, 0) == 0
+    assert mix_seed(2 ** 64 - 1, 2 ** 64 - 1) == 3703370420611038912
+
+
+def test_mix_seed_values_unchanged():
+    # Every instance, sweep row and recorded flag derives its seeds here.
+    assert mix_seed(5, 0, 1) == 16090635225374153462
+    assert mix_seed(20260814, 3, 2, 7) == 17433433999007432908
+    assert mix_seed(2 ** 63 - 1, 4) == 6426116064599561977
+
+
 def test_random_stream_integers_bounded():
     stream = RandomStream(probe_seed("ints"))
     draws = stream.integers(1000, 7)

@@ -43,6 +43,28 @@ def regularized_objective(Y, X_S, X_L, lam, mu):
         + trace_norm(X_L)
 
 
+def brute_force_gap(Y, rep, cfg):
+    """The relative duality gap (P - d)/P at the solve's output, recomputed
+    from a dense SVD's sigma_1 and the box conjugate entry by entry: with
+    R = X_S + X_L - Y, the dual point -R/mu scaled into the spectral ball,
+    and into the l1 ball when there is no box."""
+    lam, mu, b = cfg.lam, cfg.mu, cfg.b
+    R = rep.X_S_hat + rep.X_L_hat - Y
+    Q = -R / mu
+    primal = regularized_objective(Y, rep.X_S_hat, rep.X_L_hat, lam, mu)
+    scale = max(1.0, np.linalg.svd(Q, compute_uv=False)[0])
+    if math.isinf(b):
+        scale = max(scale, np.abs(Q).max() / lam)
+    Q = Q / scale
+    conjugate = 0.0
+    if not math.isinf(b):
+        for q, y in zip(Q.ravel(), Y.ravel()):
+            conjugate += max(q * s - lam * abs(s)
+                             for s in (y - b, y + b, min(max(0.0, y - b), y + b)))
+    dual = float((Q * Y).sum()) - 0.5 * mu * float((Q ** 2).sum()) - conjugate
+    return (primal - dual) / primal if primal else primal - dual
+
+
 @functools.lru_cache(maxsize=1)
 def relaxed_run():
     """One converged relaxed-mode solve shared by the tests below.
@@ -68,6 +90,16 @@ def test_regularized_zero_input():
     assert rep.converged
     assert rep.objective == 0.0
     assert rep.residual_v1 == rep.residual_star == rep.residual_v2 == 0.0
+
+
+def test_regularized_zero_input_exits_at_first_sweep():
+    # At Y = 0 the first sweep lands on the origin, where P = 0 = d.
+    Y = np.zeros((6, 5))
+    cfg = RegularizedConfig(lam=1.0, mu=1.0)
+    rep = solve_regularized(Y, cfg)
+    assert rep.converged and rep.iterations == 1
+    assert rep.objective == 0.0 and rep.diagnostics["duality_gap"] == 0.0
+    assert brute_force_gap(Y, rep, cfg) == 0.0
 
 
 def test_regularized_small_input_keeps_origin():
@@ -113,9 +145,12 @@ def test_regularized_objective_monotone_in_sweeps():
 def test_regularized_report_rederivable():
     t, _ = flat_instance(20, 20, 1, 10, 10.0, probe_seed("rederive"))
     Y = t.X_S + t.X_L
-    rep = solve_regularized(Y, RegularizedConfig(lam=0.25, mu=0.2))
+    cfg = RegularizedConfig(lam=0.25, mu=0.2)
+    rep = solve_regularized(Y, cfg)
     assert rep.converged
-    assert rep.diagnostics["kkt_residual"] <= 1e-6
+    gap = brute_force_gap(Y, rep, cfg)
+    assert gap <= cfg.tol
+    assert gap == pytest.approx(rep.diagnostics["duality_gap"], abs=1e-12)
     again = regularized_objective(Y, rep.X_S_hat, rep.X_L_hat, 0.25, 0.2)
     assert abs(rep.objective - again) <= 1e-10 * (1.0 + abs(rep.objective))
     R = rep.X_S_hat + rep.X_L_hat - Y
@@ -136,26 +171,30 @@ def test_regularized_box_active():
 
 
 def box_run(b):
-    """The box-active instance above solved at box radius b, with the
-    count of entries of X_S on the box edge and the box excess."""
+    """The box-active instance above solved at box radius b: Y, the config
+    and report, the count of entries of X_S on the box edge and the box
+    excess."""
     t, _ = flat_instance(12, 12, 1, 8, 10.0, probe_seed("boxreg"))
     Y = t.X_S + t.X_L
     cfg = RegularizedConfig(lam=0.3, mu=0.5, b=b)
     rep = solve_regularized(Y, cfg)
     dist = np.abs(rep.X_S_hat - Y)
-    return cfg, rep, int((dist >= b - 1e-9).sum()), float(dist.max()) - b
+    return Y, cfg, rep, int((dist >= b - 1e-9).sum()), float(dist.max()) - b
 
 
 @pytest.mark.parametrize("b", [0.5, 2.0])
 def test_regularized_box_exits_on_optimality_residual(b):
     # b = 0.5 puts 140 of the 144 entries of X_S on the box edge, b = 2.0
-    # only a few. The entrywise gate must apply the one-sided box-edge rules:
-    # were it to count edge entries as violations, it would pass late or
-    # never, and the spectral block would run at many sweeps.
-    cfg, rep, edge, excess = box_run(b)
+    # only a few. The dual's box term is the exact conjugate there, so the
+    # gap closes with the solve, and the gap without the spectral term
+    # passes at most a sweep or two before the certified one: sigma_1 runs
+    # at most twice.
+    Y, cfg, rep, edge, excess = box_run(b)
     assert (edge > 100) if b == 0.5 else (0 < edge < 20)
     assert rep.converged
-    assert rep.diagnostics["kkt_residual"] <= cfg.tol
+    gap = brute_force_gap(Y, rep, cfg)
+    assert gap <= cfg.tol
+    assert gap == pytest.approx(rep.diagnostics["duality_gap"], abs=1e-12)
     assert rep.diagnostics["spectral_checks"] <= 2
     assert excess <= 1e-12
 
@@ -263,6 +302,16 @@ def test_config_validation_errors():
         solve_constrained(np.zeros((2, 2)), ConstrainedConfig(lam=1.0, eps_v1=-1.0))
     with pytest.raises(ValueError):
         solve_constrained(np.zeros((2, 2)), ConstrainedConfig(lam=1.0, max_iter=0))
+
+
+@pytest.mark.parametrize("cfg", [RegularizedConfig(lam=math.inf, mu=1.0),
+                                 RegularizedConfig(lam=1.0, mu=math.inf),
+                                 ConstrainedConfig(lam=math.inf)],
+                         ids=["RegularizedConfig-lam", "RegularizedConfig-mu",
+                              "ConstrainedConfig-lam"])
+def test_config_validation_rejects_infinite_lam_and_mu(cfg):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("max_iter", [math.inf, 2.5, 2.0])

@@ -1,10 +1,8 @@
-import math
 import re
 
 import numpy as np
 import pytest
 
-from splr.certificate import build_certificate
 from splr.incoherence import profile
 from splr.matrices import RandomStream, frobenius_inner
 from splr.norms import entrywise_norm, flat_norm, induced_norm, sharp_norm, trace_norm
@@ -13,8 +11,6 @@ from splr.subspaces import (
     RowColSpace,
     SupportSet,
     TargetPair,
-    _kkt_l1_block,
-    _kkt_trace_block,
     neumann_inverse,
     orth_matrix,
     project_support,
@@ -23,7 +19,7 @@ from splr.subspaces import (
 )
 from splr.synth import InstanceSpec, gen_instance, gen_subspaces, gen_support
 
-from .helpers import decoupled_pair, flat_instance, probe_seed, valid_instance
+from .helpers import flat_instance, probe_seed
 
 
 def test_sign_matrix_cases():
@@ -307,44 +303,3 @@ def test_neumann_rejects_unknown_side():
         for RHS in (np.zeros((4, 4)), np.ones((4, 4))):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 neumann_inverse(t.support, t.space, "omega", RHS, tol=tol)
-
-
-def _kkt_blocks(t, Q, lam):
-    """Violations of Q/lam in the l1 subdifferential at X_S and of Q in the
-    trace-norm one at X_L."""
-    return (_kkt_l1_block(None, t.X_S, Q / lam, math.inf),
-            _kkt_trace_block(Q, t.space.U, t.space.V.T))
-
-
-def test_kkt_blocks_accept_a_certificate():
-    # Q = Q_omega + Q_T of a noiseless certificate is a subgradient of both
-    # norms at the target: lam*sign(X_S) on the support, U V^T on the space.
-    t = decoupled_pair()
-    cert = build_certificate(t, None, 1.0, 1.0, 2.0)
-    assert max(_kkt_blocks(t, cert.Q_omega + cert.Q_T, cert.lam)) <= 1e-9
-    t, E, lam, mu = valid_instance(8)
-    cert = build_certificate(t, E, lam, mu, 2.0)
-    assert max(_kkt_blocks(t, cert.Q_omega + cert.Q_T, lam)) <= 1e-9
-
-
-def test_kkt_blocks_reject_a_corrupt_certificate():
-    t = decoupled_pair()
-    cert = build_certificate(t, None, 1.0, 1.0, 2.0)
-    lam = cert.lam
-    # An entry 2*lam off the support breaks the l1 block by 1. Cell (0, 3)
-    # lies in row 0, inside the tangent space, so the projection onto the
-    # space moves by the same 2*lam and the trace block fails too.
-    Q = cert.Q_omega + cert.Q_T
-    Q[0, 3] += 2.0 * lam
-    l1, trace = _kkt_blocks(t, Q, lam)
-    assert l1 == pytest.approx(1.0, abs=1e-12)
-    assert trace == pytest.approx(2.0 * lam, abs=1e-12)
-    # A block on rows and columns 2-3, outside the space, with entries below
-    # lambda keeps both projections but lifts the spectral norm to ~1.85:
-    # only the trace block fails.
-    Q = cert.Q_omega + cert.Q_T
-    for cell in ((2, 2), (2, 3), (3, 2)):
-        Q[cell] += 0.9
-    l1, trace = _kkt_blocks(t, Q, lam)
-    assert l1 <= 1e-9
-    assert trace > 0.8

@@ -66,9 +66,10 @@ def test_spec_validation_errors():
 @pytest.mark.parametrize("name, message", [("m", "dimensions"), ("n", "dimensions"),
                                            ("trials", "trials"),
                                            ("solver_max_iter", "solver_max_iter"),
-                                           ("ranks", "ranks")])
+                                           ("ranks", "ranks"),
+                                           ("base_seed", "base_seed")])
 def test_spec_rejects_non_integer_counts(name, message, value):
-    # A float count, even a whole one, fails at the spec rather than as a
+    # A float count or seed, even a whole one, fails at the spec rather than as a
     # TypeError inside run_sweep or a silent truncation.
     fields = dict(m=8, n=8, ranks=(1,), densities=(0.1,), trials=1, base_seed=0)
     fields[name] = (value,) if name == "ranks" else value

@@ -34,6 +34,19 @@ def test_spec_validation_errors():
             InstanceSpec(m=5, n=5, rbar=1, ktilde=3, **{name: math.nan})
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, math.inf])
+@pytest.mark.parametrize("name, message", [("m", "dimensions"), ("n", "dimensions"),
+                                           ("rbar", "rank"), ("ktilde", "ktilde"),
+                                           ("seed", "seed")])
+def test_spec_rejects_non_integer_counts_and_seed(name, message, value):
+    # A float count or seed, even a whole one, fails at the spec rather
+    # than as a TypeError inside numpy or a fractional draw count.
+    fields = dict(m=5, n=5, rbar=1, ktilde=3, seed=0)
+    with pytest.raises(ValueError, match=message):
+        InstanceSpec(**dict(fields, **{name: value}))
+    InstanceSpec(**dict(fields, **{name: 2}))
+
+
 def test_support_empty_when_no_draws():
     sup = gen_support(8, 9, 0, probe_seed("sup0"))
     assert sup.kbar == 0 and sup.cells == ()
