@@ -79,8 +79,8 @@ def build_parser():
     p.add_argument("--eps-star", type=float, default=0.0)
     p.add_argument("--b", type=float, default=math.inf)
     p.add_argument("--tol", type=float, default=None,
-                   help="exit tolerance: relative duality gap (regularized, "
-                        "default 1e-6) or ADMM residuals (constrained, default 1e-9)")
+                   help="exit tolerance on the relative duality gap (P - d)/P "
+                        "(default 1e-6 regularized, 1e-9 constrained)")
     p.add_argument("--max-iter", type=int, default=100000)
     p.add_argument("--out-sparse", required=True)
     p.add_argument("--out-lowrank", required=True)

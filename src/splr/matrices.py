@@ -180,7 +180,7 @@ def mix_seed(seed, *parts):
     Deterministic across processes (unlike Python's salted hash); used to
     give independent generators to sub-tasks (sweep cells, instance pieces).
     """
-    s = seed & _MASK64
+    s = int(seed) & _MASK64
     for p in parts:
         # Python ints wrap the fold silently, where uint64 scalars warn.
         block = np.array([(s + int(p) + 1) & _MASK64], dtype=np.uint64)
@@ -201,6 +201,8 @@ class RandomStream:
         self._pos = 0
 
     def _raw(self, count):
+        if not _is_integer(count, 0):
+            raise ValueError(f"draw count must be a nonnegative integer, got {count!r}")
         out = _raw_block(self.seed, self._pos, count)
         self._pos += count
         return out
@@ -223,8 +225,8 @@ class RandomStream:
 
     def integers(self, count, bound):
         """i.i.d. integers uniform in [0, bound); modulo bias is < bound/2^64."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not _is_integer(bound, 1):
+            raise ValueError("bound must be a positive integer")
         return (self._raw(count) % np.uint64(bound)).astype(np.int64)
 
     def gaussian(self, m, n):
@@ -234,6 +236,6 @@ class RandomStream:
 
 def gaussian_matrix(m, n, seed):
     """Deterministic (m, n) i.i.d. standard-normal matrix for the given seed."""
-    if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be >= 1")
+    if not (_is_integer(m, 1) and _is_integer(n, 1)):
+        raise ValueError("matrix dimensions must be integers >= 1")
     return RandomStream(seed).gaussian(m, n)

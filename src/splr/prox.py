@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .matrices import RandomStream, _lapack_svd, as_matrix, thin_svd
-from .norms import _frobenius
+from .matrices import RandomStream, as_matrix, thin_svd
 
 __all__ = [
     "soft_threshold",
@@ -67,8 +66,8 @@ def _partial_svt(M, t, V):
     gives l Ritz triplets. They are accepted only when the smallest Ritz
     value is below t, the sign that every value above t has its triplet in
     the block. It is not a proof: on a flat spectrum, two passes from a
-    random block can reach below t and still miss values above it, so a
-    solve holds its answer to the full threshold at its exit check.
+    random block can reach below t and still miss values above it, which
+    costs a solve sweeps, not a wrong exit (see solvers._admm).
     """
     for _ in range(_PARTIAL_PASSES):
         W = M @ V
@@ -96,12 +95,10 @@ class SvtWarmStart:
     min(m, n) < PARTIAL_SVT_MIN_DIM or 4 * width > min(m, n); that cap is
     checked before padding, so a refused step draws nothing from the
     stream. partial says whether the last step took the partial path and
-    partial_svds counts those steps. Setting enabled to False sends every
-    later step to the full SVD.
+    partial_svds counts those steps.
     """
 
     def __init__(self, shape):
-        self.enabled = min(shape) >= PARTIAL_SVT_MIN_DIM
         self.block = np.empty((0, shape[1]))
         self.width = min(shape) // 4
         self.partial = False
@@ -112,7 +109,7 @@ class SvtWarmStart:
         """(U, s, Vt) for thresholding M by t: the partial triplets when a
         partial step is taken and accepted, else the full thin SVD."""
         self.partial = False
-        if not self.enabled:
+        if min(M.shape) < PARTIAL_SVT_MIN_DIM:
             return thin_svd(M)
         out = None
         if 4 * self.width <= min(M.shape):
@@ -146,31 +143,6 @@ def _svt(M, t, warm):
     leading triplets (see SvtWarmStart.factors).
     """
     return _shrink_spectrum(*warm.factors(M, t), t)
-
-
-def _svt_gap_bound(M, t, U, s, Vt, out, work):
-    """An upper bound on ||U diag(s) Vt - svt(M, t)||_F for kept factors U,
-    s, Vt (orthonormal columns and rows, every s positive), such as _svt
-    returns; out and work are free buffers of M's shape.
-
-    svt(M, t) minimizes F(X) = ||X - M||_F^2 / 2 + t ||X||_*, which is
-    1-strongly convex, so the distance from X to it is at most that from 0
-    to the subdifferential of F at X (the trace-norm prox of Cai, Candes &
-    Shen, arXiv:0810.3286). With sigma = s + t and P, P' the complement
-    projectors of U and V, that distance squared is ||U^T M - diag(sigma)
-    Vt||_F^2 + ||P M V||_F^2 + sum_j (sigma_j(P M P') - t)_+^2. The first
-    two terms need r x n and m x r products; the third the singular values
-    of one m x n matrix, without vectors.
-    """
-    UtM = U.T @ M
-    MV = M @ Vt.T
-    UtM_res = UtM - (s + t)[:, None] * Vt
-    MV -= U @ (U.T @ MV)  # P M V
-    PMP = np.subtract(M, np.matmul(U, UtM, out=out), out=out)
-    PMP -= np.matmul(MV, Vt, out=work)
-    tail = np.maximum(_lapack_svd(PMP, False) - t, 0.0)
-    with np.errstate(over="ignore"):
-        return math.hypot(_frobenius(UtM_res), _frobenius(MV), _frobenius(tail))
 
 
 def svt(M, t):

@@ -7,9 +7,8 @@ residual copy: a closed-form shrink for the penalized program's quadratic
 data fit, l1-ball and nuclear-ball projections for the constrained
 program's residual caps, and entrywise clipping for its box on X_L. Each
 copy, and the box, is a constraint block with its own penalty and scaled
-dual, rebalanced on its own primal and dual residuals. The penalized
-solve exits on a certified relative duality gap; the constrained solve on
-the blocks' primal and dual residuals.
+dual, rebalanced on its own primal and dual residuals. Both solves exit on
+a certified relative duality gap.
 """
 
 import math
@@ -32,7 +31,6 @@ from .prox import (
     _project_nuclear_ball,
     _soft_threshold,
     _svt,
-    _svt_gap_bound,
 )
 
 __all__ = [
@@ -82,8 +80,8 @@ class RegularizedConfig:
 class ConstrainedConfig:
     """Parameters of the constrained solve: residual caps eps_v1/eps_star
     (a zero cap on either means exact agreement), b the box radius on
-    entries of X_L (inf disables it), tol the ADMM primal and dual residual
-    stop threshold."""
+    entries of X_L (inf disables it), tol the relative duality gap required
+    at exit, and the bound on the ADMM residuals that gates the gap."""
 
     lam: float
     eps_v1: float = 0.0
@@ -172,10 +170,8 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     updates every copy and dual. With D = X_S + X_L - Y and d the change
     over the sweep, block j's primal residual is ||D - R_j|| and its dual
     residual eta_j*||dR_j - dX_L||, which is eta*||dX_L|| for the fixed R =
-    0 of exact agreement; the box's are ||X_L - B|| and eta_B*||dB||. The
-    X_L step's term, ||sum_j eta_j dR_j + eta_B dB||, is not tested
-    (solve_constrained derives the terms and says what leaving it out
-    costs). pri and dua are the hypot of the blocks' residuals.
+    0 of exact agreement; the box's are ||X_L - B|| and eta_B*||dB||. pri
+    and dua, the hypot of the blocks' residuals, are passed to stop.
 
     Every penalty starts at eta0 and is rebalanced every 10 sweeps on its
     own block's residuals (Boyd et al. 2011, ADMM, section 3.4.1) when one
@@ -195,9 +191,10 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     X_L + V. Exact agreement without a box takes the arithmetic of a
     single penalty, to the bit.
 
-    The loop exits when stop(X_S, X_L_hat, X_L_factors, D, pri, dua, work)
-    is true, where work is a free full-size buffer; stop may overwrite D
-    and work.
+    The loop exits when stop(X_S, X_L_hat, X_L_factors, D, pri, dua, work,
+    duals, etas) is true, where work is a free full-size buffer, duals the
+    scaled duals and etas the penalties, both in block order; stop may
+    overwrite D and work, and must not write the duals.
 
     The full-size work arrays live across sweeps and are updated in place:
     the centre C of the threshold steps, X_S (the soft threshold writes
@@ -211,16 +208,11 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     where they must (see norms._frobenius).
 
     When min(m, n) >= PARTIAL_SVT_MIN_DIM, the threshold step computes only
-    the leading singular triplets: the first sweep from a block drawn from
-    a fixed-seed stream, every later sweep warm-started from the last
-    one's whole right singular block (see prox.SvtWarmStart). Smaller
-    problems take a full SVD every sweep. A stop on a sweep that took the
-    partial path is accepted only if an upper bound on the Frobenius
-    distance from X_L to the full threshold of the same centre, from the
-    kept triplets and one values-only spectrum (see prox._svt_gap_bound),
-    is at most tol/eta, where eta, the hypot of the penalties, bounds how
-    far an error in X_L moves dua. Otherwise the loop goes on, and every
-    later sweep takes the full SVD.
+    the leading singular triplets, warm-started from the last sweep's right
+    singular block (see prox.SvtWarmStart); smaller problems take a full
+    SVD every sweep. The stops certify a duality gap from X_L = U diag(s)
+    Vt alone, so a partial step that misses values costs sweeps, not a
+    wrong exit.
 
     abandon, when given, is a predicate abandon(X_L, s) on the last
     threshold step's output and its kept singular values. It runs every 10
@@ -233,10 +225,8 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     iteration count, the converged flag and the diagnostics: final
     residuals, the penalties in block order and the total number of
     rescalings, partial_svds, the number of threshold steps served by the
-    partial path, exit_gap_bound, eta times the bound at the last stop
-    checked on a partial step (None when there was none), and
-    abandoned_at, the sweep at which abandon held (None when it never
-    did).
+    partial path, and abandoned_at, the sweep at which abandon held (None
+    when it never did).
     """
     n_res = max(1, len(copies))
     boxed = not math.isinf(b_L)
@@ -257,7 +247,7 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     rescalings = 0
     warm = SvtWarmStart(shape)
     pri = dua = math.inf
-    exit_gap_bound = abandoned_at = None
+    abandoned_at = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         eta_res = etas[:n_res]
@@ -320,15 +310,9 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
                 dua_parts.append(etas[-1] * _frobenius(B_step))
             pri = math.hypot(*pri_parts)
             dua = math.hypot(*dua_parts)
-        if stop(X_S, B if boxed else X_L, factors, D, pri, dua, dX_L):
-            if warm.partial:
-                # stop is done with D and dX_L: the bound takes them.
-                exit_gap_bound = math.hypot(*etas) * _svt_gap_bound(
-                    C, t_L, *factors, D, dX_L)
-            if not warm.partial or exit_gap_bound <= tol:
-                converged = True
-                break
-            warm.enabled = False
+        if stop(X_S, B if boxed else X_L, factors, D, pri, dua, dX_L, duals, etas):
+            converged = True
+            break
         if iterations % 10 == 0:
             if abandon is not None and abandon(X_L, factors[1]):
                 abandoned_at = iterations
@@ -354,10 +338,36 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
         "penalty_final": etas,
         "penalty_rescalings": rescalings,
         "partial_svds": warm.partial_svds,
-        "exit_gap_bound": exit_gap_bound,
         "abandoned_at": abandoned_at,
     }
     return X_S, B if boxed else X_L, factors, iterations, converged, diagnostics
+
+
+def _sigma_bar(M):
+    """sigma_1(M) from _spectral_norm, inflated by its max(m, n)*eps error."""
+    return _spectral_norm(M) * (1.0 + max(M.shape) * np.finfo(float).eps)
+
+
+def _gap_exit(primal, dual, scale, M, unit, tol):
+    """The relative duality gap (P - d)/P at a stop, 0 at P = 0 unless d <
+    0, and whether sigma_bar was computed (diagnostics["spectral_checks"]
+    counts these). dual(k) is the dual value at the stop's dual point over
+    k; scale puts the point in the l1 term's dual ball, and sigma_bar =
+    _sigma_bar(M)/unit in the spectral one. The gap at scale alone is a
+    gate: only when it is at most tol is sigma_bar computed and the gap,
+    retaken at max(scale, sigma_bar), certified. diagnostics["duality_gap"]
+    is the last gap computed; at max_iter it may lack sigma_bar."""
+    def relative_gap(k):
+        g = primal - dual(k)
+        return g / primal if primal > 0 else (0.0 if g <= 0 else math.inf)
+
+    gap = relative_gap(scale)
+    if not gap <= tol:
+        return gap, False
+    sigma_bar = _sigma_bar(M) / unit
+    if sigma_bar > scale:
+        gap = relative_gap(sigma_bar)
+    return gap, True
 
 
 def _box_conjugate(Q, Y, b, lam):
@@ -395,18 +405,13 @@ def solve_regularized(Y, cfg):
     a box, and with one it is the finite _box_conjugate. The dual point is
     Q = -R/mu, which attains P at the optimum, times kappa = 1/max(1,
     ||Q||_inf/lam, sigma_bar), the middle term only without a box, and
-    sigma_bar = sigma_1(R)/mu from matrices._spectral_norm inflated by the
-    max(m, n)*eps error its docstring states. P takes ||X_L||_* as sum(s),
-    exact for the threshold step's X_L = U diag(s) Vt, partial steps
-    included. P and d are homogeneous of degree 1 in (Y, X_S, X_L, mu, b),
-    so both are evaluated exactly on these times 2^-e, with max(max|Y|, mu)
-    in [2^(e-1), 2^e), clear of overflow and underflow at any scale.
-
-    sigma_bar, counted in diagnostics["spectral_checks"], is computed only
-    once the gap without it passes. diagnostics["duality_gap"] is the last
-    relative gap computed (0 at P = 0); on hitting max_iter, which returns
-    converged=False, it may lack sigma_bar and certify nothing. The gap
-    certifies the objective, not the first-order residual of (X_S, X_L).
+    sigma_bar >= ||Q||_2 computed as _gap_exit says. P takes ||X_L||_* as
+    sum(s), exact for the threshold step's X_L = U diag(s) Vt, partial
+    steps included. P and d are homogeneous of degree 1 in (Y, X_S, X_L,
+    mu, b), so both are evaluated exactly on these times 2^-e, with
+    max(max|Y|, mu) in [2^(e-1), 2^e), clear of overflow and underflow at
+    any scale. The gap certifies the objective, not the first-order
+    residual of (X_S, X_L).
     """
     cfg.validate()
     Y = as_matrix(Y, "Y")
@@ -419,14 +424,13 @@ def solve_regularized(Y, cfg):
         eta0 = 1.0
     e = math.frexp(max(_entrywise_norm(Y, np.inf), mu))[1]
     mu_e, b_e = math.ldexp(mu, -e), math.ldexp(b, -e)
-    gap = math.inf
-    spectral_checks = 0
+    gap, spectral_checks = math.inf, 0
 
     def shrink(V, eta):
         V *= eta * mu / (eta * mu + 1.0)
         return V
 
-    def stop(X_S, X_L, factors, D, pri, dua, work):
+    def stop(X_S, X_L, factors, D, pri, dua, work, duals, etas):
         nonlocal gap, spectral_checks
         # At scale 2^-e: R in D, |X_S| and then Y in work.
         R = np.ldexp(D, -e, out=D)
@@ -436,22 +440,16 @@ def solve_regularized(Y, cfg):
         Y_e = np.ldexp(Y, -e, out=work)
         RY = float(np.vdot(R, Y_e))
 
-        def relative_gap(scale):
+        def dual(scale):
             k = 1.0 / (scale * mu_e)  # the dual point is -k*R
-            dual = -k * RY - (0.5 * mu_e * k * r2) * (k * r2)
+            value = -k * RY - (0.5 * mu_e * k * r2) * (k * r2)
             if boxed:
-                dual -= _box_conjugate(np.multiply(R, -k), Y_e, b_e, lam)
-            g = primal - dual
-            return g / primal if primal > 0 else (0.0 if g <= 0 else math.inf)
+                value -= _box_conjugate(np.multiply(R, -k), Y_e, b_e, lam)
+            return value
 
-        scale = 1.0 if boxed else max(1.0, float(max(R.max(), -R.min())) / (mu_e * lam))
-        gap = relative_gap(scale)
-        if not gap <= tol:
-            return False
-        spectral_checks += 1
-        sigma_bar = _spectral_norm(R) * (1.0 + max(Y.shape) * np.finfo(float).eps) / mu_e
-        if sigma_bar > scale:
-            gap = relative_gap(sigma_bar)
+        scale = 1.0 if boxed else max(1.0, _entrywise_norm(R, np.inf) / (mu_e * lam))
+        gap, checked = _gap_exit(primal, dual, scale, R, mu_e, tol)
+        spectral_checks += checked
         return gap <= tol
 
     X_S, X_L, (_, s, _), iterations, converged, diagnostics = _admm(
@@ -469,43 +467,40 @@ def solve_regularized(Y, cfg):
 
 
 def solve_constrained(Y, cfg):
-    """ADMM for the constrained program.
+    """ADMM for the constrained program: minimize lam*||X_S||_1 + ||X_L||_*
+    with R = X_S + X_L - Y in the balls ||R||_1 <= eps_v1 and ||R||_* <=
+    eps_star, and |X_L| <= b entrywise when b is finite.
 
-    The residual gets one copy per residual ball, projected onto it at
-    every sweep. A cap of zero on either norm forces a zero residual, so
-    that case (the exact split) keeps a single copy fixed at R = 0. A finite
-    box adds a clipped copy B of X_L, returned as X_L_hat. Each ball, and
-    the box, is a block of _admm with its own penalty eta_j, which starts at
-    1 whatever the scale of Y. Every 10 sweeps _admm doubles or halves a
-    block's penalty when one of its residuals exceeds the other tenfold, or
-    twofold once the other already meets tol, so that neither lags far
-    behind at the exit.
+    The residual gets one copy per ball, projected onto it at every sweep;
+    a zero cap forces R = 0, and that case (the exact split) keeps a single
+    copy fixed at 0. A finite box adds a clipped copy B of X_L, returned as
+    X_L_hat. Each ball, and the box, is a block of _admm with its own
+    penalty eta_j, starting at 1 whatever the scale of Y. Over a sweep the
+    X_S step leaves the dual feasibility of X_S off by sum_j eta_j (dR_j -
+    dX_L), and the X_L step that of X_L by sum_j eta_j dR_j + eta_B dB; each
+    residual block's dual residual is its term of the first, the box's its
+    term of the second.
 
-    The dual residuals follow from the threshold steps. With D = X_S + X_L
-    - Y, scaled duals W_j and V, and d the change over a sweep, the X_S
-    step makes 0 a subgradient of lam*||X_S||_1 + sum_j eta_j (D' - R_j +
-    W_j), where D' holds the old X_L and R_j the old copies. The new duals
-    are W_j + D - R_j with the new ones, so in their terms the step leaves
-    the dual feasibility of X_S off by sum_j eta_j (dR_j - dX_L). The X_L
-    step, written the same way, leaves that of X_L off by sum_j eta_j dR_j
-    + eta_B dB. Every residual block, the penalized program's included, is
-    charged its term of the first, eta_j ||dR_j - dX_L||, and the box its
-    term of the second, eta_B ||dB||. The exact split's block has dR = 0,
-    so its dual residual is eta ||dX_L|| and it has no term in the second.
-    The balls' terms of the second are not tested, so a relaxed solve's
-    converged flag does not certify the X_L step's dual feasibility to
-    tol, as a single pooled penalty's exit test did: at the
-    exits of the relaxed benchmark's 240 solves (seeds 0-39, tol 1e-2) that
-    term reads 2.1 tol in the median and 3.4 tol at most. Testing it took
-    those solves from 13,783 to 16,565-16,943 sweeps (18,197 with one
-    pooled penalty), so most of the per-ball penalties' saving comes from
-    the looser exit; the returned pairs lie as close to tol-1e-10
-    solutions either way (median Frobenius distance 0.038 against 0.036
-    with the pooled penalty, on seeds 0-9).
-
-    Exit requires primal and dual residuals at most cfg.tol, and in the
-    relaxed mode also that the solution's own residual norms exceed the
-    caps by at most 10*cfg.tol; hitting max_iter returns converged=False.
+    Exit requires the relative duality gap (P - d)/P to be at most cfg.tol
+    (Boyd et al. 2011, ADMM, section 3.3), computed once pri and dua are at
+    most cfg.tol and, relaxed, the iterate's residual norms exceed the caps
+    by at most 10*cfg.tol. Take multipliers Q_j = -eta_j W_j on the residual
+    constraints, Q = sum_j Q_j, and y_B = eta_B V on X_L = B. The Lagrangian
+    lam*||X_S||_1 + ||X_L||_* - <Q, X_S + X_L - Y> + sum_j <Q_j, R_j> + <y_B,
+    X_L - B> has infimum 0 over X_S where ||Q||_inf <= lam and over X_L where
+    ||Q - y_B||_2 <= 1, -eps_j times the dual norm of Q_j over R_j in its
+    ball, and -b*||y_B||_1 over B in the box. So d = kappa*(<Q, Y> -
+    eps_v1*||Q_1||_inf - eps_star*||Q_2||_2 - b*||y_B||_1), with kappa =
+    1/max(1, ||Q||_inf/lam, sigma_bar) and sigma_bar >= ||Q - y_B||_2 as
+    _gap_exit computes it (||Q_2||_2 is bounded the same way), is at most
+    every feasible objective. The exact split has no eps terms, an unboxed
+    solve no y_B terms. P is the objective at the feasible point L =
+    X_L_hat, S = Y - L + rho*R_hat, with R_hat = X_S + L - Y and rho =
+    min(1, eps_v1/||R_hat||_1, eps_star/||R_hat||_*), 0 for the exact
+    split; ||L||_* is sum(s), exact for the threshold step's U diag(s) Vt,
+    partial steps included. Both are evaluated on (Y, X_S, L, eps, b) times
+    2^-e, with max|Y| in [2^(e-1), 2^e). The solve returns the ADMM iterate,
+    whose X_S differs from the certified S by (1 - rho)*R_hat.
     """
     return _solve_constrained(Y, cfg)
 
@@ -515,30 +510,61 @@ def _solve_constrained(Y, cfg, abandon=None):
     (the sweep's proof of non-recovery)."""
     cfg.validate()
     Y = as_matrix(Y, "Y")
-    lam, tol = cfg.lam, cfg.tol
-    exact = cfg.eps_v1 == 0 or cfg.eps_star == 0
+    lam, eps_v1, eps_star, b, tol = cfg.lam, cfg.eps_v1, cfg.eps_star, cfg.b, cfg.tol
+    exact = eps_v1 == 0 or eps_star == 0
+    boxed = not math.isinf(b)
     copies = [] if exact else [
-        lambda V, eta: _project_l1_ball(V, cfg.eps_v1),
-        lambda V, eta: _project_nuclear_ball(V, cfg.eps_star),
+        lambda V, eta: _project_l1_ball(V, eps_v1),
+        lambda V, eta: _project_nuclear_ball(V, eps_star),
     ]
+    e = math.frexp(_entrywise_norm(Y, np.inf))[1]
+    eps_v1_e, eps_star_e, b_e = (math.ldexp(x, -e) for x in (eps_v1, eps_star, b))
+    gap, spectral_checks = math.inf, 0
 
-    def stop(X_S, X_L_hat, factors, D, pri, dua, work):
+    def stop(X_S, L, factors, D, pri, dua, work, duals, etas):
+        nonlocal gap, spectral_checks
         if not (pri <= tol and dua <= tol):  # NaN fails
             return False
-        if exact:
-            return True
-        R_hat = np.add(X_S, X_L_hat, out=work)
-        R_hat -= Y
-        return (_entrywise_norm(R_hat, 1) - cfg.eps_v1 <= 10.0 * tol
-                and _trace_norm(R_hat) - cfg.eps_star <= 10.0 * tol)
+        R = np.add(X_S, L, out=work)
+        R -= Y
+        rho = 0.0
+        if not exact:
+            r1, r_star = _entrywise_norm(R, 1), _trace_norm(R)
+            if not (r1 - eps_v1 <= 10.0 * tol and r_star - eps_star <= 10.0 * tol):
+                return False
+            rho = min(eps_v1 / max(r1, eps_v1), eps_star / max(r_star, eps_star))
+        # At scale 2^-e: |S| for S = X_S - (1 - rho) R in work, then L in D.
+        S = np.multiply(R, rho - 1.0, out=work)
+        S += X_S
+        l1_S = float(np.abs(np.ldexp(S, -e, out=S), out=S).sum())
+        nuclear = (_trace_norm(np.ldexp(L, -e, out=D)) if boxed
+                   else float(np.ldexp(factors[1], -e).sum()))
+        primal = lam * l1_S + nuclear
+        # Q = -sum_j eta_j W_j in D, and Y, then y_B = eta_B V in work.
+        Q = np.multiply(duals[0], -etas[0], out=D)
+        base = 0.0
+        if not exact:
+            Q -= np.multiply(duals[1], etas[1], out=work)
+            base -= eps_v1_e * (etas[0] * _entrywise_norm(duals[0], np.inf))
+            base -= eps_star_e * (etas[1] * _sigma_bar(duals[1]))
+        base += float(np.vdot(Q, np.ldexp(Y, -e, out=work)))
+        scale = max(1.0, _entrywise_norm(Q, np.inf) / lam)
+        if boxed:
+            y_B = np.multiply(duals[-1], etas[-1], out=work)
+            base -= b_e * _entrywise_norm(y_B, 1)
+            Q -= y_B
+        gap, checked = _gap_exit(primal, lambda k: base / k, scale, Q, 1.0, tol)
+        spectral_checks += checked
+        return gap <= tol
 
     X_S, X_L_hat, (_, s, _), iterations, converged, diagnostics = _admm(
-        Y, lam, copies, stop, tol, cfg.max_iter, 1.0, b_L=cfg.b,
+        Y, lam, copies, stop, tol, cfg.max_iter, 1.0, b_L=b,
         abandon=abandon)
     rv1, rst, rv2 = _residual_norms(X_S + X_L_hat - Y)
     # Unboxed, X_L_hat is the last threshold step's U diag(s) Vt.
-    nuclear = float(s.sum()) if math.isinf(cfg.b) else _trace_norm(X_L_hat)
+    nuclear = _trace_norm(X_L_hat) if boxed else float(s.sum())
     obj = lam * _entrywise_norm(X_S, 1) + nuclear
+    diagnostics.update(duality_gap=gap, spectral_checks=spectral_checks)
     return SolveReport(
         X_S_hat=X_S, X_L_hat=X_L_hat, iterations=iterations, objective=obj,
         residual_v1=rv1, residual_star=rst, residual_v2=rv2,

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .matrices import _spectral_norm, as_matrix, svd  # noqa: F401 (tests patch it)
+from .matrices import _is_integer, as_matrix, svd
 from .norms import _frobenius
 
 
@@ -33,8 +33,8 @@ class SupportSet:
     """
 
     def __init__(self, m, n, cells):
-        if m < 1 or n < 1:
-            raise ValueError("ambient dimensions must be >= 1")
+        if not (_is_integer(m, 1) and _is_integer(n, 1)):
+            raise ValueError("ambient dimensions must be integers >= 1")
         self.m = int(m)
         self.n = int(n)
         mask = np.zeros((self.m, self.n), dtype=bool)

@@ -84,8 +84,8 @@ class GeneratedInstance:
 
 def gen_support(m, n, ktilde, seed):
     """ktilde uniform cell draws with replacement, collapsed to a set."""
-    if ktilde < 0:
-        raise ValueError("ktilde must be nonnegative")
+    if not _is_integer(ktilde, 0):
+        raise ValueError("ktilde must be a nonnegative integer")
     flat = RandomStream(seed).integers(ktilde, m * n)
     return SupportSet(m, n, ((int(f) // n, int(f) % n) for f in flat))
 
@@ -100,8 +100,8 @@ def _orthonormalize(G):
 def gen_subspaces(m, n, rbar, seed):
     """Independent orthonormal factors from QR of Gaussian draws, with the
     R diagonal forced positive so the factors are reproducible."""
-    if rbar < 0 or rbar > min(m, n):
-        raise ValueError("rank must satisfy 0 <= rank <= min(m, n)")
+    if not (_is_integer(rbar, 0) and rbar <= min(m, n)):
+        raise ValueError("rank must be an integer with 0 <= rank <= min(m, n)")
     if rbar == 0:
         return RowColSpace(np.zeros((m, 0)), np.zeros((n, 0)), check=False)
     stream = RandomStream(seed)

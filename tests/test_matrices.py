@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,25 @@ def test_random_stream_integers_bounded():
     draws = stream.integers(1000, 7)
     assert draws.min() >= 0
     assert draws.max() < 7
+
+
+def test_numpy_integer_seed_folds_like_python_int():
+    # An np.int64 seed passes the integer rule; it must also fold, and
+    # give the Python int's values.
+    assert mix_seed(np.int64(3), 1) == mix_seed(3, 1)
+    assert mix_seed(np.int64(-1), 0) == mix_seed(-1, 0)
+    assert np.array_equal(RandomStream(np.int64(7)).uniforms(4), RandomStream(7).uniforms(4))
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, math.inf])
+def test_random_draws_reject_non_integer_counts(value):
+    # A float count, even a whole one, raises rather than drawing a rounded
+    # number of values or failing inside numpy.
+    with pytest.raises(ValueError, match="count"):
+        RandomStream(1).integers(value, 16)
+    with pytest.raises(ValueError, match="bound"):
+        RandomStream(1).integers(3, value)
+    with pytest.raises(ValueError, match="dimensions"):
+        gaussian_matrix(value, 2, 1)
+    with pytest.raises(ValueError, match="dimensions"):
+        gaussian_matrix(2, value, 1)

@@ -47,6 +47,15 @@ def test_support_set_validation():
         SupportSet(2, 2, [(0, -1)])
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, float("inf")])
+def test_support_set_rejects_non_integer_dimensions(value):
+    # SupportSet(2.5, 3, cells) truncated m to 2.
+    with pytest.raises(ValueError, match="ambient dimensions"):
+        SupportSet(value, 3, [(0, 0)])
+    with pytest.raises(ValueError, match="ambient dimensions"):
+        SupportSet(3, value, [(0, 0)])
+
+
 def test_support_counts():
     # Column 1 holds three cells and row 0 two, so a swapped pair shows.
     s = SupportSet(3, 4, [(0, 0), (0, 1), (1, 1), (2, 1)])

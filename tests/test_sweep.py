@@ -78,6 +78,16 @@ def test_spec_rejects_non_integer_counts(name, message, value):
     SweepSpec(**dict(fields, **{name: (2,) if name == "ranks" else 2}))
 
 
+def test_numpy_integer_base_seed_gives_the_python_int_rows():
+    # np.int64 passes the spec's integer rule, and used to raise
+    # OverflowError in the seed mixing inside run_sweep.
+    fields = dict(m=8, n=8, ranks=(1,), densities=(0.1,), trials=2)
+    rows_np, agg_np = run_sweep(SweepSpec(base_seed=np.int64(5), **fields))
+    rows, agg = run_sweep(SweepSpec(base_seed=5, **fields))
+    assert format_detail_csv(rows_np) == format_detail_csv(rows)
+    assert format_aggregate_csv(agg_np) == format_aggregate_csv(agg)
+
+
 def test_sweep_rows_deterministic_and_job_invariant():
     rows_a, agg_a = base_run()
     rows_b, agg_b = run_sweep(small_spec(), jobs=3)

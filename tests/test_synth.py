@@ -47,6 +47,24 @@ def test_spec_rejects_non_integer_counts_and_seed(name, message, value):
     InstanceSpec(**dict(fields, **{name: 2}))
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, math.inf])
+def test_generators_reject_non_integer_counts(value):
+    # gen_support(4, 4, 2.5, 1) drew 3 cells, and gen_subspaces passed a
+    # float rank on to numpy.
+    with pytest.raises(ValueError, match="ktilde"):
+        gen_support(4, 4, value, 1)
+    with pytest.raises(ValueError, match="rank"):
+        gen_subspaces(4, 4, value, 1)
+
+
+def test_numpy_integer_seed_gives_the_python_int_instance():
+    spec = dict(m=12, n=10, rbar=2, ktilde=15, sigma=0.1)
+    a = gen_instance(InstanceSpec(seed=np.int64(3), **spec))
+    b = gen_instance(InstanceSpec(seed=3, **spec))
+    for X, Z in ((a.Y, b.Y), (a.target.X_S, b.target.X_S), (a.E, b.E)):
+        assert np.array_equal(X, Z)
+
+
 def test_support_empty_when_no_draws():
     sup = gen_support(8, 9, 0, probe_seed("sup0"))
     assert sup.kbar == 0 and sup.cells == ()
