@@ -123,12 +123,12 @@ def profile(target, rho=None):
     a = float(m0)
     b = float(n0)
     space = target.space
-    u = float(np.abs(space.U @ space.U.T).max())
-    v = float(np.abs(space.V @ space.V.T).max())
-    w = float(
-        np.sqrt((space.U ** 2).sum(axis=1).max())
-        * np.sqrt((space.V ** 2).sum(axis=1).max())
-    )
+    # max |<U_i, U_j>| <= max ||U_i||^2 by Cauchy-Schwarz, attained on the
+    # diagonal: ||U U^T||_inf is the largest squared row norm, and likewise
+    # for V, so neither m x m nor n x n product is formed.
+    u = float((space.U ** 2).sum(axis=1).max())
+    v = float((space.V ** 2).sum(axis=1).max())
+    w = math.sqrt(u) * math.sqrt(v)
     gamma = float(np.abs(space.U @ space.V.T).max())
     rho_star = optimal_rho(a, b)
     return IncoherenceProfile(

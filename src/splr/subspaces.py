@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .matrices import _is_integer, as_matrix, svd
+from .matrices import _is_integer, _numerical_rank, as_matrix, thin_svd
 from .norms import _frobenius
 
 
@@ -25,11 +25,12 @@ def sign_matrix(M):
 
 
 class SupportSet:
-    """Set of (row, col) index pairs where the sparse component lives.
+    """Set of (row, col) index pairs where the sparse component lives, held
+    as a boolean mask since projections are applied in inner loops.
 
-    Duplicates are collapsed; indices are validated against the ambient
-    shape. The boolean mask is precomputed since projections are applied in
-    inner loops.
+    Duplicates are collapsed. Each cell is a pair of integers (bools count
+    as the integers they equal) inside the ambient shape; the first cell
+    that is not raises ValueError.
     """
 
     def __init__(self, m, n, cells):
@@ -37,31 +38,63 @@ class SupportSet:
             raise ValueError("ambient dimensions must be integers >= 1")
         self.m = int(m)
         self.n = int(n)
-        mask = np.zeros((self.m, self.n), dtype=bool)
-        for i, j in cells:
-            if not (0 <= i < self.m and 0 <= j < self.n):
-                raise ValueError(f"cell ({i}, {j}) out of range for {m}x{n}")
-            mask[i, j] = True
-        self.mask = mask
-        ii, jj = np.nonzero(mask)
-        self.cells = tuple(zip(ii.tolist(), jj.tolist()))
+        self.mask = _cell_mask(self.m, self.n, list(cells))
+
+    @classmethod
+    def _from_mask(cls, mask):
+        """Support marked by a boolean (m, n) mask, taken without checks."""
+        support = cls.__new__(cls)
+        support.m, support.n = mask.shape
+        support.mask = mask
+        return support
 
     @classmethod
     def from_matrix(cls, X):
         """Support of the exactly nonzero entries of X."""
-        A = as_matrix(X)
-        ii, jj = np.nonzero(A)
-        return cls(A.shape[0], A.shape[1], zip(ii.tolist(), jj.tolist()))
+        return cls._from_mask(as_matrix(X) != 0)
+
+    @property
+    def cells(self):
+        """The marked (row, col) pairs in row-major order."""
+        ii, jj = np.nonzero(self.mask)
+        return tuple(zip(ii.tolist(), jj.tolist()))
 
     @property
     def kbar(self):
-        return len(self.cells)
+        return int(np.count_nonzero(self.mask))
 
     def counts(self):
         """(max nonzero cells in any column, max in any row)."""
         col_counts = self.mask.sum(axis=0)
         row_counts = self.mask.sum(axis=1)
         return int(col_counts.max()), int(row_counts.max())
+
+
+def _cell_mask(m, n, cells):
+    """(m, n) mask marking `cells`, validated in one pass over an index
+    array; only a non-integer array is checked cell by cell."""
+    mask = np.zeros((m, n), dtype=bool)
+    if not cells:
+        return mask
+    idx = np.asarray(cells)
+    if idx.ndim != 2 or idx.shape[1] != 2:
+        raise ValueError("cells must be (row, col) pairs")
+    if idx.dtype.kind in "biu":
+        # A uint64 beyond the int64 range wraps negative and fails the range test.
+        idx = idx.astype(np.int64)
+        ok = (idx >= 0).all(axis=1) & (idx[:, 0] < m) & (idx[:, 1] < n)
+    else:
+        ok = np.array([_is_integer(i, 0) and _is_integer(j, 0) and i < m and j < n
+                       for i, j in cells])
+    if not ok.all():
+        i, j = cells[int(np.argmin(ok))]
+        if not (_is_integer(i) and _is_integer(j)):
+            raise ValueError(f"cell ({i!r}, {j!r}) must hold integer indices")
+        raise ValueError(f"cell ({i}, {j}) out of range for {m}x{n}")
+    if idx.dtype.kind not in "biu":
+        idx = np.array([(int(i), int(j)) for i, j in cells], dtype=np.int64)
+    mask[idx[:, 0], idx[:, 1]] = True
+    return mask
 
 
 class RowColSpace:
@@ -87,8 +120,15 @@ class RowColSpace:
 
     @classmethod
     def from_matrix(cls, X):
-        f = svd(X)
-        return cls(f.U, f.V, check=False)
+        """Singular subspaces of X, rank truncated at sigma_i > 1e-10 * sigma_1."""
+        return cls._from_validated(as_matrix(X))
+
+    @classmethod
+    def _from_validated(cls, A):
+        """from_matrix of a validated A."""
+        U, s, Vt = thin_svd(A)
+        r = _numerical_rank(s)
+        return cls(U[:, :r].copy(), Vt[:r].T.copy(), check=False)
 
     @property
     def m(self):
@@ -106,8 +146,16 @@ class TargetPair:
     def __init__(self, X_S, X_L):
         self.X_S = as_matrix(X_S, "X_S")
         self.X_L = as_matrix(X_L, "X_L", self.X_S.shape)
-        self.support = SupportSet.from_matrix(self.X_S)
-        self.space = RowColSpace.from_matrix(self.X_L)
+        self.support = SupportSet._from_mask(self.X_S != 0)
+        self.space = RowColSpace._from_validated(self.X_L)
+
+    @classmethod
+    def _from_parts(cls, X_S, X_L, support, space):
+        """The pair with a known support and space: X_S nonzero exactly on
+        `support`, and X_L with singular subspaces `space`. Nothing is checked."""
+        pair = cls.__new__(cls)
+        pair.X_S, pair.X_L, pair.support, pair.space = X_S, X_L, support, space
+        return pair
 
     @property
     def shape(self):

@@ -5,6 +5,7 @@ law, and optional i.i.d. Gaussian noise.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,10 @@ class InstanceSpec:
             raise ValueError("ktilde must be a nonnegative integer")
         if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
+        # At a normal amplitude every drawn entry, 0.1*amplitude at least,
+        # is nonzero, so X_S is nonzero exactly on the drawn support.
+        if not sys.float_info.min <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be finite and at least the smallest normal float")
         if self.magnitude_law not in MAGNITUDE_LAWS:
             raise ValueError(f"magnitude_law must be one of {MAGNITUDE_LAWS}")
         if not self.sigma >= 0:
@@ -84,10 +87,13 @@ class GeneratedInstance:
 
 def gen_support(m, n, ktilde, seed):
     """ktilde uniform cell draws with replacement, collapsed to a set."""
+    if not (_is_integer(m, 1) and _is_integer(n, 1)):
+        raise ValueError("dimensions must be integers >= 1")
     if not _is_integer(ktilde, 0):
         raise ValueError("ktilde must be a nonnegative integer")
-    flat = RandomStream(seed).integers(ktilde, m * n)
-    return SupportSet(m, n, ((int(f) // n, int(f) % n) for f in flat))
+    mask = np.zeros(m * n, dtype=bool)
+    mask[RandomStream(seed).integers(ktilde, m * n)] = True
+    return SupportSet._from_mask(mask.reshape(m, n))
 
 
 def _orthonormalize(G):
@@ -143,7 +149,9 @@ def gen_instance(spec):
         E = np.zeros((m, n))
 
     Y = X_S + X_L + E
-    target = TargetPair(X_S, X_L)
+    # X_S is nonzero exactly on the drawn support and X_L = U diag(svals) V^T
+    # with the drawn factors, so the pair needs no rescan and no SVD.
+    target = TargetPair._from_parts(X_S, X_L, support, space)
     eps_2to2, eps_vinf, eps_star_prime = perturbation_scales(target.space, E)
     return GeneratedInstance(
         Y=Y, target=target, E=E, profile=profile(target),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from splr.incoherence import (
 from splr.matrices import RandomStream
 from splr.norms import entrywise_norm, sharp_norm
 from splr.subspaces import RowColSpace, TargetPair, project_support, project_T, sign_matrix
-from splr.synth import InstanceSpec, gen_instance
+from splr.synth import InstanceSpec, gen_instance, gen_subspaces
 
 from .helpers import flat_instance, probe_seed
 
@@ -77,6 +78,46 @@ def test_profile_gamma_below_w():
         t, _ = flat_instance(8, 8, 1 + k % 2 and 2 or 1, 6 + k, 10.0, probe_seed("gw", k))
         prof = profile(t)
         assert prof.gamma <= prof.w + 1e-10
+
+
+def spectral_pair(m, n, r, seed):
+    """TargetPair with one support cell and a rank-r X_L on Haar factors."""
+    space = gen_subspaces(m, n, r, seed)
+    X_S = np.zeros((m, n))
+    X_S[0, 0] = 1.0
+    return TargetPair(X_S, (space.U * np.arange(r, 0, -1.0)) @ space.V.T)
+
+
+@pytest.mark.parametrize("m, n, r", [(9, 7, 3), (20, 30, 2), (8, 8, 0), (6, 6, 6),
+                                     (5, 8, 5), (1, 7, 1), (1, 7, 0)])
+def test_profile_coherence_matches_dense_definitions(m, n, r):
+    # u = ||U U^T||_inf is the largest squared row norm of U (the diagonal
+    # dominates by Cauchy-Schwarz), and likewise v.
+    t = spectral_pair(m, n, r, probe_seed("dense-coh", m, n, r))
+    U, V = t.space.U, t.space.V
+    prof = profile(t)
+    dense = {
+        "u": np.abs(U @ U.T).max(),
+        "v": np.abs(V @ V.T).max(),
+        "w": np.linalg.norm(U, axis=1).max() * np.linalg.norm(V, axis=1).max(),
+        "gamma": np.abs(U @ V.T).max(),
+    }
+    for name, want in dense.items():
+        assert math.isclose(getattr(prof, name), want, rel_tol=1e-12, abs_tol=1e-12), name
+
+
+@pytest.mark.parametrize("m, n", [(1000, 3), (3, 1000)])
+def test_profile_forms_no_square_product(m, n):
+    # A 1000 x 1000 U U^T (or V V^T) would take 8 MB; the profile needs
+    # arrays of the size of U, V and U V^T only.
+    t = spectral_pair(m, n, 1, probe_seed("no-square", m))
+    tracemalloc.start()
+    try:
+        profile(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * m * n * 8
 
 
 def test_optimal_rho_closed_form():

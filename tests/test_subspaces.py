@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+import splr.matrices
+import splr.subspaces
 from splr.incoherence import profile
 from splr.matrices import RandomStream, frobenius_inner
 from splr.norms import entrywise_norm, flat_norm, induced_norm, sharp_norm, trace_norm
@@ -47,6 +49,35 @@ def test_support_set_validation():
         SupportSet(2, 2, [(0, -1)])
 
 
+def test_support_set_marks_bool_cell_as_its_integer():
+    # numpy read [(True, 0)] as a boolean index and marked all of row 0.
+    s = SupportSet(3, 3, [(True, 0)])
+    assert s.cells == ((1, 0),) and s.kbar == 1
+
+
+def test_support_set_accepts_numpy_integer_cells():
+    s = SupportSet(3, 3, [(np.int64(2), np.int32(1)), (np.uint8(0), 2)])
+    assert s.cells == ((0, 2), (2, 1))
+
+
+@pytest.mark.parametrize("cell", [(1.5, 0), (1.0, 0), (0, np.float64(2.0))])
+def test_support_set_rejects_float_cell(cell):
+    # (1.5, 0) raised numpy's IndexError; a whole float is no index either.
+    with pytest.raises(ValueError, match="integer indices"):
+        SupportSet(3, 3, [(0, 0), cell])
+
+
+def test_support_set_names_first_bad_cell_in_input_order():
+    with pytest.raises(ValueError, match=re.escape("cell (5, 0) out of range for 3x3")):
+        SupportSet(3, 3, [(0, 0), (5, 0), (1.5, 0)])
+    with pytest.raises(ValueError, match=re.escape("cell (1.5, 0) must hold integer")):
+        SupportSet(3, 3, [(0, 0), (1.5, 0), (5, 0)])
+    with pytest.raises(ValueError, match=re.escape("cell (0, 3) out of range")):
+        SupportSet(3, 3, [(2, 2), (0, 3), (-1, 0)])
+    with pytest.raises(ValueError, match="pairs"):
+        SupportSet(3, 3, [(0, 0, 0)])
+
+
 @pytest.mark.parametrize("value", [2.5, 2.0, float("inf")])
 def test_support_set_rejects_non_integer_dimensions(value):
     # SupportSet(2.5, 3, cells) truncated m to 2.
@@ -74,6 +105,24 @@ def test_target_pair_derives_support_and_space():
     assert t.support.kbar == 5
     assert t.space.r == 1
     assert set(map(tuple, np.argwhere(t.X_S != 0))) == set(t.support.cells)
+
+
+def test_target_pair_validates_input_once(monkeypatch):
+    # X_S and X_L are validated at the constructor; the support and space
+    # are derived from the validated arrays, not validated again.
+    real = splr.matrices.as_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    for mod in (splr.matrices, splr.subspaces):
+        monkeypatch.setattr(mod, "as_matrix", counting)
+    t, _ = flat_instance(8, 8, 1, 5, 10.0, probe_seed("pair-once"))
+    calls.clear()
+    again = TargetPair(t.X_S, t.X_L)
+    assert len(calls) == 2
+    assert again.support.cells == t.support.cells and again.space.r == 1
 
 
 def test_orth_matrix_axis_aligned():

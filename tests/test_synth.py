@@ -1,10 +1,15 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from splr.incoherence import check_identifiability, proposition1_bounds
+import splr.matrices
+from splr.incoherence import check_identifiability, profile, proposition1_bounds
+from splr.matrices import RandomStream
 from splr.norms import entrywise_norm, induced_norm
+from splr.subspaces import TargetPair, orth_matrix, project_T
 from splr.synth import (
     MAGNITUDE_LAWS,
     InstanceSpec,
@@ -32,6 +37,21 @@ def test_spec_validation_errors():
     for name in ("amplitude", "sigma"):
         with pytest.raises(ValueError):
             InstanceSpec(m=5, n=5, rbar=1, ktilde=3, **{name: math.nan})
+
+
+@pytest.mark.parametrize("amplitude", [math.inf, 5e-324, sys.float_info.min / 2])
+def test_spec_rejects_infinite_or_subnormal_amplitude(amplitude):
+    # An infinite amplitude gives a non-finite X_S; below the smallest
+    # normal float a uniform-law entry can round to zero on a drawn cell.
+    with pytest.raises(ValueError, match="amplitude"):
+        InstanceSpec(m=5, n=5, rbar=1, ktilde=3, amplitude=amplitude)
+
+
+def test_smallest_normal_amplitude_keeps_every_drawn_cell():
+    inst = gen_instance(InstanceSpec(m=12, n=12, rbar=1, ktilde=40,
+                                     amplitude=sys.float_info.min,
+                                     magnitude_law="uniform", seed=probe_seed("tiny")))
+    assert np.array_equal(inst.target.support.mask, inst.target.X_S != 0)
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, math.inf])
@@ -248,3 +268,48 @@ def test_coherence_bounds_hold_on_every_generated_instance():
         assert prof.alpha(rho) <= alpha_b + 1e-12
         assert prof.beta(rho) <= beta_b + 1e-12
         assert prof.gamma <= gamma_b + 1e-12
+
+
+REDERIVED_SPECS = [
+    InstanceSpec(m=12, n=9, rbar=0, ktilde=20, seed=probe_seed("rederive", 0)),
+    InstanceSpec(m=12, n=9, rbar=1, ktilde=20, sigma=0.1, seed=probe_seed("rederive", 1)),
+    InstanceSpec(m=12, n=9, rbar=9, ktilde=20, magnitude_law="uniform",
+                 seed=probe_seed("rederive", 2)),
+    InstanceSpec(m=8, n=8, rbar=8, ktilde=10, sigma=1e-3, seed=probe_seed("rederive", 3)),
+    InstanceSpec(m=1, n=7, rbar=1, ktilde=3, seed=probe_seed("rederive", 4)),
+    InstanceSpec(m=1, n=7, rbar=0, ktilde=3, sigma=0.5, seed=probe_seed("rederive", 5)),
+    InstanceSpec(m=20, n=30, rbar=3, ktilde=0, seed=probe_seed("rederive", 6)),
+]
+
+
+@pytest.mark.parametrize("spec", REDERIVED_SPECS)
+def test_generated_target_equals_rederived_one(spec):
+    # The generated pair carries the support and factors it drew; the
+    # public constructor finds them again from X_S and X_L.
+    inst = gen_instance(spec)
+    drawn, again = inst.target, TargetPair(inst.target.X_S, inst.target.X_L)
+    assert drawn.support.cells == again.support.cells
+    assert np.array_equal(drawn.support.mask, again.support.mask)
+    assert drawn.space.r == again.space.r == spec.rbar
+    assert np.abs(orth_matrix(drawn.space) - orth_matrix(again.space)).max() <= 1e-12
+    stream = RandomStream(probe_seed("rederive-probe"))
+    for _ in range(3):
+        M = stream.gaussian(spec.m, spec.n)
+        assert np.abs(project_T(drawn.space, M) - project_T(again.space, M)).max() <= 1e-12
+    want = dataclasses.asdict(profile(again))
+    for name, value in dataclasses.asdict(inst.profile).items():
+        assert math.isclose(value, want[name], rel_tol=1e-12, abs_tol=0.0), name
+
+
+def test_gen_instance_takes_no_svd_of_the_instance(monkeypatch):
+    real = splr.matrices._lapack_svd
+    shapes = []
+
+    def recording(A, compute_uv):
+        shapes.append(A.shape)
+        return real(A, compute_uv)
+    monkeypatch.setattr(splr.matrices, "_lapack_svd", recording)
+    for sigma in (0.0, 0.1):
+        gen_instance(InstanceSpec(m=12, n=9, rbar=2, ktilde=20, sigma=sigma,
+                                  seed=probe_seed("nosvd")))
+    assert (12, 9) not in shapes
