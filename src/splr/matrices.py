@@ -141,7 +141,11 @@ def _T_singular_values(U, X, B, Vt):
 
 def svd(M):
     """Thin SVD of M with rank truncated at sigma_i > 1e-10 * sigma_1."""
-    A = as_matrix(M)
+    return _svd(as_matrix(M))
+
+
+def _svd(A):
+    """svd of a validated A."""
     U, s, Vt = thin_svd(A)
     r = _numerical_rank(s)
     return SvdFactors(

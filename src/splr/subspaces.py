@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .matrices import _is_integer, _numerical_rank, as_matrix, thin_svd
+from .matrices import _is_integer, _svd, as_matrix, svd
 from .norms import _frobenius
 
 
@@ -28,9 +28,10 @@ class SupportSet:
     """Set of (row, col) index pairs where the sparse component lives, held
     as a boolean mask since projections are applied in inner loops.
 
-    Duplicates are collapsed. Each cell is a pair of integers (bools count
-    as the integers they equal) inside the ambient shape; the first cell
-    that is not raises ValueError.
+    Duplicates are collapsed. Each cell is a pair of integers under
+    `_is_integer` (a bool counts as the integer it equals; a numpy bool is no
+    integer) inside the ambient shape; the first cell that is not raises
+    ValueError.
     """
 
     def __init__(self, m, n, cells):
@@ -38,7 +39,16 @@ class SupportSet:
             raise ValueError("ambient dimensions must be integers >= 1")
         self.m = int(m)
         self.n = int(n)
-        self.mask = _cell_mask(self.m, self.n, list(cells))
+        self.mask = np.zeros((self.m, self.n), dtype=bool)
+        for cell in cells:
+            if len(cell) != 2:
+                raise ValueError("cells must be (row, col) pairs")
+            i, j = cell
+            if not (_is_integer(i) and _is_integer(j)):
+                raise ValueError(f"cell ({i!r}, {j!r}) must hold integer indices")
+            if not (0 <= i < self.m and 0 <= j < self.n):
+                raise ValueError(f"cell ({i}, {j}) out of range for {m}x{n}")
+            self.mask[int(i), int(j)] = True
 
     @classmethod
     def _from_mask(cls, mask):
@@ -70,33 +80,6 @@ class SupportSet:
         return int(col_counts.max()), int(row_counts.max())
 
 
-def _cell_mask(m, n, cells):
-    """(m, n) mask marking `cells`, validated in one pass over an index
-    array; only a non-integer array is checked cell by cell."""
-    mask = np.zeros((m, n), dtype=bool)
-    if not cells:
-        return mask
-    idx = np.asarray(cells)
-    if idx.ndim != 2 or idx.shape[1] != 2:
-        raise ValueError("cells must be (row, col) pairs")
-    if idx.dtype.kind in "biu":
-        # A uint64 beyond the int64 range wraps negative and fails the range test.
-        idx = idx.astype(np.int64)
-        ok = (idx >= 0).all(axis=1) & (idx[:, 0] < m) & (idx[:, 1] < n)
-    else:
-        ok = np.array([_is_integer(i, 0) and _is_integer(j, 0) and i < m and j < n
-                       for i, j in cells])
-    if not ok.all():
-        i, j = cells[int(np.argmin(ok))]
-        if not (_is_integer(i) and _is_integer(j)):
-            raise ValueError(f"cell ({i!r}, {j!r}) must hold integer indices")
-        raise ValueError(f"cell ({i}, {j}) out of range for {m}x{n}")
-    if idx.dtype.kind not in "biu":
-        idx = np.array([(int(i), int(j)) for i, j in cells], dtype=np.int64)
-    mask[idx[:, 0], idx[:, 1]] = True
-    return mask
-
-
 class RowColSpace:
     """Orthonormal factors spanning the column and row spaces of the
     low-rank component."""
@@ -120,15 +103,8 @@ class RowColSpace:
 
     @classmethod
     def from_matrix(cls, X):
-        """Singular subspaces of X, rank truncated at sigma_i > 1e-10 * sigma_1."""
-        return cls._from_validated(as_matrix(X))
-
-    @classmethod
-    def _from_validated(cls, A):
-        """from_matrix of a validated A."""
-        U, s, Vt = thin_svd(A)
-        r = _numerical_rank(s)
-        return cls(U[:, :r].copy(), Vt[:r].T.copy(), check=False)
+        f = svd(X)
+        return cls(f.U, f.V, check=False)
 
     @property
     def m(self):
@@ -147,7 +123,8 @@ class TargetPair:
         self.X_S = as_matrix(X_S, "X_S")
         self.X_L = as_matrix(X_L, "X_L", self.X_S.shape)
         self.support = SupportSet._from_mask(self.X_S != 0)
-        self.space = RowColSpace._from_validated(self.X_L)
+        f = _svd(self.X_L)
+        self.space = RowColSpace(f.U, f.V, check=False)
 
     @classmethod
     def _from_parts(cls, X_S, X_L, support, space):

@@ -5,7 +5,6 @@ law, and optional i.i.d. Gaussian noise.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +61,8 @@ class InstanceSpec:
             raise ValueError("ktilde must be a nonnegative integer")
         if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
-        # At a normal amplitude every drawn entry, 0.1*amplitude at least,
-        # is nonzero, so X_S is nonzero exactly on the drawn support.
-        if not sys.float_info.min <= self.amplitude < math.inf:
-            raise ValueError("amplitude must be finite and at least the smallest normal float")
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError("amplitude must be positive and finite")
         if self.magnitude_law not in MAGNITUDE_LAWS:
             raise ValueError(f"magnitude_law must be one of {MAGNITUDE_LAWS}")
         if not self.sigma >= 0:
@@ -120,7 +117,7 @@ def gen_instance(spec):
     """Assemble the Y = X_S + X_L + E instance that `spec` describes, along
     with the incoherence profile and the measured perturbation scales of E."""
     m, n = spec.m, spec.n
-    support = gen_support(m, n, spec.ktilde, mix_seed(spec.seed, _TAG_SUPPORT))
+    drawn = gen_support(m, n, spec.ktilde, mix_seed(spec.seed, _TAG_SUPPORT))
     space = gen_subspaces(m, n, spec.rbar, mix_seed(spec.seed, _TAG_SUBSPACES))
 
     if spec.rbar:
@@ -132,7 +129,7 @@ def gen_instance(spec):
         X_L = np.zeros((m, n))
 
     X_S = np.zeros((m, n))
-    k = support.kbar
+    k = drawn.kbar
     stream = RandomStream(mix_seed(spec.seed, _TAG_MAGNITUDES))
     signs = 2.0 * stream.integers(k, 2).astype(float) - 1.0
     if spec.magnitude_law == "fixed":
@@ -140,8 +137,8 @@ def gen_instance(spec):
     else:
         mags = spec.amplitude * (0.1 + 0.9 * stream.uniforms(k))
         vals = signs * mags
-    # Boolean indexing is row-major, the order of support.cells.
-    X_S[support.mask] = vals
+    # Boolean indexing is row-major, the order of drawn.cells.
+    X_S[drawn.mask] = vals
 
     if spec.sigma > 0:
         E = spec.sigma * RandomStream(mix_seed(spec.seed, _TAG_NOISE)).gaussian(m, n)
@@ -149,8 +146,10 @@ def gen_instance(spec):
         E = np.zeros((m, n))
 
     Y = X_S + X_L + E
-    # X_S is nonzero exactly on the drawn support and X_L = U diag(svals) V^T
-    # with the drawn factors, so the pair needs no rescan and no SVD.
+    # X_L = U diag(svals) V^T with the drawn factors, so the pair needs no
+    # SVD. The support is read off X_S, since a uniform-law entry at a
+    # subnormal amplitude can round to zero on a drawn cell.
+    support = SupportSet._from_mask(X_S != 0)
     target = TargetPair._from_parts(X_S, X_L, support, space)
     eps_2to2, eps_vinf, eps_star_prime = perturbation_scales(target.space, E)
     return GeneratedInstance(

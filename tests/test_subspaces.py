@@ -55,6 +55,15 @@ def test_support_set_marks_bool_cell_as_its_integer():
     assert s.cells == ((1, 0),) and s.kbar == 1
 
 
+def test_support_set_rejects_numpy_bool_cell_whatever_its_neighbours():
+    # np.bool_ is no integer under _is_integer, alone or beside a float cell.
+    bad = re.escape(f"cell ({np.True_!r}, 0) must hold integer indices")
+    with pytest.raises(ValueError, match=bad):
+        SupportSet(3, 3, [(np.True_, 0)])
+    with pytest.raises(ValueError, match=bad):
+        SupportSet(3, 3, [(np.True_, 0), (1.5, 0)])
+
+
 def test_support_set_accepts_numpy_integer_cells():
     s = SupportSet(3, 3, [(np.int64(2), np.int32(1)), (np.uint8(0), 2)])
     assert s.cells == ((0, 2), (2, 1))

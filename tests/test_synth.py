@@ -7,10 +7,11 @@ import pytest
 
 import splr.matrices
 from splr.incoherence import check_identifiability, profile, proposition1_bounds
-from splr.matrices import RandomStream
+from splr.matrices import RandomStream, mix_seed
 from splr.norms import entrywise_norm, induced_norm
 from splr.subspaces import TargetPair, orth_matrix, project_T
 from splr.synth import (
+    _TAG_SUPPORT,
     MAGNITUDE_LAWS,
     InstanceSpec,
     gen_instance,
@@ -39,19 +40,25 @@ def test_spec_validation_errors():
             InstanceSpec(m=5, n=5, rbar=1, ktilde=3, **{name: math.nan})
 
 
-@pytest.mark.parametrize("amplitude", [math.inf, 5e-324, sys.float_info.min / 2])
-def test_spec_rejects_infinite_or_subnormal_amplitude(amplitude):
-    # An infinite amplitude gives a non-finite X_S; below the smallest
-    # normal float a uniform-law entry can round to zero on a drawn cell.
+def test_spec_rejects_infinite_amplitude():
+    # An infinite amplitude gives a non-finite X_S.
     with pytest.raises(ValueError, match="amplitude"):
-        InstanceSpec(m=5, n=5, rbar=1, ktilde=3, amplitude=amplitude)
+        InstanceSpec(m=5, n=5, rbar=1, ktilde=3, amplitude=math.inf)
 
 
-def test_smallest_normal_amplitude_keeps_every_drawn_cell():
-    inst = gen_instance(InstanceSpec(m=12, n=12, rbar=1, ktilde=40,
-                                     amplitude=sys.float_info.min,
-                                     magnitude_law="uniform", seed=probe_seed("tiny")))
-    assert np.array_equal(inst.target.support.mask, inst.target.X_S != 0)
+@pytest.mark.parametrize("law", MAGNITUDE_LAWS)
+@pytest.mark.parametrize("amplitude", [5e-324, sys.float_info.min])
+def test_tiny_amplitude_support_is_the_nonzero_cells(law, amplitude):
+    # At 5e-324 a uniform-law entry can round to zero on a drawn cell; the
+    # fixed law keeps every drawn cell at +-amplitude.
+    spec = InstanceSpec(m=12, n=12, rbar=1, ktilde=40, amplitude=amplitude,
+                        magnitude_law=law, seed=probe_seed("tiny"))
+    target = gen_instance(spec).target
+    assert np.array_equal(target.support.mask, target.X_S != 0)
+    if law == "fixed":
+        drawn = gen_support(12, 12, 40, mix_seed(spec.seed, _TAG_SUPPORT))
+        assert np.array_equal(target.support.mask, drawn.mask)
+        assert np.all(np.abs(target.X_S[drawn.mask]) == amplitude)
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, math.inf])
