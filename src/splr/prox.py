@@ -94,21 +94,18 @@ class SvtWarmStart:
     The full SVD serves a declined partial step, and every step while
     min(m, n) < PARTIAL_SVT_MIN_DIM or 4 * width > min(m, n); that cap is
     checked before padding, so a refused step draws nothing from the
-    stream. partial says whether the last step took the partial path and
-    partial_svds counts those steps.
+    stream. partial_svds counts the steps that took the partial path.
     """
 
     def __init__(self, shape):
         self.block = np.empty((0, shape[1]))
         self.width = min(shape) // 4
-        self.partial = False
         self.partial_svds = 0
         self.stream = RandomStream(0)
 
     def factors(self, M, t):
         """(U, s, Vt) for thresholding M by t: the partial triplets when a
         partial step is taken and accepted, else the full thin SVD."""
-        self.partial = False
         if min(M.shape) < PARTIAL_SVT_MIN_DIM:
             return thin_svd(M)
         out = None
@@ -118,10 +115,10 @@ class SvtWarmStart:
             if short > 0:
                 V = np.hstack([V, self.stream.gaussian(V.shape[0], short)])
             out = _partial_svt(M, t, V)
-        self.partial = out is not None
-        self.partial_svds += self.partial
         if out is None:
             out = thin_svd(M)
+        else:
+            self.partial_svds += 1
         self.width = int(np.count_nonzero(out[1] > t)) + _PARTIAL_PAD
         # Copy only the rows the next step starts from: no full Vt is held.
         self.block = out[2][:self.width].copy()
@@ -129,18 +126,19 @@ class SvtWarmStart:
 
 
 def _shrink_spectrum(U, s, Vt, t):
-    """(X, U, s, Vt) of U diag(s) Vt with s shrunk by t, zeros dropped."""
+    """(X, s) for U diag(s) Vt with s shrunk by t: s keeps only the positive
+    values, and X = U diag(s) Vt over their triplets."""
     s = np.maximum(s - t, 0.0)
     keep = s > 0
-    U, s, Vt = U[:, keep], s[keep], Vt[keep, :]
-    return (U * s) @ Vt, U, s, Vt
+    s = s[keep]
+    return (U[:, keep] * s) @ Vt[keep, :], s
 
 
 def _svt(M, t, warm):
-    """Singular-value threshold of M by t, with the kept factors:
-    (X, U, s, Vt) where X = U diag(s) Vt and every s is positive. The
-    factors come from the SvtWarmStart warm, which may compute only the
-    leading triplets (see SvtWarmStart.factors).
+    """Singular-value threshold of M by t, with the kept values: (X, s)
+    where X = U diag(s) Vt and every s is positive. The factors come from
+    the SvtWarmStart warm, which may compute only the leading triplets (see
+    SvtWarmStart.factors).
     """
     return _shrink_spectrum(*warm.factors(M, t), t)
 

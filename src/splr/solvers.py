@@ -130,10 +130,6 @@ def recovery_errors(report, target):
     }
 
 
-def _residual_norms(R):
-    return _entrywise_norm(R, 1), _trace_norm(R), _entrywise_norm(R, 2)
-
-
 def _weighted_mean(arrays, weights, out, work):
     """sum_j w_j A_j / sum_j w_j, written into out, with work a free buffer
     for the terms. A single array is its own mean and comes back as it
@@ -147,8 +143,8 @@ def _weighted_mean(arrays, weights, out, work):
     return out
 
 
-def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
-          b_L=math.inf, abandon=None):
+def _admm(Y, lam, copies, gap_terms, tol, max_iter, eta0, mode, fit=None,
+          S_box=None, b_L=math.inf, abandon=None):
     """Gauss-Seidel ADMM on lam*||X_S||_1 + ||X_L||_* plus the residual
     terms, shared by both solvers. Y must already be validated.
 
@@ -171,7 +167,7 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     over the sweep, block j's primal residual is ||D - R_j|| and its dual
     residual eta_j*||dR_j - dX_L||, which is eta*||dX_L|| for the fixed R =
     0 of exact agreement; the box's are ||X_L - B|| and eta_B*||dB||. pri
-    and dua, the hypot of the blocks' residuals, are passed to stop.
+    and dua, the hypot of the blocks' residuals, are passed to gap_terms.
 
     Every penalty starts at eta0 and is rebalanced every 10 sweeps on its
     own block's residuals (Boyd et al. 2011, ADMM, section 3.4.1) when one
@@ -191,10 +187,21 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     X_L + V. Exact agreement without a box takes the arithmetic of a
     single penalty, to the bit.
 
-    The loop exits when stop(X_S, X_L_hat, X_L_factors, D, pri, dua, work,
-    duals, etas) is true, where work is a free full-size buffer, duals the
-    scaled duals and etas the penalties, both in block order; stop may
-    overwrite D and work, and must not write the duals.
+    Each sweep ends with gap_terms(X_S, X_L_hat, s, D, pri, dua, work,
+    duals, etas), where s holds the last threshold step's kept singular
+    values, work is a free full-size buffer, duals the scaled duals and
+    etas the penalties, both in block order; it may overwrite D and work,
+    and must not write the duals. It returns None while the caller's gate
+    is shut, and otherwise (P, dual, scale, M, unit): the objective P at a
+    feasible point, dual(k) the dual value at the caller's dual point over
+    k, scale the k that puts that point in the l1 term's dual ball, and
+    sigma_bar = _sigma_bar(M)/unit the k for the spectral one. The relative
+    gap (P - d)/P, 0 at P = 0 unless d < 0, taken at scale alone is a gate:
+    only when it is at most tol is sigma_bar computed (spectral_checks
+    counts these) and the gap retaken at max(scale, sigma_bar). The loop
+    exits converged when that certified gap is at most tol (Boyd et al.
+    2011, ADMM, section 3.3). duality_gap is the last gap computed, inf
+    when none was; at max_iter it may lack sigma_bar.
 
     The full-size work arrays live across sweeps and are updated in place:
     the centre C of the threshold steps, X_S (the soft threshold writes
@@ -210,9 +217,8 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     When min(m, n) >= PARTIAL_SVT_MIN_DIM, the threshold step computes only
     the leading singular triplets, warm-started from the last sweep's right
     singular block (see prox.SvtWarmStart); smaller problems take a full
-    SVD every sweep. The stops certify a duality gap from X_L = U diag(s)
-    Vt alone, so a partial step that misses values costs sweeps, not a
-    wrong exit.
+    SVD every sweep. The gap is certified from X_L = U diag(s) Vt alone, so
+    a partial step that misses values costs sweeps, not a wrong exit.
 
     abandon, when given, is a predicate abandon(X_L, s) on the last
     threshold step's output and its kept singular values. It runs every 10
@@ -221,12 +227,14 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
     the solve will not reach the answer it wants uses it to stop early;
     a sweep that it lets pass is computed as without it, to the bit.
 
-    Returns X_S, X_L_hat, the (U, s, Vt) factors of the last X_L, the
-    iteration count, the converged flag and the diagnostics: final
+    Returns the SolveReport of mode. Its objective is fit(||R||_F) +
+    lam*||X_S||_1 + ||X_L_hat||_*, with R = X_S + X_L_hat - Y, fit the
+    caller's data term (0 when omitted), and the trace norm sum(s) unboxed,
+    where X_L_hat is the last U diag(s) Vt. Its diagnostics are the final
     residuals, the penalties in block order and the total number of
     rescalings, partial_svds, the number of threshold steps served by the
-    partial path, and abandoned_at, the sweep at which abandon held (None
-    when it never did).
+    partial path, abandoned_at, the sweep at which abandon held (None when
+    it never did), duality_gap and spectral_checks.
     """
     n_res = max(1, len(copies))
     boxed = not math.isinf(b_L)
@@ -244,9 +252,9 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
         B_next, r_B = np.empty(shape), np.empty(shape)
     duals = (W + [V]) if boxed else W
     converged = False
-    rescalings = 0
+    rescalings = spectral_checks = 0
     warm = SvtWarmStart(shape)
-    pri = dua = math.inf
+    pri = dua = gap = math.inf
     abandoned_at = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -275,7 +283,7 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
             C += r_B
         else:
             t_L = 1.0 / H
-        X_L_new, *factors = _svt(C, t_L, warm)
+        X_L_new, s = _svt(C, t_L, warm)
         np.subtract(X_L_new, X_L, out=dX_L)
         X_L = X_L_new
         np.add(X_S, X_L, out=D)
@@ -310,28 +318,42 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
                 dua_parts.append(etas[-1] * _frobenius(B_step))
             pri = math.hypot(*pri_parts)
             dua = math.hypot(*dua_parts)
-        if stop(X_S, B if boxed else X_L, factors, D, pri, dua, dX_L, duals, etas):
-            converged = True
-            break
+        terms = gap_terms(X_S, B if boxed else X_L, s, D, pri, dua, dX_L, duals, etas)
+        if terms is not None:
+            primal, dual, scale, M, unit = terms
+            gap = _relative_gap(primal, dual(scale))
+            if gap <= tol:
+                spectral_checks += 1
+                sigma_bar = _sigma_bar(M) / unit
+                if sigma_bar > scale:
+                    gap = _relative_gap(primal, dual(sigma_bar))
+                if gap <= tol:
+                    converged = True
+                    break
         if iterations % 10 == 0:
-            if abandon is not None and abandon(X_L, factors[1]):
+            if abandon is not None and abandon(X_L, s):
                 abandoned_at = iterations
                 break
             rescaled = False
             for j, (p, d) in enumerate(zip(pri_parts, dua_parts)):
                 p *= eta0
                 if p > 10.0 * d or (d <= tol < p and p > 2.0 * d):
-                    scale = 2.0
+                    factor = 2.0
                 elif d > 10.0 * p or (p <= tol < d and d > 2.0 * p):
-                    scale = 0.5
+                    factor = 0.5
                 else:
                     continue
-                etas[j] *= scale
-                duals[j] /= scale
+                etas[j] *= factor
+                duals[j] /= factor
                 rescalings += 1
                 rescaled = True
             if rescaled and not (sum(etas[:n_res]) > 0.0 and sum(etas) < math.inf):
                 break
+    X_L_hat = B if boxed else X_L
+    R_hat = X_S + X_L_hat - Y
+    rv2 = _entrywise_norm(R_hat, 2)
+    nuclear = _trace_norm(X_L_hat) if boxed else float(s.sum())
+    objective = (fit(rv2) if fit else 0.0) + lam * _entrywise_norm(X_S, 1) + nuclear
     diagnostics = {
         "primal_residual": pri,
         "dual_residual": dua,
@@ -339,8 +361,14 @@ def _admm(Y, lam, copies, stop, tol, max_iter, eta0, S_box=None,
         "penalty_rescalings": rescalings,
         "partial_svds": warm.partial_svds,
         "abandoned_at": abandoned_at,
+        "duality_gap": gap,
+        "spectral_checks": spectral_checks,
     }
-    return X_S, B if boxed else X_L, factors, iterations, converged, diagnostics
+    return SolveReport(
+        X_S_hat=X_S, X_L_hat=X_L_hat, iterations=iterations, objective=objective,
+        residual_v1=_entrywise_norm(R_hat, 1), residual_star=_trace_norm(R_hat),
+        residual_v2=rv2, converged=converged, mode=mode, diagnostics=diagnostics,
+    )
 
 
 def _sigma_bar(M):
@@ -348,26 +376,10 @@ def _sigma_bar(M):
     return _spectral_norm(M) * (1.0 + max(M.shape) * np.finfo(float).eps)
 
 
-def _gap_exit(primal, dual, scale, M, unit, tol):
-    """The relative duality gap (P - d)/P at a stop, 0 at P = 0 unless d <
-    0, and whether sigma_bar was computed (diagnostics["spectral_checks"]
-    counts these). dual(k) is the dual value at the stop's dual point over
-    k; scale puts the point in the l1 term's dual ball, and sigma_bar =
-    _sigma_bar(M)/unit in the spectral one. The gap at scale alone is a
-    gate: only when it is at most tol is sigma_bar computed and the gap,
-    retaken at max(scale, sigma_bar), certified. diagnostics["duality_gap"]
-    is the last gap computed; at max_iter it may lack sigma_bar."""
-    def relative_gap(k):
-        g = primal - dual(k)
-        return g / primal if primal > 0 else (0.0 if g <= 0 else math.inf)
-
-    gap = relative_gap(scale)
-    if not gap <= tol:
-        return gap, False
-    sigma_bar = _sigma_bar(M) / unit
-    if sigma_bar > scale:
-        gap = relative_gap(sigma_bar)
-    return gap, True
+def _relative_gap(primal, dual):
+    """(P - d)/P, 0 at P = 0 unless d < 0."""
+    g = primal - dual
+    return g / primal if primal > 0 else (0.0 if g <= 0 else math.inf)
 
 
 def _box_conjugate(Q, Y, b, lam):
@@ -405,7 +417,7 @@ def solve_regularized(Y, cfg):
     a box, and with one it is the finite _box_conjugate. The dual point is
     Q = -R/mu, which attains P at the optimum, times kappa = 1/max(1,
     ||Q||_inf/lam, sigma_bar), the middle term only without a box, and
-    sigma_bar >= ||Q||_2 computed as _gap_exit says. P takes ||X_L||_* as
+    sigma_bar >= ||Q||_2 computed as _admm says. P takes ||X_L||_* as
     sum(s), exact for the threshold step's X_L = U diag(s) Vt, partial
     steps included. P and d are homogeneous of degree 1 in (Y, X_S, X_L,
     mu, b), so both are evaluated exactly on these times 2^-e, with
@@ -424,19 +436,17 @@ def solve_regularized(Y, cfg):
         eta0 = 1.0
     e = math.frexp(max(_entrywise_norm(Y, np.inf), mu))[1]
     mu_e, b_e = math.ldexp(mu, -e), math.ldexp(b, -e)
-    gap, spectral_checks = math.inf, 0
 
     def shrink(V, eta):
         V *= eta * mu / (eta * mu + 1.0)
         return V
 
-    def stop(X_S, X_L, factors, D, pri, dua, work, duals, etas):
-        nonlocal gap, spectral_checks
+    def gap_terms(X_S, X_L, s, D, pri, dua, work, duals, etas):
         # At scale 2^-e: R in D, |X_S| and then Y in work.
         R = np.ldexp(D, -e, out=D)
         l1_S = float(np.abs(np.ldexp(X_S, -e, out=work), out=work).sum())
         r2 = _entrywise_norm(R, 2)
-        primal = lam * l1_S + float(np.ldexp(factors[1], -e).sum()) + (0.5 / mu_e * r2) * r2
+        primal = lam * l1_S + float(np.ldexp(s, -e).sum()) + (0.5 / mu_e * r2) * r2
         Y_e = np.ldexp(Y, -e, out=work)
         RY = float(np.vdot(R, Y_e))
 
@@ -448,22 +458,12 @@ def solve_regularized(Y, cfg):
             return value
 
         scale = 1.0 if boxed else max(1.0, _entrywise_norm(R, np.inf) / (mu_e * lam))
-        gap, checked = _gap_exit(primal, dual, scale, R, mu_e, tol)
-        spectral_checks += checked
-        return gap <= tol
+        return primal, dual, scale, R, mu_e
 
-    X_S, X_L, (_, s, _), iterations, converged, diagnostics = _admm(
-        Y, lam, [shrink], stop, tol, cfg.max_iter, eta0, S_box=S_box)
-    rv1, rst, rv2 = _residual_norms(X_S + X_L - Y)
     # The data term ||R||_F^2 / (2 mu), in an order that stays finite
     # wherever the value is.
-    obj = (0.5 / mu * rv2) * rv2 + lam * _entrywise_norm(X_S, 1) + float(s.sum())
-    diagnostics.update(duality_gap=gap, spectral_checks=spectral_checks)
-    return SolveReport(
-        X_S_hat=X_S, X_L_hat=X_L, iterations=iterations, objective=obj,
-        residual_v1=rv1, residual_star=rst, residual_v2=rv2,
-        converged=converged, mode="regularized", diagnostics=diagnostics,
-    )
+    return _admm(Y, lam, [shrink], gap_terms, tol, cfg.max_iter, eta0, "regularized",
+                 fit=lambda r2: (0.5 / mu * r2) * r2, S_box=S_box)
 
 
 def solve_constrained(Y, cfg):
@@ -492,7 +492,7 @@ def solve_constrained(Y, cfg):
     ball, and -b*||y_B||_1 over B in the box. So d = kappa*(<Q, Y> -
     eps_v1*||Q_1||_inf - eps_star*||Q_2||_2 - b*||y_B||_1), with kappa =
     1/max(1, ||Q||_inf/lam, sigma_bar) and sigma_bar >= ||Q - y_B||_2 as
-    _gap_exit computes it (||Q_2||_2 is bounded the same way), is at most
+    _admm computes it (||Q_2||_2 is bounded the same way), is at most
     every feasible objective. The exact split has no eps terms, an unboxed
     solve no y_B terms. P is the objective at the feasible point L =
     X_L_hat, S = Y - L + rho*R_hat, with R_hat = X_S + L - Y and rho =
@@ -519,26 +519,24 @@ def _solve_constrained(Y, cfg, abandon=None):
     ]
     e = math.frexp(_entrywise_norm(Y, np.inf))[1]
     eps_v1_e, eps_star_e, b_e = (math.ldexp(x, -e) for x in (eps_v1, eps_star, b))
-    gap, spectral_checks = math.inf, 0
 
-    def stop(X_S, L, factors, D, pri, dua, work, duals, etas):
-        nonlocal gap, spectral_checks
+    def gap_terms(X_S, L, s, D, pri, dua, work, duals, etas):
         if not (pri <= tol and dua <= tol):  # NaN fails
-            return False
+            return None
         R = np.add(X_S, L, out=work)
         R -= Y
         rho = 0.0
         if not exact:
             r1, r_star = _entrywise_norm(R, 1), _trace_norm(R)
             if not (r1 - eps_v1 <= 10.0 * tol and r_star - eps_star <= 10.0 * tol):
-                return False
+                return None
             rho = min(eps_v1 / max(r1, eps_v1), eps_star / max(r_star, eps_star))
         # At scale 2^-e: |S| for S = X_S - (1 - rho) R in work, then L in D.
         S = np.multiply(R, rho - 1.0, out=work)
         S += X_S
         l1_S = float(np.abs(np.ldexp(S, -e, out=S), out=S).sum())
         nuclear = (_trace_norm(np.ldexp(L, -e, out=D)) if boxed
-                   else float(np.ldexp(factors[1], -e).sum()))
+                   else float(np.ldexp(s, -e).sum()))
         primal = lam * l1_S + nuclear
         # Q = -sum_j eta_j W_j in D, and Y, then y_B = eta_B V in work.
         Q = np.multiply(duals[0], -etas[0], out=D)
@@ -553,23 +551,10 @@ def _solve_constrained(Y, cfg, abandon=None):
             y_B = np.multiply(duals[-1], etas[-1], out=work)
             base -= b_e * _entrywise_norm(y_B, 1)
             Q -= y_B
-        gap, checked = _gap_exit(primal, lambda k: base / k, scale, Q, 1.0, tol)
-        spectral_checks += checked
-        return gap <= tol
+        return primal, lambda k: base / k, scale, Q, 1.0
 
-    X_S, X_L_hat, (_, s, _), iterations, converged, diagnostics = _admm(
-        Y, lam, copies, stop, tol, cfg.max_iter, 1.0, b_L=b,
-        abandon=abandon)
-    rv1, rst, rv2 = _residual_norms(X_S + X_L_hat - Y)
-    # Unboxed, X_L_hat is the last threshold step's U diag(s) Vt.
-    nuclear = _trace_norm(X_L_hat) if boxed else float(s.sum())
-    obj = lam * _entrywise_norm(X_S, 1) + nuclear
-    diagnostics.update(duality_gap=gap, spectral_checks=spectral_checks)
-    return SolveReport(
-        X_S_hat=X_S, X_L_hat=X_L_hat, iterations=iterations, objective=obj,
-        residual_v1=rv1, residual_star=rst, residual_v2=rv2,
-        converged=converged, mode="constrained", diagnostics=diagnostics,
-    )
+    return _admm(Y, lam, copies, gap_terms, tol, cfg.max_iter, 1.0, "constrained",
+                 b_L=b, abandon=abandon)
 
 
 def _bound_share(prof, c, lam, *scales):

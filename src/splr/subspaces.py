@@ -82,9 +82,10 @@ class SupportSet:
 
 class RowColSpace:
     """Orthonormal factors spanning the column and row spaces of the
-    low-rank component."""
+    low-rank component. The constructor checks that U and V are 2-D with r
+    columns each, r at most min(m, n), and orthonormal to within 1e-8."""
 
-    def __init__(self, U, V, check=True):
+    def __init__(self, U, V):
         U = np.asarray(U, dtype=float)
         V = np.asarray(V, dtype=float)
         if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
@@ -92,19 +93,29 @@ class RowColSpace:
         r = U.shape[1]
         if r > min(U.shape[0], V.shape[0]):
             raise ValueError("rank exceeds ambient dimensions")
-        if check:
-            for name, Q in (("U", U), ("V", V)):
-                err = np.abs(Q.T @ Q - np.eye(r)).max(initial=0.0)
-                if err > 1e-8:
-                    raise ValueError(f"{name} columns are not orthonormal (deviation {err:.2e})")
+        for name, Q in (("U", U), ("V", V)):
+            err = np.abs(Q.T @ Q - np.eye(r)).max(initial=0.0)
+            if err > 1e-8:
+                raise ValueError(f"{name} columns are not orthonormal (deviation {err:.2e})")
         self.U = U
         self.V = V
-        self.r = r
+
+    @classmethod
+    def _from_factors(cls, U, V):
+        """The space of orthonormal float factors U (m, r) and V (n, r),
+        taken without checks."""
+        space = cls.__new__(cls)
+        space.U, space.V = U, V
+        return space
 
     @classmethod
     def from_matrix(cls, X):
         f = svd(X)
-        return cls(f.U, f.V, check=False)
+        return cls._from_factors(f.U, f.V)
+
+    @property
+    def r(self):
+        return self.U.shape[1]
 
     @property
     def m(self):
@@ -124,7 +135,7 @@ class TargetPair:
         self.X_L = as_matrix(X_L, "X_L", self.X_S.shape)
         self.support = SupportSet._from_mask(self.X_S != 0)
         f = _svd(self.X_L)
-        self.space = RowColSpace(f.U, f.V, check=False)
+        self.space = RowColSpace._from_factors(f.U, f.V)
 
     @classmethod
     def _from_parts(cls, X_S, X_L, support, space):

@@ -215,7 +215,10 @@ def run_sweep(spec, jobs=1):
     """Run every (rank, density, trial) cell; returns (detail_rows,
     aggregate_rows) in deterministic grid order regardless of jobs.
 
-    The cells run on min(jobs, os.cpu_count(), number of cells) threads."""
+    The cells run on min(jobs, os.cpu_count(), number of cells) threads;
+    jobs must be an integer of at least 1."""
+    if not _is_integer(jobs, 1):
+        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
     cells = [
         (rank, di, density, trial)
         for rank in spec.ranks

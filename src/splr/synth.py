@@ -105,8 +105,6 @@ def gen_subspaces(m, n, rbar, seed):
     R diagonal forced positive so the factors are reproducible."""
     if not (_is_integer(rbar, 0) and rbar <= min(m, n)):
         raise ValueError("rank must be an integer with 0 <= rank <= min(m, n)")
-    if rbar == 0:
-        return RowColSpace(np.zeros((m, 0)), np.zeros((n, 0)), check=False)
     stream = RandomStream(seed)
     U = _orthonormalize(stream.gaussian(m, rbar))
     V = _orthonormalize(stream.gaussian(n, rbar))
@@ -142,8 +140,11 @@ def gen_instance(spec):
 
     if spec.sigma > 0:
         E = spec.sigma * RandomStream(mix_seed(spec.seed, _TAG_NOISE)).gaussian(m, n)
+        eps_2to2, eps_vinf, eps_star_prime = perturbation_scales(space, E)
     else:
+        # Every scale of an all-zero E is +0.0.
         E = np.zeros((m, n))
+        eps_2to2 = eps_vinf = eps_star_prime = 0.0
 
     Y = X_S + X_L + E
     # X_L = U diag(svals) V^T with the drawn factors, so the pair needs no
@@ -151,7 +152,6 @@ def gen_instance(spec):
     # subnormal amplitude can round to zero on a drawn cell.
     support = SupportSet._from_mask(X_S != 0)
     target = TargetPair._from_parts(X_S, X_L, support, space)
-    eps_2to2, eps_vinf, eps_star_prime = perturbation_scales(target.space, E)
     return GeneratedInstance(
         Y=Y, target=target, E=E, profile=profile(target),
         eps_2to2=eps_2to2, eps_vinf=eps_vinf, eps_star_prime=eps_star_prime,

@@ -152,15 +152,15 @@ def test_partial_svt_matches_full_svt_at_a_cluster():
     # The first step starts from a 40-column block of the stream. Two
     # passes from a random start resolve the 1e-4 gaps of the cluster only
     # roughly, but they keep the right count.
-    X, _, s, _ = _svt(M0, t, warm)
-    assert warm.partial and warm.width == 8 + 10 and warm.stream._pos == 40 * m
+    X, s = _svt(M0, t, warm)
+    assert warm.partial_svds == 1 and warm.width == 8 + 10 and warm.stream._pos == 40 * m
     ref_s = np.linalg.svd(M0, compute_uv=False)
     assert np.allclose(s, ref_s[:8] - t, rtol=0.0, atol=1e-5)
     # The next sweep's centre, a small drift from the last one, starts from
     # the first step's 18 leading rows.
     M = M0 + 1e-6 * stream.gaussian(m, m) / math.sqrt(m)
-    X, _, s, _ = _svt(M, t, warm)
-    assert warm.partial and warm.partial_svds == 2
+    X, s = _svt(M, t, warm)
+    assert warm.partial_svds == 2
     ref = svt(M, t)
     assert np.linalg.norm(X - ref) <= 1e-8 * np.linalg.norm(ref)
     ref_s = np.linalg.svd(M, compute_uv=False)
@@ -212,7 +212,7 @@ def test_declined_step_falls_back_to_the_full_svd():
     t = 0.4 * np.linalg.svd(M, compute_uv=False)[0]
     warm = SvtWarmStart(M.shape)
     X = _svt(M, t, warm)[0]
-    assert not warm.partial and warm.partial_svds == 0
+    assert warm.partial_svds == 0
     assert warm.stream._pos == 60 * 240 and warm.width > 60 + 10
     assert np.array_equal(X, svt(M, t))
 
@@ -233,8 +233,9 @@ def test_partial_step_refused_over_the_size_cap(monkeypatch):
     for rank, partial in ((5, True), (14, True), (16, True), (16, False),
                           (15, False), (3, True)):
         M = np.diag(np.r_[np.full(rank, 2.0), np.full(100 - rank, 0.5)])
+        taken = warm.partial_svds
         _svt(M, 1.0, warm)
-        assert warm.width == rank + 10 and warm.partial == partial
+        assert warm.width == rank + 10 and warm.partial_svds - taken == partial
         stream_at.append(warm.stream._pos)
     # The second step starts from the first's 15 leading rows, and the third
     # pads them to 24 columns. The fourth finds a 24-row block short of rank

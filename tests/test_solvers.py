@@ -19,7 +19,7 @@ from splr.incoherence import (
     profile,
     simplified_parameters,
 )
-from splr.matrices import RandomStream
+from splr.matrices import RandomStream, mix_seed
 from splr.norms import entrywise_norm, induced_norm, trace_norm
 from splr.solvers import (
     ConstrainedConfig,
@@ -30,7 +30,7 @@ from splr.solvers import (
     solve_constrained,
     solve_regularized,
 )
-
+from splr.sweep import SOLVER_TOL, _non_recovery_test
 from splr.synth import InstanceSpec, gen_instance
 
 from .helpers import flat_instance, probe_seed
@@ -680,17 +680,78 @@ def test_relaxed_split_at_tiny_scale_returns():
     assert_finite_report(rep, Y.shape)
 
 
+def runaway_solve():
+    Y = 1e-310 * np.array([[1.37, -0.665, 0.352, 0.903, 0.094, -0.743, -0.922]])
+    return solve_constrained(Y, ConstrainedConfig(lam=1.0 / math.sqrt(7), tol=0.0,
+                                                  max_iter=12000))
+
+
 def test_runaway_penalty_ends_the_solve_unconverged():
     # On subnormal data the residuals never balance, and the penalty doubles
     # every 10 sweeps until it overflows at sweep 10,240. The solve must end
     # there unconverged, not go on with thresholds of 0 and a NaN dual
     # residual that the exit test would pass.
-    Y = 1e-310 * np.array([[1.37, -0.665, 0.352, 0.903, 0.094, -0.743, -0.922]])
-    rep = solve_constrained(Y, ConstrainedConfig(lam=1.0 / math.sqrt(7), tol=0.0,
-                                                 max_iter=12000))
+    rep = runaway_solve()
     assert not rep.converged and rep.iterations == 10240
     assert rep.diagnostics["penalty_final"] == [math.inf]
-    assert_finite_report(rep, Y.shape)
+    assert_finite_report(rep, (1, 7))
+
+
+DIAGNOSTICS_KEYS = {
+    "primal_residual", "dual_residual", "penalty_final", "penalty_rescalings",
+    "partial_svds", "abandoned_at", "duality_gap", "spectral_checks",
+}
+
+
+def abandoned_solve():
+    """The sweep's solve of the 30x30 rank-4 cell at density 0.2 (base seed
+    1), which its non-recovery test abandons."""
+    inst = gen_instance(InstanceSpec(m=30, n=30, rbar=4, ktilde=180,
+                                     seed=mix_seed(1, 4, 0, 0)))
+    lam = default_lambda((30, 30), inst.profile)
+    cfg = ConstrainedConfig(lam=lam, tol=SOLVER_TOL, max_iter=1000)
+    return splr.solvers._solve_constrained(inst.Y, cfg, _non_recovery_test(inst, lam))
+
+
+def regularized_case(**kw):
+    inst = gen_instance(InstanceSpec(m=12, n=12, rbar=1, ktilde=10, seed=7))
+    return solve_regularized(inst.Y, RegularizedConfig(lam=1.0 / math.sqrt(12), mu=0.1, **kw))
+
+
+def constrained_case(mode, **kw):
+    Y, cfg = gap_case(mode)
+    return solve_constrained(Y, dataclasses.replace(cfg, **kw))
+
+
+@pytest.mark.parametrize("solve, exit_path", [
+    (regularized_case, "converged"),
+    (functools.partial(regularized_case, b=1.0), "converged"),
+    (functools.partial(constrained_case, "exact"), "converged"),
+    (functools.partial(constrained_case, "relaxed"), "converged"),
+    (functools.partial(constrained_case, "box"), "converged"),
+    (functools.partial(regularized_case, max_iter=1), "max_iter"),
+    (functools.partial(constrained_case, "relaxed", max_iter=1), "max_iter"),
+    (lambda: solve_regularized(np.zeros((3, 0)), RegularizedConfig(lam=1.0, mu=1.0)),
+     "converged"),
+    (lambda: solve_constrained(np.zeros((0, 3)), ConstrainedConfig(lam=1.0)), "converged"),
+    (runaway_solve, "runaway"),
+    (abandoned_solve, "abandoned"),
+], ids=["regularized", "regularized-box", "exact", "relaxed", "box",
+        "regularized-max-iter", "relaxed-max-iter", "empty-regularized",
+        "empty-constrained", "runaway-penalty", "abandoned"])
+def test_every_exit_reports_the_same_diagnostics(solve, exit_path):
+    # One report, built in one place: every exit carries exactly these keys.
+    rep = solve()
+    diag = rep.diagnostics
+    assert set(diag) == DIAGNOSTICS_KEYS
+    assert rep.converged == (exit_path == "converged")
+    assert (diag["abandoned_at"] is not None) == (exit_path == "abandoned")
+    if exit_path == "max_iter":
+        assert rep.iterations == 1
+    if exit_path == "runaway":
+        assert diag["penalty_final"] == [math.inf]
+    # A certified exit has taken sigma_bar at least once.
+    assert not rep.converged or diag["spectral_checks"] >= 1
 
 
 def test_solvers_validate_input_once(monkeypatch):

@@ -237,6 +237,22 @@ def test_thread_pool_capped_by_cpus_and_cells(monkeypatch, cpus, trials, expecte
     assert (rows, agg) == run_sweep(spec)
 
 
+@pytest.mark.parametrize("jobs", [1.5, 2.0, 0, -3])
+def test_jobs_must_be_a_positive_integer(jobs):
+    spec = SweepSpec(m=8, n=8, ranks=(1,), densities=(0.05,), trials=1, base_seed=3,
+                     solver_max_iter=50)
+    with pytest.raises(ValueError, match="jobs"):
+        run_sweep(spec, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, True])
+def test_jobs_of_one_runs_serially(jobs):
+    # True is the integer 1, as for every count.
+    spec = SweepSpec(m=8, n=8, ranks=(1,), densities=(0.05,), trials=1, base_seed=3,
+                     solver_max_iter=50)
+    assert run_sweep(spec, jobs=jobs) == run_sweep(spec)
+
+
 def test_import_loads_no_thread_pool():
     # A serial sweep needs neither concurrent.futures nor the logging it
     # loads, so importing the package loads neither.

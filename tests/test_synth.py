@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+import splr.certificate
 import splr.matrices
+from splr.certificate import perturbation_scales
 from splr.incoherence import check_identifiability, profile, proposition1_bounds
 from splr.matrices import RandomStream, mix_seed
 from splr.norms import entrywise_norm, induced_norm
@@ -159,11 +161,19 @@ def test_subspace_coherence_scale_over_seeds():
     assert 0.5 <= median <= 20.0
 
 
-def test_instance_noiseless_has_zero_perturbation():
-    inst = gen_instance(InstanceSpec(m=20, n=15, rbar=2, ktilde=12,
-                                     seed=probe_seed("nless")))
+def test_instance_noiseless_has_zero_perturbation(monkeypatch):
+    # An all-zero E has the scales +0.0, without a tangent-space spectrum.
+    def fail(*args):
+        raise AssertionError("spectrum of an all-zero E computed")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(splr.certificate, "_T_singular_values", fail)
+        inst = gen_instance(InstanceSpec(m=20, n=15, rbar=2, ktilde=12,
+                                         seed=probe_seed("nless")))
     assert not inst.E.any()
-    assert inst.eps_2to2 == inst.eps_vinf == inst.eps_star_prime == 0.0
+    scales = (inst.eps_2to2, inst.eps_vinf, inst.eps_star_prime)
+    assert scales == perturbation_scales(inst.target.space, inst.E) == (0.0, 0.0, 0.0)
+    assert [math.copysign(1.0, x) for x in scales] == [1.0] * 3
     assert np.array_equal(inst.Y, inst.target.X_S + inst.target.X_L)
 
 
