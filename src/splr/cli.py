@@ -2,14 +2,17 @@
 pair's incoherence and recovery conditions, certify a target pair with a
 dual certificate, generate synthetic instances, and run recovery sweeps.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 non-convergence or an
-unsatisfied certificate, 3 precondition failure.
+Exit codes: 0 success, 1 I/O or parse failure, 2 non-convergence (of a
+solve or of an SVD) or an unsatisfied certificate, 3 precondition failure.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
+
+import numpy as np
 
 from .certificate import BOUND_NAMES, build_certificate
 from .incoherence import (
@@ -19,6 +22,7 @@ from .incoherence import (
     default_lambda,
     profile,
 )
+from .matrices import FactorizationError
 from .matrixio import read_matrix_csv, write_json, write_matrix_csv
 from .solvers import ConstrainedConfig, RegularizedConfig, solve_constrained, solve_regularized
 from .subspaces import NeumannNonConvergence, TargetPair
@@ -75,13 +79,16 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="trade-off weight; defaults to 1/sqrt(max(m, n))")
     p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--eps-v1", type=float, default=0.0)
-    p.add_argument("--eps-star", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=math.inf)
-    p.add_argument("--tol", type=float, default=None,
+    # Settings left unset are absent from the parsed arguments, so the
+    # config takes its own default.
+    p.add_argument("--eps-v1", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--eps-star", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--b", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                    help="exit tolerance on the relative duality gap (P - d)/P "
-                        "(default 1e-6 regularized, 1e-9 constrained)")
-    p.add_argument("--max-iter", type=int, default=100000)
+                        f"(default {RegularizedConfig.tol:g} regularized, "
+                        f"{ConstrainedConfig.tol:g} constrained)")
+    p.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out-sparse", required=True)
     p.add_argument("--out-lowrank", required=True)
     p.add_argument("--report", required=True)
@@ -112,7 +119,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--ktilde", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=0.0)
+    p.add_argument("--sigma", type=float, default=InstanceSpec.sigma)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_generate)
@@ -147,30 +154,21 @@ def cmd_decompose(args):
     Y = read_matrix_csv(args.input)
     if args.lam is None:
         args.lam = default_lambda(Y.shape)
-    # Without --tol each config keeps its own default.
-    tol = {} if args.tol is None else {"tol": args.tol}
+    regularized = args.mode == "regularized"
+    if regularized and args.mu is None:
+        raise ValueError("regularized mode requires --mu")
+    config = RegularizedConfig if regularized else ConstrainedConfig
+    cfg = config(**{f.name: getattr(args, f.name)
+                    for f in dataclasses.fields(config) if f.name in args})
     start = time.perf_counter()
-    if args.mode == "regularized":
-        if args.mu is None:
-            raise ValueError("regularized mode requires --mu")
-        cfg = RegularizedConfig(
-            lam=args.lam, mu=args.mu, b=args.b, max_iter=args.max_iter, **tol,
-        )
-        report = solve_regularized(Y, cfg)
-        mu_or_eps = args.mu
-    else:
-        cfg = ConstrainedConfig(
-            lam=args.lam, eps_v1=args.eps_v1, eps_star=args.eps_star, b=args.b,
-            max_iter=args.max_iter, **tol,
-        )
-        report = solve_constrained(Y, cfg)
-        mu_or_eps = [args.eps_v1, args.eps_star]
+    report = (solve_regularized if regularized else solve_constrained)(Y, cfg)
     wall = time.perf_counter() - start
+    mu_or_eps = cfg.mu if regularized else [cfg.eps_v1, cfg.eps_star]
     write_matrix_csv(args.out_sparse, report.X_S_hat)
     write_matrix_csv(args.out_lowrank, report.X_L_hat)
     write_json(args.report, {
         "mode": report.mode,
-        "lambda": args.lam,
+        "lambda": cfg.lam,
         "mu_or_eps": mu_or_eps,
         "iterations": report.iterations,
         "converged": report.converged,
@@ -269,7 +267,7 @@ def cmd_sweep(args):
         densities=_parse_float_grid(args.densities),
         trials=args.trials, base_seed=args.seed,
     )
-    write_sweep_outputs(spec, args.out, jobs=max(1, args.jobs))
+    write_sweep_outputs(spec, args.out, jobs=args.jobs)
     return EXIT_OK
 
 
@@ -281,6 +279,10 @@ def main(argv=None):
     except (PreconditionError, NeumannNonConvergence) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except (FactorizationError, np.linalg.LinAlgError) as exc:
+        # Before ValueError: LinAlgError is one.
+        print(f"factorization failed: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except (OSError, ValueError) as exc:
         # ValueError covers MatrixIOError and bad argument values.
         print(str(exc), file=sys.stderr)

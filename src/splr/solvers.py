@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-def _validate_shared(cfg):
+def _check_shared(cfg):
     """The checks both configs share. Negated comparisons, so that NaN fails
     each check."""
     if not 0.0 < cfg.lam < math.inf:
@@ -58,11 +58,11 @@ def _validate_shared(cfg):
         raise ValueError("max_iter must be an integer of at least 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizedConfig:
     """Parameters of the penalized solve: lam and mu positive and finite, b
     the box radius on entries of X_S - Y (inf disables it), tol the relative
-    duality gap required at exit."""
+    duality gap required at exit. Checked when built."""
 
     lam: float
     mu: float
@@ -70,18 +70,19 @@ class RegularizedConfig:
     tol: float = 1e-6
     max_iter: int = 100000
 
-    def validate(self):
-        _validate_shared(self)
+    def __post_init__(self):
+        _check_shared(self)
         if not 0.0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstrainedConfig:
     """Parameters of the constrained solve: residual caps eps_v1/eps_star
     (a zero cap on either means exact agreement), b the box radius on
     entries of X_L (inf disables it), tol the relative duality gap required
-    at exit, and the bound on the ADMM residuals that gates the gap."""
+    at exit, and the bound on the ADMM residuals that gates the gap.
+    Checked when built."""
 
     lam: float
     eps_v1: float = 0.0
@@ -90,8 +91,8 @@ class ConstrainedConfig:
     tol: float = 1e-9
     max_iter: int = 100000
 
-    def validate(self):
-        _validate_shared(self)
+    def __post_init__(self):
+        _check_shared(self)
         if not (self.eps_v1 >= 0 and self.eps_star >= 0):
             raise ValueError("residual caps must be nonnegative")
 
@@ -425,7 +426,6 @@ def solve_regularized(Y, cfg):
     any scale. The gap certifies the objective, not the first-order
     residual of (X_S, X_L).
     """
-    cfg.validate()
     Y = as_matrix(Y, "Y")
     lam, mu, b, tol = cfg.lam, cfg.mu, cfg.b, cfg.tol
     boxed = not math.isinf(b)
@@ -508,7 +508,6 @@ def solve_constrained(Y, cfg):
 def _solve_constrained(Y, cfg, abandon=None):
     """solve_constrained, with _admm's abandon predicate passed through
     (the sweep's proof of non-recovery)."""
-    cfg.validate()
     Y = as_matrix(Y, "Y")
     lam, eps_v1, eps_star, b, tol = cfg.lam, cfg.eps_v1, cfg.eps_star, cfg.b, cfg.tol
     exact = eps_v1 == 0 or eps_star == 0

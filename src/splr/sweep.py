@@ -71,7 +71,7 @@ class SweepSpec:
     densities: tuple
     trials: int
     base_seed: int
-    solver_max_iter: int = 100000
+    solver_max_iter: int = ConstrainedConfig.max_iter
 
     def __post_init__(self):
         ranks = tuple(self.ranks)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -324,6 +325,35 @@ def test_decompose_degenerate_inputs_exit_cleanly(tmp_path, mode, kind):
     assert all(math.isfinite(report[key]) for key in ("objective", "residual_v2"))
 
 
+@pytest.mark.parametrize("shape, c, mode", [
+    ((1, 5), 1e300, "relaxed"), ((3, 7), 1e-300, "exact"),
+    ((5, 1), 1e150, "penalized"), ((4, 3), 1e-150, "boxed"), ((1, 1), 1e-8, "exact"),
+], ids=["1x5-1e300-relaxed", "3x7-1e-300-exact", "5x1-1e150-penalized",
+        "4x3-1e-150-boxed", "1x1-1e-8-exact"])
+def test_decompose_degenerate_matrix_cells_exit_0_or_2(tmp_path, capsys, shape, c, mode):
+    # Cells of the solver-level degenerate matrix (test_solvers.py) through
+    # the command: exit 0 or 2 with finite outputs, never a traceback.
+    Y = c * RandomStream(probe_seed("degenerate-cli")).gaussian(*shape)
+    ypath = tmp_path / "y.csv"
+    write_matrix_csv(ypath, Y)
+    extra = {
+        "exact": [], "boxed": ["--b", 0.5 * c], "penalized": ["--mu", 0.1 * c],
+        "relaxed": ["--eps-v1", 0.1 * entrywise_norm(Y, 1),
+                    "--eps-star", 0.1 * trace_norm(Y)],
+    }[mode]
+    code = run_cli(*decompose_args(tmp_path, ypath,
+                                   "regularized" if mode == "penalized" else "constrained",
+                                   *extra, "--max-iter", 100))
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert code == (0 if report["converged"] else 2)
+    for name in ("xs.csv", "xl.csv"):
+        X = read_matrix_csv(tmp_path / name)
+        assert X.shape == Y.shape and np.all(np.isfinite(X))
+    assert all(math.isfinite(report[key])
+               for key in ("objective", "residual_v1", "residual_star", "residual_v2"))
+
+
 def test_decompose_regularized_when_4_l1_overflows(tmp_path):
     Y, c = overflow_l1_instance()
     ypath = tmp_path / "y.csv"
@@ -380,6 +410,101 @@ def test_tol_defaults_to_each_config_default(tmp_path, monkeypatch):
     assert seen == [RegularizedConfig(lam=1.0, mu=1.0).tol,
                     ConstrainedConfig(lam=1.0).tol, 1e-4, 1e-4]
     assert seen[:2] == [1e-6, 1e-9]
+
+
+def test_decompose_unset_flags_take_config_defaults(tmp_path, monkeypatch):
+    # The parsed arguments hold only the settings a user gave, so the config
+    # built from them keeps its own defaults; given ones pass through.
+    seen = []
+    for name in ("solve_regularized", "solve_constrained"):
+        real = getattr(splr.cli, name)
+
+        def spy(Y, cfg, real=real):
+            seen.append(cfg)
+            return real(Y, cfg)
+        monkeypatch.setattr(splr.cli, name, spy)
+    ypath = tmp_path / "y.csv"
+    write_matrix_csv(ypath, np.eye(4))
+    given = ["--b", 3.0, "--tol", 1e-5, "--max-iter", 500]
+    assert run_cli(*decompose_args(tmp_path, ypath, "regularized", "--mu", 0.5)) == 0
+    assert run_cli(*decompose_args(tmp_path, ypath, "constrained")) == 0
+    assert run_cli(*decompose_args(tmp_path, ypath, "regularized", "--mu", 0.5,
+                                   "--lambda", 0.25, "--eps-v1", 9.0, *given)) == 0
+    assert run_cli(*decompose_args(tmp_path, ypath, "constrained", "--mu", 9.0,
+                                   "--eps-v1", 0.1, "--eps-star", 0.2, *given)) == 0
+    assert seen == [
+        RegularizedConfig(lam=0.5, mu=0.5), ConstrainedConfig(lam=0.5),
+        RegularizedConfig(lam=0.25, mu=0.5, b=3.0, tol=1e-5, max_iter=500),
+        ConstrainedConfig(lam=0.5, eps_v1=0.1, eps_star=0.2, b=3.0, tol=1e-5,
+                          max_iter=500),
+    ]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["mu_or_eps"] == [0.1, 0.2]
+
+
+def test_parser_holds_no_config_default():
+    # Unset decompose settings are absent, not copies of a config's values.
+    args = splr.cli.build_parser().parse_args([
+        "decompose", "--input", "y.csv", "--mode", "constrained",
+        "--out-sparse", "s", "--out-lowrank", "l", "--report", "r"])
+    assert sorted(vars(args)) == ["command", "func", "input", "lam", "mode", "mu",
+                                  "out_lowrank", "out_sparse", "report"]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_jobs_below_one_exits_1(tmp_path, jobs, capsys):
+    # --jobs passes through to run_sweep's integer rule unchanged.
+    assert run_cli("sweep", "--m", 6, "--n", 6, "--ranks", 1, "--densities", 0.1,
+                   "--trials", 1, "--seed", 0, "--out", tmp_path / "sw.csv",
+                   "--jobs", jobs) == 1
+    err = capsys.readouterr().err
+    assert "jobs must be an integer of at least 1" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ranks", "5:3", "empty range '5:3'"),
+    ("--ranks", "1:2:3", "expected a or a:b, got '1:2:3'"),
+    ("--densities", "0.1:0.2", "expected lo:hi:step, got '0.1:0.2'"),
+], ids=["ranks-empty", "ranks-form", "densities-form"])
+def test_sweep_bad_grid_exits_1(tmp_path, flag, value, message, capsys):
+    grid = {"--ranks": "1", "--densities": "0.1", flag: value}
+    assert run_cli("sweep", "--m", 6, "--n", 6, "--trials", 1, "--seed", 0,
+                   "--out", tmp_path / "sw.csv",
+                   *(x for item in grid.items() for x in item)) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fail(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+@pytest.mark.parametrize("command, routine", [
+    ("decompose-constrained", "svd"), ("decompose-regularized", "svd"),
+    ("diagnose", "svd"), ("decompose-constrained", "eigvalsh"),
+], ids=["constrained-svd", "regularized-svd", "diagnose-svd", "constrained-eigvalsh"])
+def test_factorization_failure_exits_2(tmp_path, monkeypatch, capsys, command, routine):
+    # A LAPACK routine that fails to converge (an SVD whose QR fallback fails
+    # too, or the Gram eigenvalues of a spectral norm) is a non-convergence,
+    # not an I/O failure, and writes no output.
+    ypath, sp, lp = tmp_path / "y.csv", tmp_path / "s.csv", tmp_path / "l.csv"
+    write_matrix_csv(ypath, RandomStream(probe_seed("svdfail")).gaussian(6, 6))
+    t, _ = flat_instance(8, 8, 1, 4, 10.0, probe_seed("svdfail"))
+    write_matrix_csv(sp, t.X_S)
+    write_matrix_csv(lp, t.X_L)
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    if command == "diagnose":
+        argv = ["diagnose", "--sparse", sp, "--lowrank", lp, "--report", tmp_path / "r.json"]
+    else:
+        mode = command.split("-")[1]
+        argv = decompose_args(tmp_path, ypath, mode, "--mu", 0.5)
+    monkeypatch.setattr(np.linalg, routine, _fail)
+    assert run_cli(*argv) == splr.cli.EXIT_NOT_CONVERGED
+    err = capsys.readouterr().err
+    assert "factorization failed" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--lambda", "--eps-v1"])
@@ -480,6 +605,25 @@ def test_console_script_installed():
     out = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert out.returncode == 0
     assert "decompose" in out.stdout
+
+
+def test_console_script_declared():
+    # Checks the console-script declaration without an installed script.
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"splr": "splr.cli:main"}
+    module, _, name = scripts["splr"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    src = os.path.dirname(os.path.dirname(splr.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-m", "splr.cli", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0
+    for command in ("decompose", "diagnose", "certify", "generate", "sweep"):
+        assert command in out.stdout
 
 
 @pytest.mark.parametrize("mode", ["constrained", "regularized"])

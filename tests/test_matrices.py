@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from splr.matrices import (
+    FactorizationError,
     RandomStream,
+    _lapack_svd,
     _numerical_rank,
     _spectral_norm,
     _T_singular_values,
@@ -91,6 +93,42 @@ def test_singular_values_match_svd():
     assert singular_values(np.zeros((4, 3))).shape == (0,)
     with pytest.raises(ValueError):
         singular_values(np.array([[1.0, np.nan]]))
+
+
+def failing_svd(monkeypatch, failures):
+    """Make the first `failures` calls of np.linalg.svd raise LinAlgError."""
+    real, calls = np.linalg.svd, []
+
+    def svd_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd_once)
+    return calls
+
+
+@pytest.mark.parametrize("compute_uv", [True, False], ids=["vectors", "values"])
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3)], ids=["wide", "tall"])
+def test_lapack_svd_falls_back_to_qr_factor(monkeypatch, shape, compute_uv):
+    A = RandomStream(probe_seed("qrfallback")).gaussian(*shape)
+    s_ref = np.linalg.svd(A, compute_uv=False)
+    calls = failing_svd(monkeypatch, 1)
+    out = _lapack_svd(A, compute_uv)
+    assert len(calls) == 2
+    s = out[1] if compute_uv else out
+    assert np.max(np.abs(s - s_ref)) <= 1e-12 * s_ref[0]
+    if compute_uv:
+        U, s, Vt = out
+        k = min(shape)
+        assert U.shape == (shape[0], k) and Vt.shape == (k, shape[1])
+        assert np.linalg.norm((U * s) @ Vt - A) <= 1e-12 * np.linalg.norm(A)
+
+
+def test_lapack_svd_raises_when_fallback_fails(monkeypatch):
+    failing_svd(monkeypatch, 2)
+    with pytest.raises(FactorizationError, match="SVD failed to converge for 3x5 matrix"):
+        _lapack_svd(np.ones((3, 5)), True)
 
 
 def test_spectral_norm_matches_svd():

@@ -143,6 +143,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+def test_failed_atomic_write_leaves_destination_and_no_temp_file(tmp_path):
+    # Text outside ASCII fails at the write, after the temp file exists.
+    path = tmp_path / "out.txt"
+    write_text_atomic(path, "first\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(path, "caf\u00e9\n")
+    assert path.read_text() == "first\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
 def test_failed_report_write_preserves_existing_file(tmp_path):
     path = tmp_path / "report.json"
     write_json(path, {"ok": 1})
