@@ -84,13 +84,32 @@ def perturbation_scales(space, E):
     return _perturbation_scales(space, as_matrix(E, "E", (space.m, space.n)))[0]
 
 
+# The last call's (key, scales, P_T(E)), or None. A certify op asks for the
+# scales of one (space, E) twice: the caller's perturbation_scales places
+# lambda in the window, then build_certificate needs them again.
+_last_scales = None
+
+
 def _perturbation_scales(space, E):
     """perturbation_scales of a validated E, and the space projection P_T(E).
 
     P_T(E) = U (U^T E) + B V^T has rank at most 2r, so its trace norm
     comes from the factors (U^T E, B); the spectral norm of E comes from
     the top eigenvalue of its Gram. Neither takes a dense SVD.
+
+    The result of the last call is kept, keyed by the shapes and bytes of
+    U, V and E (all float64), and returned again when every one of them is
+    equal bit for bit: the key covers every input the result depends on, so
+    an E edited in place or a different space misses. P_T(E) is returned
+    read-only, since later callers share it. The slot holds copies of U, V
+    and E and one m x n P_T(E), and is replaced by one assignment, so a
+    thread reads either the old entry or the new one.
     """
+    global _last_scales
+    key = tuple((A.shape, A.tobytes()) for A in (space.U, space.V, E))
+    last = _last_scales
+    if last is not None and last[0] == key:
+        return last[1], last[2]
     PTE, UtE, B = _project_T_factored(space, E)
     star = _T_singular_values(space.U, UtE, B, space.V.T).sum()
     scales = (
@@ -98,6 +117,8 @@ def _perturbation_scales(space, E):
         _entrywise_norm(E, np.inf) + _entrywise_norm(PTE, np.inf),
         float(star),
     )
+    PTE.flags.writeable = False
+    _last_scales = (key, scales, PTE)
     return scales, PTE
 
 

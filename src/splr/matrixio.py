@@ -33,11 +33,19 @@ def _scan_matrix_csv(path):
     """read_matrix_csv's line scan: the authority on which files parse, and
     on the message, line number and precedence of every MatrixIOError. It
     parses one field at a time, so that the first that is not a finite
-    number is named."""
+    number is named. A byte outside ASCII decodes to a lone surrogate, so
+    the scan reaches its line and names it."""
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                col, ch = next((i, ch) for i, ch in enumerate(line, start=1)
+                               if not ch.isascii())
+                raise MatrixIOError(
+                    f"{path}: line {lineno}: non-ASCII byte "
+                    f"0x{ord(ch) - 0xDC00:02x} at column {col}"
+                )
             line = line.strip()
             if not line:
                 continue
@@ -70,8 +78,9 @@ def _scan_matrix_csv(path):
 def read_matrix_csv(path):
     """Parse a headerless CSV of numbers into a matrix.
 
-    Ragged rows, non-numeric fields, non-finite values, and empty files all
-    raise MatrixIOError naming the offending line.
+    Ragged rows, non-numeric fields, non-finite values and bytes outside
+    ASCII raise MatrixIOError naming the offending line; an empty file
+    raises it too.
 
     numpy's parser reads the file in one pass, without a Python float per
     entry. It accepts a subset of what the line scan accepts, with the same

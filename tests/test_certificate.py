@@ -195,6 +195,59 @@ def test_perturbation_scales_match_direct_norms():
     assert istar == pytest.approx(trace_norm(PT), rel=1e-12)
 
 
+def test_perturbation_scales_reused_on_equal_content(monkeypatch):
+    # The last call's scales and P_T(E) come back, without a sigma_1 kernel
+    # or a tangent-space core, when U, V and E are equal bit for bit; any
+    # other input is measured afresh. Every result equals a cold call's.
+    monkeypatch.setattr(splr.certificate, "_last_scales", None)
+    stream = RandomStream(probe_seed("scalesmemo"))
+    t, _ = flat_instance(20, 16, 2, 30, 10.0, probe_seed("scalesmemoinst"))
+    other, _ = flat_instance(20, 16, 2, 30, 10.0, probe_seed("scalesmemoother"))
+    E = 1e-2 * stream.gaussian(20, 16)
+    E[3, 4] = 0.0
+    real_sigma1 = splr.norms._spectral_norm
+    real_core = splr.certificate._T_singular_values
+    kernels = []
+
+    def counting_sigma1(A):
+        kernels.append("sigma1")
+        return real_sigma1(A)
+
+    def counting_core(*args):
+        kernels.append("core")
+        return real_core(*args)
+    monkeypatch.setattr(splr.norms, "_spectral_norm", counting_sigma1)
+    monkeypatch.setattr(splr.certificate, "_T_singular_values", counting_core)
+
+    def cold(space, E):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splr.certificate, "_last_scales", None)
+            return splr.certificate._perturbation_scales(space, E)
+
+    def measured(space, E, hit):
+        kernels.clear()
+        scales, PTE = splr.certificate._perturbation_scales(space, E)
+        assert sorted(kernels) == ([] if hit else ["core", "sigma1"])
+        want_scales, want_PTE = cold(space, E.copy())
+        assert [s.hex() for s in scales] == [s.hex() for s in want_scales]
+        assert PTE.tobytes() == want_PTE.tobytes()
+        assert perturbation_scales(space, E) == scales
+        return PTE
+
+    PTE = measured(t.space, E, hit=False)
+    with pytest.raises(ValueError, match="read-only"):
+        PTE[0, 0] = 1.0
+    measured(t.space, E.copy(), hit=True)
+    measured(RowColSpace(t.space.U.copy(), t.space.V.copy()), E, hit=True)
+    E[0, 0] += 1e-3
+    measured(t.space, E, hit=False)
+    measured(other.space, E, hit=False)
+    signed = E.copy()
+    signed[3, 4] = -0.0
+    measured(t.space, signed, hit=False)
+    measured(t.space, E, hit=False)
+
+
 def orthonormal(stream, m, k):
     return np.linalg.qr(stream.gaussian(m, k))[0]
 
@@ -271,9 +324,13 @@ def test_certificate_validates_input_once(monkeypatch):
     # norms of E, of the off-space part of the total and of Q_omega come
     # from the Gram's top eigenvalue, and the spectra of P_T(E) and Q_T,
     # which lie in the tangent space, from a 2r x n core.
-    dense, sigma1 = [], []
+    # The caller's perturbation_scales leaves build_certificate, on the same
+    # space and E, two sigma_1 kernels (the off-space complement and
+    # Q_omega) and one core (Q_T): the scales of E are not computed again.
+    dense, sigma1, cores = [], [], []
     real_svd = splr.matrices._lapack_svd
     real_sigma1 = splr.matrices._spectral_norm
+    real_core = splr.matrices._T_singular_values
 
     def counting_svd(A, compute_uv):
         dense.append(A.shape == (40, 40))
@@ -282,21 +339,30 @@ def test_certificate_validates_input_once(monkeypatch):
     def counting_sigma1(A):
         sigma1.append(A.shape)
         return real_sigma1(A)
+
+    def counting_core(*args):
+        cores.append(1)
+        return real_core(*args)
     monkeypatch.setattr(splr.matrices, "_lapack_svd", counting_svd)
     monkeypatch.setattr(splr.norms, "_spectral_norm", counting_sigma1)
-    E = 1e-3 * RandomStream(probe_seed("validatecertnoise")).gaussian(40, 40)
+    monkeypatch.setattr(splr.certificate, "_T_singular_values", counting_core)
+    noise = RandomStream(probe_seed("validatecertnoise"))
+    E = 1e-3 * noise.gaussian(40, 40)
     ie2, iev, _ = perturbation_scales(t.space, E)
     assert sum(dense) == 0
-    assert len(sigma1) == 1
+    assert len(sigma1) == 1 and len(cores) == 1
     lo, hi = check_conditions(profile(t), "regularized", 2.0, 0.1, mu=1.0,
                               eps_2to2=ie2, eps_vinf=iev).lambda_window
-    calls.clear()
-    dense.clear()
-    sigma1.clear()
-    build_certificate(t, E, 0.5 * (lo + hi), 1.0, 2.0)
-    assert len(calls) <= 4
-    assert sum(dense) == 0
-    assert sigma1 == [(40, 40)] * 3
+    for fresh, n_sigma1, n_cores in ((E, 2, 1), (1e-3 * noise.gaussian(40, 40), 3, 2)):
+        calls.clear()
+        dense.clear()
+        sigma1.clear()
+        cores.clear()
+        build_certificate(t, fresh, 0.5 * (lo + hi), 1.0, 2.0)
+        assert len(calls) <= 4
+        assert sum(dense) == 0
+        assert sigma1 == [(40, 40)] * n_sigma1
+        assert len(cores) == n_cores
 
 
 
@@ -353,9 +419,13 @@ def test_certificate_matches_dense_reference():
             lam = 0.5 * (lo + hi)
             cert = build_certificate(t, E, lam, 1.0, c, tol=1e-9)
             with pytest.MonkeyPatch.context() as mp:
+                # An empty slot makes the rebuild measure E's scales with
+                # the dense kernels, not reuse the ones cert measured.
+                mp.setattr(splr.certificate, "_last_scales", None)
                 mp.setattr(splr.norms, "_spectral_norm", dense_sigma1)
                 mp.setattr(splr.certificate, "_T_singular_values", dense_T_values)
                 ref = build_certificate(t, E, lam, 1.0, c, tol=1e-9)
+            assert ref.eps_2to2 == dense_sigma1(E)
             got, want = measurements(cert), measurements(ref)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-300)

@@ -285,6 +285,11 @@ def test_exit_code_io_errors(tmp_path, capsys):
     bad = tmp_path / "nan.csv"
     bad.write_text("1,nan\n2,3\n")
     assert run_cli(*decompose_args(tmp_path, bad, "regularized", "--mu", 1.0)) == 1
+    capsys.readouterr()
+    accented = tmp_path / "accented.csv"
+    accented.write_bytes("1,2\n4\u00e9,5\n".encode("utf-8"))
+    assert run_cli(*decompose_args(tmp_path, accented, "regularized", "--mu", 1.0)) == 1
+    assert f"{accented}: line 2: non-ASCII byte 0xc3" in capsys.readouterr().err
 
 
 def test_exit_code_non_convergence(tmp_path):

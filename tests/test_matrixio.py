@@ -71,6 +71,18 @@ def test_read_rejects_non_finite_values(tmp_path):
         assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("data, where", [
+    (b"\xef\xbb\xbf1,2\n3,4\n", "line 1: non-ASCII byte 0xef at column 1"),
+    ("1,2\n4\u00e9,5\n".encode("utf-8"), "line 2: non-ASCII byte 0xc3 at column 2"),
+], ids=["bom", "line2"])
+def test_read_rejects_non_ascii_with_line_number(tmp_path, data, where):
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    with pytest.raises(MatrixIOError) as err:
+        read_matrix_csv(path)
+    assert str(err.value) == f"{path}: {where}"
+
+
 def test_read_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("\n\n")
@@ -204,6 +216,8 @@ SPELLINGS = {
     "hash": "1,2 # note\n3,4\n",
     "hex": "0x10,2\n3,4\n",
     "non_ascii": "1,2\n3,é4\n",
+    "bom": "\ufeff1,2\n3,4\n",
+    "cr_then_non_ascii": "1,2\r3,4\ré,5\n",
     "single_column": "1\n2\n3\n",
     "single_row": "1,2,3\n",
 }
@@ -212,7 +226,7 @@ SPELLINGS = {
 def read_outcome(read, path):
     try:
         M = read(path)
-    except (MatrixIOError, UnicodeDecodeError) as exc:
+    except MatrixIOError as exc:
         return type(exc), str(exc)
     return M.shape, M.tobytes()
 
