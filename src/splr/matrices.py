@@ -1,5 +1,7 @@
-"""Dense real-matrix substrate: validation, SVD with rank truncation, inner
-products, and a fixed counter-based random number generator.
+"""Dense real-matrix substrate: validation, SVD with rank truncation, the
+spectral norm and thresholded triplets from the scaled Gram's
+eigendecomposition, inner products, and a fixed counter-based random
+number generator.
 
 All matrices are dense float64 numpy arrays. The RNG is splitmix64 driven by
 a counter, so every value is a pure function of (seed, position) and streams
@@ -15,6 +17,7 @@ import numpy as np
 # Relative singular-value cutoff: sigma_i is kept iff sigma_i > RANK_TRUNCATION * sigma_1.
 RANK_TRUNCATION = 1e-10
 
+_EPS = float(np.finfo(float).eps)
 _MASK64 = (1 << 64) - 1
 
 
@@ -105,24 +108,80 @@ def singular_values(M):
     return _singular_values(as_matrix(M))
 
 
-def _spectral_norm(A):
-    """Largest singular value of A, from the top eigenvalue of its Gram
-    matrix on the smaller side.
+def _scaled_gram(A):
+    """(e, S, G) with S = 2^-e A and G the Gram of S on the smaller side, S
+    S^T when m <= n and S^T S otherwise, or None when A is zero or empty.
 
-    A is first scaled by the power of two 2^-e with max|A| in
-    [2^(e-1), 2^e), which is exact and keeps the Gram's entries at most
-    max(m, n) in magnitude, so the Gram cannot overflow at any finite
-    scale of A. The Gram and its eigenvalue carry rounding of order
-    max(m, n)*eps*sigma_1^2, so sigma_1 has a relative error of order
-    max(m, n)*eps at worst. Zero and empty matrices give 0.0.
+    e is the power of two with max|A| in [2^(e-1), 2^e). The scaling is
+    exact and keeps the Gram's entries at most max(m, n) in magnitude, so
+    the Gram cannot overflow at any finite scale of A.
     """
     amax = float(np.abs(A).max(initial=0.0))
     if amax == 0.0:
-        return 0.0
+        return None
     e = math.frexp(amax)[1]
     S = np.ldexp(A, -e)
-    G = S @ S.T if S.shape[0] <= S.shape[1] else S.T @ S
+    return e, S, (S @ S.T if S.shape[0] <= S.shape[1] else S.T @ S)
+
+
+def _spectral_norm(A):
+    """Largest singular value of A, from the top eigenvalue of its scaled
+    Gram (see _scaled_gram).
+
+    The Gram and its eigenvalue carry rounding of order
+    max(m, n)*eps*sigma_1^2, so sigma_1 has a relative error of order
+    max(m, n)*eps at worst. Zero and empty matrices give 0.0.
+    """
+    scaled = _scaled_gram(A)
+    if scaled is None:
+        return 0.0
+    e, _, G = scaled
     return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0)), e)
+
+
+def _gram_svt_factors(A, t, tol):
+    """(U, s, Vt) of A's singular triplets with s > t only, from the
+    eigendecomposition of its scaled Gram (see _scaled_gram), or None when
+    declined.
+
+    With G = Q diag(w) Q^T, s = 2^e sqrt(w) over the kept eigenvalues. The
+    Gram's side takes its singular vectors from the kept columns Q_k of Q;
+    the other side's are S^T Q_k / sqrt(w_k) (S Q_k / sqrt(w_k) for a tall
+    A). Rounding in the Gram is of order eps*sigma_1^2, so each kept value,
+    and the orthonormality of the vectors, carry a relative error of order
+    eps*(sigma_1/t)^2. The step is declined, so that the caller takes the
+    full SVD, unless delta = min(m, n)*eps*(sigma_1/t)^2 < tol/100: within
+    that bound, sum(s - t) is the trace norm of the thresholded U diag(s -
+    t) Vt. Any value kept has sigma_1/t > 1, so a tol/100 of at most
+    min(m, n)*eps, tol = 0 included, declines before any work. It is
+    declined too when eigh fails to converge or sigma_1 overflows; the
+    full SVD serves a zero or empty A.
+    """
+    floor = min(A.shape) * _EPS
+    if not floor < tol / 100:
+        return None
+    scaled = _scaled_gram(A)
+    if scaled is None:
+        return None
+    e, S, G = scaled
+    try:
+        w, Q = np.linalg.eigh(G)
+    except np.linalg.LinAlgError:
+        return None
+    r = np.sqrt(np.maximum(w, 0.0))
+    try:
+        ratio = math.ldexp(float(r[-1]), e) / t if t > 0 else math.inf
+    except OverflowError:
+        return None
+    if not floor * ratio * ratio < tol / 100:
+        return None
+    s = np.ldexp(r, e)
+    k = int(np.count_nonzero(s > t))
+    # eigh orders the values up; the kept ones are the last k, reversed.
+    s, r, Q = s[::-1][:k], r[::-1][:k], Q[:, ::-1][:, :k]
+    if S.shape[0] <= S.shape[1]:
+        return Q, s, (Q.T @ S) / r[:, None]
+    return (S @ Q) / r, s, Q.T
 
 
 def _T_singular_values(U, X, B, Vt):

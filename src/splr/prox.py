@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .matrices import RandomStream, as_matrix, thin_svd
+from .matrices import RandomStream, _gram_svt_factors, as_matrix, thin_svd
 
 __all__ = [
     "soft_threshold",
@@ -47,7 +47,8 @@ def soft_threshold(M, t):
 
 
 # The threshold steps of a solve take the partial path only when min(m, n)
-# is at least PARTIAL_SVT_MIN_DIM; smaller problems always take a full SVD.
+# is at least PARTIAL_SVT_MIN_DIM; smaller problems take the Gram's
+# eigendecomposition where its error bound allows, else a full SVD.
 PARTIAL_SVT_MIN_DIM = 100
 # Block columns beyond the last kept rank.
 _PARTIAL_PAD = 10
@@ -91,23 +92,32 @@ class SvtWarmStart:
     step starts from these rows, padded where short with columns from the
     same stream.
 
-    The full SVD serves a declined partial step, and every step while
-    min(m, n) < PARTIAL_SVT_MIN_DIM or 4 * width > min(m, n); that cap is
+    While min(m, n) < PARTIAL_SVT_MIN_DIM, every step takes the triplets
+    above t from the eigendecomposition of the scaled Gram
+    (matrices._gram_svt_factors), which declines unless its error bound
+    delta = min(m, n)*eps*(sigma_1/t)^2 is below tol/100, tol being the
+    solve's; sum(s - t) is then the trace norm of the step's output within
+    a relative delta. tol = 0 always declines.
+
+    The full SVD serves a declined Gram or partial step, and every step
+    while 4 * width > min(m, n) >= PARTIAL_SVT_MIN_DIM; that cap is
     checked before padding, so a refused step draws nothing from the
     stream. partial_svds counts the steps that took the partial path.
     """
 
-    def __init__(self, shape):
+    def __init__(self, shape, tol):
         self.block = np.empty((0, shape[1]))
         self.width = min(shape) // 4
         self.partial_svds = 0
         self.stream = RandomStream(0)
+        self.tol = tol
 
     def factors(self, M, t):
-        """(U, s, Vt) for thresholding M by t: the partial triplets when a
-        partial step is taken and accepted, else the full thin SVD."""
+        """(U, s, Vt) for thresholding M by t: the Gram's triplets above t
+        or the partial triplets when that step is taken and accepted, else
+        the full thin SVD."""
         if min(M.shape) < PARTIAL_SVT_MIN_DIM:
-            return thin_svd(M)
+            return _gram_svt_factors(M, t, self.tol) or thin_svd(M)
         out = None
         if 4 * self.width <= min(M.shape):
             V = self.block.T

@@ -217,9 +217,13 @@ def _admm(Y, lam, copies, gap_terms, tol, max_iter, eta0, mode, fit=None,
 
     When min(m, n) >= PARTIAL_SVT_MIN_DIM, the threshold step computes only
     the leading singular triplets, warm-started from the last sweep's right
-    singular block (see prox.SvtWarmStart); smaller problems take a full
-    SVD every sweep. The gap is certified from X_L = U diag(s) Vt alone, so
-    a partial step that misses values costs sweeps, not a wrong exit.
+    singular block; smaller problems take the triplets above the threshold
+    from the Gram's eigendecomposition while its error bound delta is below
+    tol/100, else a full SVD (see prox.SvtWarmStart). The gap is certified
+    from X_L = U diag(s) Vt alone, with ||X_L||_* read as sum(s): exact
+    after a full SVD or a partial step, and within a relative delta after
+    a Gram step. So a partial step that misses values costs sweeps, not a
+    wrong exit.
 
     abandon, when given, is a predicate abandon(X_L, s) on the last
     threshold step's output and its kept singular values. It runs every 10
@@ -254,7 +258,7 @@ def _admm(Y, lam, copies, gap_terms, tol, max_iter, eta0, mode, fit=None,
     duals = (W + [V]) if boxed else W
     converged = False
     rescalings = spectral_checks = 0
-    warm = SvtWarmStart(shape)
+    warm = SvtWarmStart(shape, tol)
     pri = dua = gap = math.inf
     abandoned_at = None
     iterations = 0
@@ -419,12 +423,13 @@ def solve_regularized(Y, cfg):
     Q = -R/mu, which attains P at the optimum, times kappa = 1/max(1,
     ||Q||_inf/lam, sigma_bar), the middle term only without a box, and
     sigma_bar >= ||Q||_2 computed as _admm says. P takes ||X_L||_* as
-    sum(s), exact for the threshold step's X_L = U diag(s) Vt, partial
-    steps included. P and d are homogeneous of degree 1 in (Y, X_S, X_L,
-    mu, b), so both are evaluated exactly on these times 2^-e, with
-    max(max|Y|, mu) in [2^(e-1), 2^e), clear of overflow and underflow at
-    any scale. The gap certifies the objective, not the first-order
-    residual of (X_S, X_L).
+    sum(s) for the threshold step's X_L = U diag(s) Vt: exact after a full
+    SVD or a partial step, within a relative delta < tol/100 after a Gram
+    step (see prox.SvtWarmStart). P and d are homogeneous of degree 1 in
+    (Y, X_S, X_L, mu, b), so both are evaluated exactly on these times
+    2^-e, with max(max|Y|, mu) in [2^(e-1), 2^e), clear of overflow and
+    underflow at any scale. The gap certifies the objective, not the
+    first-order residual of (X_S, X_L).
     """
     Y = as_matrix(Y, "Y")
     lam, mu, b, tol = cfg.lam, cfg.mu, cfg.b, cfg.tol
@@ -497,10 +502,12 @@ def solve_constrained(Y, cfg):
     solve no y_B terms. P is the objective at the feasible point L =
     X_L_hat, S = Y - L + rho*R_hat, with R_hat = X_S + L - Y and rho =
     min(1, eps_v1/||R_hat||_1, eps_star/||R_hat||_*), 0 for the exact
-    split; ||L||_* is sum(s), exact for the threshold step's U diag(s) Vt,
-    partial steps included. Both are evaluated on (Y, X_S, L, eps, b) times
-    2^-e, with max|Y| in [2^(e-1), 2^e). The solve returns the ADMM iterate,
-    whose X_S differs from the certified S by (1 - rho)*R_hat.
+    split; ||L||_* is sum(s) for the threshold step's U diag(s) Vt: exact
+    after a full SVD or a partial step, within a relative delta < tol/100
+    after a Gram step (see prox.SvtWarmStart). Both are evaluated on (Y,
+    X_S, L, eps, b) times 2^-e, with max|Y| in [2^(e-1), 2^e). The solve
+    returns the ADMM iterate, whose X_S differs from the certified S by (1
+    - rho)*R_hat.
     """
     return _solve_constrained(Y, cfg)
 

@@ -200,7 +200,7 @@ def _run_cell(spec, rank, density_index, density, trial):
         err_lowrank = (_entrywise_norm(report.X_L_hat - inst.target.X_L, 2)
                        / max(1.0, _entrywise_norm(inst.target.X_L, 2)))
         converged = report.converged
-    except FactorizationError:
+    except (FactorizationError, np.linalg.LinAlgError):
         err_sparse = err_lowrank = math.inf
         converged = False
     success = bool(

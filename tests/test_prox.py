@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import splr.matrices
 import splr.prox
 from splr.matrices import RandomStream
 from splr.norms import entrywise_norm, trace_norm
@@ -17,6 +18,8 @@ from splr.prox import (
     soft_threshold,
     svt,
 )
+from splr.solvers import ConstrainedConfig, solve_constrained
+from splr.synth import InstanceSpec, gen_instance
 
 from .helpers import probe_seed
 
@@ -148,7 +151,7 @@ def test_partial_svt_matches_full_svt_at_a_cluster():
     m, t = 160, 1.0
     stream = RandomStream(probe_seed("partialsvt"))
     M0 = cluster_matrix(m, t, 20.0, stream)
-    warm = SvtWarmStart(M0.shape)
+    warm = SvtWarmStart(M0.shape, 1e-9)
     # The first step starts from a 40-column block of the stream. Two
     # passes from a random start resolve the 1e-4 gaps of the cluster only
     # roughly, but they keep the right count.
@@ -210,7 +213,7 @@ def test_declined_step_falls_back_to_the_full_svd():
     # step and the full SVD serves it, to the bit.
     M = RandomStream(probe_seed("partialdecline")).gaussian(240, 240)
     t = 0.4 * np.linalg.svd(M, compute_uv=False)[0]
-    warm = SvtWarmStart(M.shape)
+    warm = SvtWarmStart(M.shape, 1e-9)
     X = _svt(M, t, warm)[0]
     assert warm.partial_svds == 0
     assert warm.stream._pos == 60 * 240 and warm.width > 60 + 10
@@ -221,7 +224,7 @@ def test_partial_step_refused_over_the_size_cap(monkeypatch):
     # 100 x 100: a partial step needs 4 (rank + 10) <= 100, so rank <= 15.
     # The first step's block is 100 // 4 = 25 columns, all from the stream.
     calls = []
-    warm = SvtWarmStart((100, 100))
+    warm = SvtWarmStart((100, 100), 1e-9)
 
     def leading(M, t, V):
         calls.append(V.shape[1])
@@ -247,17 +250,87 @@ def test_partial_step_refused_over_the_size_cap(monkeypatch):
 
 
 def test_small_problems_never_take_the_partial_path(monkeypatch):
+    # At tol = 0 the Gram step declines too, so every step is the full SVD.
     def fail(*args):
         raise AssertionError("partial path taken below the size rule")
 
     monkeypatch.setattr(splr.prox, "_partial_svt", fail)
     stream = RandomStream(probe_seed("partialsmall"))
-    warm = SvtWarmStart((99, 400))
+    warm = SvtWarmStart((99, 400), 0.0)
     M = stream.gaussian(99, 400)
     for _ in range(3):
         X = _svt(M, 5.0, warm)[0]
         assert np.array_equal(X, svt(M, 5.0))
     assert warm.partial_svds == 0
+
+
+def gram_delta(A, t):
+    """The Gram step's error bound min(m, n)*eps*(sigma_1/t)^2."""
+    s1 = np.linalg.svd(A, compute_uv=False)[0]
+    return min(A.shape) * np.finfo(float).eps * (s1 / t) ** 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (30, 30), (20, 45), (99, 400)])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_gram_step_matches_dense_svt(shape, scale):
+    # The triplets above t from the scaled Gram's eigendecomposition: the
+    # thresholded matrix agrees with the dense svt within delta*sigma_1,
+    # and sum(s) is its dense trace norm within a relative delta, at every
+    # scale and without a warning. Compared at unit scale.
+    M = RandomStream(probe_seed("gramstep", *shape)).gaussian(*shape)
+    s1 = np.linalg.svd(M, compute_uv=False)[0]
+    for ratio in (1.5, 4.0, 30.0):
+        t = s1 / ratio
+        delta = gram_delta(M, t)
+        out = splr.matrices._gram_svt_factors(M * scale, t * scale, 1e-7)
+        assert out is not None
+        U, s, Vt = out
+        k = s.size
+        assert U.shape == (shape[0], k) and Vt.shape == (k, shape[1])
+        assert np.all(s > t * scale) and np.all(np.diff(s) <= 0)
+        X, s = splr.prox._shrink_spectrum(U, s, Vt, t * scale)
+        X, s = X / scale, s / scale
+        assert np.linalg.norm(X - svt(M, t)) <= delta * s1
+        assert abs(s.sum() - trace_norm(X)) <= delta * trace_norm(X)
+
+
+def test_gram_step_declines_to_the_full_svd(monkeypatch):
+    # tol = 0, sigma_1/t past the gate, a zero matrix, a sigma_1 out of
+    # range and a failed eigh each decline, and the warm start's step is
+    # then the full SVD's, to the bit.
+    M = RandomStream(probe_seed("gramdecline")).gaussian(30, 30)
+    s1 = np.linalg.svd(M, compute_uv=False)[0]
+    t, tol = s1 / 20, 1e-7
+    assert gram_delta(M, t) < tol / 100 < gram_delta(M, s1 / 1e3)
+    cases = [(M, t, 0.0), (M, s1 / 1e3, tol), (np.zeros((30, 30)), t, tol),
+             (np.full((2, 2), 1e308), 1e300, tol)]
+    for A, step, gate in cases:
+        assert splr.matrices._gram_svt_factors(A, step, gate) is None
+        X = _svt(A, step, SvtWarmStart(A.shape, gate))[0]
+        assert X.tobytes() == svt(A, step).tobytes()
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert splr.matrices._gram_svt_factors(M, t, tol) is None
+    X = _svt(M, t, SvtWarmStart(M.shape, tol))[0]
+    assert X.tobytes() == svt(M, t).tobytes()
+
+
+def test_small_solves_take_no_full_svd_in_their_threshold_steps(monkeypatch):
+    # Below PARTIAL_SVT_MIN_DIM a solve's warm start carries its tol, so a
+    # 30 x 30 exact split at tol 1e-7 serves every step from the Gram.
+    def fail(A):
+        raise AssertionError("full SVD taken by a threshold step")
+
+    monkeypatch.setattr(splr.prox, "thin_svd", fail)
+    inst = gen_instance(InstanceSpec(m=30, n=30, rbar=2, ktilde=30,
+                                     seed=probe_seed("gramsolve")))
+    rep = solve_constrained(inst.Y, ConstrainedConfig(lam=1 / math.sqrt(30), tol=1e-7))
+    assert rep.converged
+    assert np.linalg.norm(rep.X_L_hat - inst.target.X_L) <= 1e-5 * np.linalg.norm(inst.target.X_L)
 
 
 def test_prox_l1_box_infinite_box_equals_soft():

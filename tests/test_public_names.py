@@ -34,3 +34,20 @@ def test_modules_use_every_name_they_import():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"splr.{info.name} imports {sorted(imported - used)} unused"
+
+
+def test_dense_factorizations_called_only_in_matrices():
+    # np.linalg.svd, eigh and eigvalsh are reached through matrices alone,
+    # so one layer holds every dense factorization and can count them.
+    factorizations = {"svd", "eigh", "eigvalsh"}
+    for info in pkgutil.iter_modules(splr.__path__):
+        if info.name == "matrices":
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"splr.{info.name}")))
+        found = [node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in factorizations
+                 and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+        found += [alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+                  for alias in node.names if alias.name in factorizations]
+        assert found == [], f"splr.{info.name} calls np.linalg.{found[0]}"

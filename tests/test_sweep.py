@@ -197,6 +197,24 @@ def test_factorization_failure_scores_cell_as_failed(monkeypatch):
     assert agg == [(1, 0.1, 2, 0, 0.0)]
 
 
+def test_eigenvalue_failure_scores_cell_as_failed(monkeypatch):
+    # A failed eigvalsh (sigma_bar of the exit gap) is a non-convergence
+    # like a failed SVD: it scores its own cell failed, with inf errors,
+    # and the sweep goes on. Cells that never reach it keep their rows.
+    spec = SweepSpec(m=12, n=12, ranks=(1, 4), densities=(0.02, 0.3), trials=2, base_seed=5)
+    want, _ = run_sweep(spec)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    rows, agg = run_sweep(spec)
+    failed = [row for row in rows if math.isinf(row[5])]
+    assert failed and all(math.isinf(row[6]) and not row[7] for row in failed)
+    assert all(row == ref for row, ref in zip(rows, want) if row not in failed)
+    assert sum(a[3] for a in agg) == sum(row[7] for row in rows)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_solver_bug_propagates_out_of_sweep(monkeypatch, jobs):
     def broken(Y, cfg, abandon):
