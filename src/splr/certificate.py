@@ -220,7 +220,8 @@ def verify_bounds(cert, prof):
     qt_max = _entrywise_norm(Q_T, np.inf)
     qo_max = _entrywise_norm(Q_omega, np.inf)
     qo_l1 = _entrywise_norm(Q_omega, 1)
-    sum_sq = _entrywise_norm(Q_omega + Q_T, 2) ** 2
+    q_sum = _entrywise_norm(Q_omega + Q_T, 2)
+    sum_sq = q_sum * q_sum  # inf past the float range, where ** raises
 
     pairs = [
         (qo_spec, alpha * geo * core),

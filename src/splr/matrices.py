@@ -130,13 +130,17 @@ def _spectral_norm(A):
 
     The Gram and its eigenvalue carry rounding of order
     max(m, n)*eps*sigma_1^2, so sigma_1 has a relative error of order
-    max(m, n)*eps at worst. Zero and empty matrices give 0.0.
+    max(m, n)*eps at worst. Zero and empty matrices give 0.0, and a
+    sigma_1 beyond the float range gives inf.
     """
     scaled = _scaled_gram(A)
     if scaled is None:
         return 0.0
     e, _, G = scaled
-    return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0)), e)
+    try:
+        return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0)), e)
+    except OverflowError:
+        return math.inf
 
 
 def _gram_svt_factors(A, t, tol):

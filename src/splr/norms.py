@@ -21,7 +21,8 @@ def entrywise_norm(M, p):
 
 def _entrywise_norm(A, p):
     if p == 1:
-        return float(np.abs(A).sum())
+        with np.errstate(over="ignore"):  # a sum past the float range reads inf
+            return float(np.abs(A).sum())
     if p == 2:
         with np.errstate(over="ignore"):
             return _frobenius(A)

@@ -144,118 +144,85 @@ def _weighted_mean(arrays, weights, out, work):
     return out
 
 
-def _admm(Y, lam, copies, gap_terms, tol, max_iter, eta0, mode, fit=None,
-          S_box=None, b_L=math.inf, abandon=None):
-    """Gauss-Seidel ADMM on lam*||X_S||_1 + ||X_L||_* plus the residual
-    terms, shared by both solvers. Y must already be validated.
+@dataclass(eq=False)
+class _Block:
+    """One constraint block of _admm: its prox (None for the exact split),
+    whether it constrains X_S + X_L - Y (on_S) or X_L alone (the box), its
+    penalty eta, its scaled dual W and its copy R, both allocated by _admm.
 
-    copies lists the proxes of the residual terms: the residual X_S + X_L
-    - Y gets one copy R_j per entry, with its own constraint X_S + X_L - Y
-    = R_j, and prox(V, eta_j) returns the new R_j from V = X_S + X_L - Y +
-    W_j (it may overwrite V and return it). An empty list forces exact
-    agreement: a single constraint with R fixed at 0. S_box = (lo, hi)
-    keeps X_S entrywise in [lo, hi]. A finite b_L adds a copy B of X_L with
-    the constraint X_L = B, and B is returned as X_L_hat.
+    With left side A = D = X_S + X_L - Y when on_S, else X_L, each sweep
+    sets R = prox(A + W, eta) (prox may overwrite its argument and return
+    it) and W += A - R. The block's primal residual is ||A - R|| and its
+    dual residual eta*||dR - dX_L|| when on_S, else eta*||dR||, with d the
+    change over the sweep (solve_constrained derives them). Without a prox,
+    R stays 0: W += D, with residuals ||D|| and eta*||dX_L||.
 
-    Each constraint is a block with its own penalty eta_j and scaled dual:
-    W_j for the residual constraints, V for the box, which comes last.
+    Every 10 sweeps eta doubles when p = eta0*pri exceeds dua tenfold, or,
+    once dua is at most tol, when p exceeds tol and twice dua; it halves in
+    the mirror cases, and W is divided by the same factor (Boyd et al.
+    2011, ADMM, section 3.4.1; the tol clause balances against the stopping
+    test, as in Wohlberg, arXiv:1704.06209). eta0 is the first block's
+    starting eta: a caller whose eta0 scales as 1/Y compares two scale-free
+    quantities and takes the same sweeps on cY.
+    """
+
+    prox: object = None
+    on_S: bool = True
+    eta: float = 1.0
+    W: np.ndarray = None
+    R: np.ndarray = None
+
+
+def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
+          abandon=None):
+    """Gauss-Seidel ADMM on lam*||X_S||_1 + ||X_L||_* under the constraint
+    blocks (see _Block), shared by both solvers. Y must already be
+    validated. The residual blocks come first; a box block, on X_L, may
+    come last, and its R is then X_L_hat. S_box = (lo, hi) keeps X_S
+    entrywise in [lo, hi].
+
     With H = sum_j eta_j over the residual blocks, each sweep takes the l1
-    prox in X_S at threshold lam/H, centred at the eta-weighted mean of
-    the residual blocks' centres Y - X_L + R_j - W_j, then the
-    singular-value threshold in X_L at 1/(H + eta_B) (1/H unboxed),
-    centred at the eta-weighted mean of Y - X_S + R_j - W_j and B - V, then
-    updates every copy and dual. With D = X_S + X_L - Y and d the change
-    over the sweep, block j's primal residual is ||D - R_j|| and its dual
-    residual eta_j*||dR_j - dX_L||, which is eta*||dX_L|| for the fixed R =
-    0 of exact agreement; the box's are ||X_L - B|| and eta_B*||dB||. pri
-    and dua, the hypot of the blocks' residuals, are passed to gap_terms.
-
-    Every penalty starts at eta0 and is rebalanced every 10 sweeps on its
-    own block's residuals (Boyd et al. 2011, ADMM, section 3.4.1) when one
-    of eta0*pri_j and dua_j exceeds the other tenfold, or, once one of them
-    is at most tol, when the other exceeds tol and the first twofold: near
-    the exit the lagging residual would otherwise stay up to ten times
-    above tol (balancing against the stopping test, as in Wohlberg,
-    arXiv:1704.06209). A rescaling divides only that block's dual. The
-    rule compares eta0*pri_j rather than pri_j, so that a caller whose eta0
-    scales as 1/Y compares two scale-free quantities and takes the same
-    sweeps on cY as on Y. When a rescaling leaves H at 0 or H + eta_B at
-    inf, the loop ends unconverged: the X_S step would threshold at lam/0,
-    and at an infinite penalty the steps threshold at 0 and a dual
-    residual is inf*0 = NaN. The box's penalty alone may reach 0, as it
-    does for a box that never binds, whose primal residual is exactly 0:
-    its weight in the X_L step's centre is then 0, and B stays the clip of
-    X_L + V. Exact agreement without a box takes the arithmetic of a
-    single penalty, to the bit.
+    prox in X_S at lam/H, centred at the eta-weighted mean of Y - X_L + R_j
+    - W_j, then the singular-value threshold in X_L at t_L = 1/(H + eta_B)
+    (1/H unboxed), centred at the eta-weighted mean of Y - X_S + R_j - W_j
+    and the box's R - W, then updates every block in order. pri and dua
+    are the hypot of the blocks' residuals. A rescaling that leaves H at 0
+    or H + eta_B at inf ends the loop unconverged; eta_B alone may reach 0,
+    as it does for a box that never binds. Updates run in place, in
+    the operand order of the plain expressions, so the bits are theirs.
+    The threshold step, and the certified use of its sum(s) as
+    ||X_L||_*, are prox.SvtWarmStart's.
 
     Each sweep ends with gap_terms(X_S, X_L_hat, s, D, pri, dua, work,
-    duals, etas), where s holds the last threshold step's kept singular
-    values, work is a free full-size buffer, duals the scaled duals and
-    etas the penalties, both in block order; it may overwrite D and work,
-    and must not write the duals. It returns None while the caller's gate
-    is shut, and otherwise (P, dual, scale, M, unit): the objective P at a
-    feasible point, dual(k) the dual value at the caller's dual point over
-    k, scale the k that puts that point in the l1 term's dual ball, and
-    sigma_bar = _sigma_bar(M)/unit the k for the spectral one. The relative
-    gap (P - d)/P, 0 at P = 0 unless d < 0, taken at scale alone is a gate:
-    only when it is at most tol is sigma_bar computed (spectral_checks
-    counts these) and the gap retaken at max(scale, sigma_bar). The loop
-    exits converged when that certified gap is at most tol (Boyd et al.
-    2011, ADMM, section 3.3). duality_gap is the last gap computed, inf
-    when none was; at max_iter it may lack sigma_bar.
+    blocks), with s the kept singular values and work a free buffer; it
+    may overwrite D and work but not the blocks. It returns None while the
+    caller's gate is shut, else (P, dual, scale, M, unit), derived in the
+    solver docstrings. The gap (P - dual(scale))/P gates sigma_bar =
+    _sigma_bar(M)/unit, counted in spectral_checks; the loop exits
+    converged when the gap at max(scale, sigma_bar) is at most tol (Boyd et
+    al. 2011, ADMM, section 3.3). abandon(X_L, s), when given, runs every
+    10 sweeps after the exit test and ends the loop unconverged when it
+    holds; a sweep it lets pass is computed as without it.
 
-    The full-size work arrays live across sweeps and are updated in place:
-    the centre C of the threshold steps, X_S (the soft threshold writes
-    into it, with D as its sign buffer), D, the change in X_L, with several
-    residual blocks the weighted means of the W_j and R_j, and for the
-    copies one residual buffer and one buffer for D + W_j (the previous
-    R_j's buffer once the shrink has kept its argument). X_L is the one
-    array a sweep allocates anew, since the threshold step's product forms
-    it. Every update keeps the operand order of the plain expressions, so
-    the bits are theirs. The Frobenius norms overflow and underflow only
-    where they must (see norms._frobenius).
-
-    When min(m, n) >= PARTIAL_SVT_MIN_DIM, the threshold step computes only
-    the leading singular triplets, warm-started from the last sweep's right
-    singular block; smaller problems take the triplets above the threshold
-    from the Gram's eigendecomposition while its error bound delta is below
-    tol/100, else a full SVD (see prox.SvtWarmStart). The gap is certified
-    from X_L = U diag(s) Vt alone, with ||X_L||_* read as sum(s): exact
-    after a full SVD or a partial step, and within a relative delta after
-    a Gram step. So a partial step that misses values costs sweeps, not a
-    wrong exit.
-
-    abandon, when given, is a predicate abandon(X_L, s) on the last
-    threshold step's output and its kept singular values. It runs every 10
-    sweeps, after the exit test and before the rebalancing; when it holds,
-    the loop ends unconverged. A caller that can prove from (X_L, s) that
-    the solve will not reach the answer it wants uses it to stop early;
-    a sweep that it lets pass is computed as without it, to the bit.
-
-    Returns the SolveReport of mode. Its objective is fit(||R||_F) +
-    lam*||X_S||_1 + ||X_L_hat||_*, with R = X_S + X_L_hat - Y, fit the
-    caller's data term (0 when omitted), and the trace norm sum(s) unboxed,
-    where X_L_hat is the last U diag(s) Vt. Its diagnostics are the final
-    residuals, the penalties in block order and the total number of
-    rescalings, partial_svds, the number of threshold steps served by the
-    partial path, abandoned_at, the sweep at which abandon held (None when
-    it never did), duality_gap and spectral_checks.
+    Returns the SolveReport of mode: objective fit(||R||_F) + lam*||X_S||_1
+    + ||X_L_hat||_* (fit 0 when omitted), and as diagnostics the final pri
+    and dua, the penalties in block order, the rescalings, partial_svds,
+    abandoned_at, duality_gap (the last gap, inf when none was computed)
+    and spectral_checks.
     """
-    n_res = max(1, len(copies))
-    boxed = not math.isinf(b_L)
-    etas = [eta0] * (n_res + boxed)
     shape = Y.shape
+    eta0, box = blocks[0].eta, blocks[-1]
+    boxed = not box.on_S
+    res = blocks[:-1] if boxed else blocks
+    exact = res[0].prox is None
     C, X_S, D, dX_L = (np.empty(shape) for _ in range(4))
-    if copies:
-        r, spare = np.empty(shape), np.empty(shape)
-    W = [np.zeros(shape) for _ in range(n_res)]
-    R = [np.zeros(shape) for _ in copies]
-    W_buf, R_buf = (np.empty(shape), np.empty(shape)) if n_res > 1 else (None, None)
+    with_prox = any(b.prox for b in blocks)
+    r, spare = (np.empty(shape), np.empty(shape)) if with_prox else (None, None)
+    for b in blocks:
+        b.W, b.R = np.zeros(shape), None if b.prox is None else np.zeros(shape)
+    W_res = [b.W for b in res]
+    W_buf, R_buf = (np.empty(shape), np.empty(shape)) if len(res) > 1 else (None, None)
     X_L = np.zeros(shape)
-    if boxed:
-        B, V = np.zeros(shape), np.zeros(shape)
-        B_next, r_B = np.empty(shape), np.empty(shape)
-    duals = (W + [V]) if boxed else W
     converged = False
     rescalings = spectral_checks = 0
     warm = SvtWarmStart(shape, tol)
@@ -263,67 +230,59 @@ def _admm(Y, lam, copies, gap_terms, tol, max_iter, eta0, mode, fit=None,
     abandoned_at = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        eta_res = etas[:n_res]
+        eta_res = [b.eta for b in res]
         H = sum(eta_res)
-        # r is free until the copies' updates below.
-        W_bar = _weighted_mean(W, eta_res, W_buf, r if copies else None)
-        if copies:
-            R_bar = _weighted_mean(R, eta_res, R_buf, r)
+        # r is free until the blocks' updates below.
+        W_bar = _weighted_mean(W_res, eta_res, W_buf, r)
+        R_bar = None if exact else _weighted_mean([b.R for b in res], eta_res, R_buf, r)
         np.subtract(Y, X_L, out=C)
         C -= W_bar
-        if copies:
+        if not exact:
             C += R_bar
         _soft_threshold(C, lam / H, out=X_S, sign=D)
         if S_box is not None:
             np.clip(X_S, *S_box, out=X_S)
         np.subtract(Y, X_S, out=C)
         C -= W_bar
-        if copies:
+        if not exact:
             C += R_bar
+        t_L = 1.0 / (H + box.eta) if boxed else 1.0 / H
         if boxed:
-            t_L = 1.0 / (H + etas[-1])
             C *= H * t_L
-            np.subtract(B, V, out=r_B)
-            r_B *= etas[-1] * t_L
-            C += r_B
-        else:
-            t_L = 1.0 / H
+            np.subtract(box.R, box.W, out=r)
+            r *= box.eta * t_L
+            C += r
         X_L_new, s = _svt(C, t_L, warm)
         np.subtract(X_L_new, X_L, out=dX_L)
         X_L = X_L_new
         np.add(X_S, X_L, out=D)
         D -= Y
+        pri_parts, dua_parts = [], []
         with np.errstate(over="ignore"):
-            if copies:
-                pri_parts, dua_parts = [], []
-                for j, prox in enumerate(copies):
-                    R_old = R[j]
-                    R[j] = prox(np.add(D, W[j], out=spare), etas[j])
-                    np.subtract(D, R[j], out=r)
-                    W[j] += r
-                    pri_parts.append(_frobenius(r))
-                    # R_old's buffer takes dR_j now, and D + W_j next time
-                    # when the shrink has kept its argument.
-                    dR = np.subtract(R[j], R_old, out=R_old)
+            for b in blocks:
+                if b.prox is None:
+                    b.W += D
+                    pri_parts.append(_frobenius(D))
+                    dua_parts.append(b.eta * _frobenius(dX_L))
+                    continue
+                A = D if b.on_S else X_L
+                R_old = b.R
+                b.R = b.prox(np.add(A, b.W, out=spare), b.eta)
+                np.subtract(A, b.R, out=r)
+                b.W += r
+                pri_parts.append(_frobenius(r))
+                # R_old's buffer takes dR now, and A + W next time when the
+                # prox has kept its argument.
+                dR = np.subtract(b.R, R_old, out=R_old)
+                if b.on_S:
                     dR -= dX_L
-                    dua_parts.append(etas[j] * _frobenius(dR))
-                    if R[j] is spare:
-                        spare = R_old
-            else:
-                W[0] += D
-                pri_parts, dua_parts = [_frobenius(D)], [etas[0] * _frobenius(dX_L)]
-            if boxed:
-                B_new = np.add(X_L, V, out=B_next)
-                np.clip(B_new, -b_L, b_L, out=B_new)
-                B_step = np.subtract(B_new, B, out=B)
-                B, B_next = B_new, B_step
-                np.subtract(X_L, B, out=r_B)
-                V += r_B
-                pri_parts.append(_frobenius(r_B))
-                dua_parts.append(etas[-1] * _frobenius(B_step))
+                dua_parts.append(b.eta * _frobenius(dR))
+                if b.R is spare:
+                    spare = R_old
             pri = math.hypot(*pri_parts)
             dua = math.hypot(*dua_parts)
-        terms = gap_terms(X_S, B if boxed else X_L, s, D, pri, dua, dX_L, duals, etas)
+        X_L_hat = box.R if boxed else X_L
+        terms = gap_terms(X_S, X_L_hat, s, D, pri, dua, dX_L, blocks)
         if terms is not None:
             primal, dual, scale, M, unit = terms
             gap = _relative_gap(primal, dual(scale))
@@ -340,7 +299,7 @@ def _admm(Y, lam, copies, gap_terms, tol, max_iter, eta0, mode, fit=None,
                 abandoned_at = iterations
                 break
             rescaled = False
-            for j, (p, d) in enumerate(zip(pri_parts, dua_parts)):
+            for b, p, d in zip(blocks, pri_parts, dua_parts):
                 p *= eta0
                 if p > 10.0 * d or (d <= tol < p and p > 2.0 * d):
                     factor = 2.0
@@ -348,13 +307,13 @@ def _admm(Y, lam, copies, gap_terms, tol, max_iter, eta0, mode, fit=None,
                     factor = 0.5
                 else:
                     continue
-                etas[j] *= factor
-                duals[j] /= factor
+                b.eta *= factor
+                b.W /= factor
                 rescalings += 1
                 rescaled = True
-            if rescaled and not (sum(etas[:n_res]) > 0.0 and sum(etas) < math.inf):
+            if rescaled and not (sum(b.eta for b in res) > 0.0
+                                 and sum(b.eta for b in blocks) < math.inf):
                 break
-    X_L_hat = B if boxed else X_L
     R_hat = X_S + X_L_hat - Y
     rv2 = _entrywise_norm(R_hat, 2)
     nuclear = _trace_norm(X_L_hat) if boxed else float(s.sum())
@@ -362,7 +321,7 @@ def _admm(Y, lam, copies, gap_terms, tol, max_iter, eta0, mode, fit=None,
     diagnostics = {
         "primal_residual": pri,
         "dual_residual": dua,
-        "penalty_final": etas,
+        "penalty_final": [b.eta for b in blocks],
         "penalty_rescalings": rescalings,
         "partial_svds": warm.partial_svds,
         "abandoned_at": abandoned_at,
@@ -446,7 +405,7 @@ def solve_regularized(Y, cfg):
         V *= eta * mu / (eta * mu + 1.0)
         return V
 
-    def gap_terms(X_S, X_L, s, D, pri, dua, work, duals, etas):
+    def gap_terms(X_S, X_L, s, D, pri, dua, work, blocks):
         # At scale 2^-e: R in D, |X_S| and then Y in work.
         R = np.ldexp(D, -e, out=D)
         l1_S = float(np.abs(np.ldexp(X_S, -e, out=work), out=work).sum())
@@ -467,8 +426,8 @@ def solve_regularized(Y, cfg):
 
     # The data term ||R||_F^2 / (2 mu), in an order that stays finite
     # wherever the value is.
-    return _admm(Y, lam, [shrink], gap_terms, tol, cfg.max_iter, eta0, "regularized",
-                 fit=lambda r2: (0.5 / mu * r2) * r2, S_box=S_box)
+    return _admm(Y, lam, [_Block(shrink, eta=eta0)], gap_terms, tol, cfg.max_iter,
+                 "regularized", fit=lambda r2: (0.5 / mu * r2) * r2, S_box=S_box)
 
 
 def solve_constrained(Y, cfg):
@@ -478,19 +437,19 @@ def solve_constrained(Y, cfg):
 
     The residual gets one copy per ball, projected onto it at every sweep;
     a zero cap forces R = 0, and that case (the exact split) keeps a single
-    copy fixed at 0. A finite box adds a clipped copy B of X_L, returned as
-    X_L_hat. Each ball, and the box, is a block of _admm with its own
-    penalty eta_j, starting at 1 whatever the scale of Y. Over a sweep the
-    X_S step leaves the dual feasibility of X_S off by sum_j eta_j (dR_j -
-    dX_L), and the X_L step that of X_L by sum_j eta_j dR_j + eta_B dB; each
-    residual block's dual residual is its term of the first, the box's its
-    term of the second.
+    copy fixed at 0, without a prox. A finite box adds a last block on X_L
+    whose copy B is its clip, returned as X_L_hat. Each block (see _Block)
+    has its own penalty eta_j, starting at 1 whatever the scale of Y. Over
+    a sweep the X_S step leaves the dual feasibility of X_S off by sum_j
+    eta_j (dR_j - dX_L), and the X_L step that of X_L by sum_j eta_j dR_j +
+    eta_B dB; each residual block's dual residual is its term of the
+    first, the box's its term of the second.
 
     Exit requires the relative duality gap (P - d)/P to be at most cfg.tol
     (Boyd et al. 2011, ADMM, section 3.3), computed once pri and dua are at
     most cfg.tol and, relaxed, the iterate's residual norms exceed the caps
     by at most 10*cfg.tol. Take multipliers Q_j = -eta_j W_j on the residual
-    constraints, Q = sum_j Q_j, and y_B = eta_B V on X_L = B. The Lagrangian
+    constraints, Q = sum_j Q_j, and y_B = eta_B W_B on X_L = B. The Lagrangian
     lam*||X_S||_1 + ||X_L||_* - <Q, X_S + X_L - Y> + sum_j <Q_j, R_j> + <y_B,
     X_L - B> has infimum 0 over X_S where ||Q||_inf <= lam and over X_L where
     ||Q - y_B||_2 <= 1, -eps_j times the dual norm of Q_j over R_j in its
@@ -519,14 +478,16 @@ def _solve_constrained(Y, cfg, abandon=None):
     lam, eps_v1, eps_star, b, tol = cfg.lam, cfg.eps_v1, cfg.eps_star, cfg.b, cfg.tol
     exact = eps_v1 == 0 or eps_star == 0
     boxed = not math.isinf(b)
-    copies = [] if exact else [
-        lambda V, eta: _project_l1_ball(V, eps_v1),
-        lambda V, eta: _project_nuclear_ball(V, eps_star),
+    blocks = [_Block()] if exact else [
+        _Block(lambda V, eta: _project_l1_ball(V, eps_v1)),
+        _Block(lambda V, eta: _project_nuclear_ball(V, eps_star)),
     ]
+    if boxed:
+        blocks.append(_Block(lambda V, eta: np.clip(V, -b, b, out=V), on_S=False))
     e = math.frexp(_entrywise_norm(Y, np.inf))[1]
     eps_v1_e, eps_star_e, b_e = (math.ldexp(x, -e) for x in (eps_v1, eps_star, b))
 
-    def gap_terms(X_S, L, s, D, pri, dua, work, duals, etas):
+    def gap_terms(X_S, L, s, D, pri, dua, work, blocks):
         if not (pri <= tol and dua <= tol):  # NaN fails
             return None
         R = np.add(X_S, L, out=work)
@@ -544,23 +505,24 @@ def _solve_constrained(Y, cfg, abandon=None):
         nuclear = (_trace_norm(np.ldexp(L, -e, out=D)) if boxed
                    else float(np.ldexp(s, -e).sum()))
         primal = lam * l1_S + nuclear
-        # Q = -sum_j eta_j W_j in D, and Y, then y_B = eta_B V in work.
-        Q = np.multiply(duals[0], -etas[0], out=D)
+        # Q = -sum_j eta_j W_j in D, and Y, then y_B = eta_B W_B in work.
+        Q = np.multiply(blocks[0].W, -blocks[0].eta, out=D)
         base = 0.0
         if not exact:
-            Q -= np.multiply(duals[1], etas[1], out=work)
-            base -= eps_v1_e * (etas[0] * _entrywise_norm(duals[0], np.inf))
-            base -= eps_star_e * (etas[1] * _sigma_bar(duals[1]))
+            l1, nuc = blocks[:2]
+            Q -= np.multiply(nuc.W, nuc.eta, out=work)
+            base -= eps_v1_e * (l1.eta * _entrywise_norm(l1.W, np.inf))
+            base -= eps_star_e * (nuc.eta * _sigma_bar(nuc.W))
         base += float(np.vdot(Q, np.ldexp(Y, -e, out=work)))
         scale = max(1.0, _entrywise_norm(Q, np.inf) / lam)
         if boxed:
-            y_B = np.multiply(duals[-1], etas[-1], out=work)
+            y_B = np.multiply(blocks[-1].W, blocks[-1].eta, out=work)
             base -= b_e * _entrywise_norm(y_B, 1)
             Q -= y_B
         return primal, lambda k: base / k, scale, Q, 1.0
 
-    return _admm(Y, lam, copies, gap_terms, tol, cfg.max_iter, 1.0, "constrained",
-                 b_L=b, abandon=abandon)
+    return _admm(Y, lam, blocks, gap_terms, tol, cfg.max_iter, "constrained",
+                 abandon=abandon)
 
 
 def _bound_share(prof, c, lam, *scales):

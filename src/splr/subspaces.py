@@ -204,8 +204,10 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
     return (x, stats) if return_stats else x
 
 
+@np.errstate(over="ignore")
 def _neumann_inverse(support, space, which, R, tol):
-    """neumann_inverse of a validated RHS R; returns (x, stats)."""
+    """neumann_inverse of a validated RHS R; returns (x, stats). Norms
+    past the float range read inf (see norms._frobenius)."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if which == "omega":

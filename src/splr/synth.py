@@ -65,8 +65,8 @@ class InstanceSpec:
             raise ValueError("amplitude must be positive and finite")
         if self.magnitude_law not in MAGNITUDE_LAWS:
             raise ValueError(f"magnitude_law must be one of {MAGNITUDE_LAWS}")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite")
 
 
 @dataclass

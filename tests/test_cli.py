@@ -545,6 +545,7 @@ def test_generate_negative_seed(tmp_path):
 
 @pytest.mark.parametrize("command, flag, value, message", [
     ("generate", "--sigma", "nan", "sigma"),
+    ("generate", "--sigma", "inf", "sigma must be nonnegative and finite"),
     ("diagnose", "--c", "nan", "c must exceed 1"),
     ("diagnose", "--c", "inf", "c must exceed 1"),
     ("diagnose", "--rho", "nan", "rho must be positive"),
@@ -555,9 +556,9 @@ def test_generate_negative_seed(tmp_path):
     ("certify", "--lambda", "nan", "lambda must be positive"),
     ("sweep", "--densities", "nan", "densities"),
     ("sweep", "--densities", "0:nan:0.1", "bad grid"),
-], ids=["generate-sigma", "diagnose-c", "diagnose-c-inf", "diagnose-rho",
-        "diagnose-rho-inf", "diagnose-lambda", "diagnose-mu", "certify-c-inf",
-        "certify-lambda", "sweep-densities", "sweep-density-grid"])
+], ids=["generate-sigma", "generate-sigma-inf", "diagnose-c", "diagnose-c-inf",
+        "diagnose-rho", "diagnose-rho-inf", "diagnose-lambda", "diagnose-mu",
+        "certify-c-inf", "certify-lambda", "sweep-densities", "sweep-density-grid"])
 def test_nan_setting_exits_1(tmp_path, command, flag, value, message, capsys):
     t, _ = flat_instance(8, 8, 1, 4, 10.0, probe_seed("clinan"))
     sp, lp = tmp_path / "s.csv", tmp_path / "l.csv"
@@ -664,3 +665,43 @@ def test_decompose_agrees_across_blas_threads(tmp_path, mode):
     assert it1 == it2
     assert np.linalg.norm(S1 - S2) <= 1e-12 * np.linalg.norm(S1)
     assert np.linalg.norm(L1 - L2) <= 1e-12 * np.linalg.norm(L1)
+
+
+def test_generate_noise_past_the_float_range_reports_inf(tmp_path):
+    # sigma_1(E) of a noise at 1e308 lies beyond the float range: the scale
+    # reads inf rather than raising.
+    prefix = tmp_path / "g"
+    assert run_cli("generate", "--m", 4, "--n", 4, "--rank", 1, "--ktilde", 3,
+                   "--sigma", 1e308, "--seed", 1, "--out-prefix", prefix) == 0
+    meta = json.loads(open(f"{prefix}_meta.json").read())
+    assert meta["eps_2to2"] == "inf"
+
+
+def test_certify_noise_near_the_float_max_exits_cleanly(tmp_path):
+    # The Neumann norms, the l1 norm and the squared Frobenius norm of the
+    # witness pass the float max; each reads inf, and no warning leaks.
+    prefix = tmp_path / "t"
+    assert run_cli("generate", "--m", 6, "--n", 6, "--rank", 1, "--ktilde", 3,
+                   "--seed", 1, "--out-prefix", prefix) == 0
+    noise = tmp_path / "e.csv"
+    write_matrix_csv(noise, np.full((6, 6), 1e307))
+    rpt = tmp_path / "cert.json"
+    code = run_cli("certify", "--sparse", f"{prefix}_XS.csv", "--lowrank", f"{prefix}_XL.csv",
+                   "--noise", noise, "--lambda", 0.1, "--mu", 1.0, "--c", 2.0,
+                   "--report", rpt)
+    assert code == 0
+    assert json.loads(rpt.read_text())["sum_frobenius_squared_measured"] == "inf"
+
+
+@pytest.mark.parametrize("mode, extra", [("regularized", ["--mu", 1.0]),
+                                         ("constrained", [])],
+                         ids=["regularized", "constrained"])
+def test_decompose_near_the_float_max_exits_cleanly(tmp_path, mode, extra):
+    # ||Y||_1 of 36 entries near 1e307 overflows, in the penalized eta0 and
+    # in either report's objective; it reads inf without a warning.
+    ypath = tmp_path / "y.csv"
+    G = RandomStream(probe_seed("clifmax")).gaussian(6, 6)
+    write_matrix_csv(ypath, 1e307 * (1.0 + 0.1 * G))
+    code = run_cli(*decompose_args(tmp_path, ypath, mode, *extra, "--max-iter", 50))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert code == (0 if report["converged"] else 2)

@@ -790,23 +790,24 @@ def constrained_case(mode, **kw):
     return solve_constrained(Y, dataclasses.replace(cfg, **kw))
 
 
-@pytest.mark.parametrize("solve, exit_path", [
-    (regularized_case, "converged"),
-    (functools.partial(regularized_case, b=1.0), "converged"),
-    (functools.partial(constrained_case, "exact"), "converged"),
-    (functools.partial(constrained_case, "relaxed"), "converged"),
-    (functools.partial(constrained_case, "box"), "converged"),
-    (functools.partial(regularized_case, max_iter=1), "max_iter"),
-    (functools.partial(constrained_case, "relaxed", max_iter=1), "max_iter"),
+@pytest.mark.parametrize("solve, exit_path, blocks", [
+    (regularized_case, "converged", 1),
+    (functools.partial(regularized_case, b=1.0), "converged", 1),
+    (functools.partial(constrained_case, "exact"), "converged", 1),
+    (functools.partial(constrained_case, "relaxed"), "converged", 2),
+    (functools.partial(constrained_case, "box"), "converged", 2),
+    (functools.partial(regularized_case, max_iter=1), "max_iter", 1),
+    (functools.partial(constrained_case, "relaxed", max_iter=1), "max_iter", 2),
     (lambda: solve_regularized(np.zeros((3, 0)), RegularizedConfig(lam=1.0, mu=1.0)),
-     "converged"),
-    (lambda: solve_constrained(np.zeros((0, 3)), ConstrainedConfig(lam=1.0)), "converged"),
-    (runaway_solve, "runaway"),
-    (abandoned_solve, "abandoned"),
+     "converged", 1),
+    (lambda: solve_constrained(np.zeros((0, 3)), ConstrainedConfig(lam=1.0)), "converged", 1),
+    (runaway_solve, "runaway", 1),
+    (abandoned_solve, "abandoned", 1),
+    (functools.partial(constrained_case, "relaxed", b=1.0), "converged", 3),
 ], ids=["regularized", "regularized-box", "exact", "relaxed", "box",
         "regularized-max-iter", "relaxed-max-iter", "empty-regularized",
-        "empty-constrained", "runaway-penalty", "abandoned"])
-def test_every_exit_reports_the_same_diagnostics(solve, exit_path):
+        "empty-constrained", "runaway-penalty", "abandoned", "relaxed-box"])
+def test_every_exit_reports_the_same_diagnostics(solve, exit_path, blocks):
     # One report, built in one place: every exit carries exactly these keys.
     rep = solve()
     diag = rep.diagnostics
@@ -819,6 +820,9 @@ def test_every_exit_reports_the_same_diagnostics(solve, exit_path):
         assert diag["penalty_final"] == [math.inf]
     # A certified exit has taken sigma_bar at least once.
     assert not rep.converged or diag["spectral_checks"] >= 1
+    # One penalty per constraint block: the data fit, the exact split or
+    # each residual ball, and the box on X_L.
+    assert len(diag["penalty_final"]) == blocks
 
 
 def test_solvers_validate_input_once(monkeypatch):
