@@ -186,8 +186,13 @@ def build_certificate(target, E, lam, mu, c, tol=1e-12):
     return cert
 
 
-def _flag(measured, bound):
-    return measured <= bound * (1.0 + _BOUND_REL_SLACK) + _BOUND_ABS_SLACK
+def _flag(measured, bound, vacuous=False):
+    """measured <= bound up to the slack. A measurement that overflowed (inf
+    or NaN) satisfies only a vacuous bound: it was never computed."""
+    if vacuous:
+        return True
+    return math.isfinite(measured) and \
+        measured <= bound * (1.0 + _BOUND_REL_SLACK) + _BOUND_ABS_SLACK
 
 
 def verify_bounds(cert, prof):
@@ -196,7 +201,8 @@ def verify_bounds(cert, prof):
 
     When alpha*beta >= 1 the geometric factor is undefined, so the four
     bounds built on it are reported as +inf (vacuously satisfied); the
-    remaining three do not involve it and are evaluated as usual.
+    remaining three do not involve it and are evaluated as usual. Any other
+    bound fails when its measurement overflows to inf, whatever the bound.
     Q_T lies in the tangent space of cert.space, so its spectrum comes from
     the factors of its projection there, without a dense SVD.
     """
@@ -223,13 +229,15 @@ def verify_bounds(cert, prof):
     q_sum = _entrywise_norm(Q_omega + Q_T, 2)
     sum_sq = q_sum * q_sum  # inf past the float range, where ** raises
 
-    pairs = [
-        (qo_spec, alpha * geo * core),
-        (qt_spec, 2.0 * alpha * geo * core + 1.0 + 2.0 * ie2),
-        (qt_trace, 2.0 * prof.rbar * qt_spec),
-        (qt_max, geo * core),
-        (qo_max, 2.0 * geo * core),
-        (qo_l1, prof.kbar * qo_max),
-        (sum_sq, lam * qo_l1 * (1.0 + iev / lam) + qt_trace * (1.0 + 2.0 * ie2)),
+    vac = not ab < 1.0  # then the four bounds on geo are vacuous
+    triples = [
+        (qo_spec, alpha * geo * core, vac),
+        (qt_spec, 2.0 * alpha * geo * core + 1.0 + 2.0 * ie2, vac),
+        (qt_trace, 2.0 * prof.rbar * qt_spec, False),
+        (qt_max, geo * core, vac),
+        (qo_max, 2.0 * geo * core, vac),
+        (qo_l1, prof.kbar * qo_max, False),
+        (sum_sq, lam * qo_l1 * (1.0 + iev / lam) + qt_trace * (1.0 + 2.0 * ie2),
+         False),
     ]
-    return [(meas, bnd, _flag(meas, bnd)) for meas, bnd in pairs]
+    return [(meas, bnd, _flag(meas, bnd, v)) for meas, bnd, v in triples]

@@ -207,7 +207,10 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
 @np.errstate(over="ignore")
 def _neumann_inverse(support, space, which, R, tol):
     """neumann_inverse of a validated RHS R; returns (x, stats). Norms
-    past the float range read inf (see norms._frobenius)."""
+    past the float range read inf (see norms._frobenius). Overflow is
+    ignored for the whole call, the series' steps included: an errstate
+    around each norm made perfbench's certify op (about 9 steps) 2-5%
+    slower (one BLAS thread, 2-core x86-64)."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if which == "omega":

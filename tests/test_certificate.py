@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import re
 
@@ -386,6 +388,31 @@ def test_verify_bounds_standalone_matches_stored():
     assert len(again) == 7
     for (m1, b1, s1), (m2, b2, s2) in zip(cert.bound_diagnostics, again):
         assert m1 == m2 and b1 == b2 and s1 == s2
+
+
+def test_overflowed_measurement_fails_its_bound_unless_vacuous():
+    # A flat Q_Omega of 1e307 on 30 x 30: its spectral norm, its l1 norm and
+    # ||Q_Omega + Q_T||_F^2 overflow, and so does the last one's bound.
+    # inf <= inf certifies nothing, so those flags fail; at alpha*beta >= 1
+    # the four bounds on the geometric factor are vacuous and hold even
+    # for an overflowed measurement.
+    t, E, lam, mu = valid_instance(9, sigma=1e-3)
+    cert = build_certificate(t, E, lam, mu, 2.0)
+    big = dataclasses.replace(cert, Q_omega=np.full(cert.Q_omega.shape, 1e307))
+    prof = profile(t)
+    vacuous = copy.copy(prof)
+    vacuous.product = 2.0
+    on_geo = ("support_block_spectral", "space_block_spectral",
+              "space_block_maxabs", "support_block_maxabs")
+    for p in (prof, vacuous):
+        triples = dict(zip(BOUND_NAMES, verify_bounds(big, p)))
+        assert triples["support_block_l1"][0] == math.inf
+        assert triples["sum_frobenius_squared"] == (math.inf, math.inf, False)
+        assert not triples["support_block_l1"][2]
+        assert triples["support_block_spectral"][0] == math.inf
+        assert triples["support_block_spectral"][2] is (p is vacuous)
+    for name in on_geo:
+        assert triples[name][1:] == (math.inf, True)
 
 
 def test_certificate_matches_dense_reference():

@@ -679,7 +679,8 @@ def test_generate_noise_past_the_float_range_reports_inf(tmp_path):
 
 def test_certify_noise_near_the_float_max_exits_cleanly(tmp_path):
     # The Neumann norms, the l1 norm and the squared Frobenius norm of the
-    # witness pass the float max; each reads inf, and no warning leaks.
+    # witness pass the float max; each reads inf, and no warning leaks. An
+    # overflowed measurement certifies nothing: its bound fails, exit 2.
     prefix = tmp_path / "t"
     assert run_cli("generate", "--m", 6, "--n", 6, "--rank", 1, "--ktilde", 3,
                    "--seed", 1, "--out-prefix", prefix) == 0
@@ -689,8 +690,11 @@ def test_certify_noise_near_the_float_max_exits_cleanly(tmp_path):
     code = run_cli("certify", "--sparse", f"{prefix}_XS.csv", "--lowrank", f"{prefix}_XL.csv",
                    "--noise", noise, "--lambda", 0.1, "--mu", 1.0, "--c", 2.0,
                    "--report", rpt)
-    assert code == 0
-    assert json.loads(rpt.read_text())["sum_frobenius_squared_measured"] == "inf"
+    report = json.loads(rpt.read_text())
+    assert code == 2
+    assert report["sum_frobenius_squared_measured"] == "inf"
+    assert report["sum_frobenius_squared_satisfied"] is False
+    assert report["all_satisfied"] is False
 
 
 @pytest.mark.parametrize("mode, extra", [("regularized", ["--mu", 1.0]),
@@ -698,10 +702,14 @@ def test_certify_noise_near_the_float_max_exits_cleanly(tmp_path):
                          ids=["regularized", "constrained"])
 def test_decompose_near_the_float_max_exits_cleanly(tmp_path, mode, extra):
     # ||Y||_1 of 36 entries near 1e307 overflows, in the penalized eta0 and
-    # in either report's objective; it reads inf without a warning.
+    # in either report's objective; it reads inf without a warning. Both
+    # modes then stall at X_S = Y until the sweep cap (ROADMAP item 2).
     ypath = tmp_path / "y.csv"
     G = RandomStream(probe_seed("clifmax")).gaussian(6, 6)
     write_matrix_csv(ypath, 1e307 * (1.0 + 0.1 * G))
     code = run_cli(*decompose_args(tmp_path, ypath, mode, *extra, "--max-iter", 50))
     report = json.loads((tmp_path / "report.json").read_text())
-    assert code == (0 if report["converged"] else 2)
+    assert code == 2
+    assert report["converged"] is False
+    assert report["iterations"] == 50
+    assert report["objective"] == "inf"
