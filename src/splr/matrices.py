@@ -1,7 +1,12 @@
-"""Dense real-matrix substrate: validation, SVD with rank truncation, the
-spectral norm and thresholded triplets from the scaled Gram's
-eigendecomposition, inner products, and a fixed counter-based random
-number generator.
+"""Dense real-matrix substrate: validation, every dense factorization of
+the library (SVD with rank truncation, sign-fixed QR, the scaled Gram's
+eigendecomposition), the spectral norm, inner products, and a fixed
+counter-based random number generator.
+
+It is also the spectral layer of the solvers: _threshold_factors picks the
+path of every spectral step (the Gram's triplets above the threshold, the
+warm-started partial SVD, or the full SVD) for the threshold steps and the
+nuclear-ball projection alike.
 
 All matrices are dense float64 numpy arrays. The RNG is splitmix64 driven by
 a counter, so every value is a pure function of (seed, position) and streams
@@ -92,6 +97,15 @@ def thin_svd(A):
     return _lapack_svd(A, True)
 
 
+def _orthonormalize(G):
+    """Q of the thin QR of G with the signs of its columns fixed so that R
+    has a nonnegative diagonal: a factor reproducible from G alone."""
+    Q, R = np.linalg.qr(G)
+    d = np.sign(np.diag(R))
+    d[d == 0] = 1.0
+    return Q * d
+
+
 def _numerical_rank(s):
     """Count of singular values above RANK_TRUNCATION * sigma_1."""
     return int(np.count_nonzero(s > RANK_TRUNCATION * s.max(initial=0.0)))
@@ -144,27 +158,28 @@ def _spectral_norm(A):
 
 
 def _gram_svt_factors(A, t, tol):
-    """(U, s, Vt) of A's singular triplets with s > t only, from the
-    eigendecomposition of its scaled Gram (see _scaled_gram), or None when
-    declined.
+    """(U, s, Vt, t): A's singular triplets with s > t only, from the
+    eigendecomposition of its scaled Gram (see _scaled_gram), and t; or
+    None when declined. t is a threshold, or a rule that maps the whole
+    nonincreasing spectrum to one, or to None, which declines.
 
     With G = Q diag(w) Q^T, s = 2^e sqrt(w) over the kept eigenvalues. The
     Gram's side takes its singular vectors from the kept columns Q_k of Q;
     the other side's are S^T Q_k / sqrt(w_k) (S Q_k / sqrt(w_k) for a tall
-    A). Rounding in the Gram is of order eps*sigma_1^2, so each kept value,
-    and the orthonormality of the vectors, carry a relative error of order
-    eps*(sigma_1/t)^2. The step is declined, so that the caller takes the
-    full SVD, unless delta = min(m, n)*eps*(sigma_1/t)^2 < tol/100: within
-    that bound, sum(s - t) is the trace norm of the thresholded U diag(s -
-    t) Vt. Any value kept has sigma_1/t > 1, so a tol/100 of at most
-    min(m, n)*eps, tol = 0 included, declines before any work. It is
-    declined too when eigh fails to converge or sigma_1 overflows; the
-    full SVD serves a zero or empty A.
+    A). Rounding in the Gram is of order eps*sigma_1^2, so each value at or
+    above t, and the orthonormality of the kept vectors, carry a relative
+    error of order eps*(sigma_1/t)^2. The step is declined, so that the
+    caller takes the full SVD, unless delta = min(m, n)*eps*(sigma_1/t)^2
+    < tol/100: within that bound, sum(s - t) is the trace norm of the
+    thresholded U diag(s - t) Vt, and a rule's t that moves no more than
+    those values do, as the l1-ball shrink's, is off by a relative error
+    of the same order. Any value kept has sigma_1/t > 1, so a tol/100
+    of at most min(m, n)*eps, tol = 0 included, declines before any work.
+    It is declined too when eigh fails to converge, sigma_1 overflows or
+    t is 0; the full SVD serves a zero or empty A.
     """
     floor = min(A.shape) * _EPS
-    if not floor < tol / 100:
-        return None
-    scaled = _scaled_gram(A)
+    scaled = _scaled_gram(A) if floor < tol / 100 else None
     if scaled is None:
         return None
     e, S, G = scaled
@@ -172,20 +187,129 @@ def _gram_svt_factors(A, t, tol):
         w, Q = np.linalg.eigh(G)
     except np.linalg.LinAlgError:
         return None
-    r = np.sqrt(np.maximum(w, 0.0))
+    # eigh orders the values up; the spectrum is their reverse.
+    r = np.sqrt(np.maximum(w, 0.0))[::-1]
     try:
-        ratio = math.ldexp(float(r[-1]), e) / t if t > 0 else math.inf
+        sigma_1 = math.ldexp(float(r[0]), e)
     except OverflowError:
         return None
+    s = np.ldexp(r, e)
+    if callable(t) and (t := t(s)) is None:
+        return None
+    ratio = sigma_1 / t if t > 0 else math.inf
     if not floor * ratio * ratio < tol / 100:
         return None
-    s = np.ldexp(r, e)
     k = int(np.count_nonzero(s > t))
-    # eigh orders the values up; the kept ones are the last k, reversed.
-    s, r, Q = s[::-1][:k], r[::-1][:k], Q[:, ::-1][:, :k]
+    s, r, Q = s[:k], r[:k], Q[:, ::-1][:, :k]
     if S.shape[0] <= S.shape[1]:
-        return Q, s, (Q.T @ S) / r[:, None]
-    return (S @ Q) / r, s, Q.T
+        return Q, s, (Q.T @ S) / r[:, None], t
+    return (S @ Q) / r, s, Q.T, t
+
+
+# The threshold steps of a solve take the partial path only when min(m, n)
+# is at least PARTIAL_SVT_MIN_DIM; smaller problems take the Gram's
+# eigendecomposition where its error bound allows, else a full SVD.
+PARTIAL_SVT_MIN_DIM = 100
+# Block columns beyond the last kept rank.
+_PARTIAL_PAD = 10
+_PARTIAL_PASSES = 2
+
+
+def _partial_svt(M, t, V):
+    """Leading singular triplets (U, s, Vt) of M for a threshold t, by block
+    subspace iteration from the n x l start block V (Halko, Martinsson &
+    Tropp, arXiv:0909.4061), or None when declined.
+
+    Each pass orthonormalizes M^T (M V) with one QR. M V is first scaled
+    by the power of two that brings its largest entry into [1/2, 1), which
+    is exact and keeps the second product from overflowing or underflowing
+    at any scale of M. After _PARTIAL_PASSES passes, Rayleigh-Ritz on M V
+    gives l Ritz triplets. They are accepted only when the smallest Ritz
+    value is below t, the sign that every value above t has its triplet in
+    the block. It is not a proof: on a flat spectrum, two passes from a
+    random block can reach below t and still miss values above it, which
+    costs a solve sweeps, not a wrong exit (see solvers._admm).
+    """
+    for _ in range(_PARTIAL_PASSES):
+        W = M @ V
+        e = math.frexp(float(np.abs(W).max()))[1]
+        V = np.linalg.qr(M.T @ np.ldexp(W, -e, out=W))[0]
+    U, s, Wt = thin_svd(M @ V)
+    return (U, s, Wt @ V.T) if s[-1] < t else None
+
+
+class SvtWarmStart:
+    """Warm-start state of one solve's threshold steps, with the solve's
+    tol (see _threshold_factors).
+
+    While min(m, n) >= PARTIAL_SVT_MIN_DIM, every step, the first one
+    included, first tries the partial path from a block of width columns.
+    The first step's block is min(m, n) // 4 columns wide, the widest that
+    the cap below admits, all drawn from a fixed-seed stream. After a step,
+    width is rank + _PARTIAL_PAD, where rank is the number of values above
+    that step's threshold, and block holds the leading width rows of the
+    step's whole right singular block, kept and unkept rows alike (of Vt
+    after a full SVD, of the l Ritz rows after a partial one). The next
+    step starts from these rows, padded where short with columns from the
+    same stream.
+
+    The full SVD serves a declined partial step, and every step while
+    4 * width > min(m, n); that cap is checked before padding, so a
+    refused step draws nothing from the stream. partial_svds counts the
+    steps that took the partial path.
+    """
+
+    def __init__(self, shape, tol):
+        self.block = np.empty((0, shape[1]))
+        self.width = min(shape) // 4
+        self.partial_svds = 0
+        self.stream = RandomStream(0)
+        self.tol = tol
+
+    def factors(self, M, t):
+        """(U, s, Vt) for thresholding M by t: the partial triplets when
+        that step is taken and accepted, else the full thin SVD."""
+        out = None
+        if 4 * self.width <= min(M.shape):
+            V = self.block.T
+            short = self.width - V.shape[1]
+            if short > 0:
+                V = np.hstack([V, self.stream.gaussian(V.shape[0], short)])
+            out = _partial_svt(M, t, V)
+        if out is None:
+            out = thin_svd(M)
+        else:
+            self.partial_svds += 1
+        self.width = int(np.count_nonzero(out[1] > t)) + _PARTIAL_PAD
+        # Copy only the rows the next step starts from: no full Vt is held.
+        self.block = out[2][:self.width].copy()
+        return out
+
+
+def _threshold_factors(M, t, tol, warm=None):
+    """(U, s, Vt, t) for shrinking the spectrum of M by t: the one path
+    selector of every spectral step. t is a threshold, or a rule that maps
+    the whole nonincreasing spectrum to one, or to None for no shrink; the
+    last item is the threshold that was used, the rule's value for a rule.
+
+    Below PARTIAL_SVT_MIN_DIM the triplets above t come from the Gram's
+    eigendecomposition (_gram_svt_factors), which declines unless its
+    error bound delta = min(m, n)*eps*(sigma_1/t)^2 is below tol/100, tol
+    being the solve's; tol = 0 always declines. At or above it, a
+    threshold step with the solve's SvtWarmStart warm tries the partial
+    path. A rule takes no warm: a partial step needs its threshold in
+    advance. Anything declined, and every other case, takes the full thin
+    SVD, which gives every triplet, and the rule is then applied to its
+    values.
+    """
+    if min(M.shape) < PARTIAL_SVT_MIN_DIM:
+        out = _gram_svt_factors(M, t, tol)
+        if out is not None:
+            return out
+    elif warm is not None:
+        return (*warm.factors(M, t), t)
+    U, s, Vt = thin_svd(M)
+    return U, s, Vt, (t(s) if callable(t) else t)
 
 
 def _T_singular_values(U, X, B, Vt):

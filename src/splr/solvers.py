@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .incoherence import PreconditionError, _check_premises, inverse_mu
-from .matrices import _is_integer, _spectral_norm, as_matrix
+from .matrices import SvtWarmStart, _is_integer, _spectral_norm, as_matrix
 from .norms import (
     _entrywise_norm,
     _frobenius,
@@ -25,13 +25,7 @@ from .norms import (
     entrywise_norm,
     trace_norm,
 )
-from .prox import (
-    SvtWarmStart,
-    _project_l1_ball,
-    _project_nuclear_ball,
-    _soft_threshold,
-    _svt,
-)
+from .prox import _project_l1_ball, _project_nuclear_ball, _soft_threshold, _svt
 
 __all__ = [
     "RegularizedConfig",
@@ -194,7 +188,8 @@ def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
     as it does for a box that never binds. Updates run in place, in
     the operand order of the plain expressions, so the bits are theirs.
     The threshold step, and the certified use of its sum(s) as
-    ||X_L||_*, are prox.SvtWarmStart's.
+    ||X_L||_*, are matrices._threshold_factors's, with the solve's
+    matrices.SvtWarmStart.
 
     Each sweep ends with gap_terms(X_S, X_L_hat, s, D, pri, dua, work,
     blocks), with s the kept singular values and work a free buffer; it
@@ -387,7 +382,7 @@ def solve_regularized(Y, cfg):
     sigma_bar >= ||Q||_2 computed as _admm says. P takes ||X_L||_* as
     sum(s) for the threshold step's X_L = U diag(s) Vt: exact after a full
     SVD or a partial step, within a relative delta < tol/100 after a Gram
-    step (see prox.SvtWarmStart). P and d are homogeneous of degree 1 in
+    step (see matrices.SvtWarmStart). P and d are homogeneous of degree 1 in
     (Y, X_S, X_L, mu, b), so both are evaluated exactly on these times
     2^-e, with max(max|Y|, mu) in [2^(e-1), 2^e), clear of overflow and
     underflow at any scale. The gap certifies the objective, not the
@@ -438,9 +433,13 @@ def solve_constrained(Y, cfg):
     with R = X_S + X_L - Y in the balls ||R||_1 <= eps_v1 and ||R||_* <=
     eps_star, and |X_L| <= b entrywise when b is finite.
 
-    The residual gets one copy per ball, projected onto it at every sweep;
-    a zero cap forces R = 0, and that case (the exact split) keeps a single
-    copy fixed at 0, without a prox. A finite box adds a last block on X_L
+    The residual gets one copy per ball, projected onto it at every sweep,
+    the nuclear ball's by matrices._threshold_factors at the solve's tol:
+    a small copy takes the Gram's triplets above the shrink where its gate
+    allows. A projection off by that much costs sweeps, not a wrong exit,
+    since the gap below measures the caps on its own. A zero cap forces
+    R = 0, and that case (the exact split) keeps a single copy fixed at 0,
+    without a prox. A finite box adds a last block on X_L
     whose copy B is its clip, returned as X_L_hat. Each block (see _Block)
     has its own penalty eta_j, starting at 1 whatever the scale of Y. Over
     a sweep the X_S step leaves the dual feasibility of X_S off by sum_j
@@ -466,7 +465,7 @@ def solve_constrained(Y, cfg):
     min(1, eps_v1/||R_hat||_1, eps_star/||R_hat||_*), 0 for the exact
     split; ||L||_* is sum(s) for the threshold step's U diag(s) Vt: exact
     after a full SVD or a partial step, within a relative delta < tol/100
-    after a Gram step (see prox.SvtWarmStart). Both are evaluated on (Y,
+    after a Gram step (see matrices.SvtWarmStart). Both are evaluated on (Y,
     X_S, L, eps, b) times 2^-e, with max|Y| in [2^(e-1), 2^e). The solve
     returns the ADMM iterate, whose X_S differs from the certified S by (1
     - rho)*R_hat.
@@ -483,7 +482,7 @@ def _solve_constrained(Y, cfg, abandon=None):
     boxed = not math.isinf(b)
     blocks = [_Block()] if exact else [
         _Block(lambda V, eta: _project_l1_ball(V, eps_v1)),
-        _Block(lambda V, eta: _project_nuclear_ball(V, eps_star)),
+        _Block(lambda V, eta: _project_nuclear_ball(V, eps_star, tol)),
     ]
     if boxed:
         blocks.append(_Block(lambda V, eta: np.clip(V, -b, b, out=V), on_S=False))

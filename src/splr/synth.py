@@ -11,7 +11,7 @@ import numpy as np
 
 from .certificate import perturbation_scales
 from .incoherence import IncoherenceProfile, profile
-from .matrices import RandomStream, _is_integer, mix_seed
+from .matrices import RandomStream, _is_integer, _orthonormalize, mix_seed
 from .subspaces import RowColSpace, SupportSet, TargetPair
 
 __all__ = [
@@ -91,13 +91,6 @@ def gen_support(m, n, ktilde, seed):
     mask = np.zeros(m * n, dtype=bool)
     mask[RandomStream(seed).integers(ktilde, m * n)] = True
     return SupportSet._from_mask(mask.reshape(m, n))
-
-
-def _orthonormalize(G):
-    Q, R = np.linalg.qr(G)
-    d = np.sign(np.diag(R))
-    d[d == 0] = 1.0
-    return Q * d
 
 
 def gen_subspaces(m, n, rbar, seed):

@@ -6,10 +6,9 @@ import scipy.linalg
 
 import splr.matrices
 import splr.prox
-from splr.matrices import RandomStream
+from splr.matrices import RandomStream, SvtWarmStart
 from splr.norms import entrywise_norm, trace_norm
 from splr.prox import (
-    SvtWarmStart,
     _svt,
     clip_entries,
     project_l1_ball,
@@ -183,7 +182,7 @@ def test_one_qr_step_matches_full_threshold_over_scales(top):
     M0 = cluster_matrix(m, t, top, stream)
     M = M0 + 1e-6 * stream.gaussian(m, m) / math.sqrt(m)
     block = np.linalg.svd(M0)[2][:18].T
-    U, s, Vt = splr.prox._partial_svt(M, t, block)
+    U, s, Vt = splr.matrices._partial_svt(M, t, block)
     ref_s = np.linalg.svd(M, compute_uv=False)
     assert np.count_nonzero(s > t) == np.count_nonzero(ref_s > t) == 8
     assert np.allclose(s[:8], ref_s[:8], rtol=0.0,
@@ -200,8 +199,8 @@ def test_partial_step_at_extreme_scales(scale):
     m, t = 160, 1.0
     M = cluster_matrix(m, t, 20.0, RandomStream(probe_seed("partialscale")))
     block = RandomStream(probe_seed("partialblock")).gaussian(m, 40)
-    U, s, Vt = splr.prox._partial_svt(M, t, block)
-    U2, s2, Vt2 = splr.prox._partial_svt(M * scale, t * scale, block)
+    U, s, Vt = splr.matrices._partial_svt(M, t, block)
+    U2, s2, Vt2 = splr.matrices._partial_svt(M * scale, t * scale, block)
     assert np.allclose(s2 / scale, s, rtol=1e-12, atol=0.0)
     assert np.allclose(np.abs(U2.T @ U).diagonal(), 1.0, rtol=0.0, atol=1e-9)
     assert np.allclose(np.abs(Vt2 @ Vt.T).diagonal(), 1.0, rtol=0.0, atol=1e-9)
@@ -231,7 +230,7 @@ def test_partial_step_refused_over_the_size_cap(monkeypatch):
         U, s, Vt = np.linalg.svd(M)
         return U[:, :V.shape[1]], s[:V.shape[1]], Vt[:V.shape[1]]
 
-    monkeypatch.setattr(splr.prox, "_partial_svt", leading)
+    monkeypatch.setattr(splr.matrices, "_partial_svt", leading)
     stream_at = []
     for rank, partial in ((5, True), (14, True), (16, True), (16, False),
                           (15, False), (3, True)):
@@ -254,7 +253,7 @@ def test_small_problems_never_take_the_partial_path(monkeypatch):
     def fail(*args):
         raise AssertionError("partial path taken below the size rule")
 
-    monkeypatch.setattr(splr.prox, "_partial_svt", fail)
+    monkeypatch.setattr(splr.matrices, "_partial_svt", fail)
     stream = RandomStream(probe_seed("partialsmall"))
     warm = SvtWarmStart((99, 400), 0.0)
     M = stream.gaussian(99, 400)
@@ -285,7 +284,7 @@ def test_gram_step_matches_dense_svt(shape, scale):
         delta = gram_delta(M, t)
         out = splr.matrices._gram_svt_factors(M * scale, t * scale, 1e-7)
         assert out is not None
-        U, s, Vt = out
+        U, s, Vt, _ = out
         k = s.size
         assert U.shape == (shape[0], k) and Vt.shape == (k, shape[1])
         assert np.all(s > t * scale) and np.all(np.diff(s) <= 0)
@@ -325,12 +324,88 @@ def test_small_solves_take_no_full_svd_in_their_threshold_steps(monkeypatch):
     def fail(A):
         raise AssertionError("full SVD taken by a threshold step")
 
-    monkeypatch.setattr(splr.prox, "thin_svd", fail)
+    monkeypatch.setattr(splr.matrices, "thin_svd", fail)
     inst = gen_instance(InstanceSpec(m=30, n=30, rbar=2, ktilde=30,
                                      seed=probe_seed("gramsolve")))
     rep = solve_constrained(inst.Y, ConstrainedConfig(lam=1 / math.sqrt(30), tol=1e-7))
     assert rep.converged
     assert np.linalg.norm(rep.X_L_hat - inst.target.X_L) <= 1e-5 * np.linalg.norm(inst.target.X_L)
+
+
+def ball_rule(eps):
+    """The nuclear-ball projection's rule for matrices._threshold_factors."""
+    return lambda s: None if s.sum() <= eps else splr.prox._l1_ball_shrink(s, eps)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(20, 45), (45, 20), (30, 30), (99, 99)])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_nuclear_projection_gram_route_within_delta(shape, scale):
+    # Under a solve's tol the projection takes the Gram's triplets above
+    # its shrink theta, and lands within delta*sigma_1 of the full-SVD
+    # projection, delta = min(m, n)*eps*(sigma_1/theta)^2. Compared at unit
+    # scale.
+    M = RandomStream(probe_seed("nucgram", *shape)).gaussian(*shape)
+    s = np.linalg.svd(M, compute_uv=False)
+    tol = 1e-7
+    for ratio in (1.5, 4.0, 30.0):
+        eps = float(np.maximum(s - s[0] / ratio, 0.0).sum())
+        delta = gram_delta(M, splr.prox._l1_ball_shrink(s, eps))
+        assert delta < tol / 100
+        rule = ball_rule(eps * scale)
+        assert splr.matrices._gram_svt_factors(M * scale, rule, tol) is not None
+        X = splr.prox._project_nuclear_ball(M * scale, eps * scale, tol) / scale
+        assert np.linalg.norm(X - project_nuclear_ball(M, eps)) <= delta * s[0]
+
+
+def test_nuclear_projection_declined_gate_is_the_full_svd():
+    # At tol = 0, and with sigma_1/theta past the gate, the Gram declines
+    # and the projection is project_nuclear_ball's, to the bit.
+    M = RandomStream(probe_seed("nucdecline")).gaussian(30, 30)
+    s = np.linalg.svd(M, compute_uv=False)
+    tol = 1e-7
+    for eps, gate in ((float(np.maximum(s - s[0] / 4, 0.0).sum()), 0.0),
+                      (float(np.maximum(s - s[0] / 1e3, 0.0).sum()), tol)):
+        assert splr.matrices._gram_svt_factors(M, ball_rule(eps), gate) is None
+        X = splr.prox._project_nuclear_ball(M, eps, gate)
+        assert X.tobytes() == project_nuclear_ball(M, eps).tobytes()
+
+
+def test_nuclear_projection_of_zero_and_inside_points():
+    # A zero matrix, a point inside the ball and a zero radius come back
+    # as from project_nuclear_ball, to the bit, under a solve's tol.
+    M = RandomStream(probe_seed("nucinside")).gaussian(12, 20)
+    for A, eps in ((np.zeros((12, 20)), 1.0), (M, 2.0 * trace_norm(M)), (M, 0.0)):
+        X = splr.prox._project_nuclear_ball(A, eps, 1e-7)
+        assert X.tobytes() == project_nuclear_ball(A, eps).tobytes()
+    assert np.array_equal(splr.prox._project_nuclear_ball(M, 2.0 * trace_norm(M), 1e-7), M)
+
+
+def test_relaxed_solve_takes_the_same_sweeps_with_the_gram_projection(monkeypatch):
+    # A 20 x 20 relaxed split takes the same sweeps whether its nuclear-ball
+    # copy takes the Gram's triplets or, with the gate forced to decline,
+    # the full SVD at every sweep.
+    inst = gen_instance(InstanceSpec(m=20, n=20, rbar=2, ktilde=20, sigma=0.01,
+                                     seed=probe_seed("nucsolve")))
+    cfg = ConstrainedConfig(lam=1.0 / math.sqrt(20), eps_v1=entrywise_norm(inst.E, 1),
+                            eps_star=trace_norm(inst.E), tol=1e-4)
+    real = splr.matrices._gram_svt_factors
+    taken = []
+
+    def recording(A, t, tol):
+        out = real(A, t, tol)
+        if callable(t):
+            taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(splr.matrices, "_gram_svt_factors", recording)
+    rep = solve_constrained(inst.Y, cfg)
+    monkeypatch.setattr(splr.matrices, "_gram_svt_factors",
+                        lambda A, t, tol: None if callable(t) else real(A, t, tol))
+    ref = solve_constrained(inst.Y, cfg)
+    assert rep.converged and ref.converged and sum(taken) > len(taken) // 2
+    assert rep.iterations == ref.iterations
+    assert rep.objective == pytest.approx(ref.objective, rel=1e-12)
 
 
 def test_prox_l1_box_infinite_box_equals_soft():

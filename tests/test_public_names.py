@@ -37,9 +37,9 @@ def test_modules_use_every_name_they_import():
 
 
 def test_dense_factorizations_called_only_in_matrices():
-    # np.linalg.svd, eigh and eigvalsh are reached through matrices alone,
-    # so one layer holds every dense factorization and can count them.
-    factorizations = {"svd", "eigh", "eigvalsh"}
+    # np.linalg.svd, eigh, eigvalsh and qr are reached through matrices
+    # alone, so one layer holds every dense factorization and can count them.
+    factorizations = {"svd", "eigh", "eigvalsh", "qr"}
     for info in pkgutil.iter_modules(splr.__path__):
         if info.name == "matrices":
             continue

@@ -1010,7 +1010,7 @@ def partial_solve(mode, max_iter=100000):
 
 
 def decline_partial(monkeypatch):
-    monkeypatch.setattr(splr.prox, "_partial_svt", lambda M, t, V: None)
+    monkeypatch.setattr(splr.matrices, "_partial_svt", lambda M, t, V: None)
 
 
 def assert_close_pair(rep, ref, rel):
@@ -1053,7 +1053,7 @@ def perturb_partial(monkeypatch, kind):
     1 + 1e-7 ("inflated"), both singular blocks moved by about 1e-6
     ("rotated"), or the triplet of the smallest value above the threshold
     dropped ("dropped")."""
-    real = splr.prox._partial_svt
+    real = splr.matrices._partial_svt
     stream = RandomStream(probe_seed("perturb", kind))
 
     def perturbed(M, t, V):
@@ -1070,7 +1070,7 @@ def perturb_partial(monkeypatch, kind):
             U, s, Vt = U[:, keep], s[keep], Vt[keep]
         return U, s, Vt
 
-    monkeypatch.setattr(splr.prox, "_partial_svt", perturbed)
+    monkeypatch.setattr(splr.matrices, "_partial_svt", perturbed)
 
 
 def count_full_svds(monkeypatch, shape):
@@ -1126,7 +1126,7 @@ def test_declined_first_step_solve_matches_full_svd_solve(monkeypatch):
     Y, lam = partial_instance()
     Y = Y + 0.3 * RandomStream(probe_seed("noise160")).gaussian(*Y.shape)
     cfg = RegularizedConfig(lam=2.0 * lam, mu=10.0)
-    real = splr.prox._partial_svt
+    real = splr.matrices._partial_svt
     accepted = []
 
     def recording(M, t, V):
@@ -1134,7 +1134,7 @@ def test_declined_first_step_solve_matches_full_svd_solve(monkeypatch):
         accepted.append(out is not None)
         return out
 
-    monkeypatch.setattr(splr.prox, "_partial_svt", recording)
+    monkeypatch.setattr(splr.matrices, "_partial_svt", recording)
     rep = solve_regularized(Y, cfg)
     decline_partial(monkeypatch)
     ref = solve_regularized(Y, cfg)
