@@ -13,7 +13,7 @@ entry and call the unchecked kernels (leading underscore) in their loops.
 
 import numpy as np
 
-from .matrices import _threshold_factors, as_matrix, thin_svd
+from .matrices import _threshold_factors, as_matrix
 
 __all__ = [
     "soft_threshold",
@@ -71,7 +71,7 @@ def svt(M, t):
     M = as_matrix(M, "M")
     if not t >= 0:
         raise ValueError("threshold must be nonnegative")
-    return _shrink_spectrum(*thin_svd(M), t)[0]
+    return _shrink_spectrum(*_threshold_factors(M, t, 0.0))[0]
 
 
 def prox_l1_box(V, center, t, b):

@@ -368,7 +368,10 @@ def solve_regularized(Y, cfg):
     The penalty starts at eta0 = mn/(4*||Y||_1) (Candes, Li, Ma & Wright,
     arXiv:0912.3599), or at 1 when that is not positive and finite, and
     _admm rebalances it on eta0*pri against dua. Both scale as 1/Y, so the
-    solve of (cY, c*mu) takes the same sweeps as that of (Y, mu).
+    solve of (cY, c*mu) takes the same sweeps as that of (Y, mu). eta0 is
+    taken as 2^-e * (mn/4) / ||2^-e Y||_1, with the e of the gap below:
+    the same value wherever ||Y||_1 is finite, since the scaling is exact,
+    and finite too where ||Y||_1 overflows near the float max.
 
     Exit requires the relative duality gap (P - d)/P to be at most
     cfg.tol (Boyd et al. 2011, ADMM, section 3.3). By Fenchel-Young,
@@ -392,16 +395,16 @@ def solve_regularized(Y, cfg):
     lam, mu, b, tol = cfg.lam, cfg.mu, cfg.b, cfg.tol
     boxed = not math.isinf(b)
     S_box = (Y - b, Y + b) if boxed else None
-    l1 = _entrywise_norm(Y, 1)
-    eta0 = Y.size / 4.0 / l1 if l1 > 0 else math.inf
-    if not 0.0 < eta0 < math.inf:  # Y = 0, or a quotient out of range
-        eta0 = 1.0
     e = math.frexp(max(_entrywise_norm(Y, np.inf), mu))[1]
+    a = np.abs(Y)  # scaled by 2^-e in place, and freed before the solve
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        eta0 = float(np.ldexp(Y.size / 4.0 / np.ldexp(a, -e, out=a).sum(), -e))
+    del a
+    eta0 = eta0 if 0.0 < eta0 < math.inf else 1.0  # Y = 0 or empty, or past the float range
     mu_e, b_e = math.ldexp(mu, -e), math.ldexp(b, -e)
 
     def shrink(V, eta):
-        V *= eta * mu / (eta * mu + 1.0)
-        return V
+        return np.multiply(V, eta * mu / (eta * mu + 1.0), out=V)
 
     def gap_terms(X_S, X_L, s, D, pri, dua, work, blocks):
         # At scale 2^-e: R in D, |X_S| and then Y in work.

@@ -701,9 +701,12 @@ def test_certify_noise_near_the_float_max_exits_cleanly(tmp_path):
                                          ("constrained", [])],
                          ids=["regularized", "constrained"])
 def test_decompose_near_the_float_max_exits_cleanly(tmp_path, mode, extra):
-    # ||Y||_1 of 36 entries near 1e307 overflows, in the penalized eta0 and
-    # in either report's objective; it reads inf without a warning. Both
-    # modes then stall at X_S = Y until the sweep cap (ROADMAP item 2).
+    # ||Y||_1 of 36 entries near 1e307 overflows in either report's
+    # objective; it reads inf without a warning. The constrained solve
+    # stalls at X_S = Y until the sweep cap (ROADMAP item 2). The penalized
+    # solve starts at a finite eta0 and moves off X_S = Y, but at mu = 1,
+    # not scaled with Y, it rebalances 4 times in 100,000 sweeps and still
+    # ends unconverged with gap 1.0.
     ypath = tmp_path / "y.csv"
     G = RandomStream(probe_seed("clifmax")).gaussian(6, 6)
     write_matrix_csv(ypath, 1e307 * (1.0 + 0.1 * G))

@@ -241,16 +241,19 @@ def overflow_l1_instance():
 
 
 def test_regularized_start_penalty_when_4_l1_overflows():
-    # mn/(4*||Y||_1) is taken as (mn/4)/||Y||_1, which stays positive and
-    # finite where 4*||Y||_1 overflows, so the solve keeps its scale-free
-    # sweep count instead of dividing by a zero start penalty.
-    Y, c = overflow_l1_instance()
-    assert math.isinf(4.0 * entrywise_norm(c * Y, 1))
-    lam = 1.0 / math.sqrt(120)
-    reps = [solve_regularized(k * Y, RegularizedConfig(lam=lam, mu=0.2 * k))
-            for k in (1.0, c)]
-    assert all(rep.converged for rep in reps)
-    assert reps[0].iterations == reps[1].iterations
+    # mn/(4*||Y||_1) is taken on Y scaled by a power of two, so it stays
+    # positive and finite where 4*||Y||_1 overflows (120 x 120 at 1e304)
+    # and where ||Y||_1 itself does (6 x 6 near 1e307, which at a start
+    # penalty of 1 never rebalances: pri = dua = 0 from the first sweep).
+    # The solve keeps its scale-free sweep count.
+    near_max = 1.0 + 0.1 * RandomStream(1).gaussian(6, 6)
+    for (Y, c), lam, mu in ((overflow_l1_instance(), 1.0 / math.sqrt(120), 0.2),
+                            ((near_max, 1e307), 1.0 / math.sqrt(6), 1.0)):
+        assert math.isinf(4.0 * entrywise_norm(c * Y, 1))
+        reps = [solve_regularized(k * Y, RegularizedConfig(lam=lam, mu=mu * k))
+                for k in (1.0, c)]
+        assert all(rep.converged for rep in reps)
+        assert reps[0].iterations == reps[1].iterations
 
 
 def test_regularized_report_at_tiny_scales():
