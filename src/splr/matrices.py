@@ -3,10 +3,11 @@ the library (SVD with rank truncation, sign-fixed QR, the scaled Gram's
 eigendecomposition), the spectral norm, inner products, and a fixed
 counter-based random number generator.
 
-It is also the spectral layer of the solvers: _threshold_factors picks the
-path of every spectral step (the Gram's triplets above the threshold, the
-warm-started partial SVD, or the full SVD) for the threshold steps and the
-nuclear-ball projection alike.
+It is also the spectral layer of the solvers: _threshold_step is every
+spectral step, the threshold steps and the nuclear-ball projection alike.
+It picks the path of the triplets (the Gram's triplets above the
+threshold, the warm-started partial SVD, or the full SVD) and returns the
+thresholded matrix with its kept values.
 
 All matrices are dense float64 numpy arrays. The RNG is splitmix64 driven by
 a counter, so every value is a pure function of (seed, position) and streams
@@ -239,8 +240,8 @@ def _partial_svt(M, t, V):
 
 
 class SvtWarmStart:
-    """Warm-start state of one solve's threshold steps, with the solve's
-    tol (see _threshold_factors).
+    """Warm-start state of one solve's threshold steps (see
+    _threshold_step).
 
     While min(m, n) >= PARTIAL_SVT_MIN_DIM, every step, the first one
     included, first tries the partial path from a block of width columns.
@@ -259,12 +260,11 @@ class SvtWarmStart:
     steps that took the partial path.
     """
 
-    def __init__(self, shape, tol):
+    def __init__(self, shape):
         self.block = np.empty((0, shape[1]))
         self.width = min(shape) // 4
         self.partial_svds = 0
         self.stream = RandomStream(0)
-        self.tol = tol
 
     def factors(self, M, t):
         """(U, s, Vt) for thresholding M by t: the partial triplets when
@@ -286,11 +286,21 @@ class SvtWarmStart:
         return out
 
 
-def _threshold_factors(M, t, tol, warm=None):
-    """(U, s, Vt, t) for shrinking the spectrum of M by t: the one path
-    selector of every spectral step. t is a threshold, or a rule that maps
-    the whole nonincreasing spectrum to one, or to None for no shrink; the
-    last item is the threshold that was used, the rule's value for a rule.
+def _shrink_spectrum(U, s, Vt, t):
+    """(X, s) for U diag(s) Vt with s shrunk by t: s keeps only the positive
+    values, and X = U diag(s) Vt over their triplets."""
+    s = np.maximum(s - t, 0.0)
+    keep = s > 0
+    s = s[keep]
+    return (U[:, keep] * s) @ Vt[keep, :], s
+
+
+def _threshold_step(M, t, tol, warm=None):
+    """(X, s): M with its spectrum shrunk by t, where s holds the positive
+    shrunk values and X = U diag(s) Vt over their triplets; the one entry
+    of every spectral step. t is a threshold, or a rule that maps the
+    whole nonincreasing spectrum to one, or to None, for which the step
+    returns None.
 
     Below PARTIAL_SVT_MIN_DIM the triplets above t come from the Gram's
     eigendecomposition (_gram_svt_factors), which declines unless its
@@ -305,11 +315,13 @@ def _threshold_factors(M, t, tol, warm=None):
     if min(M.shape) < PARTIAL_SVT_MIN_DIM:
         out = _gram_svt_factors(M, t, tol)
         if out is not None:
-            return out
+            return _shrink_spectrum(*out)
     elif warm is not None:
-        return (*warm.factors(M, t), t)
+        return _shrink_spectrum(*warm.factors(M, t), t)
     U, s, Vt = thin_svd(M)
-    return U, s, Vt, (t(s) if callable(t) else t)
+    if callable(t) and (t := t(s)) is None:
+        return None
+    return _shrink_spectrum(U, s, Vt, t)
 
 
 def _T_singular_values(U, X, B, Vt):

@@ -3,9 +3,9 @@ thresholding, singular-value thresholding, the box-constrained l1 prox,
 entrywise clipping, and Euclidean projections onto entrywise-l1 and
 nuclear-norm balls.
 
-This module holds only the shrink arithmetic. The singular triplets of
-the spectral steps come from matrices._threshold_factors, which picks
-their path; the public svt and project_nuclear_ball take the full SVD.
+This module holds the entrywise shrink arithmetic. Every spectral step
+is matrices._threshold_step, which also shrinks the spectrum; the public
+svt and project_nuclear_ball take it at tol = 0, so by the full SVD.
 
 The public functions validate their inputs. The solvers validate once at
 entry and call the unchecked kernels (leading underscore) in their loops.
@@ -13,7 +13,7 @@ entry and call the unchecked kernels (leading underscore) in their loops.
 
 import numpy as np
 
-from .matrices import _threshold_factors, as_matrix
+from .matrices import _threshold_step, as_matrix
 
 __all__ = [
     "soft_threshold",
@@ -48,30 +48,12 @@ def soft_threshold(M, t):
     return _soft_threshold(M, t)
 
 
-def _shrink_spectrum(U, s, Vt, t):
-    """(X, s) for U diag(s) Vt with s shrunk by t: s keeps only the positive
-    values, and X = U diag(s) Vt over their triplets."""
-    s = np.maximum(s - t, 0.0)
-    keep = s > 0
-    s = s[keep]
-    return (U[:, keep] * s) @ Vt[keep, :], s
-
-
-def _svt(M, t, warm):
-    """Singular-value threshold of M by t, with the kept values: (X, s)
-    where X = U diag(s) Vt and every s is positive. The factors come from
-    matrices._threshold_factors with the solve's SvtWarmStart warm and its
-    tol, which may compute only the triplets above t.
-    """
-    return _shrink_spectrum(*_threshold_factors(M, t, warm.tol, warm))
-
-
 def svt(M, t):
     """Singular-value thresholding: soft-threshold the spectrum by t."""
     M = as_matrix(M, "M")
     if not t >= 0:
         raise ValueError("threshold must be nonnegative")
-    return _shrink_spectrum(*_threshold_factors(M, t, 0.0))[0]
+    return _threshold_step(M, t, 0.0)[0]
 
 
 def prox_l1_box(V, center, t, b):
@@ -136,13 +118,14 @@ def project_l1_ball(M, eps):
 
 def _project_nuclear_ball(M, eps, tol=0.0):
     """project_nuclear_ball of a validated M, with the spectrum's l1-ball
-    shrink as the rule of matrices._threshold_factors under tol: a solve's
-    tol lets the Gram serve a small M, tol = 0 takes the full SVD."""
+    shrink as the rule of matrices._threshold_step under tol: a solve's
+    tol lets the Gram serve a small M, tol = 0 takes the full SVD. A
+    spectrum already inside the ball gives a copy of M."""
     if eps == 0:
         return np.zeros_like(M)
-    U, s, Vt, theta = _threshold_factors(
+    out = _threshold_step(
         M, lambda s: None if s.sum() <= eps else _l1_ball_shrink(s, eps), tol)
-    return M.copy() if theta is None else _shrink_spectrum(U, s, Vt, theta)[0]
+    return M.copy() if out is None else out[0]
 
 
 def project_nuclear_ball(M, eps):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .incoherence import PreconditionError, _check_premises, inverse_mu
-from .matrices import SvtWarmStart, _is_integer, _spectral_norm, as_matrix
+from .matrices import SvtWarmStart, _is_integer, _spectral_norm, _threshold_step, as_matrix
 from .norms import (
     _entrywise_norm,
     _frobenius,
@@ -25,7 +25,7 @@ from .norms import (
     entrywise_norm,
     trace_norm,
 )
-from .prox import _project_l1_ball, _project_nuclear_ball, _soft_threshold, _svt
+from .prox import _project_l1_ball, _project_nuclear_ball, _soft_threshold
 
 __all__ = [
     "RegularizedConfig",
@@ -170,6 +170,7 @@ class _Block:
     R: np.ndarray = None
 
 
+@np.errstate(over="ignore")
 def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
           abandon=None):
     """Gauss-Seidel ADMM on lam*||X_S||_1 + ||X_L||_* under the constraint
@@ -188,12 +189,13 @@ def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
     as it does for a box that never binds. Updates run in place, in
     the operand order of the plain expressions, so the bits are theirs.
     The threshold step, and the certified use of its sum(s) as
-    ||X_L||_*, are matrices._threshold_factors's, with the solve's
-    matrices.SvtWarmStart.
+    ||X_L||_*, are matrices._threshold_step's at the solve's tol, with
+    its matrices.SvtWarmStart. Overflow is ignored for the whole call:
+    norms past the float range read inf (see norms._frobenius).
 
-    Each sweep ends with gap_terms(X_S, X_L_hat, s, D, pri, dua, work,
-    blocks), with s the kept singular values and work a free buffer; it
-    may overwrite D and work but not the blocks. It returns None while the
+    Each sweep ends with gap_terms(X_S, X_L_hat, s, D, pri, dua, work),
+    with s the kept singular values and work a free buffer; it may
+    overwrite D and work but not the blocks. It returns None while the
     caller's gate is shut, else (P, dual, scale, M, unit), derived in the
     solver docstrings. The gap (P - dual(scale))/P gates sigma_bar =
     _sigma_bar(M)/unit, counted in spectral_checks; the loop exits
@@ -223,7 +225,7 @@ def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
     X_L = np.zeros(shape)
     converged = False
     rescalings = spectral_checks = 0
-    warm = SvtWarmStart(shape, tol)
+    warm = SvtWarmStart(shape)
     pri = dua = gap = math.inf
     abandoned_at = None
     iterations = 0
@@ -250,37 +252,36 @@ def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
             np.subtract(box.R, box.W, out=r)
             r *= box.eta * t_L
             C += r
-        X_L_new, s = _svt(C, t_L, warm)
+        X_L_new, s = _threshold_step(C, t_L, tol, warm)
         np.subtract(X_L_new, X_L, out=dX_L)
         X_L = X_L_new
         np.add(X_S, X_L, out=D)
         D -= Y
         pri_parts, dua_parts = [], []
-        with np.errstate(over="ignore"):
-            for b in blocks:
-                if b.prox is None:
-                    b.W += D
-                    pri_parts.append(_frobenius(D))
-                    dua_parts.append(b.eta * _frobenius(dX_L))
-                    continue
-                A = D if b.on_S else X_L
-                R_old = b.R
-                b.R = b.prox(np.add(A, b.W, out=spare), b.eta)
-                np.subtract(A, b.R, out=r)
-                b.W += r
-                pri_parts.append(_frobenius(r))
-                # R_old's buffer takes dR now, and A + W next time when the
-                # prox has kept its argument.
-                dR = np.subtract(b.R, R_old, out=R_old)
-                if b.on_S:
-                    dR -= dX_L
-                dua_parts.append(b.eta * _frobenius(dR))
-                if b.R is spare:
-                    spare = R_old
-            pri = math.hypot(*pri_parts)
-            dua = math.hypot(*dua_parts)
+        for b in blocks:
+            if b.prox is None:
+                b.W += D
+                pri_parts.append(_frobenius(D))
+                dua_parts.append(b.eta * _frobenius(dX_L))
+                continue
+            A = D if b.on_S else X_L
+            R_old = b.R
+            b.R = b.prox(np.add(A, b.W, out=spare), b.eta)
+            np.subtract(A, b.R, out=r)
+            b.W += r
+            pri_parts.append(_frobenius(r))
+            # R_old's buffer takes dR now, and A + W next time when the
+            # prox has kept its argument.
+            dR = np.subtract(b.R, R_old, out=R_old)
+            if b.on_S:
+                dR -= dX_L
+            dua_parts.append(b.eta * _frobenius(dR))
+            if b.R is spare:
+                spare = R_old
+        pri = math.hypot(*pri_parts)
+        dua = math.hypot(*dua_parts)
         X_L_hat = box.R if boxed else X_L
-        terms = gap_terms(X_S, X_L_hat, s, D, pri, dua, dX_L, blocks)
+        terms = gap_terms(X_S, X_L_hat, s, D, pri, dua, dX_L)
         if terms is not None:
             primal, dual, scale, M, unit = terms
             gap = _relative_gap(primal, dual(scale))
@@ -385,10 +386,10 @@ def solve_regularized(Y, cfg):
     sigma_bar >= ||Q||_2 computed as _admm says. P takes ||X_L||_* as
     sum(s) for the threshold step's X_L = U diag(s) Vt: exact after a full
     SVD or a partial step, within a relative delta < tol/100 after a Gram
-    step (see matrices.SvtWarmStart). P and d are homogeneous of degree 1 in
-    (Y, X_S, X_L, mu, b), so both are evaluated exactly on these times
-    2^-e, with max(max|Y|, mu) in [2^(e-1), 2^e), clear of overflow and
-    underflow at any scale. The gap certifies the objective, not the
+    step (see matrices._gram_svt_factors). P and d are homogeneous of
+    degree 1 in (Y, X_S, X_L, mu, b), so both are evaluated exactly on
+    these times 2^-e, with max(max|Y|, mu) in [2^(e-1), 2^e), clear of
+    overflow and underflow at any scale. The gap certifies the objective, not the
     first-order residual of (X_S, X_L).
     """
     Y = as_matrix(Y, "Y")
@@ -406,7 +407,7 @@ def solve_regularized(Y, cfg):
     def shrink(V, eta):
         return np.multiply(V, eta * mu / (eta * mu + 1.0), out=V)
 
-    def gap_terms(X_S, X_L, s, D, pri, dua, work, blocks):
+    def gap_terms(X_S, X_L, s, D, pri, dua, work):
         # At scale 2^-e: R in D, |X_S| and then Y in work.
         R = np.ldexp(D, -e, out=D)
         l1_S = float(np.abs(np.ldexp(X_S, -e, out=work), out=work).sum())
@@ -437,7 +438,7 @@ def solve_constrained(Y, cfg):
     eps_star, and |X_L| <= b entrywise when b is finite.
 
     The residual gets one copy per ball, projected onto it at every sweep,
-    the nuclear ball's by matrices._threshold_factors at the solve's tol:
+    the nuclear ball's by matrices._threshold_step at the solve's tol:
     a small copy takes the Gram's triplets above the shrink where its gate
     allows. A projection off by that much costs sweeps, not a wrong exit,
     since the gap below measures the caps on its own. A zero cap forces
@@ -468,10 +469,10 @@ def solve_constrained(Y, cfg):
     min(1, eps_v1/||R_hat||_1, eps_star/||R_hat||_*), 0 for the exact
     split; ||L||_* is sum(s) for the threshold step's U diag(s) Vt: exact
     after a full SVD or a partial step, within a relative delta < tol/100
-    after a Gram step (see matrices.SvtWarmStart). Both are evaluated on (Y,
-    X_S, L, eps, b) times 2^-e, with max|Y| in [2^(e-1), 2^e). The solve
-    returns the ADMM iterate, whose X_S differs from the certified S by (1
-    - rho)*R_hat.
+    after a Gram step (see matrices._gram_svt_factors). Both are evaluated
+    on (Y, X_S, L, eps, b) times 2^-e, with max|Y| in [2^(e-1), 2^e). The
+    solve returns the ADMM iterate, whose X_S differs from the certified S
+    by (1 - rho)*R_hat.
     """
     return _solve_constrained(Y, cfg)
 
@@ -492,7 +493,7 @@ def _solve_constrained(Y, cfg, abandon=None):
     e = math.frexp(_entrywise_norm(Y, np.inf))[1]
     eps_v1_e, eps_star_e, b_e = (math.ldexp(x, -e) for x in (eps_v1, eps_star, b))
 
-    def gap_terms(X_S, L, s, D, pri, dua, work, blocks):
+    def gap_terms(X_S, L, s, D, pri, dua, work):
         if not (pri <= tol and dua <= tol):  # NaN fails
             return None
         R = np.add(X_S, L, out=work)

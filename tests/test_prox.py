@@ -6,10 +6,9 @@ import scipy.linalg
 
 import splr.matrices
 import splr.prox
-from splr.matrices import RandomStream, SvtWarmStart
+from splr.matrices import RandomStream, SvtWarmStart, _threshold_step
 from splr.norms import entrywise_norm, trace_norm
 from splr.prox import (
-    _svt,
     clip_entries,
     project_l1_ball,
     project_nuclear_ball,
@@ -150,18 +149,18 @@ def test_partial_svt_matches_full_svt_at_a_cluster():
     m, t = 160, 1.0
     stream = RandomStream(probe_seed("partialsvt"))
     M0 = cluster_matrix(m, t, 20.0, stream)
-    warm = SvtWarmStart(M0.shape, 1e-9)
+    warm = SvtWarmStart(M0.shape)
     # The first step starts from a 40-column block of the stream. Two
     # passes from a random start resolve the 1e-4 gaps of the cluster only
     # roughly, but they keep the right count.
-    X, s = _svt(M0, t, warm)
+    X, s = _threshold_step(M0, t, 1e-9, warm)
     assert warm.partial_svds == 1 and warm.width == 8 + 10 and warm.stream._pos == 40 * m
     ref_s = np.linalg.svd(M0, compute_uv=False)
     assert np.allclose(s, ref_s[:8] - t, rtol=0.0, atol=1e-5)
     # The next sweep's centre, a small drift from the last one, starts from
     # the first step's 18 leading rows.
     M = M0 + 1e-6 * stream.gaussian(m, m) / math.sqrt(m)
-    X, s = _svt(M, t, warm)
+    X, s = _threshold_step(M, t, 1e-9, warm)
     assert warm.partial_svds == 2
     ref = svt(M, t)
     assert np.linalg.norm(X - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -187,7 +186,7 @@ def test_one_qr_step_matches_full_threshold_over_scales(top):
     assert np.count_nonzero(s > t) == np.count_nonzero(ref_s > t) == 8
     assert np.allclose(s[:8], ref_s[:8], rtol=0.0,
                        atol=1e-10 + 16 * np.finfo(float).eps * top)
-    X = splr.prox._shrink_spectrum(U, s, Vt, t)[0]
+    X = splr.matrices._shrink_spectrum(U, s, Vt, t)[0]
     ref = svt(M, t)
     assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -212,8 +211,8 @@ def test_declined_step_falls_back_to_the_full_svd():
     # step and the full SVD serves it, to the bit.
     M = RandomStream(probe_seed("partialdecline")).gaussian(240, 240)
     t = 0.4 * np.linalg.svd(M, compute_uv=False)[0]
-    warm = SvtWarmStart(M.shape, 1e-9)
-    X = _svt(M, t, warm)[0]
+    warm = SvtWarmStart(M.shape)
+    X = _threshold_step(M, t, 1e-9, warm)[0]
     assert warm.partial_svds == 0
     assert warm.stream._pos == 60 * 240 and warm.width > 60 + 10
     assert np.array_equal(X, svt(M, t))
@@ -223,7 +222,7 @@ def test_partial_step_refused_over_the_size_cap(monkeypatch):
     # 100 x 100: a partial step needs 4 (rank + 10) <= 100, so rank <= 15.
     # The first step's block is 100 // 4 = 25 columns, all from the stream.
     calls = []
-    warm = SvtWarmStart((100, 100), 1e-9)
+    warm = SvtWarmStart((100, 100))
 
     def leading(M, t, V):
         calls.append(V.shape[1])
@@ -236,7 +235,7 @@ def test_partial_step_refused_over_the_size_cap(monkeypatch):
                           (15, False), (3, True)):
         M = np.diag(np.r_[np.full(rank, 2.0), np.full(100 - rank, 0.5)])
         taken = warm.partial_svds
-        _svt(M, 1.0, warm)
+        _threshold_step(M, 1.0, 1e-9, warm)
         assert warm.width == rank + 10 and warm.partial_svds - taken == partial
         stream_at.append(warm.stream._pos)
     # The second step starts from the first's 15 leading rows, and the third
@@ -255,10 +254,10 @@ def test_small_problems_never_take_the_partial_path(monkeypatch):
 
     monkeypatch.setattr(splr.matrices, "_partial_svt", fail)
     stream = RandomStream(probe_seed("partialsmall"))
-    warm = SvtWarmStart((99, 400), 0.0)
+    warm = SvtWarmStart((99, 400))
     M = stream.gaussian(99, 400)
     for _ in range(3):
-        X = _svt(M, 5.0, warm)[0]
+        X = _threshold_step(M, 5.0, 0.0, warm)[0]
         assert np.array_equal(X, svt(M, 5.0))
     assert warm.partial_svds == 0
 
@@ -288,7 +287,7 @@ def test_gram_step_matches_dense_svt(shape, scale):
         k = s.size
         assert U.shape == (shape[0], k) and Vt.shape == (k, shape[1])
         assert np.all(s > t * scale) and np.all(np.diff(s) <= 0)
-        X, s = splr.prox._shrink_spectrum(U, s, Vt, t * scale)
+        X, s = splr.matrices._shrink_spectrum(U, s, Vt, t * scale)
         X, s = X / scale, s / scale
         assert np.linalg.norm(X - svt(M, t)) <= delta * s1
         assert abs(s.sum() - trace_norm(X)) <= delta * trace_norm(X)
@@ -306,7 +305,7 @@ def test_gram_step_declines_to_the_full_svd(monkeypatch):
              (np.full((2, 2), 1e308), 1e300, tol)]
     for A, step, gate in cases:
         assert splr.matrices._gram_svt_factors(A, step, gate) is None
-        X = _svt(A, step, SvtWarmStart(A.shape, gate))[0]
+        X = _threshold_step(A, step, gate, SvtWarmStart(A.shape))[0]
         assert X.tobytes() == svt(A, step).tobytes()
 
     def fail(*args, **kwargs):
@@ -314,7 +313,7 @@ def test_gram_step_declines_to_the_full_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     assert splr.matrices._gram_svt_factors(M, t, tol) is None
-    X = _svt(M, t, SvtWarmStart(M.shape, tol))[0]
+    X = _threshold_step(M, t, tol, SvtWarmStart(M.shape))[0]
     assert X.tobytes() == svt(M, t).tobytes()
 
 
@@ -333,7 +332,7 @@ def test_small_solves_take_no_full_svd_in_their_threshold_steps(monkeypatch):
 
 
 def ball_rule(eps):
-    """The nuclear-ball projection's rule for matrices._threshold_factors."""
+    """The nuclear-ball projection's rule for matrices._threshold_step."""
     return lambda s: None if s.sum() <= eps else splr.prox._l1_ball_shrink(s, eps)
 
 

@@ -1045,6 +1045,32 @@ def test_small_solve_takes_no_partial_svd():
     assert rep.converged and rep.diagnostics["partial_svds"] == 0
 
 
+def test_every_spectral_step_is_one_threshold_step(monkeypatch):
+    # _admm and the nuclear-ball projection take every spectral step from
+    # matrices._threshold_step: one per sweep in an exact split, two in a
+    # relaxed one, whose nuclear-ball copy takes a step of its own.
+    calls = []
+    real = splr.matrices._threshold_step
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(splr.solvers, "_threshold_step", counting)
+    monkeypatch.setattr(splr.prox, "_threshold_step", counting)
+    inst = gen_instance(InstanceSpec(m=30, n=30, rbar=2, ktilde=30, seed=5))
+    rep = solve_constrained(inst.Y, ConstrainedConfig(lam=1.0 / math.sqrt(30)))
+    assert rep.converged and len(calls) == rep.iterations
+    calls.clear()
+    inst = gen_instance(InstanceSpec(m=20, n=20, rbar=2, ktilde=20, sigma=0.01,
+                                     seed=probe_seed("stepcount")))
+    cfg = ConstrainedConfig(lam=1.0 / math.sqrt(20), eps_v1=entrywise_norm(inst.E, 1),
+                            eps_star=trace_norm(inst.E), tol=1e-4)
+    rep = solve_constrained(inst.Y, cfg)
+    assert len(calls) == 2 * rep.iterations
+    assert sum(callable(t) for t in calls) == rep.iterations
+
+
 def rotated(Q, scale, stream):
     """Q's columns moved by about scale and orthonormalized, signs kept."""
     Q2, R = np.linalg.qr(Q + scale * stream.gaussian(*Q.shape))
