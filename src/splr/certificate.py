@@ -80,7 +80,9 @@ class DualCertificate:
 
 def perturbation_scales(space, E):
     """(spectral norm of E, max-abs of E plus max-abs of its space
-    projection, trace norm of the space projection)."""
+    projection, trace norm of the space projection). The trace norm,
+    eps*' of the paper, sums the whole spectrum of the projection's 2r x n
+    core: no value is cut at the rank cutoff, which decides ranks only."""
     return _perturbation_scales(space, as_matrix(E, "E", (space.m, space.n)))[0]
 
 

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .matrices import _is_integer
+
 __all__ = [
     "IncoherenceProfile",
     "ConditionVerdict",
@@ -249,6 +251,8 @@ def proposition1_bounds(m, n, rbar, m0, n0, Uinf, Vinf):
     alpha <= (c1/rbar)*sqrt(mn), beta <= 3*c2*rbar/sqrt(mn), and
     gamma <= c2*rbar/sqrt(mn). Vacuous (inf, 0, 0) when the rank is zero.
     """
+    if not (_is_integer(m, 1) and _is_integer(n, 1)):
+        raise ValueError("dimensions must be integers >= 1")
     if rbar == 0:
         return math.inf, 0.0, 0.0
     c1 = max(m0 * rbar / m, n0 * rbar / n)

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative singular-value cutoff: sigma_i is kept iff sigma_i > RANK_TRUNCATION * sigma_1.
+# Relative rank cutoff: sigma_i counts toward the rank iff
+# sigma_i > RANK_TRUNCATION * sigma_1. It decides ranks only (_svd and
+# singular_values); norms sum every value.
 RANK_TRUNCATION = 1e-10
 
 _EPS = float(np.finfo(float).eps)
@@ -112,15 +114,13 @@ def _numerical_rank(s):
     return int(np.count_nonzero(s > RANK_TRUNCATION * s.max(initial=0.0)))
 
 
-def _singular_values(A):
-    s = _lapack_svd(A, False)
-    return s[:_numerical_rank(s)]
-
-
 def singular_values(M):
     """Nonincreasing singular values of M above 1e-10 * sigma_1, computed
-    without singular vectors."""
-    return _singular_values(as_matrix(M))
+    without singular vectors: the values of the numerical rank, cut as svd
+    cuts them. Norms are not taken from these; they sum the whole spectrum
+    (see norms.trace_norm)."""
+    s = _lapack_svd(as_matrix(M), False)
+    return s[:_numerical_rank(s)]
 
 
 def _scaled_gram(A):
@@ -325,17 +325,18 @@ def _threshold_step(M, t, tol, warm=None):
 
 
 def _T_singular_values(U, X, B, Vt):
-    """singular_values of U X + B Vt without forming it, for U (m x r)
-    and Vt^T (n x r) with orthonormal columns and B (m x r) orthogonal to
-    U: the form of a tangent-space projection (see
+    """The whole nonincreasing spectrum of U X + B Vt without forming it,
+    for U (m x r) and Vt^T (n x r) with orthonormal columns and B (m x r)
+    orthogonal to U: the form of a tangent-space projection (see
     subspaces._project_T_factored).
 
     With a thin QR B = Q R, the matrix is [U, Q] [X; R Vt] and [U, Q] has
     orthonormal columns, so its values are those of the 2r x n stack
     [X; R Vt]. That costs one m x r QR and a 2r x n spectrum instead of a
-    dense m x n SVD.
+    dense m x n SVD. No value is cut at the rank cutoff: the callers take
+    norms, which sum or bound every value.
     """
-    return _singular_values(np.vstack([X, np.linalg.qr(B, mode="r") @ Vt]))
+    return _lapack_svd(np.vstack([X, np.linalg.qr(B, mode="r") @ Vt]), False)
 
 
 def svd(M):
@@ -383,6 +384,8 @@ def mix_seed(seed, *parts):
     Deterministic across processes (unlike Python's salted hash); used to
     give independent generators to sub-tasks (sweep cells, instance pieces).
     """
+    if not all(_is_integer(v) for v in (seed, *parts)):
+        raise ValueError("seed and parts must be integers")
     s = int(seed) & _MASK64
     for p in parts:
         # Python ints wrap the fold silently, where uint64 scalars warn.
@@ -400,6 +403,8 @@ class RandomStream:
     """
 
     def __init__(self, seed):
+        if not _is_integer(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self.seed = int(seed) & _MASK64
         self._pos = 0
 

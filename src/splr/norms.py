@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .incoherence import _check_rho
-from .matrices import _singular_values, _spectral_norm, as_matrix
+from .matrices import _lapack_svd, _spectral_norm, as_matrix
 
 FLAT_NORM_SIZE_CAP = 256
 
@@ -85,12 +85,14 @@ def _induced_norm(A, mode):
 
 
 def trace_norm(M):
-    """Sum of singular values."""
+    """Sum of all singular values. None is cut at the rank cutoff of
+    matrices.singular_values, which decides ranks: a norm sums the whole
+    spectrum, so values below 1e-10 * sigma_1 still count."""
     return _trace_norm(as_matrix(M))
 
 
 def _trace_norm(A):
-    return float(_singular_values(A).sum())
+    return float(_lapack_svd(A, False).sum())
 
 
 def sharp_norm(M, rho):

@@ -560,6 +560,10 @@ def bound_theorem3(prof, c, lam, mu, eps_2to2, eps_vinf, eps_star_prime,
     is in force. A mu <= 0 counts as 0 (see inverse_mu).
     """
     share = _bound_share(prof, c, lam, eps_2to2, eps_vinf, eps_star_prime)
+    if not b > 0:
+        raise ValueError("box radius must be positive")
+    if not (_is_integer(kbar, 0) and _is_integer(rbar, 0)):
+        raise ValueError("kbar and rbar must be nonnegative integers")
     imu = inverse_mu(mu, eps_2to2, eps_vinf, eps_star_prime)
     mu = max(mu, 0.0)
     iev = imu * eps_vinf

@@ -95,7 +95,7 @@ class RowColSpace:
             raise ValueError("rank exceeds ambient dimensions")
         for name, Q in (("U", U), ("V", V)):
             err = np.abs(Q.T @ Q - np.eye(r)).max(initial=0.0)
-            if err > 1e-8:
+            if not err <= 1e-8:  # NaN fails it
                 raise ValueError(f"{name} columns are not orthonormal (deviation {err:.2e})")
         self.U = U
         self.V = V

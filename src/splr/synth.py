@@ -96,6 +96,8 @@ def gen_support(m, n, ktilde, seed):
 def gen_subspaces(m, n, rbar, seed):
     """Independent orthonormal factors from QR of Gaussian draws, with the
     R diagonal forced positive so the factors are reproducible."""
+    if not (_is_integer(m, 1) and _is_integer(n, 1)):
+        raise ValueError("dimensions must be integers >= 1")
     if not (_is_integer(rbar, 0) and rbar <= min(m, n)):
         raise ValueError("rank must be an integer with 0 <= rank <= min(m, n)")
     stream = RandomStream(seed)

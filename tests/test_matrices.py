@@ -7,7 +7,6 @@ from splr.matrices import (
     FactorizationError,
     RandomStream,
     _lapack_svd,
-    _numerical_rank,
     _spectral_norm,
     _T_singular_values,
     as_matrix,
@@ -165,7 +164,8 @@ def test_spectral_norm_of_zero_and_empty():
 def test_T_singular_values_match_dense():
     # U X + B Vt with orthonormal U, V and B orthogonal to U, the form of a
     # tangent-space projection: one QR of B and a 2r x n spectrum give the
-    # dense values, and the same count above the rank cutoff.
+    # dense values, every one of them and none cut at the rank cutoff. The
+    # dense values past the core's min(2r, n) are the matrix's zeros.
     stream = RandomStream(probe_seed("tvalues"))
     for m, n in ((30, 20), (20, 30)):
         for r in (0, 1, 3):
@@ -175,11 +175,12 @@ def test_T_singular_values_match_dense():
             G = stream.gaussian(m, r)
             for B in (G - U @ (U.T @ G), np.zeros((m, r))):
                 dense = np.linalg.svd(U @ X + B @ Vt, compute_uv=False)
-                want = dense[:_numerical_rank(dense)]
                 got = _T_singular_values(U, X, B, Vt)
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want), initial=0.0) \
-                    <= 1e-13 * want.max(initial=0.0)
+                k = min(2 * r, n)
+                assert got.shape == (k,)
+                slack = 1e-13 * dense.max(initial=0.0)
+                assert np.max(np.abs(got - dense[:k]), initial=0.0) <= slack
+                assert dense[k:].max(initial=0.0) <= slack
 
 
 def test_gaussian_matrix_deterministic():
@@ -282,6 +283,20 @@ def test_numpy_integer_seed_folds_like_python_int():
     assert mix_seed(np.int64(3), 1) == mix_seed(3, 1)
     assert mix_seed(np.int64(-1), 0) == mix_seed(-1, 0)
     assert np.array_equal(RandomStream(np.int64(7)).uniforms(4), RandomStream(7).uniforms(4))
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, math.nan])
+def test_seeds_must_be_integers(value):
+    # A float seed, even a whole one, raises rather than being cut to an
+    # integer: gaussian_matrix(3, 3, 1.5) drew seed 1's matrix.
+    with pytest.raises(ValueError, match="seed"):
+        RandomStream(value)
+    with pytest.raises(ValueError, match="seed"):
+        mix_seed(value, 2)
+    with pytest.raises(ValueError, match="seed"):
+        mix_seed(1, 3, value)
+    with pytest.raises(ValueError, match="seed"):
+        gaussian_matrix(3, 3, value)
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, math.inf])

@@ -123,6 +123,14 @@ def test_trace_norm_rank_one():
     assert trace_norm(np.outer(u, v)) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_trace_norm_sums_values_below_rank_cutoff():
+    # Values at or below 1e-10 * sigma_1 fall below the rank cutoff but
+    # still count in the norm: cut, the sum read 1.0, a relative error of
+    # 4.95e-9.
+    got = trace_norm(np.diag([1.0] + [5e-11] * 99))
+    assert got == pytest.approx(1.0 + 99 * 5e-11, rel=1e-15)
+
+
 def test_sharp_norm_hand_values():
     assert sharp_norm(A_HAND, 1.0) == 7.0
     assert sharp_norm(A_HAND, 2.0) == 12.0

@@ -36,6 +36,30 @@ def test_modules_use_every_name_they_import():
         assert imported <= used, f"splr.{info.name} imports {sorted(imported - used)} unused"
 
 
+def test_rank_cutoff_decides_ranks_only():
+    # _numerical_rank cuts a spectrum at 1e-10 * sigma_1. Only the two
+    # functions that return a rank's worth of values call it; a norm that
+    # called it would drop values from its sum.
+    callers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "_numerical_rank":
+                    callers.add((module, scope))
+            visit(child, module, scope)
+
+    for info in pkgutil.iter_modules(splr.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"splr.{info.name}")))
+        visit(tree, info.name, None)
+    assert callers == {("matrices", "_svd"), ("matrices", "singular_values")}
+
+
 def test_dense_factorizations_called_only_in_matrices():
     # np.linalg.svd, eigh, eigvalsh and qr are reached through matrices
     # alone, so one layer holds every dense factorization and can count them.

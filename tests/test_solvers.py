@@ -17,6 +17,7 @@ from splr.incoherence import (
     check_conditions,
     default_lambda,
     profile,
+    proposition1_bounds,
     simplified_parameters,
 )
 from splr.matrices import RandomStream, mix_seed
@@ -994,6 +995,23 @@ def test_error_bound_regularized_limits():
         bound_theorem3(prof, 2.0, 0.3, math.nan, 0.0, 0.0, 0.0, 5, 1)
     with pytest.raises(ValueError, match="perturbation scales must be nonnegative"):
         bound_theorem3(prof, 2.0, 0.3, 1e-3, 0.0, math.nan, 0.0, 5, 1)
+
+
+def test_bound_oracles_reject_bad_radius_counts_and_dimensions():
+    # b = 0 gave a v2 bound of 0.0, b = nan read as no box, and b = -1 or
+    # kbar = -1 raised a math domain error.
+    prof = make_profile(1, 1, 0.1, 0.1, 0.05, 0.02, kbar=5, rbar=1)
+    args = (prof, 2.0, 0.3, 1e-3, 0.0, 0.0, 0.0)
+    for b in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="box radius must be positive"):
+            bound_theorem3(*args, 5, 1, b=b)
+    for kbar, rbar in ((-1, 1), (5, -1), (5.0, 1), (5, 1.5)):
+        with pytest.raises(ValueError, match="kbar and rbar"):
+            bound_theorem3(*args, kbar, rbar)
+    # proposition1_bounds(0, 5, ...) divided by zero.
+    for m, n in ((0, 5), (5, 0), (2.5, 5), (5, 5.0)):
+        with pytest.raises(ValueError, match="dimensions must be integers >= 1"):
+            proposition1_bounds(m, n, 1, 1, 1, 0.5, 0.5)
 
 
 @functools.lru_cache(maxsize=1)

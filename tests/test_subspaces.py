@@ -109,6 +109,16 @@ def test_rowcol_space_rejects_nonorthonormal():
         RowColSpace(np.ones((3, 2)), np.eye(3)[:, :2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rowcol_space_rejects_nonfinite_factors(bad):
+    # A NaN deviation from orthonormality fails the check, as a large one does.
+    good = np.array([[1.0], [0.0]])
+    with pytest.raises(ValueError, match="orthonormal"):
+        RowColSpace(np.array([[bad], [0.0]]), good)
+    with pytest.raises(ValueError, match="orthonormal"):
+        RowColSpace(good, np.array([[0.0], [bad]]))
+
+
 def test_target_pair_derives_support_and_space():
     t, _ = flat_instance(8, 8, 1, 5, 10.0, probe_seed("pair"))
     assert t.support.kbar == 5

@@ -92,6 +92,15 @@ def test_generators_reject_non_integer_counts(value):
         gen_subspaces(4, 4, value, 1)
 
 
+@pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (2.5, 4), (4, 4.0)])
+def test_gen_subspaces_rejects_bad_dimensions(m, n):
+    # gen_support's rule: gen_subspaces(0, 5, 0, 1) built a 0 x 0 space.
+    with pytest.raises(ValueError, match="dimensions must be integers >= 1"):
+        gen_subspaces(m, n, 0, 1)
+    with pytest.raises(ValueError, match="dimensions must be integers >= 1"):
+        gen_support(m, n, 1, 1)
+
+
 def test_numpy_integer_seed_gives_the_python_int_instance():
     spec = dict(m=12, n=10, rbar=2, ktilde=15, sigma=0.1)
     a = gen_instance(InstanceSpec(seed=np.int64(3), **spec))
