@@ -63,8 +63,8 @@ def inverse_mu(mu, *scales):
 def optimal_rho(a, b):
     """Balance point sqrt(b/a) minimizing the scaled count norm (and hence
     its products with the coherence terms); 1 when either count is zero."""
-    if not (a >= 0 and b >= 0):
-        raise ValueError("counts must be nonnegative")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):
+        raise ValueError("counts must be nonnegative and finite")
     if a == 0 or b == 0:
         return 1.0
     return math.sqrt(b / a)
@@ -253,6 +253,10 @@ def proposition1_bounds(m, n, rbar, m0, n0, Uinf, Vinf):
     """
     if not (_is_integer(m, 1) and _is_integer(n, 1)):
         raise ValueError("dimensions must be integers >= 1")
+    if not all(_is_integer(k, 0) for k in (rbar, m0, n0)):
+        raise ValueError("rbar, m0 and n0 must be nonnegative integers")
+    if not (Uinf >= 0 and Vinf >= 0):
+        raise ValueError("Uinf and Vinf must be nonnegative")
     if rbar == 0:
         return math.inf, 0.0, 0.0
     c1 = max(m0 * rbar / m, n0 * rbar / n)

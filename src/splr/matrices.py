@@ -421,6 +421,8 @@ class RandomStream:
 
     def normals(self, count):
         """i.i.d. standard normals via the Box-Muller transform."""
+        if not _is_integer(count, 0):
+            raise ValueError(f"normal count must be a nonnegative integer, got {count!r}")
         pairs = (count + 1) // 2
         u1 = ((self._raw(pairs) >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
         u2 = (self._raw(pairs) >> np.uint64(11)) * (2.0 ** -53)
@@ -439,6 +441,8 @@ class RandomStream:
 
     def gaussian(self, m, n):
         """(m, n) matrix of i.i.d. standard normals."""
+        if not (_is_integer(m, 0) and _is_integer(n, 0)):
+            raise ValueError(f"gaussian shape must be nonnegative integers, got {(m, n)!r}")
         return self.normals(m * n).reshape(m, n)
 
 

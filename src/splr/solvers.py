@@ -140,9 +140,10 @@ def _weighted_mean(arrays, weights, out, work):
 
 @dataclass(eq=False)
 class _Block:
-    """One constraint block of _admm: its prox (None for the exact split),
-    whether it constrains X_S + X_L - Y (on_S) or X_L alone (the box), its
-    penalty eta, its scaled dual W and its copy R, both allocated by _admm.
+    """One constraint block of _admm: its penalty eta, in _admm's frame,
+    its prox (None for the exact split), whether it constrains X_S + X_L -
+    Y (on_S) or X_L alone (the box), its scaled dual W and its copy R, both
+    allocated by _admm.
 
     With left side A = D = X_S + X_L - Y when on_S, else X_L, each sweep
     sets R = prox(A + W, eta) (prox may overwrite its argument and return
@@ -159,25 +160,36 @@ class _Block:
     the mirror cases, and W is divided by the same factor (Boyd et al.
     2011, ADMM, section 3.4.1; the tol clause balances against the stopping
     test, as in Wohlberg, arXiv:1704.06209). eta0 is the first block's
-    starting eta: a caller whose eta0 scales as 1/Y compares two scale-free
-    quantities and takes the same sweeps on cY.
+    starting eta, in _admm's frame. eta0*pri and dua are both scale-free
+    there, so a start that scales as 1/Y, as the penalized one, mn/(4
+    ||Y||_1), does, takes the same sweeps on cY; the constrained start, 1
+    in Y's units, does not.
     """
 
+    eta: float
     prox: object = None
     on_S: bool = True
-    eta: float = 1.0
     W: np.ndarray = None
     R: np.ndarray = None
 
 
 @np.errstate(over="ignore")
-def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
+def _admm(Y, e, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
           abandon=None):
     """Gauss-Seidel ADMM on lam*||X_S||_1 + ||X_L||_* under the constraint
-    blocks (see _Block), shared by both solvers. Y must already be
-    validated. The residual blocks come first; a box block, on X_L, may
-    come last, and its R is then X_L_hat. S_box = (lo, hi) keeps X_S
-    entrywise in [lo, hi].
+    blocks (see _Block), shared by both solvers. The residual blocks come
+    first; a box block, on X_L, may come last, and its R is then X_L_hat.
+    S_box = (lo, hi) keeps X_S entrywise in [lo, hi].
+
+    The solve runs in one frame: Y is the validated data times 2^-e, with
+    e from _frame, and the caller scales the proxes' radii, S_box and fit
+    by 2^-e and the starting penalties by 2^e. Both programs are
+    positively homogeneous, so every step is an exact power-of-two scaling
+    of the same step on the data as given, with the same bits wherever
+    both are normal, and the loop's arithmetic does not depend on where Y
+    lies in the float range. Dual quantities (eta*W, dua, eta0*pri) are
+    scale-free. _admm returns to Y's units at the edges: the outputs and
+    the arguments of abandon.
 
     With H = sum_j eta_j over the residual blocks, each sweep takes the l1
     prox in X_S at lam/H, centred at the eta-weighted mean of Y - X_L + R_j
@@ -190,19 +202,21 @@ def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
     the operand order of the plain expressions, so the bits are theirs.
     The threshold step, and the certified use of its sum(s) as
     ||X_L||_*, are matrices._threshold_step's at the solve's tol, with
-    its matrices.SvtWarmStart. Overflow is ignored for the whole call:
-    norms past the float range read inf (see norms._frobenius).
+    its matrices.SvtWarmStart. Overflow is ignored for the whole call: an
+    output past the float range in Y's units, or a dual residual past it,
+    reads inf.
 
     Each sweep ends with gap_terms(X_S, X_L_hat, s, D, pri, dua, work),
-    with s the kept singular values and work a free buffer; it may
-    overwrite D and work but not the blocks. It returns None while the
-    caller's gate is shut, else (P, dual, scale, M, unit), derived in the
-    solver docstrings. The gap (P - dual(scale))/P gates sigma_bar =
-    _sigma_bar(M)/unit, counted in spectral_checks; the loop exits
-    converged when the gap at max(scale, sigma_bar) is at most tol (Boyd et
-    al. 2011, ADMM, section 3.3). abandon(X_L, s), when given, runs every
-    10 sweeps after the exit test and ends the loop unconverged when it
-    holds; a sweep it lets pass is computed as without it.
+    with s the kept singular values and work a free buffer, all in the
+    frame; it may overwrite D and work but not the blocks. It
+    returns None while the caller's gate is shut, else (P, dual, scale, M,
+    unit), derived in the solver docstrings. The gap (P - dual(scale))/P
+    gates sigma_bar = _sigma_bar(M)/unit, counted in spectral_checks; the
+    loop exits converged when the gap at max(scale, sigma_bar) is at most
+    tol (Boyd et al. 2011, ADMM, section 3.3). abandon(X_L, s), when
+    given, runs every 10 sweeps after the exit test and ends the loop
+    unconverged when it holds; a sweep it lets pass is computed as without
+    it.
 
     Returns the SolveReport of mode: objective fit(||R||_F) + lam*||X_S||_1
     + ||X_L_hat||_* (fit 0 when omitted), and as diagnostics the final pri
@@ -294,7 +308,7 @@ def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
                     converged = True
                     break
         if iterations % 10 == 0:
-            if abandon is not None and abandon(X_L, s):
+            if abandon is not None and abandon(np.ldexp(X_L, e), np.ldexp(s, e)):
                 abandoned_at = iterations
                 break
             rescaled = False
@@ -314,13 +328,14 @@ def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
                                  and sum(b.eta for b in blocks) < math.inf):
                 break
     R_hat = X_S + X_L_hat - Y
-    rv2 = _entrywise_norm(R_hat, 2)
+    rv1, rs, rv2 = _entrywise_norm(R_hat, 1), _trace_norm(R_hat), _entrywise_norm(R_hat, 2)
     nuclear = _trace_norm(X_L_hat) if boxed else float(s.sum())
     objective = (fit(rv2) if fit else 0.0) + lam * _entrywise_norm(X_S, 1) + nuclear
+    pri, rv1, rs, rv2, objective = np.ldexp([pri, rv1, rs, rv2, objective], e).tolist()
     diagnostics = {
         "primal_residual": pri,
         "dual_residual": dua,
-        "penalty_final": [b.eta for b in blocks],
+        "penalty_final": np.ldexp([b.eta for b in blocks], -e).tolist(),
         "penalty_rescalings": rescalings,
         "partial_svds": warm.partial_svds,
         "abandoned_at": abandoned_at,
@@ -328,10 +343,22 @@ def _admm(Y, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=None,
         "spectral_checks": spectral_checks,
     }
     return SolveReport(
-        X_S_hat=X_S, X_L_hat=X_L_hat, iterations=iterations, objective=objective,
-        residual_v1=_entrywise_norm(R_hat, 1), residual_star=_trace_norm(R_hat),
+        X_S_hat=np.ldexp(X_S, e, out=X_S), X_L_hat=np.ldexp(X_L_hat, e, out=X_L_hat),
+        iterations=iterations, objective=objective, residual_v1=rv1, residual_star=rs,
         residual_v2=rv2, converged=converged, mode=mode, diagnostics=diagnostics,
     )
+
+
+@np.errstate(over="ignore")
+def _frame(Y, floor, *params):
+    """The frame a solve runs in (see _admm): e with max(max|Y|, floor) in
+    [2^(e-1), 2^e), Y times 2^-e, 1 in Y's units, which is 2^e clamped to
+    [2^-1021, 2^1022] so that it, its reciprocal and the sum of three
+    penalties stay finite, and params times 2^-e (one past the float range
+    reads inf)."""
+    e = math.frexp(max(_entrywise_norm(Y, np.inf), floor))[1]
+    one = math.ldexp(1.0, min(max(e, -1021), 1022))
+    return e, np.ldexp(Y, -e), one, np.ldexp(params, -e).tolist()
 
 
 def _sigma_bar(M):
@@ -367,12 +394,11 @@ def solve_regularized(Y, cfg):
     in X_S and the singular-value threshold in X_L.
 
     The penalty starts at eta0 = mn/(4*||Y||_1) (Candes, Li, Ma & Wright,
-    arXiv:0912.3599), or at 1 when that is not positive and finite, and
-    _admm rebalances it on eta0*pri against dua. Both scale as 1/Y, so the
-    solve of (cY, c*mu) takes the same sweeps as that of (Y, mu). eta0 is
-    taken as 2^-e * (mn/4) / ||2^-e Y||_1, with the e of the gap below:
-    the same value wherever ||Y||_1 is finite, since the scaling is exact,
-    and finite too where ||Y||_1 overflows near the float max.
+    arXiv:0912.3599), or at 1 in Y's units where that is not positive and
+    finite (Y zero or empty, or subnormal next to mu; see _frame), and _admm
+    rebalances it on eta0*pri against dua. Both scale as 1/Y, so the
+    solve of (cY, c*mu) takes the same sweeps as that of (Y, mu). The
+    frame's e (see _frame) puts max(max|Y|, mu) in [2^(e-1), 2^e).
 
     Exit requires the relative duality gap (P - d)/P to be at most
     cfg.tol (Boyd et al. 2011, ADMM, section 3.3). By Fenchel-Young,
@@ -386,50 +412,40 @@ def solve_regularized(Y, cfg):
     sigma_bar >= ||Q||_2 computed as _admm says. P takes ||X_L||_* as
     sum(s) for the threshold step's X_L = U diag(s) Vt: exact after a full
     SVD or a partial step, within a relative delta < tol/100 after a Gram
-    step (see matrices._gram_svt_factors). P and d are homogeneous of
-    degree 1 in (Y, X_S, X_L, mu, b), so both are evaluated exactly on
-    these times 2^-e, with max(max|Y|, mu) in [2^(e-1), 2^e), clear of
-    overflow and underflow at any scale. The gap certifies the objective, not the
-    first-order residual of (X_S, X_L).
+    step (see matrices._gram_svt_factors). The gap certifies the
+    objective, not the first-order residual of (X_S, X_L).
     """
-    Y = as_matrix(Y, "Y")
-    lam, mu, b, tol = cfg.lam, cfg.mu, cfg.b, cfg.tol
+    e, Y, one, (mu, b) = _frame(as_matrix(Y, "Y"), cfg.mu, cfg.mu, cfg.b)
+    lam = cfg.lam
     boxed = not math.isinf(b)
     S_box = (Y - b, Y + b) if boxed else None
-    e = math.frexp(max(_entrywise_norm(Y, np.inf), mu))[1]
-    a = np.abs(Y)  # scaled by 2^-e in place, and freed before the solve
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        eta0 = float(np.ldexp(Y.size / 4.0 / np.ldexp(a, -e, out=a).sum(), -e))
-    del a
-    eta0 = eta0 if 0.0 < eta0 < math.inf else 1.0  # Y = 0 or empty, or past the float range
-    mu_e, b_e = math.ldexp(mu, -e), math.ldexp(b, -e)
+    l1 = _entrywise_norm(Y, 1)
+    eta0 = Y.size / 4.0 / l1 if l1 > 0.0 else math.inf
 
     def shrink(V, eta):
         return np.multiply(V, eta * mu / (eta * mu + 1.0), out=V)
 
-    def gap_terms(X_S, X_L, s, D, pri, dua, work):
-        # At scale 2^-e: R in D, |X_S| and then Y in work.
-        R = np.ldexp(D, -e, out=D)
-        l1_S = float(np.abs(np.ldexp(X_S, -e, out=work), out=work).sum())
+    def fit(r2):  # ||R||_F^2 / (2 mu) from r2 = ||R||_F
+        return (0.5 / mu * r2) * r2
+
+    def gap_terms(X_S, X_L, s, R, pri, dua, work):
+        l1_S = float(np.abs(X_S, out=work).sum())
         r2 = _entrywise_norm(R, 2)
-        primal = lam * l1_S + float(np.ldexp(s, -e).sum()) + (0.5 / mu_e * r2) * r2
-        Y_e = np.ldexp(Y, -e, out=work)
-        RY = float(np.vdot(R, Y_e))
+        primal = lam * l1_S + float(s.sum()) + fit(r2)
+        RY = float(np.vdot(R, Y))
 
         def dual(scale):
-            k = 1.0 / (scale * mu_e)  # the dual point is -k*R
-            value = -k * RY - (0.5 * mu_e * k * r2) * (k * r2)
+            k = 1.0 / (scale * mu)  # the dual point is -k*R
+            value = -k * RY - (0.5 * mu * k * r2) * (k * r2)
             if boxed:
-                value -= _box_conjugate(np.multiply(R, -k), Y_e, b_e, lam)
+                value -= _box_conjugate(np.multiply(R, -k), Y, b, lam)
             return value
 
-        scale = 1.0 if boxed else max(1.0, _entrywise_norm(R, np.inf) / (mu_e * lam))
-        return primal, dual, scale, R, mu_e
+        scale = 1.0 if boxed else max(1.0, _entrywise_norm(R, np.inf) / (mu * lam))
+        return primal, dual, scale, R, mu
 
-    # The data term ||R||_F^2 / (2 mu), in an order that stays finite
-    # wherever the value is.
-    return _admm(Y, lam, [_Block(shrink, eta=eta0)], gap_terms, tol, cfg.max_iter,
-                 "regularized", fit=lambda r2: (0.5 / mu * r2) * r2, S_box=S_box)
+    return _admm(Y, e, lam, [_Block(eta0 if eta0 < math.inf else one, shrink)],
+                 gap_terms, cfg.tol, cfg.max_iter, "regularized", fit=fit, S_box=S_box)
 
 
 def solve_constrained(Y, cfg):
@@ -445,7 +461,8 @@ def solve_constrained(Y, cfg):
     R = 0, and that case (the exact split) keeps a single copy fixed at 0,
     without a prox. A finite box adds a last block on X_L
     whose copy B is its clip, returned as X_L_hat. Each block (see _Block)
-    has its own penalty eta_j, starting at 1 whatever the scale of Y. Over
+    has its own penalty eta_j, starting at 1 in Y's units whatever the
+    scale of Y, clamped in the frame as _frame says. Over
     a sweep the X_S step leaves the dual feasibility of X_S off by sum_j
     eta_j (dR_j - dX_L), and the X_L step that of X_L by sum_j eta_j dR_j +
     eta_B dB; each residual block's dual residual is its term of the
@@ -469,10 +486,11 @@ def solve_constrained(Y, cfg):
     min(1, eps_v1/||R_hat||_1, eps_star/||R_hat||_*), 0 for the exact
     split; ||L||_* is sum(s) for the threshold step's U diag(s) Vt: exact
     after a full SVD or a partial step, within a relative delta < tol/100
-    after a Gram step (see matrices._gram_svt_factors). Both are evaluated
-    on (Y, X_S, L, eps, b) times 2^-e, with max|Y| in [2^(e-1), 2^e). The
-    solve returns the ADMM iterate, whose X_S differs from the certified S
-    by (1 - rho)*R_hat.
+    after a Gram step (see matrices._gram_svt_factors). The frame's e (see
+    _frame) puts max|Y| in [2^(e-1), 2^e); pri and the cap excesses, both
+    in Y's units, are compared there with 2^-e times cfg.tol and
+    10*cfg.tol. The solve returns the ADMM
+    iterate, whose X_S differs from the certified S by (1 - rho)*R_hat.
     """
     return _solve_constrained(Y, cfg)
 
@@ -480,54 +498,52 @@ def solve_constrained(Y, cfg):
 def _solve_constrained(Y, cfg, abandon=None):
     """solve_constrained, with _admm's abandon predicate passed through
     (the sweep's proof of non-recovery)."""
-    Y = as_matrix(Y, "Y")
-    lam, eps_v1, eps_star, b, tol = cfg.lam, cfg.eps_v1, cfg.eps_star, cfg.b, cfg.tol
-    exact = eps_v1 == 0 or eps_star == 0
+    e, Y, one, (eps_v1, eps_star, b, pri_tol, slack) = _frame(
+        as_matrix(Y, "Y"), 0.0, cfg.eps_v1, cfg.eps_star, cfg.b, cfg.tol, 10.0 * cfg.tol)
+    lam, tol = cfg.lam, cfg.tol
+    exact = cfg.eps_v1 == 0 or cfg.eps_star == 0
     boxed = not math.isinf(b)
-    blocks = [_Block()] if exact else [
-        _Block(lambda V, eta: _project_l1_ball(V, eps_v1)),
-        _Block(lambda V, eta: _project_nuclear_ball(V, eps_star, tol)),
+    blocks = [_Block(one)] if exact else [
+        _Block(one, lambda V, eta: _project_l1_ball(V, eps_v1)),
+        _Block(one, lambda V, eta: _project_nuclear_ball(V, eps_star, tol)),
     ]
     if boxed:
-        blocks.append(_Block(lambda V, eta: np.clip(V, -b, b, out=V), on_S=False))
-    e = math.frexp(_entrywise_norm(Y, np.inf))[1]
-    eps_v1_e, eps_star_e, b_e = (math.ldexp(x, -e) for x in (eps_v1, eps_star, b))
+        blocks.append(_Block(one, lambda V, eta: np.clip(V, -b, b, out=V), on_S=False))
 
     def gap_terms(X_S, L, s, D, pri, dua, work):
-        if not (pri <= tol and dua <= tol):  # NaN fails
+        if not (pri <= pri_tol and dua <= tol):  # NaN fails
             return None
         R = np.add(X_S, L, out=work)
         R -= Y
         rho = 0.0
         if not exact:
             r1, r_star = _entrywise_norm(R, 1), _trace_norm(R)
-            if not (r1 - eps_v1 <= 10.0 * tol and r_star - eps_star <= 10.0 * tol):
+            if not (r1 - eps_v1 <= slack and r_star - eps_star <= slack):
                 return None
             rho = min(eps_v1 / max(r1, eps_v1), eps_star / max(r_star, eps_star))
-        # At scale 2^-e: |S| for S = X_S - (1 - rho) R in work, then L in D.
+        # |S| for S = X_S - (1 - rho) R in work.
         S = np.multiply(R, rho - 1.0, out=work)
         S += X_S
-        l1_S = float(np.abs(np.ldexp(S, -e, out=S), out=S).sum())
-        nuclear = (_trace_norm(np.ldexp(L, -e, out=D)) if boxed
-                   else float(np.ldexp(s, -e).sum()))
+        l1_S = float(np.abs(S, out=S).sum())
+        nuclear = _trace_norm(L) if boxed else float(s.sum())
         primal = lam * l1_S + nuclear
-        # Q = -sum_j eta_j W_j in D, and Y, then y_B = eta_B W_B in work.
+        # Q = -sum_j eta_j W_j in D, then y_B = eta_B W_B in work.
         Q = np.multiply(blocks[0].W, -blocks[0].eta, out=D)
         base = 0.0
         if not exact:
             l1, nuc = blocks[:2]
             Q -= np.multiply(nuc.W, nuc.eta, out=work)
-            base -= eps_v1_e * (l1.eta * _entrywise_norm(l1.W, np.inf))
-            base -= eps_star_e * (nuc.eta * _sigma_bar(nuc.W))
-        base += float(np.vdot(Q, np.ldexp(Y, -e, out=work)))
+            base -= eps_v1 * (l1.eta * _entrywise_norm(l1.W, np.inf))
+            base -= eps_star * (nuc.eta * _sigma_bar(nuc.W))
+        base += float(np.vdot(Q, Y))
         scale = max(1.0, _entrywise_norm(Q, np.inf) / lam)
         if boxed:
             y_B = np.multiply(blocks[-1].W, blocks[-1].eta, out=work)
-            base -= b_e * _entrywise_norm(y_B, 1)
+            base -= b * _entrywise_norm(y_B, 1)
             Q -= y_B
         return primal, lambda k: base / k, scale, Q, 1.0
 
-    return _admm(Y, lam, blocks, gap_terms, tol, cfg.max_iter, "constrained",
+    return _admm(Y, e, lam, blocks, gap_terms, tol, cfg.max_iter, "constrained",
                  abandon=abandon)
 
 

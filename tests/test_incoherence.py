@@ -130,6 +130,14 @@ def test_optimal_rho_closed_form():
             optimal_rho(a, b)
 
 
+def test_optimal_rho_rejects_infinite_counts():
+    # optimal_rho(inf, 1) returned 0.0, a rho that _check_rho rejects
+    # everywhere else.
+    for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="counts must be nonnegative and finite"):
+            optimal_rho(a, b)
+
+
 def golden_section_min(f, lo, hi, tol=1e-10):
     g = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - g * (hi - lo)
@@ -383,6 +391,22 @@ def test_proposition1_axis_aligned_vacuous_but_valid():
     alpha_b, beta_b, gamma_b = proposition1_bounds(100, 100, 1, 1, 1, 1.0, 1.0)
     assert gamma_b == pytest.approx(1.0, rel=1e-12)
     assert beta_b == pytest.approx(3.0, rel=1e-12)
+
+
+def test_proposition1_rejects_bad_counts_and_coherences():
+    # A negative rbar or m0 gave negative bounds, a fractional rbar was used
+    # as it is, and a NaN coherence gave NaN bounds.
+    good = dict(rbar=1, m0=1, n0=1, Uinf=0.5, Vinf=0.5)
+    for key, value in (("rbar", -1), ("rbar", 1.5), ("rbar", 1.0), ("m0", -1),
+                       ("n0", -1), ("n0", 2.5)):
+        with pytest.raises(ValueError, match="rbar, m0 and n0 must be nonnegative integers"):
+            proposition1_bounds(5, 5, **{**good, key: value})
+    for key, value in (("Uinf", math.nan), ("Vinf", math.nan), ("Uinf", -0.5)):
+        with pytest.raises(ValueError, match="Uinf and Vinf must be nonnegative"):
+            proposition1_bounds(5, 5, **{**good, key: value})
+    # numpy integers, as an IncoherenceProfile holds them, still pass.
+    assert proposition1_bounds(5, 5, np.int64(1), np.int64(1), np.int64(1), 0.5, 0.5) \
+        == proposition1_bounds(5, 5, 1, 1, 1, 0.5, 0.5)
 
 
 def test_proposition1_holds_on_random_instance():

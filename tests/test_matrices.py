@@ -285,6 +285,20 @@ def test_numpy_integer_seed_folds_like_python_int():
     assert np.array_equal(RandomStream(np.int64(7)).uniforms(4), RandomStream(7).uniforms(4))
 
 
+def test_normal_draws_check_their_count_and_shape():
+    # normals(-1) returned an empty array, since (-1 + 1)//2 = 0 pairs
+    # passed the raw draw check, and gaussian(2.5, 2) named a draw count
+    # of 3.0 rather than its shape.
+    stream = RandomStream(1)
+    for count in (-1, 2.5, 3.0):
+        with pytest.raises(ValueError, match="normal count must be a nonnegative integer"):
+            stream.normals(count)
+    for shape in ((2.5, 2), (2, -1), (2.0, 2)):
+        with pytest.raises(ValueError, match=r"gaussian shape must be nonnegative integers, got \("):
+            stream.gaussian(*shape)
+    assert stream.normals(0).shape == (0,) and stream.gaussian(3, 0).shape == (3, 0)
+
+
 @pytest.mark.parametrize("value", [1.5, 2.0, math.nan])
 def test_seeds_must_be_integers(value):
     # A float seed, even a whole one, raises rather than being cut to an

@@ -75,3 +75,18 @@ def test_dense_factorizations_called_only_in_matrices():
                   if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
                   for alias in node.names if alias.name in factorizations]
         assert found == [], f"splr.{info.name} calls np.linalg.{found[0]}"
+
+
+def test_gap_terms_run_in_the_solver_frame():
+    # Each solver hands _admm its data in one frame, 2^-e times Y, and its
+    # gap_terms evaluate there: a power-of-two rescaling inside one would
+    # be a second scale, kept apart from the iterates'.
+    tree = ast.parse(inspect.getsource(importlib.import_module("splr.solvers")))
+    gap_terms = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "gap_terms"]
+    assert len(gap_terms) == 2
+    for fn in gap_terms:
+        calls = [node.func for node in ast.walk(fn) if isinstance(node, ast.Call)]
+        names = [f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                 for f in calls]
+        assert not {"ldexp", "frexp"} & set(names), f"gap_terms at line {fn.lineno}"

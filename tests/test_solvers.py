@@ -257,6 +257,51 @@ def test_regularized_start_penalty_when_4_l1_overflows():
         assert reps[0].iterations == reps[1].iterations
 
 
+@pytest.mark.parametrize("b", [math.inf, 1.0])
+def test_regularized_solve_is_scale_equivariant_to_the_bit(b):
+    # The solve runs on 2^-e*Y with mu and b scaled alike (see
+    # solvers._admm), so (2^k*Y, 2^k*mu, 2^k*b) runs the same frame bit for
+    # bit as (Y, mu, b): its outputs are exactly 2^k times theirs, its
+    # penalties 2^-k times, in as many sweeps.
+    t, E = flat_instance(16, 16, 1, 8, 10.0, probe_seed("scalecov"), 0.1)
+    Y = t.X_S + t.X_L + E
+    base = solve_regularized(Y, RegularizedConfig(lam=0.3, mu=0.5, b=b, tol=1e-8))
+    assert base.converged
+    for k in (-40, 7, 40):
+        c = 2.0 ** k
+        rep = solve_regularized(c * Y, RegularizedConfig(lam=0.3, mu=0.5 * c, b=b * c,
+                                                         tol=1e-8))
+        assert rep.converged and rep.iterations == base.iterations
+        assert np.array_equal(rep.X_S_hat, c * base.X_S_hat)
+        assert np.array_equal(rep.X_L_hat, c * base.X_L_hat)
+        for name in ("objective", "residual_v1", "residual_star", "residual_v2"):
+            assert getattr(rep, name) == c * getattr(base, name), name
+        d, d0 = rep.diagnostics, base.diagnostics
+        assert d["primal_residual"] == c * d0["primal_residual"]
+        assert d["penalty_final"] == [p / c for p in d0["penalty_final"]]
+        for key in ("dual_residual", "duality_gap", "penalty_rescalings", "spectral_checks"):
+            assert d[key] == d0[key], key
+
+
+@pytest.mark.parametrize("c", [3e307, 5e307, 1e308])
+def test_regularized_solve_near_the_float_max(c):
+    # When the loop ran on Y as given, this 6 x 6 input overflowed on the
+    # first sweep and raised FactorizationError, for mu = 1 and mu = c. On
+    # 2^-e*Y nothing overflows: with mu = c the solve converges in the
+    # sweeps it takes at c = 1, and with mu = 1, not scaled with Y, it stays
+    # unconverged at its cap with finite outputs.
+    B = 1.0 + 0.1 * RandomStream(1).gaussian(6, 6)
+    B /= np.abs(B).max()
+    lam = 1.0 / math.sqrt(6)
+    ref = solve_regularized(B, RegularizedConfig(lam=lam, mu=1.0))
+    rep = solve_regularized(c * B, RegularizedConfig(lam=lam, mu=c))
+    assert ref.converged and rep.converged and rep.iterations == ref.iterations
+    capped = solve_regularized(c * B, RegularizedConfig(lam=lam, mu=1.0, max_iter=300))
+    assert not capped.converged and capped.iterations == 300
+    for r in (rep, capped):
+        assert np.all(np.isfinite(r.X_S_hat)) and np.all(np.isfinite(r.X_L_hat))
+
+
 def test_regularized_report_at_tiny_scales():
     # At c = 1e-200 the residuals' sums of squares are subnormal or 0: the
     # norms must rescale rather than read 0, or the penalty is never
@@ -758,14 +803,21 @@ def runaway_solve():
 
 
 def test_runaway_penalty_ends_the_solve_unconverged():
-    # On subnormal data the residuals never balance, and the penalty doubles
-    # every 10 sweeps until it overflows at sweep 10,240. The solve must end
-    # there unconverged, not go on with thresholds of 0 and a NaN dual
-    # residual that the exit test would pass.
+    # On the data as given, this subnormal row drove the penalty to overflow
+    # at sweep 10,240, where the runaway guard ended the solve. In the frame
+    # 2^-e*Y (see solvers._admm) its data are normal, the penalty stays
+    # finite and balances, and at tol 0 the solve runs to its 12,000 cap
+    # unconverged, with a finite report and no NaN. Only in Y's units does
+    # the final penalty, about 2^1028, read inf. No input has been found that
+    # still reaches the guard, which stays for safety.
     rep = runaway_solve()
-    assert not rep.converged and rep.iterations == 10240
+    assert not rep.converged and rep.iterations == 12000
     assert rep.diagnostics["penalty_final"] == [math.inf]
     assert_finite_report(rep, (1, 7))
+    d = rep.diagnostics
+    for value in (rep.residual_v1, rep.residual_star, d["primal_residual"],
+                  d["dual_residual"], d["duality_gap"]):
+        assert math.isfinite(value)
 
 
 DIAGNOSTICS_KEYS = {
