@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import _is_integer
+from .matrices import _check_integer
 
 __all__ = [
     "IncoherenceProfile",
@@ -35,8 +35,18 @@ def _check_premises(c, lam, *scales):
     premises of every condition check, certificate and error bound."""
     if not 1.0 < c < math.inf:
         raise ValueError(f"c must exceed 1 and be finite, got {c!r}")
+    _check_lambda(lam)
+    _check_scales(*scales)
+
+
+def _check_lambda(lam):
+    """0 < lambda < inf, the rule for every weight lambda; NaN fails it."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
+
+
+def _check_scales(*scales):
+    """scales >= 0, the rule for every perturbation scale; NaN fails it."""
     if not all(s >= 0 for s in scales):
         raise ValueError(f"perturbation scales must be nonnegative, got {scales!r}")
 
@@ -205,6 +215,7 @@ def simplified_parameters(prof, formulation, eps_2to2=0.0, eps_vinf=0.0):
     [5*gamma, 1/(3*alpha)] because both ends reduce to alpha*gamma <= 1/15.
     An empty support (alpha = 0) has no rule.
     """
+    _check_scales(eps_2to2, eps_vinf)
     alpha = prof.alpha(prof.rho_star)
     beta = prof.beta(prof.rho_star)
     gamma = prof.gamma
@@ -232,7 +243,11 @@ def simplified_parameters(prof, formulation, eps_2to2=0.0, eps_vinf=0.0):
 def default_lambda(shape, prof=None, formulation="constrained"):
     """The weight used when none is given: the closed-form lambda of
     simplified_parameters when a profile is supplied and its rule yields a
-    positive value, else 1/sqrt(max(m, n))."""
+    positive value, else 1/sqrt(max(m, n)). shape is (m, n), integers of
+    at least 1."""
+    if len(shape) != 2:
+        raise ValueError(f"shape must be a pair (m, n), got {shape!r}")
+    _check_integer(1, m=shape[0], n=shape[1])
     if prof is not None:
         try:
             lam, _ = simplified_parameters(prof, formulation)
@@ -251,10 +266,9 @@ def proposition1_bounds(m, n, rbar, m0, n0, Uinf, Vinf):
     alpha <= (c1/rbar)*sqrt(mn), beta <= 3*c2*rbar/sqrt(mn), and
     gamma <= c2*rbar/sqrt(mn). Vacuous (inf, 0, 0) when the rank is zero.
     """
-    if not (_is_integer(m, 1) and _is_integer(n, 1)):
-        raise ValueError("dimensions must be integers >= 1")
-    if not all(_is_integer(k, 0) for k in (rbar, m0, n0)):
-        raise ValueError("rbar, m0 and n0 must be nonnegative integers")
+    _check_integer(1, m=m, n=n)
+    _check_integer(0, min(m, n), rbar=rbar)
+    _check_integer(0, m0=m0, n0=n0)
     if not (Uinf >= 0 and Vinf >= 0):
         raise ValueError("Uinf and Vinf must be nonnegative")
     if rbar == 0:

@@ -47,8 +47,20 @@ def as_matrix(M, name="matrix", shape=None):
 
 
 def _is_integer(value, low=-math.inf):
-    """The one rule for counts and seeds: an integer, not a float, >= low."""
+    """An integer, not a float, >= low (a bool counts; a numpy bool is no
+    integer)."""
     return isinstance(value, numbers.Integral) and value >= low
+
+
+def _check_integer(low, high=math.inf, **values):
+    """The one rule for dimensions, ranks, counts and seeds: each value an
+    integer, not a float, in [low, high]. Raises ValueError naming the
+    first that is not, its bounds and its value."""
+    for name, value in values.items():
+        if not (_is_integer(value, low) and value <= high):
+            bounds = "" if low == -math.inf else f" of at least {low}"
+            bounds += "" if high == math.inf else f" and at most {high}"
+            raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,8 +396,7 @@ def mix_seed(seed, *parts):
     Deterministic across processes (unlike Python's salted hash); used to
     give independent generators to sub-tasks (sweep cells, instance pieces).
     """
-    if not all(_is_integer(v) for v in (seed, *parts)):
-        raise ValueError("seed and parts must be integers")
+    _check_integer(-math.inf, seed=seed, **{f"parts[{i}]": p for i, p in enumerate(parts)})
     s = int(seed) & _MASK64
     for p in parts:
         # Python ints wrap the fold silently, where uint64 scalars warn.
@@ -403,14 +414,12 @@ class RandomStream:
     """
 
     def __init__(self, seed):
-        if not _is_integer(seed):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+        _check_integer(-math.inf, seed=seed)
         self.seed = int(seed) & _MASK64
         self._pos = 0
 
     def _raw(self, count):
-        if not _is_integer(count, 0):
-            raise ValueError(f"draw count must be a nonnegative integer, got {count!r}")
+        _check_integer(0, count=count)
         out = _raw_block(self.seed, self._pos, count)
         self._pos += count
         return out
@@ -421,8 +430,7 @@ class RandomStream:
 
     def normals(self, count):
         """i.i.d. standard normals via the Box-Muller transform."""
-        if not _is_integer(count, 0):
-            raise ValueError(f"normal count must be a nonnegative integer, got {count!r}")
+        _check_integer(0, count=count)
         pairs = (count + 1) // 2
         u1 = ((self._raw(pairs) >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
         u2 = (self._raw(pairs) >> np.uint64(11)) * (2.0 ** -53)
@@ -435,19 +443,16 @@ class RandomStream:
 
     def integers(self, count, bound):
         """i.i.d. integers uniform in [0, bound); modulo bias is < bound/2^64."""
-        if not _is_integer(bound, 1):
-            raise ValueError("bound must be a positive integer")
+        _check_integer(1, bound=bound)
         return (self._raw(count) % np.uint64(bound)).astype(np.int64)
 
     def gaussian(self, m, n):
         """(m, n) matrix of i.i.d. standard normals."""
-        if not (_is_integer(m, 0) and _is_integer(n, 0)):
-            raise ValueError(f"gaussian shape must be nonnegative integers, got {(m, n)!r}")
+        _check_integer(0, m=m, n=n)
         return self.normals(m * n).reshape(m, n)
 
 
 def gaussian_matrix(m, n, seed):
     """Deterministic (m, n) i.i.d. standard-normal matrix for the given seed."""
-    if not (_is_integer(m, 1) and _is_integer(n, 1)):
-        raise ValueError("matrix dimensions must be integers >= 1")
+    _check_integer(1, m=m, n=n)
     return RandomStream(seed).gaussian(m, n)

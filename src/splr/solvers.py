@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .incoherence import PreconditionError, _check_premises, inverse_mu
-from .matrices import SvtWarmStart, _is_integer, _spectral_norm, _threshold_step, as_matrix
+from .incoherence import PreconditionError, _check_lambda, _check_premises, inverse_mu
+from .matrices import SvtWarmStart, _check_integer, _spectral_norm, _threshold_step, as_matrix
 from .norms import (
     _entrywise_norm,
     _frobenius,
@@ -42,14 +42,12 @@ __all__ = [
 def _check_shared(cfg):
     """The checks both configs share. Negated comparisons, so that NaN fails
     each check."""
-    if not 0.0 < cfg.lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite, got {cfg.lam!r}")
+    _check_lambda(cfg.lam)
     if not cfg.b > 0:
         raise ValueError("box radius must be positive")
     if not cfg.tol >= 0:
         raise ValueError("tol must be nonnegative")
-    if not _is_integer(cfg.max_iter, 1):
-        raise ValueError("max_iter must be an integer of at least 1")
+    _check_integer(1, max_iter=cfg.max_iter)
 
 
 @dataclass(frozen=True)
@@ -426,7 +424,11 @@ def solve_regularized(Y, cfg):
         return np.multiply(V, eta * mu / (eta * mu + 1.0), out=V)
 
     def fit(r2):  # ||R||_F^2 / (2 mu) from r2 = ||R||_F
-        return (0.5 / mu * r2) * r2
+        w = 0.5 / mu
+        if w < math.inf:
+            return (w * r2) * r2
+        q = r2 / math.sqrt(mu)  # w overflowed, and w*0 is NaN
+        return 0.5 * q * q
 
     def gap_terms(X_S, X_L, s, R, pri, dua, work):
         l1_S = float(np.abs(X_S, out=work).sum())
@@ -436,9 +438,15 @@ def solve_regularized(Y, cfg):
 
         def dual(scale):
             k = 1.0 / (scale * mu)  # the dual point is -k*R
-            value = -k * RY - (0.5 * mu * k * r2) * (k * r2)
+            if k < math.inf:
+                value = -k * RY - (0.5 * mu * k * r2) * (k * r2)
+                Q = np.multiply(R, -k) if boxed else None
+            else:  # k overflowed, and k*0 is NaN: divide, so R = 0 gives 0
+                Q = np.divide(R, -scale * mu)
+                q2 = _entrywise_norm(Q, 2)
+                value = float(np.vdot(Q, Y)) - (0.5 * mu * q2) * q2
             if boxed:
-                value -= _box_conjugate(np.multiply(R, -k), Y, b, lam)
+                value -= _box_conjugate(Q, Y, b, lam)
             return value
 
         scale = 1.0 if boxed else max(1.0, _entrywise_norm(R, np.inf) / (mu * lam))
@@ -578,8 +586,7 @@ def bound_theorem3(prof, c, lam, mu, eps_2to2, eps_vinf, eps_star_prime,
     share = _bound_share(prof, c, lam, eps_2to2, eps_vinf, eps_star_prime)
     if not b > 0:
         raise ValueError("box radius must be positive")
-    if not (_is_integer(kbar, 0) and _is_integer(rbar, 0)):
-        raise ValueError("kbar and rbar must be nonnegative integers")
+    _check_integer(0, kbar=kbar, rbar=rbar)
     imu = inverse_mu(mu, eps_2to2, eps_vinf, eps_star_prime)
     mu = max(mu, 0.0)
     iev = imu * eps_vinf

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .matrices import _is_integer, _svd, as_matrix, svd
+from .matrices import _check_integer, _is_integer, _svd, as_matrix, svd
 from .norms import _frobenius
 
 
@@ -35,8 +35,7 @@ class SupportSet:
     """
 
     def __init__(self, m, n, cells):
-        if not (_is_integer(m, 1) and _is_integer(n, 1)):
-            raise ValueError("ambient dimensions must be integers >= 1")
+        _check_integer(1, m=m, n=n)
         self.m = int(m)
         self.n = int(n)
         self.mask = np.zeros((self.m, self.n), dtype=bool)
@@ -200,19 +199,25 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
     series then gets at most 50 more steps before NeumannNonConvergence.
     """
     R = as_matrix(RHS, "RHS", (support.m, support.n))
-    x, stats = _neumann_inverse(support, space, which, R, tol)
+    x, stats = _neumann_inverse(support, space, which, R, _check_tol(tol))
     return (x, stats) if return_stats else x
+
+
+def _check_tol(tol):
+    """0 < tol < inf, the rule for the Neumann series' stopping tolerance;
+    NaN fails it."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return tol
 
 
 @np.errstate(over="ignore")
 def _neumann_inverse(support, space, which, R, tol):
-    """neumann_inverse of a validated RHS R; returns (x, stats). Norms
-    past the float range read inf (see norms._frobenius). Overflow is
-    ignored for the whole call, the series' steps included: an errstate
-    around each norm made perfbench's certify op (about 9 steps) 2-5%
-    slower (one BLAS thread, 2-core x86-64)."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    """neumann_inverse of a validated RHS R and tol; returns (x, stats).
+    Norms past the float range read inf (see norms._frobenius). Overflow
+    is ignored for the whole call, the series' steps included: an
+    errstate around each norm made perfbench's certify op (about 9 steps)
+    2-5% slower (one BLAS thread, 2-core x86-64)."""
     if which == "omega":
         def step(x):
             return _project_support(support, _project_T(space, x))

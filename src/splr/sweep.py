@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .incoherence import default_lambda
-from .matrices import FactorizationError, _is_integer, mix_seed, thin_svd
+from .matrices import FactorizationError, _check_integer, mix_seed, thin_svd
 from .matrixio import format_float, write_text_atomic
 from .norms import _entrywise_norm, _trace_norm
 from .solvers import ConstrainedConfig, _solve_constrained
@@ -76,21 +76,21 @@ class SweepSpec:
     def __post_init__(self):
         ranks = tuple(self.ranks)
         object.__setattr__(self, "densities", tuple(float(d) for d in self.densities))
-        if not (_is_integer(self.m, 1) and _is_integer(self.n, 1)):
-            raise ValueError("dimensions must be integers >= 1")
+        _check_integer(1, m=self.m, n=self.n)
         if not ranks or not self.densities:
             raise ValueError("ranks and densities must be nonempty")
-        if not all(_is_integer(r, 0) and r <= min(self.m, self.n) for r in ranks):
-            raise ValueError("ranks must be integers in [0, min(m, n)]")
+        _check_integer(0, min(self.m, self.n), **{f"ranks[{i}]": r for i, r in enumerate(ranks)})
         object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
-        if not all(0 <= d <= 1 for d in self.densities):
-            raise ValueError("densities must lie in [0, 1]")
-        if not _is_integer(self.trials, 1):
-            raise ValueError("trials must be an integer of at least 1")
-        if not _is_integer(self.solver_max_iter, 1):
-            raise ValueError("solver_max_iter must be an integer of at least 1")
-        if not _is_integer(self.base_seed):
-            raise ValueError("base_seed must be an integer")
+        _check_densities(self.densities)
+        _check_integer(1, trials=self.trials, solver_max_iter=self.solver_max_iter)
+        _check_integer(-math.inf, base_seed=self.base_seed)
+
+
+def _check_densities(densities):
+    """Each density in [0, 1], NaN failing: the rule of SweepSpec and of
+    the CLI's density grid."""
+    if not all(0 <= d <= 1 for d in densities):
+        raise ValueError(f"densities must lie in [0, 1], got {densities!r}")
 
 
 def _planted_objective(target, lam):
@@ -217,8 +217,7 @@ def run_sweep(spec, jobs=1):
 
     The cells run on min(jobs, os.cpu_count(), number of cells) threads;
     jobs must be an integer of at least 1."""
-    if not _is_integer(jobs, 1):
-        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    _check_integer(1, jobs=jobs)
     cells = [
         (rank, di, density, trial)
         for rank in spec.ranks

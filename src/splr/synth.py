@@ -11,7 +11,7 @@ import numpy as np
 
 from .certificate import perturbation_scales
 from .incoherence import IncoherenceProfile, profile
-from .matrices import RandomStream, _is_integer, _orthonormalize, mix_seed
+from .matrices import RandomStream, _check_integer, _orthonormalize, mix_seed
 from .subspaces import RowColSpace, SupportSet, TargetPair
 
 __all__ = [
@@ -53,14 +53,10 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_integer(self.m, 1) and _is_integer(self.n, 1)):
-            raise ValueError("dimensions must be integers >= 1")
-        if not (_is_integer(self.rbar, 0) and self.rbar <= min(self.m, self.n)):
-            raise ValueError("rank must be an integer with 0 <= rank <= min(m, n)")
-        if not _is_integer(self.ktilde, 0):
-            raise ValueError("ktilde must be a nonnegative integer")
-        if not _is_integer(self.seed):
-            raise ValueError("seed must be an integer")
+        _check_integer(1, m=self.m, n=self.n)
+        _check_integer(0, min(self.m, self.n), rbar=self.rbar)
+        _check_integer(0, ktilde=self.ktilde)
+        _check_integer(-math.inf, seed=self.seed)
         if not 0 < self.amplitude < math.inf:
             raise ValueError("amplitude must be positive and finite")
         if self.magnitude_law not in MAGNITUDE_LAWS:
@@ -84,10 +80,8 @@ class GeneratedInstance:
 
 def gen_support(m, n, ktilde, seed):
     """ktilde uniform cell draws with replacement, collapsed to a set."""
-    if not (_is_integer(m, 1) and _is_integer(n, 1)):
-        raise ValueError("dimensions must be integers >= 1")
-    if not _is_integer(ktilde, 0):
-        raise ValueError("ktilde must be a nonnegative integer")
+    _check_integer(1, m=m, n=n)
+    _check_integer(0, ktilde=ktilde)
     mask = np.zeros(m * n, dtype=bool)
     mask[RandomStream(seed).integers(ktilde, m * n)] = True
     return SupportSet._from_mask(mask.reshape(m, n))
@@ -96,10 +90,8 @@ def gen_support(m, n, ktilde, seed):
 def gen_subspaces(m, n, rbar, seed):
     """Independent orthonormal factors from QR of Gaussian draws, with the
     R diagonal forced positive so the factors are reproducible."""
-    if not (_is_integer(m, 1) and _is_integer(n, 1)):
-        raise ValueError("dimensions must be integers >= 1")
-    if not (_is_integer(rbar, 0) and rbar <= min(m, n)):
-        raise ValueError("rank must be an integer with 0 <= rank <= min(m, n)")
+    _check_integer(1, m=m, n=n)
+    _check_integer(0, min(m, n), rbar=rbar)
     stream = RandomStream(seed)
     U = _orthonormalize(stream.gaussian(m, rbar))
     V = _orthonormalize(stream.gaussian(n, rbar))

@@ -556,9 +556,12 @@ def test_generate_negative_seed(tmp_path):
     ("certify", "--lambda", "nan", "lambda must be positive"),
     ("sweep", "--densities", "nan", "densities"),
     ("sweep", "--densities", "0:nan:0.1", "bad grid"),
+    # The grid's bounds are checked before its count, which overflowed.
+    ("sweep", "--densities", "0:inf:0.1", "densities must lie in [0, 1]"),
 ], ids=["generate-sigma", "generate-sigma-inf", "diagnose-c", "diagnose-c-inf",
         "diagnose-rho", "diagnose-rho-inf", "diagnose-lambda", "diagnose-mu",
-        "certify-c-inf", "certify-lambda", "sweep-densities", "sweep-density-grid"])
+        "certify-c-inf", "certify-lambda", "sweep-densities", "sweep-density-grid",
+        "sweep-density-grid-inf"])
 def test_nan_setting_exits_1(tmp_path, command, flag, value, message, capsys):
     t, _ = flat_instance(8, 8, 1, 4, 10.0, probe_seed("clinan"))
     sp, lp = tmp_path / "s.csv", tmp_path / "l.csv"

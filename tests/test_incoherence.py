@@ -399,7 +399,7 @@ def test_proposition1_rejects_bad_counts_and_coherences():
     good = dict(rbar=1, m0=1, n0=1, Uinf=0.5, Vinf=0.5)
     for key, value in (("rbar", -1), ("rbar", 1.5), ("rbar", 1.0), ("m0", -1),
                        ("n0", -1), ("n0", 2.5)):
-        with pytest.raises(ValueError, match="rbar, m0 and n0 must be nonnegative integers"):
+        with pytest.raises(ValueError, match=rf"^{key} must be an integer of at least 0"):
             proposition1_bounds(5, 5, **{**good, key: value})
     for key, value in (("Uinf", math.nan), ("Vinf", math.nan), ("Uinf", -0.5)):
         with pytest.raises(ValueError, match="Uinf and Vinf must be nonnegative"):

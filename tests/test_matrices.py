@@ -291,10 +291,10 @@ def test_normal_draws_check_their_count_and_shape():
     # of 3.0 rather than its shape.
     stream = RandomStream(1)
     for count in (-1, 2.5, 3.0):
-        with pytest.raises(ValueError, match="normal count must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^count must be an integer of at least 0, got"):
             stream.normals(count)
     for shape in ((2.5, 2), (2, -1), (2.0, 2)):
-        with pytest.raises(ValueError, match=r"gaussian shape must be nonnegative integers, got \("):
+        with pytest.raises(ValueError, match=r"^[mn] must be an integer of at least 0, got"):
             stream.gaussian(*shape)
     assert stream.normals(0).shape == (0,) and stream.gaussian(3, 0).shape == (3, 0)
 
@@ -307,7 +307,7 @@ def test_seeds_must_be_integers(value):
         RandomStream(value)
     with pytest.raises(ValueError, match="seed"):
         mix_seed(value, 2)
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ValueError, match=r"parts\[1\] must be an integer"):
         mix_seed(1, 3, value)
     with pytest.raises(ValueError, match="seed"):
         gaussian_matrix(3, 3, value)
@@ -321,7 +321,7 @@ def test_random_draws_reject_non_integer_counts(value):
         RandomStream(1).integers(value, 16)
     with pytest.raises(ValueError, match="bound"):
         RandomStream(1).integers(3, value)
-    with pytest.raises(ValueError, match="dimensions"):
+    with pytest.raises(ValueError, match="^m must be an integer of at least 1"):
         gaussian_matrix(value, 2, 1)
-    with pytest.raises(ValueError, match="dimensions"):
+    with pytest.raises(ValueError, match="^n must be an integer of at least 1"):
         gaussian_matrix(2, value, 1)

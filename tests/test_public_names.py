@@ -60,6 +60,31 @@ def test_rank_cutoff_decides_ranks_only():
     assert callers == {("matrices", "_svd"), ("matrices", "singular_values")}
 
 
+def test_integer_premise_has_one_rule():
+    # Dimensions, ranks, counts and seeds are checked by
+    # matrices._check_integer. Apart from it, only SupportSet's check of
+    # each cell's indices, whose message names the cell, calls _is_integer:
+    # a hand-written integer check elsewhere fails here.
+    callers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "_is_integer":
+                    callers.add((module, scope))
+            visit(child, module, scope)
+
+    for info in pkgutil.iter_modules(splr.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"splr.{info.name}")))
+        visit(tree, info.name, None)
+    assert callers == {("matrices", "_check_integer"), ("subspaces", "SupportSet.__init__")}
+
+
 def test_dense_factorizations_called_only_in_matrices():
     # np.linalg.svd, eigh, eigvalsh and qr are reached through matrices
     # alone, so one layer holds every dense factorization and can count them.

@@ -90,9 +90,9 @@ def test_support_set_names_first_bad_cell_in_input_order():
 @pytest.mark.parametrize("value", [2.5, 2.0, float("inf")])
 def test_support_set_rejects_non_integer_dimensions(value):
     # SupportSet(2.5, 3, cells) truncated m to 2.
-    with pytest.raises(ValueError, match="ambient dimensions"):
+    with pytest.raises(ValueError, match="^m must be an integer of at least 1"):
         SupportSet(value, 3, [(0, 0)])
-    with pytest.raises(ValueError, match="ambient dimensions"):
+    with pytest.raises(ValueError, match="^n must be an integer of at least 1"):
         SupportSet(3, value, [(0, 0)])
 
 

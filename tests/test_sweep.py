@@ -63,11 +63,15 @@ def test_spec_validation_errors():
 
 
 @pytest.mark.parametrize("value", [math.inf, 2.5, 2.0])
-@pytest.mark.parametrize("name, message", [("m", "dimensions"), ("n", "dimensions"),
+@pytest.mark.parametrize("name, message", [("m", "^m must be an integer"),
+                                           ("n", "^n must be an integer"),
                                            ("trials", "trials"),
                                            ("solver_max_iter", "solver_max_iter"),
                                            ("ranks", "ranks"),
-                                           ("base_seed", "base_seed")])
+                                           ("base_seed", "base_seed")],
+                         ids=["m-dimensions", "n-dimensions", "trials-trials",
+                              "solver_max_iter-solver_max_iter", "ranks-ranks",
+                              "base_seed-base_seed"])
 def test_spec_rejects_non_integer_counts(name, message, value):
     # A float count or seed, even a whole one, fails at the spec rather than as a
     # TypeError inside run_sweep or a silent truncation.

@@ -70,9 +70,12 @@ def test_tiny_amplitude_support_is_the_nonzero_cells(law, amplitude):
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, math.inf])
-@pytest.mark.parametrize("name, message", [("m", "dimensions"), ("n", "dimensions"),
-                                           ("rbar", "rank"), ("ktilde", "ktilde"),
-                                           ("seed", "seed")])
+@pytest.mark.parametrize("name, message", [("m", "^m must be an integer"),
+                                           ("n", "^n must be an integer"),
+                                           ("rbar", "^rbar must be an integer"),
+                                           ("ktilde", "ktilde"), ("seed", "seed")],
+                         ids=["m-dimensions", "n-dimensions", "rbar-rank", "ktilde-ktilde",
+                              "seed-seed"])
 def test_spec_rejects_non_integer_counts_and_seed(name, message, value):
     # A float count or seed, even a whole one, fails at the spec rather
     # than as a TypeError inside numpy or a fractional draw count.
@@ -88,16 +91,16 @@ def test_generators_reject_non_integer_counts(value):
     # float rank on to numpy.
     with pytest.raises(ValueError, match="ktilde"):
         gen_support(4, 4, value, 1)
-    with pytest.raises(ValueError, match="rank"):
+    with pytest.raises(ValueError, match="^rbar must be an integer"):
         gen_subspaces(4, 4, value, 1)
 
 
 @pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (2.5, 4), (4, 4.0)])
 def test_gen_subspaces_rejects_bad_dimensions(m, n):
     # gen_support's rule: gen_subspaces(0, 5, 0, 1) built a 0 x 0 space.
-    with pytest.raises(ValueError, match="dimensions must be integers >= 1"):
+    with pytest.raises(ValueError, match="^[mn] must be an integer of at least 1"):
         gen_subspaces(m, n, 0, 1)
-    with pytest.raises(ValueError, match="dimensions must be integers >= 1"):
+    with pytest.raises(ValueError, match="^[mn] must be an integer of at least 1"):
         gen_support(m, n, 1, 1)
 
 
