@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .incoherence import PreconditionError, check_conditions, inverse_mu, profile
+from .incoherence import PreconditionError, _weighted_scales, check_conditions, inverse_mu, profile
 from .matrices import _T_singular_values, as_matrix
 from .norms import _entrywise_norm, _induced_norm
 from .subspaces import (
@@ -213,9 +213,7 @@ def verify_bounds(cert, prof):
     alpha = prof.alpha_star
     ab = prof.product
     gamma = prof.gamma
-    imu = inverse_mu(cert.mu)
-    iev = imu * cert.eps_vinf
-    ie2 = imu * cert.eps_2to2
+    ie2, iev = _weighted_scales(cert.mu, cert.eps_2to2, cert.eps_vinf)
     lam = cert.lam
     core = lam + gamma + iev
     geo = 1.0 / (1.0 - ab) if ab < 1.0 else math.inf

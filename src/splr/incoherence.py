@@ -70,6 +70,14 @@ def inverse_mu(mu, *scales):
     return 0.0
 
 
+def _weighted_scales(mu, *scales):
+    """Each scale times its weight inverse_mu(mu, *scales), 0.0 where that
+    weight is 0: a scale without weight drops out, an infinite one too
+    (0*inf reads NaN)."""
+    imu = inverse_mu(mu, *scales)
+    return [imu * s if imu else 0.0 for s in scales]
+
+
 def optimal_rho(a, b):
     """Balance point sqrt(b/a) minimizing the scaled count norm (and hence
     its products with the coherence terms); 1 when either count is zero."""
@@ -180,9 +188,9 @@ def check_conditions(prof, formulation, c, lam, mu=None,
     _check_premises(c, lam, eps_2to2, eps_vinf)
     if formulation not in ("constrained", "regularized"):
         raise ValueError(f"unknown formulation {formulation!r}")
-    imu = 0.0 if formulation == "constrained" else inverse_mu(mu, eps_2to2, eps_vinf)
-    ie2 = imu * eps_2to2
-    iev = imu * eps_vinf
+    # The constrained form is the regularized one at mu = inf.
+    ie2, iev = _weighted_scales(math.inf if formulation == "constrained" else mu,
+                                eps_2to2, eps_vinf)
 
     alpha = prof.alpha_star
     ab = prof.product

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .incoherence import PreconditionError, _check_lambda, _check_premises, inverse_mu
+from .incoherence import PreconditionError, _check_lambda, _check_premises, _weighted_scales
 from .matrices import SvtWarmStart, _check_integer, _spectral_norm, _threshold_step, as_matrix
 from .norms import (
     _entrywise_norm,
@@ -365,9 +365,10 @@ def _sigma_bar(M):
 
 
 def _relative_gap(primal, dual):
-    """(P - d)/P, 0 at P = 0 unless d < 0."""
+    """(P - d)/P; at P = 0 it is 0 unless d < 0, and at a P past the float
+    range (inf/inf) it is inf: that gap certifies nothing."""
     g = primal - dual
-    return g / primal if primal > 0 else (0.0 if g <= 0 else math.inf)
+    return g / primal if 0 < primal < math.inf else (0.0 if g <= 0 else math.inf)
 
 
 def _box_conjugate(Q, Y, b, lam):
@@ -396,7 +397,8 @@ def solve_regularized(Y, cfg):
     finite (Y zero or empty, or subnormal next to mu; see _frame), and _admm
     rebalances it on eta0*pri against dua. Both scale as 1/Y, so the
     solve of (cY, c*mu) takes the same sweeps as that of (Y, mu). The
-    frame's e (see _frame) puts max(max|Y|, mu) in [2^(e-1), 2^e).
+    frame's e (see _frame) puts max(max|Y|, mu) in [2^(e-1), 2^e); a mu
+    at or below 2^(e-1075), which rounds to 0 there, raises ValueError.
 
     Exit requires the relative duality gap (P - d)/P to be at most
     cfg.tol (Boyd et al. 2011, ADMM, section 3.3). By Fenchel-Young,
@@ -407,13 +409,20 @@ def solve_regularized(Y, cfg):
     a box, and with one it is the finite _box_conjugate. The dual point is
     Q = -R/mu, which attains P at the optimum, times kappa = 1/max(1,
     ||Q||_inf/lam, sigma_bar), the middle term only without a box, and
-    sigma_bar >= ||Q||_2 computed as _admm says. P takes ||X_L||_* as
+    sigma_bar >= ||Q||_2 computed as _admm says. With r = ||R||_F, the
+    dual value at Q/scale is -(<R, Y> + r*(r/scale)/2)/(scale*mu), less
+    the box conjugate at -R/(scale*mu) with a box. In the frame r and
+    <R, Y> are O(sqrt(mn)), and the data term is (r/sqrt(mu))^2/2, so the
+    only divisors are sqrt(mu), scale*mu, mu and lam, none of them 0; a
+    value past the float range reads inf. P takes ||X_L||_* as
     sum(s) for the threshold step's X_L = U diag(s) Vt: exact after a full
     SVD or a partial step, within a relative delta < tol/100 after a Gram
     step (see matrices._gram_svt_factors). The gap certifies the
     objective, not the first-order residual of (X_S, X_L).
     """
     e, Y, one, (mu, b) = _frame(as_matrix(Y, "Y"), cfg.mu, cfg.mu, cfg.b)
+    if not mu > 0.0:
+        raise ValueError(f"mu must exceed 2^{e - 1075} at the scale of Y, got {cfg.mu!r}")
     lam = cfg.lam
     boxed = not math.isinf(b)
     S_box = (Y - b, Y + b) if boxed else None
@@ -423,33 +432,23 @@ def solve_regularized(Y, cfg):
     def shrink(V, eta):
         return np.multiply(V, eta * mu / (eta * mu + 1.0), out=V)
 
-    def fit(r2):  # ||R||_F^2 / (2 mu) from r2 = ||R||_F
-        w = 0.5 / mu
-        if w < math.inf:
-            return (w * r2) * r2
-        q = r2 / math.sqrt(mu)  # w overflowed, and w*0 is NaN
+    def fit(r):  # ||R||_F^2 / (2 mu) from r = ||R||_F
+        q = r / math.sqrt(mu)
         return 0.5 * q * q
 
     def gap_terms(X_S, X_L, s, R, pri, dua, work):
         l1_S = float(np.abs(X_S, out=work).sum())
-        r2 = _entrywise_norm(R, 2)
-        primal = lam * l1_S + float(s.sum()) + fit(r2)
+        r = _entrywise_norm(R, 2)
+        primal = lam * l1_S + float(s.sum()) + fit(r)
         RY = float(np.vdot(R, Y))
 
-        def dual(scale):
-            k = 1.0 / (scale * mu)  # the dual point is -k*R
-            if k < math.inf:
-                value = -k * RY - (0.5 * mu * k * r2) * (k * r2)
-                Q = np.multiply(R, -k) if boxed else None
-            else:  # k overflowed, and k*0 is NaN: divide, so R = 0 gives 0
-                Q = np.divide(R, -scale * mu)
-                q2 = _entrywise_norm(Q, 2)
-                value = float(np.vdot(Q, Y)) - (0.5 * mu * q2) * q2
+        def dual(scale):  # at the dual point Q = -R/(scale*mu)
+            value = -(RY + 0.5 * r * (r / scale)) / (scale * mu)
             if boxed:
-                value -= _box_conjugate(Q, Y, b, lam)
+                value -= _box_conjugate(np.divide(R, -scale * mu), Y, b, lam)
             return value
 
-        scale = 1.0 if boxed else max(1.0, _entrywise_norm(R, np.inf) / (mu * lam))
+        scale = 1.0 if boxed else max(1.0, _entrywise_norm(R, np.inf) / mu / lam)
         return primal, dual, scale, R, mu
 
     return _admm(Y, e, lam, [_Block(eta0 if eta0 < math.inf else one, shrink)],
@@ -587,10 +586,8 @@ def bound_theorem3(prof, c, lam, mu, eps_2to2, eps_vinf, eps_star_prime,
     if not b > 0:
         raise ValueError("box radius must be positive")
     _check_integer(0, kbar=kbar, rbar=rbar)
-    imu = inverse_mu(mu, eps_2to2, eps_vinf, eps_star_prime)
+    ie2, iev, _ = _weighted_scales(mu, eps_2to2, eps_vinf, eps_star_prime)
     mu = max(mu, 0.0)
-    iev = imu * eps_vinf
-    ie2 = imu * eps_2to2
     geo = 1.0 / (1.0 - prof.product)
     core = lam + prof.gamma + iev
     rank_growth = (lam + iev) * (2.0 * kbar * geo) * core \

@@ -3,12 +3,12 @@
 Each row names a numeric argument of a public callable and gives a call
 of that callable, valid in every other argument, as a function of it; the
 call's default is a valid value. The row is called with NaN, +inf, -inf,
--1 and 0, and with 1.5 when the argument is an integer. A value the row
-does not accept must raise ValueError itself, whose message matches the
-row's pattern for the argument: PreconditionError (a premise of the
-instance failed) or any other class is not the argument's rule. A value
-the row accepts must return, with no NaN in the result, and pass the
-row's check of the documented result.
+-1 and 0, and with 1.5 and the whole float 2.0 when the argument is an
+integer. A value the row does not accept must raise ValueError itself,
+whose message matches the row's pattern for the argument:
+PreconditionError (a premise of the instance failed) or any other class
+is not the argument's rule. A value the row accepts must return, with no
+NaN in the result, and pass the row's check of the documented result.
 
 A callable is public when splr exports it, a module lists it in __all__,
 or it is certificate.perturbation_scales; so is each public method of a
@@ -71,7 +71,7 @@ RECORDS = {"SolveReport", "DualCertificate", "IncoherenceProfile", "GeneratedIns
            "ConditionVerdict", "SvdFactors"}
 
 REAL = (math.nan, math.inf, -math.inf, -1.0, 0.0)
-INTEGER = (math.nan, math.inf, -math.inf, -1, 0, 1.5)
+INTEGER = (math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.0)
 
 T, E, LAM, MU = valid_instance(0, sigma=1e-3)
 PROF = profile(T)
@@ -134,8 +134,13 @@ def _zero_weight(v, out):
 
 
 def _mu_free_verdict(v, out):
-    # Every scale is 0, so mu <= 0 counts as 0 and any mu gives mu=None's verdict.
+    # Every scale is 0, so mu <= 0 counts as 0 and any mu gives mu=None's
+    # verdict; so does mu = inf, which gives every scale weight 0.
     return out == check_conditions(PROF, "regularized", 2.0, LAM)
+
+
+def _scale_free_verdict(v, out):
+    return out == check_conditions(PROF, "constrained", 2.0, LAM)
 
 
 ROWS = [
@@ -154,9 +159,11 @@ ROWS = [
     Row(IncoherenceProfile.alpha, "rho", lambda rho=1.0: PROF.alpha(rho), "rho"),
     Row(IncoherenceProfile.beta, "rho", lambda rho=1.0: PROF.beta(rho), "rho"),
     Row(profile, "rho", lambda rho=1.0: profile(T, rho), "rho"),
-    Row(optimal_rho, "a", lambda a=2.0: optimal_rho(a, 3.0), "counts", accepts=(0.0,),
+    Row(optimal_rho, "a", lambda a=2.0: optimal_rho(a, 3.0),
+        "^counts must be nonnegative and finite", accepts=(0.0,),
         check=lambda v, out: out == 1.0),
-    Row(optimal_rho, "b", lambda b=3.0: optimal_rho(2.0, b), "counts", accepts=(0.0,),
+    Row(optimal_rho, "b", lambda b=3.0: optimal_rho(2.0, b),
+        "^counts must be nonnegative and finite", accepts=(0.0,),
         check=lambda v, out: out == 1.0),
     Row(check_conditions, "c", lambda c=2.0: check_conditions(PROF, "regularized", c, LAM),
         "c must"),
@@ -171,6 +178,21 @@ ROWS = [
     Row(check_conditions, "eps_vinf",
         lambda e=0.0: check_conditions(PROF, "regularized", 2.0, LAM, mu=MU, eps_vinf=e),
         "perturbation scales", accepts=(math.inf, 0.0)),
+    # The constrained form carries no scale, so any scale gives the zero
+    # scales' verdict; an infinite one read a NaN window (0*inf).
+    Row(check_conditions, "eps_2to2",
+        lambda e=0.0: check_conditions(PROF, "constrained", 2.0, LAM, eps_2to2=e),
+        "perturbation scales", accepts=(math.inf, 0.0), check=_scale_free_verdict,
+        where="constrained"),
+    Row(check_conditions, "eps_vinf",
+        lambda e=0.0: check_conditions(PROF, "constrained", 2.0, LAM, eps_vinf=e),
+        "perturbation scales", accepts=(math.inf, 0.0), check=_scale_free_verdict,
+        where="constrained"),
+    # mu = inf weights an infinite scale by 0.
+    Row(check_conditions, "mu",
+        lambda mu=MU: check_conditions(PROF, "regularized", 2.0, LAM, mu=mu,
+                                       eps_vinf=math.inf), "^mu must",
+        accepts=(math.inf,), check=_mu_free_verdict, where="infinite-scale"),
     Row(simplified_parameters, "eps_2to2",
         lambda e=0.0: simplified_parameters(SPIKED, "regularized", eps_2to2=e),
         "perturbation scales", accepts=(math.inf, 0.0)),
@@ -186,22 +208,23 @@ ROWS = [
     Row(inverse_mu, "scales", lambda s=0.0: inverse_mu(0.0, s), "perturbation scales",
         accepts=(0.0,), check=_zero_weight),
     Row(proposition1_bounds, "m", lambda m=5: proposition1_bounds(m, 5, 1, 1, 1, 0.5, 0.5),
-        "^m must", INTEGER),
+        "^m must be an integer of at least 1", INTEGER),
     Row(proposition1_bounds, "n", lambda n=5: proposition1_bounds(5, n, 1, 1, 1, 0.5, 0.5),
-        "^n must", INTEGER),
+        "^n must be an integer of at least 1", INTEGER),
     Row(proposition1_bounds, "rbar",
-        lambda r=1: proposition1_bounds(5, 5, r, 1, 1, 0.5, 0.5), "^rbar must", INTEGER,
-        accepts=(0,), check=lambda v, out: out == (math.inf, 0.0, 0.0)),
+        lambda r=1: proposition1_bounds(5, 5, r, 1, 1, 0.5, 0.5),
+        "^rbar must be an integer of at least 0", INTEGER, accepts=(0,),
+        check=lambda v, out: out == (math.inf, 0.0, 0.0)),
     Row(proposition1_bounds, "m0", lambda k=1: proposition1_bounds(5, 5, 1, k, 1, 0.5, 0.5),
-        "^m0 must", INTEGER, accepts=(0,)),
+        "^m0 must be an integer of at least 0", INTEGER, accepts=(0,)),
     Row(proposition1_bounds, "n0", lambda k=1: proposition1_bounds(5, 5, 1, 1, k, 0.5, 0.5),
-        "^n0 must", INTEGER, accepts=(0,)),
+        "^n0 must be an integer of at least 0", INTEGER, accepts=(0,)),
     Row(proposition1_bounds, "Uinf",
-        lambda x=0.5: proposition1_bounds(5, 5, 1, 1, 1, x, 0.5), "Uinf",
-        accepts=(math.inf, 0.0)),
+        lambda x=0.5: proposition1_bounds(5, 5, 1, 1, 1, x, 0.5),
+        "^Uinf and Vinf must be nonnegative", accepts=(math.inf, 0.0)),
     Row(proposition1_bounds, "Vinf",
-        lambda x=0.5: proposition1_bounds(5, 5, 1, 1, 1, 0.5, x), "Vinf",
-        accepts=(math.inf, 0.0)),
+        lambda x=0.5: proposition1_bounds(5, 5, 1, 1, 1, 0.5, x),
+        "^Uinf and Vinf must be nonnegative", accepts=(math.inf, 0.0)),
     # matrices
     Row(RandomStream, "seed", lambda s=7: RandomStream(s), "^seed must", INTEGER,
         accepts=(-1, 0)),
@@ -229,21 +252,26 @@ ROWS = [
         check=lambda v, out: _same(float(out), v)),
     # norms
     Row(entrywise_norm, "p", lambda p=1: entrywise_norm(M, p), "norm order",
-        accepts=(math.inf,), check=lambda v, out: out == np.abs(M).max()),
-    Row(sharp_norm, "rho", lambda rho=1.0: sharp_norm(M, rho), "rho"),
-    Row(flat_norm, "rho", lambda rho=1.0: flat_norm(M, rho), "rho"),
+        REAL + (3,), accepts=(math.inf,), check=lambda v, out: out == np.abs(M).max()),
+    Row(sharp_norm, "rho", lambda rho=1.0: sharp_norm(M, rho),
+        "^rho must be positive and finite"),
+    Row(flat_norm, "rho", lambda rho=1.0: flat_norm(M, rho),
+        "^rho must be positive and finite"),
     # prox: a threshold or radius of inf is allowed, and b = inf is no box.
-    Row(soft_threshold, "t", lambda t=0.5: soft_threshold(M, t), "threshold",
+    Row(soft_threshold, "t", lambda t=0.5: soft_threshold(M, t),
+        "^threshold must be nonnegative",
         accepts=(math.inf, 0.0),
         check=lambda v, out: np.array_equal(out, M if v == 0 else np.zeros_like(M))),
-    Row(svt, "t", lambda t=0.5: svt(M, t), "threshold", accepts=(math.inf, 0.0),
+    Row(svt, "t", lambda t=0.5: svt(M, t), "^threshold must be nonnegative",
+        accepts=(math.inf, 0.0),
         check=lambda v, out: np.allclose(out, M if v == 0 else np.zeros_like(M))),
-    Row(prox_l1_box, "t", lambda t=0.5: prox_l1_box(M, M, t, 1.0), "threshold",
-        accepts=(math.inf, 0.0)),
-    Row(prox_l1_box, "b", lambda b=1.0: prox_l1_box(M, M, 0.5, b), "box radius",
-        accepts=(math.inf,),
+    Row(prox_l1_box, "t", lambda t=0.5: prox_l1_box(M, M, t, 1.0),
+        "^threshold must be nonnegative", accepts=(math.inf, 0.0)),
+    Row(prox_l1_box, "b", lambda b=1.0: prox_l1_box(M, M, 0.5, b),
+        "^box radius must be positive", accepts=(math.inf,),
         check=lambda v, out: np.array_equal(out, soft_threshold(M, 0.5))),
-    Row(clip_entries, "b", lambda b=1.0: clip_entries(M, b), "bound", accepts=(math.inf,),
+    Row(clip_entries, "b", lambda b=1.0: clip_entries(M, b), "^bound must be positive",
+        accepts=(math.inf,),
         check=lambda v, out: np.array_equal(out, M)),
     Row(project_l1_ball, "eps", lambda eps=1.0: project_l1_ball(M, eps), "radius",
         accepts=(math.inf, 0.0)),
@@ -251,26 +279,29 @@ ROWS = [
         accepts=(math.inf, 0.0)),
     # solvers
     Row(RegularizedConfig, "lam", lambda lam=1.0: RegularizedConfig(lam=lam, mu=1.0),
-        "lambda"),
-    Row(RegularizedConfig, "mu", lambda mu=1.0: RegularizedConfig(lam=1.0, mu=mu), "mu"),
+        "^lambda must be positive and finite"),
+    Row(RegularizedConfig, "mu", lambda mu=1.0: RegularizedConfig(lam=1.0, mu=mu),
+        "^mu must be positive and finite"),
     Row(RegularizedConfig, "b", lambda b=1.0: RegularizedConfig(lam=1.0, mu=1.0, b=b),
-        "box radius", accepts=(math.inf,)),
+        "^box radius must be positive", accepts=(math.inf,)),
     Row(RegularizedConfig, "tol", lambda tol=1e-6: RegularizedConfig(lam=1.0, mu=1.0, tol=tol),
-        "tol", accepts=(math.inf, 0.0)),
+        "^tol must be nonnegative", accepts=(math.inf, 0.0)),
     Row(RegularizedConfig, "max_iter",
         lambda k=10: RegularizedConfig(lam=1.0, mu=1.0, max_iter=k), "^max_iter must",
         INTEGER),
-    Row(ConstrainedConfig, "lam", lambda lam=1.0: ConstrainedConfig(lam=lam), "lambda"),
+    Row(ConstrainedConfig, "lam", lambda lam=1.0: ConstrainedConfig(lam=lam),
+        "^lambda must be positive and finite"),
     Row(ConstrainedConfig, "eps_v1", lambda e=1.0: ConstrainedConfig(lam=1.0, eps_v1=e),
-        "residual caps", accepts=(math.inf, 0.0)),
+        "^residual caps must be nonnegative", accepts=(math.inf, 0.0)),
     Row(ConstrainedConfig, "eps_star", lambda e=1.0: ConstrainedConfig(lam=1.0, eps_star=e),
-        "residual caps", accepts=(math.inf, 0.0)),
-    Row(ConstrainedConfig, "b", lambda b=1.0: ConstrainedConfig(lam=1.0, b=b), "box radius",
+        "^residual caps must be nonnegative", accepts=(math.inf, 0.0)),
+    Row(ConstrainedConfig, "b", lambda b=1.0: ConstrainedConfig(lam=1.0, b=b),
+        "^box radius must be positive",
         accepts=(math.inf,)),
-    Row(ConstrainedConfig, "tol", lambda tol=1e-9: ConstrainedConfig(lam=1.0, tol=tol), "tol",
-        accepts=(math.inf, 0.0)),
+    Row(ConstrainedConfig, "tol", lambda tol=1e-9: ConstrainedConfig(lam=1.0, tol=tol),
+        "^tol must be nonnegative", accepts=(math.inf, 0.0)),
     Row(ConstrainedConfig, "max_iter", lambda k=10: ConstrainedConfig(lam=1.0, max_iter=k),
-        "^max_iter must", INTEGER),
+        "^max_iter must be an integer of at least 1", INTEGER),
     Row(bound_theorem2, "c", lambda c=2.0: bound_theorem2(PROF, c, LAM, 0.1, 0.1), "c must"),
     Row(bound_theorem2, "lam", lambda lam=LAM: bound_theorem2(PROF, 2.0, lam, 0.1, 0.1),
         "lambda"),
@@ -286,6 +317,11 @@ ROWS = [
     Row(bound_theorem3, "mu",
         lambda mu=MU: bound_theorem3(PROF, 2.0, LAM, mu, 0.0, 0.0, 0.0, 5, 1), "mu",
         accepts=(math.inf, -math.inf, -1.0, 0.0)),
+    # mu = inf weights an infinite scale by 0, and the bounds are vacuous.
+    Row(bound_theorem3, "mu",
+        lambda mu=MU: bound_theorem3(PROF, 2.0, LAM, mu, 0.0, math.inf, 0.0, 5, 1),
+        "^mu must", accepts=(math.inf,),
+        check=lambda v, out: out == (math.inf,) * 3, where="infinite-scale"),
     Row(bound_theorem3, "eps_2to2",
         lambda e=0.1: bound_theorem3(PROF, 2.0, LAM, MU, e, 0.1, 0.1, 5, 1),
         "perturbation scales", accepts=(math.inf, 0.0)),
@@ -296,14 +332,14 @@ ROWS = [
         lambda e=0.1: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, e, 5, 1),
         "perturbation scales", accepts=(math.inf, 0.0)),
     Row(bound_theorem3, "kbar",
-        lambda k=5: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, 0.1, k, 1), "^kbar must",
-        INTEGER, accepts=(0,)),
+        lambda k=5: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, 0.1, k, 1),
+        "^kbar must be an integer of at least 0", INTEGER, accepts=(0,)),
     Row(bound_theorem3, "rbar",
-        lambda r=1: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, 0.1, 5, r), "^rbar must",
-        INTEGER, accepts=(0,)),
+        lambda r=1: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, 0.1, 5, r),
+        "^rbar must be an integer of at least 0", INTEGER, accepts=(0,)),
     Row(bound_theorem3, "b",
         lambda b=1.0: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, 0.1, 5, 1, b=b),
-        "box radius", accepts=(math.inf,)),
+        "^box radius must be positive", accepts=(math.inf,)),
     # subspaces
     Row(SupportSet, "m", lambda m=3: SupportSet(m, 3, [(0, 0)]), "^m must", INTEGER),
     Row(SupportSet, "n", lambda n=3: SupportSet(3, n, [(0, 0)]), "^n must", INTEGER),
@@ -316,7 +352,7 @@ ROWS = [
     Row(SweepSpec, "ranks", lambda r=1: SweepSpec(**{**GRID, "ranks": (r,)}),
         r"^ranks\[0\] must", INTEGER, accepts=(0,)),
     Row(SweepSpec, "densities", lambda d=0.1: SweepSpec(**{**GRID, "densities": (d,)}),
-        "densities", accepts=(0.0,)),
+        "densities", REAL + (1.5,), accepts=(0.0,)),
     Row(SweepSpec, "trials", lambda k=1: SweepSpec(**{**GRID, "trials": k}), "^trials must",
         INTEGER),
     Row(SweepSpec, "base_seed", lambda s=0: SweepSpec(**{**GRID, "base_seed": s}),
@@ -341,7 +377,8 @@ ROWS = [
         "^ktilde must", INTEGER, accepts=(0,)),
     Row(InstanceSpec, "amplitude",
         lambda a=10.0: InstanceSpec(**INSTANCE, amplitude=a), "amplitude"),
-    Row(InstanceSpec, "sigma", lambda s=0.1: InstanceSpec(**INSTANCE, sigma=s), "sigma",
+    Row(InstanceSpec, "sigma", lambda s=0.1: InstanceSpec(**INSTANCE, sigma=s),
+        "^sigma must be nonnegative and finite",
         accepts=(0.0,)),
     Row(InstanceSpec, "seed", lambda s=0: InstanceSpec(**{**INSTANCE, "seed": s}),
         "^seed must", INTEGER, accepts=(-1, 0)),

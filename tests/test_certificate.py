@@ -18,7 +18,7 @@ from splr.certificate import (
     verify_bounds,
 )
 from splr.incoherence import PreconditionError, check_conditions, profile
-from splr.matrices import RandomStream, mix_seed
+from splr.matrices import RandomStream
 from splr.norms import entrywise_norm, induced_norm, trace_norm
 from splr.solvers import bound_theorem3
 from splr.subspaces import (
@@ -388,6 +388,17 @@ def test_verify_bounds_standalone_matches_stored():
     assert len(again) == 7
     for (m1, b1, s1), (m2, b2, s2) in zip(cert.bound_diagnostics, again):
         assert m1 == m2 and b1 == b2 and s1 == s2
+
+
+def test_infinite_scale_without_weight_drops_out_of_the_bounds():
+    # At mu = inf every scale has weight 0, so an infinite scale gives the
+    # zero scales' bounds; it read NaN bounds (0*inf).
+    t, E, lam, mu = valid_instance(9, sigma=1e-3)
+    cert = dataclasses.replace(build_certificate(t, E, lam, mu, 2.0), mu=math.inf)
+    prof = profile(t)
+    free = verify_bounds(dataclasses.replace(cert, eps_2to2=0.0, eps_vinf=0.0), prof)
+    for e2, ev in ((math.inf, 0.0), (0.0, math.inf), (math.inf, math.inf)):
+        assert verify_bounds(dataclasses.replace(cert, eps_2to2=e2, eps_vinf=ev), prof) == free
 
 
 def test_overflowed_measurement_fails_its_bound_unless_vacuous():

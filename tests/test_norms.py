@@ -82,11 +82,6 @@ def test_frobenius_is_numpys_below_overflow_and_finite_above():
     assert entrywise_norm(big, 2) == pytest.approx(1e200 * np.linalg.norm(M), rel=1e-14)
 
 
-def test_entrywise_norm_bad_order():
-    with pytest.raises(ValueError):
-        entrywise_norm(A_HAND, 3)
-
-
 def test_induced_norm_hand_values():
     assert induced_norm(A_HAND, "1->1") == 6.0
     assert induced_norm(A_HAND, "inf->inf") == 7.0
@@ -137,12 +132,6 @@ def test_sharp_norm_hand_values():
     assert sharp_norm(np.eye(3), 1.0) == 1.0
 
 
-def test_sharp_norm_rejects_nonpositive_rho():
-    for rho in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="rho must be positive and finite"):
-            sharp_norm(A_HAND, rho)
-
-
 def test_flat_norm_zero_matrix():
     for rho in (0.25, 1.0, 4.0):
         assert flat_norm(np.zeros((3, 3)), rho) == pytest.approx(0.0, abs=1e-10)
@@ -162,12 +151,6 @@ def test_flat_norm_size_cap():
     with pytest.raises(ValueError):
         flat_norm(np.zeros((17, 17)), 1.0)
     assert 17 * 17 > FLAT_NORM_SIZE_CAP
-
-
-def test_flat_norm_rejects_nonpositive_rho():
-    for rho in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="rho must be positive and finite"):
-            flat_norm(np.eye(2), rho)
 
 
 def test_flat_norm_matches_lp_oracle():

@@ -115,3 +115,12 @@ def test_gap_terms_run_in_the_solver_frame():
         names = [f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                  for f in calls]
         assert not {"ldexp", "frexp"} & set(names), f"gap_terms at line {fn.lineno}"
+    # The penalized data term and dual value each have one formula, exact
+    # over the frame's range: no branch on a value past the float range.
+    solve = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve_regularized")
+    terms = {node.name: node for node in ast.walk(solve) if isinstance(node, ast.FunctionDef)}
+    for name in ("fit", "gap_terms", "dual"):
+        for node in ast.walk(terms[name]):
+            if isinstance(node, ast.Compare):
+                assert "math.inf" not in ast.unparse(node), f"{name} at line {node.lineno}"

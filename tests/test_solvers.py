@@ -17,10 +17,11 @@ from splr.incoherence import (
     check_conditions,
     default_lambda,
     profile,
-    proposition1_bounds,
     simplified_parameters,
 )
+from splr.cli import main as cli_main
 from splr.matrices import RandomStream, mix_seed
+from splr.matrixio import write_matrix_csv
 from splr.norms import entrywise_norm, induced_norm, trace_norm
 from splr.solvers import (
     ConstrainedConfig,
@@ -318,6 +319,38 @@ def test_penalized_gap_near_the_float_max(mu, b):
     assert rep.converged == (b < math.inf)
 
 
+def vanishing_mu_input():
+    # max|Y| = 3 puts the solve in the frame 2^-2*Y, where mu = 5e-324
+    # rounds to 0: the data term divided by zero.
+    Y = np.ones((3, 3))
+    Y[0, 0] = 3.0
+    return Y, 0.5, 5e-324
+
+
+def test_mu_that_rounds_to_zero_in_the_frame_is_refused():
+    Y, lam, mu = vanishing_mu_input()
+    with pytest.raises(ValueError, match="^mu"):
+        solve_regularized(Y, RegularizedConfig(lam=lam, mu=mu))
+    # At 4*mu the frame's mu is the least subnormal, and mu*lam, which the
+    # l-inf scale divided by, rounds to 0: that raised ZeroDivisionError.
+    # The data term overflows, and a gap over an infinite P reads inf.
+    rep = solve_regularized(Y, RegularizedConfig(lam=lam, mu=4 * mu, max_iter=20))
+    assert rep.objective == math.inf and rep.diagnostics["duality_gap"] == math.inf
+
+
+def test_decompose_refuses_mu_that_rounds_to_zero(tmp_path, capsys):
+    Y, lam, mu = vanishing_mu_input()
+    write_matrix_csv(tmp_path / "Y.csv", Y)
+    outputs = [tmp_path / name for name in ("xs.csv", "xl.csv", "report.json")]
+    argv = ["decompose", "--input", tmp_path / "Y.csv", "--mode", "regularized",
+            "--lambda", lam, "--mu", mu, "--out-sparse", outputs[0],
+            "--out-lowrank", outputs[1], "--report", outputs[2]]
+    assert cli_main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mu") and "Traceback" not in err
+    assert not any(path.exists() for path in outputs)
+
+
 def test_regularized_report_at_tiny_scales():
     # At c = 1e-200 the residuals' sums of squares are subnormal or 0: the
     # norms must rescale rather than read 0, or the penalty is never
@@ -354,22 +387,6 @@ def test_regularized_max_iter_reports_not_converged():
     Y = t.X_S + t.X_L
     rep = solve_regularized(Y, RegularizedConfig(lam=0.3, mu=0.5, max_iter=2))
     assert not rep.converged and rep.iterations == 2
-
-
-def test_config_validation_errors():
-    # Configs are checked when built, before any solve.
-    with pytest.raises(ValueError, match="lambda must be positive and finite"):
-        RegularizedConfig(lam=0.0, mu=1.0)
-    with pytest.raises(ValueError, match="mu must be positive and finite"):
-        RegularizedConfig(lam=1.0, mu=-1.0)
-    with pytest.raises(ValueError, match="box radius must be positive"):
-        RegularizedConfig(lam=1.0, mu=1.0, b=0.0)
-    with pytest.raises(ValueError, match="residual caps must be nonnegative"):
-        ConstrainedConfig(lam=1.0, eps_v1=-1.0)
-    with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
-        ConstrainedConfig(lam=1.0, max_iter=0)
-    with pytest.raises(ValueError, match="tol must be nonnegative"):
-        ConstrainedConfig(lam=1.0, tol=-1e-9)
 
 
 def test_configs_are_frozen_and_recheck_on_replace():
@@ -1063,23 +1080,6 @@ def test_error_bound_regularized_limits():
         bound_theorem3(prof, 2.0, 0.3, math.nan, 0.0, 0.0, 0.0, 5, 1)
     with pytest.raises(ValueError, match="perturbation scales must be nonnegative"):
         bound_theorem3(prof, 2.0, 0.3, 1e-3, 0.0, math.nan, 0.0, 5, 1)
-
-
-def test_bound_oracles_reject_bad_radius_counts_and_dimensions():
-    # b = 0 gave a v2 bound of 0.0, b = nan read as no box, and b = -1 or
-    # kbar = -1 raised a math domain error.
-    prof = make_profile(1, 1, 0.1, 0.1, 0.05, 0.02, kbar=5, rbar=1)
-    args = (prof, 2.0, 0.3, 1e-3, 0.0, 0.0, 0.0)
-    for b in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="box radius must be positive"):
-            bound_theorem3(*args, 5, 1, b=b)
-    for kbar, rbar in ((-1, 1), (5, -1), (5.0, 1), (5, 1.5)):
-        with pytest.raises(ValueError, match="^(kbar|rbar) must be an integer of at least 0"):
-            bound_theorem3(*args, kbar, rbar)
-    # proposition1_bounds(0, 5, ...) divided by zero.
-    for m, n in ((0, 5), (5, 0), (2.5, 5), (5, 5.0)):
-        with pytest.raises(ValueError, match="^[mn] must be an integer of at least 1"):
-            proposition1_bounds(m, n, 1, 1, 1, 0.5, 0.5)
 
 
 @functools.lru_cache(maxsize=1)

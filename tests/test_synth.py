@@ -25,21 +25,12 @@ from .helpers import probe_seed
 
 
 def test_spec_validation_errors():
-    with pytest.raises(ValueError):
-        InstanceSpec(m=0, n=5, rbar=1, ktilde=3)
+    # A rank above min(m, n) and an unknown law; each number alone is a row
+    # of tests/test_boundary.py.
     with pytest.raises(ValueError):
         InstanceSpec(m=5, n=5, rbar=6, ktilde=3)
     with pytest.raises(ValueError):
-        InstanceSpec(m=5, n=5, rbar=1, ktilde=-1)
-    with pytest.raises(ValueError):
-        InstanceSpec(m=5, n=5, rbar=1, ktilde=3, amplitude=0.0)
-    with pytest.raises(ValueError):
         InstanceSpec(m=5, n=5, rbar=1, ktilde=3, magnitude_law="cauchy")
-    with pytest.raises(ValueError):
-        InstanceSpec(m=5, n=5, rbar=1, ktilde=3, sigma=-0.1)
-    for name in ("amplitude", "sigma"):
-        with pytest.raises(ValueError):
-            InstanceSpec(m=5, n=5, rbar=1, ktilde=3, **{name: math.nan})
 
 
 def test_spec_rejects_infinite_amplitude():
