@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .incoherence import PreconditionError, _weighted_scales, check_conditions, inverse_mu, profile
-from .matrices import _T_singular_values, as_matrix
+from .matrices import _T_singular_values, _check_real, as_matrix
 from .norms import _entrywise_norm, _induced_norm
 from .subspaces import (
     RowColSpace,
-    _check_tol,
     _neumann_inverse,
     _project_support,
     _project_T,
@@ -141,7 +140,7 @@ def build_certificate(target, E, lam, mu, c, tol=1e-12):
     geometric factor are reported as vacuous. Neumann non-convergence
     propagates. The premises on c and lambda are those of check_conditions.
     """
-    _check_tol(tol)
+    _check_real("(0, inf)", tol=tol)
     support, space = target.support, target.space
     E = np.zeros(target.shape) if E is None else as_matrix(E, "E", target.shape)
 

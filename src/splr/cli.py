@@ -22,11 +22,11 @@ from .incoherence import (
     default_lambda,
     profile,
 )
-from .matrices import FactorizationError
+from .matrices import FactorizationError, _check_real
 from .matrixio import read_matrix_csv, write_json, write_matrix_csv
 from .solvers import ConstrainedConfig, RegularizedConfig, solve_constrained, solve_regularized
 from .subspaces import NeumannNonConvergence, TargetPair
-from .sweep import SweepSpec, _check_densities, write_sweep_outputs
+from .sweep import SweepSpec, write_sweep_outputs
 from .synth import InstanceSpec, gen_instance
 
 __all__ = ["main"]
@@ -64,7 +64,8 @@ def _parse_float_grid(text):
         lo, hi, step = (float(p) for p in parts)
         if not (step > 0 and hi >= lo):
             raise ValueError(f"bad grid {text!r}")
-        _check_densities((lo, hi))  # before counting: an infinite bound overflows it
+        # Before counting: an infinite bound overflows it.
+        _check_real("[0, 1]", **{"densities low": lo, "densities high": hi})
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return [lo + i * step for i in range(count)]
     raise ValueError(f"expected lo:hi:step, got {text!r}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import _check_integer
+from .matrices import _check_integer, _check_real
 
 __all__ = [
     "IncoherenceProfile",
@@ -30,32 +30,12 @@ class PreconditionError(ValueError):
     """A stated precondition (premise inequality, condition check) failed."""
 
 
-def _check_premises(c, lam, *scales):
-    """1 < c < inf, 0 < lambda < inf and scales >= 0, NaN failing each: the
+def _check_premises(c, lam, **scales):
+    """c in (1, inf), lam in (0, inf) and each scale in [0, inf]: the
     premises of every condition check, certificate and error bound."""
-    if not 1.0 < c < math.inf:
-        raise ValueError(f"c must exceed 1 and be finite, got {c!r}")
-    _check_lambda(lam)
-    _check_scales(*scales)
-
-
-def _check_lambda(lam):
-    """0 < lambda < inf, the rule for every weight lambda; NaN fails it."""
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
-
-
-def _check_scales(*scales):
-    """scales >= 0, the rule for every perturbation scale; NaN fails it."""
-    if not all(s >= 0 for s in scales):
-        raise ValueError(f"perturbation scales must be nonnegative, got {scales!r}")
-
-
-def _check_rho(rho):
-    """0 < rho < inf, the rule for every balance parameter; NaN fails it."""
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
-    return rho
+    _check_real("(1, inf)", c=c)
+    _check_real("(0, inf)", lam=lam)
+    _check_real("[0, inf]", **scales)
 
 
 def inverse_mu(mu, *scales):
@@ -63,26 +43,33 @@ def inverse_mu(mu, *scales):
     not positive, which requires every given scale to be zero. A NaN mu raises."""
     if mu is not None and mu > 0:
         return 1.0 / mu
-    if mu is not None and math.isnan(mu):
-        raise ValueError("mu must not be NaN")
+    if mu is not None:
+        _check_real("[-inf, inf]", mu=mu)
     if any(scales):
         raise ValueError("mu must be positive when perturbation scales are nonzero")
     return 0.0
 
 
+def _product(*factors):
+    """The product of the factors, left to right; 0.0 when one of them is
+    0. A zero factor of a premise or bound is a weight, a scale or a count
+    that is 0, or a sum over an empty support: the term is 0, even against
+    an infinite factor (0*inf reads NaN)."""
+    return math.prod(factors) if all(factors) else 0.0
+
+
 def _weighted_scales(mu, *scales):
-    """Each scale times its weight inverse_mu(mu, *scales), 0.0 where that
-    weight is 0: a scale without weight drops out, an infinite one too
-    (0*inf reads NaN)."""
+    """Each scale times its weight inverse_mu(mu, *scales): a scale without
+    weight drops out, an infinite one too, and a zero scale stays 0 under
+    the infinite weight of a subnormal mu (see _product)."""
     imu = inverse_mu(mu, *scales)
-    return [imu * s if imu else 0.0 for s in scales]
+    return [_product(imu, s) for s in scales]
 
 
 def optimal_rho(a, b):
     """Balance point sqrt(b/a) minimizing the scaled count norm (and hence
     its products with the coherence terms); 1 when either count is zero."""
-    if not (0 <= a < math.inf and 0 <= b < math.inf):
-        raise ValueError("counts must be nonnegative and finite")
+    _check_real("[0, inf)", a=a, b=b)
     if a == 0 or b == 0:
         return 1.0
     return math.sqrt(b / a)
@@ -122,8 +109,10 @@ class IncoherenceProfile:
         self.product = self.alpha_star * self.beta_star
 
     def _balance(self, rho):
-        """rho, or the profile's own when omitted; 0 < rho < inf."""
-        return _check_rho(self.rho if rho is None else rho)
+        """rho, or the profile's own when omitted; rho in (0, inf)."""
+        rho = self.rho if rho is None else rho
+        _check_real("(0, inf)", rho=rho)
+        return rho
 
     def alpha(self, rho=None):
         """max(rho*a, b/rho): the balanced count norm at rho."""
@@ -185,7 +174,7 @@ def check_conditions(prof, formulation, c, lam, mu=None,
     the constrained form is the same with those terms zeroed. Returns the
     per-condition verdicts and the implied feasible lambda window.
     """
-    _check_premises(c, lam, eps_2to2, eps_vinf)
+    _check_premises(c, lam, eps_2to2=eps_2to2, eps_vinf=eps_vinf)
     if formulation not in ("constrained", "regularized"):
         raise ValueError(f"unknown formulation {formulation!r}")
     # The constrained form is the regularized one at mu = inf.
@@ -223,7 +212,7 @@ def simplified_parameters(prof, formulation, eps_2to2=0.0, eps_vinf=0.0):
     [5*gamma, 1/(3*alpha)] because both ends reduce to alpha*gamma <= 1/15.
     An empty support (alpha = 0) has no rule.
     """
-    _check_scales(eps_2to2, eps_vinf)
+    _check_real("[0, inf]", eps_2to2=eps_2to2, eps_vinf=eps_vinf)
     alpha = prof.alpha(prof.rho_star)
     beta = prof.beta(prof.rho_star)
     gamma = prof.gamma
@@ -277,8 +266,7 @@ def proposition1_bounds(m, n, rbar, m0, n0, Uinf, Vinf):
     _check_integer(1, m=m, n=n)
     _check_integer(0, min(m, n), rbar=rbar)
     _check_integer(0, m0=m0, n0=n0)
-    if not (Uinf >= 0 and Vinf >= 0):
-        raise ValueError("Uinf and Vinf must be nonnegative")
+    _check_real("[0, inf]", Uinf=Uinf, Vinf=Vinf)
     if rbar == 0:
         return math.inf, 0.0, 0.0
     c1 = max(m0 * rbar / m, n0 * rbar / n)

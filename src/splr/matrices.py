@@ -63,6 +63,29 @@ def _check_integer(low, high=math.inf, **values):
             raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
+def _parse_interval(interval):
+    """(lo, hi, lo_open, hi_open) of an interval written as "(0, inf]"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return lo, hi, interval[0] == "(", interval[-1] == ")"
+
+
+# The intervals of the real premises, in the README's notation, parsed once.
+_INTERVALS = {interval: _parse_interval(interval) for interval in (
+    "(0, inf)", "[0, inf]", "(0, inf]", "[0, inf)", "(1, inf)", "[0, 1]", "[-inf, inf]")}
+
+
+def _check_real(interval, **values):
+    """The one rule for every real-valued premise: each value in interval,
+    one of _INTERVALS. Negated comparisons, so NaN fails. Raises
+    ValueError naming the first value that is not, the interval and the
+    value."""
+    lo, hi, lo_open, hi_open = _INTERVALS[interval]
+    for name, value in values.items():
+        if not ((lo < value if lo_open else lo <= value)
+                and (value < hi if hi_open else value <= hi)):
+            raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Thin SVD truncated at the relative rank cutoff.

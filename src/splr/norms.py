@@ -7,8 +7,7 @@ import math
 
 import numpy as np
 
-from .incoherence import _check_rho
-from .matrices import _lapack_svd, _spectral_norm, as_matrix
+from .matrices import _check_real, _lapack_svd, _spectral_norm, as_matrix
 
 FLAT_NORM_SIZE_CAP = 256
 
@@ -97,7 +96,7 @@ def _trace_norm(A):
 
 def sharp_norm(M, rho):
     """max(rho * ||M||_{1->1}, (1/rho) * ||M||_{inf->inf})."""
-    _check_rho(rho)
+    _check_real("(0, inf)", rho=rho)
     A = as_matrix(M)
     return max(rho * _induced_norm(A, "1->1"), _induced_norm(A, "inf->inf") / rho)
 
@@ -152,7 +151,7 @@ def flat_norm(M, rho):
     entry suffices. Exact small-scale diagnostic; sizes are capped at
     m*n <= 256.
     """
-    _check_rho(rho)
+    _check_real("(0, inf)", rho=rho)
     A = as_matrix(M)
     m, n = A.shape
     if m * n > FLAT_NORM_SIZE_CAP:

@@ -13,7 +13,7 @@ entry and call the unchecked kernels (leading underscore) in their loops.
 
 import numpy as np
 
-from .matrices import _threshold_step, as_matrix
+from .matrices import _check_real, _threshold_step, as_matrix
 
 __all__ = [
     "soft_threshold",
@@ -43,16 +43,14 @@ def soft_threshold(M, t):
     Entries with |x| exactly equal to t map to 0.
     """
     M = as_matrix(M, "M")
-    if not t >= 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_real("[0, inf]", t=t)
     return _soft_threshold(M, t)
 
 
 def svt(M, t):
     """Singular-value thresholding: soft-threshold the spectrum by t."""
     M = as_matrix(M, "M")
-    if not t >= 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_real("[0, inf]", t=t)
     return _threshold_step(M, t, 0.0)[0]
 
 
@@ -64,18 +62,15 @@ def prox_l1_box(V, center, t, b):
     """
     V = as_matrix(V, "V")
     center = as_matrix(center, "center", V.shape)
-    if not t >= 0:
-        raise ValueError("threshold must be nonnegative")
-    if not b > 0:
-        raise ValueError("box radius must be positive")
+    _check_real("[0, inf]", t=t)
+    _check_real("(0, inf]", b=b)
     return np.clip(_soft_threshold(V, t), center - b, center + b)
 
 
 def clip_entries(M, b):
     """Clip every entry into [-b, b]; b = inf returns a copy."""
     M = as_matrix(M, "M")
-    if not b > 0:
-        raise ValueError("bound must be positive")
+    _check_real("(0, inf]", b=b)
     return np.clip(M, -b, b)
 
 
@@ -111,8 +106,7 @@ def project_l1_ball(M, eps):
     a copy.
     """
     M = as_matrix(M, "M")
-    if not eps >= 0:
-        raise ValueError("radius must be nonnegative")
+    _check_real("[0, inf]", eps=eps)
     return _project_l1_ball(M, eps)
 
 
@@ -132,6 +126,5 @@ def project_nuclear_ball(M, eps):
     """Euclidean projection onto the nuclear-norm ball of radius eps:
     project the spectrum onto the l1 ball of that radius."""
     M = as_matrix(M, "M")
-    if not eps >= 0:
-        raise ValueError("radius must be nonnegative")
+    _check_real("[0, inf]", eps=eps)
     return _project_nuclear_ball(M, eps)

@@ -16,8 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .incoherence import PreconditionError, _check_lambda, _check_premises, _weighted_scales
-from .matrices import SvtWarmStart, _check_integer, _spectral_norm, _threshold_step, as_matrix
+from .incoherence import PreconditionError, _check_premises, _product, _weighted_scales
+from .matrices import (
+    SvtWarmStart,
+    _check_integer,
+    _check_real,
+    _spectral_norm,
+    _threshold_step,
+    as_matrix,
+)
 from .norms import (
     _entrywise_norm,
     _frobenius,
@@ -40,13 +47,10 @@ __all__ = [
 
 
 def _check_shared(cfg):
-    """The checks both configs share. Negated comparisons, so that NaN fails
-    each check."""
-    _check_lambda(cfg.lam)
-    if not cfg.b > 0:
-        raise ValueError("box radius must be positive")
-    if not cfg.tol >= 0:
-        raise ValueError("tol must be nonnegative")
+    """The checks both configs share."""
+    _check_real("(0, inf)", lam=cfg.lam)
+    _check_real("(0, inf]", b=cfg.b)
+    _check_real("[0, inf]", tol=cfg.tol)
     _check_integer(1, max_iter=cfg.max_iter)
 
 
@@ -64,8 +68,7 @@ class RegularizedConfig:
 
     def __post_init__(self):
         _check_shared(self)
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
+        _check_real("(0, inf)", mu=self.mu)
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,7 @@ class ConstrainedConfig:
 
     def __post_init__(self):
         _check_shared(self)
-        if not (self.eps_v1 >= 0 and self.eps_star >= 0):
-            raise ValueError("residual caps must be nonnegative")
+        _check_real("[0, inf]", eps_v1=self.eps_v1, eps_star=self.eps_star)
 
 
 @dataclass
@@ -210,8 +212,9 @@ def _admm(Y, e, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=Non
     returns None while the caller's gate is shut, else (P, dual, scale, M,
     unit), derived in the solver docstrings. The gap (P - dual(scale))/P
     gates sigma_bar = _sigma_bar(M)/unit, counted in spectral_checks; the
-    loop exits converged when the gap at max(scale, sigma_bar) is at most
-    tol (Boyd et al. 2011, ADMM, section 3.3). abandon(X_L, s), when
+    loop exits converged when the gap at max(scale, sigma_bar) is finite
+    and at most tol (Boyd et al. 2011, ADMM, section 3.3); a gap that
+    certifies nothing reads inf (_relative_gap). abandon(X_L, s), when
     given, runs every 10 sweeps after the exit test and ends the loop
     unconverged when it holds; a sweep it lets pass is computed as without
     it.
@@ -302,7 +305,7 @@ def _admm(Y, e, lam, blocks, gap_terms, tol, max_iter, mode, fit=None, S_box=Non
                 sigma_bar = _sigma_bar(M) / unit
                 if sigma_bar > scale:
                     gap = _relative_gap(primal, dual(sigma_bar))
-                if gap <= tol:
+                if gap <= tol and gap < math.inf:
                     converged = True
                     break
         if iterations % 10 == 0:
@@ -365,16 +368,25 @@ def _sigma_bar(M):
 
 
 def _relative_gap(primal, dual):
-    """(P - d)/P; at P = 0 it is 0 unless d < 0, and at a P past the float
-    range (inf/inf) it is inf: that gap certifies nothing."""
+    """(P - d)/P; at P = 0 it is 0 unless d < 0. A d that is not a finite
+    number, a P past the float range (inf/inf) or a quotient past it
+    certifies nothing: the gap reads inf."""
+    if not math.isfinite(dual):
+        return math.inf
     g = primal - dual
-    return g / primal if 0 < primal < math.inf else (0.0 if g <= 0 else math.inf)
+    gap = g / primal if 0 < primal < math.inf else (0.0 if g <= 0 else math.inf)
+    return gap if math.isfinite(gap) else math.inf
 
 
 def _box_conjugate(Q, Y, b, lam):
     """The conjugate of lam*||S||_1 on the box |S - Y| <= b at Q: the sum
     over entries of the largest q*s - lam*|s| on [y - b, y + b]. Concave
-    and kinked only at 0, it peaks at an end or at clip(0, y - b, y + b)."""
+    and kinked only at 0, it peaks at an end or at clip(0, y - b, y + b).
+    A Q past the float range (a dual point -R/(scale*mu) that overflowed)
+    gives inf, which certifies nothing, without forming q*s: at the
+    candidate s = 0, inf*0 reads NaN."""
+    if not np.isfinite(Q).all():
+        return math.inf
     lo, hi = Y - b, Y + b
     best = np.full(Y.shape, -math.inf)
     for S in (lo, hi, np.clip(0.0, lo, hi)):
@@ -554,10 +566,10 @@ def _solve_constrained(Y, cfg, abandon=None):
                  abandon=abandon)
 
 
-def _bound_share(prof, c, lam, *scales):
+def _bound_share(prof, c, lam, **scales):
     """Check the premises of both error bounds (c and lambda, nonnegative
     perturbation scales, alpha*beta < 1) and return 1/(1 - 1/c)."""
-    _check_premises(c, lam, *scales)
+    _check_premises(c, lam, **scales)
     if prof.product >= 1:
         raise PreconditionError(
             f"alpha*beta = {prof.product:.6g} is not < 1; the bound does not apply"
@@ -568,7 +580,7 @@ def _bound_share(prof, c, lam, *scales):
 def bound_theorem2(prof, c, lam, eps_v1, eps_star):
     """Worst-case v1 error of either component for the constrained program
     under residual caps (eps_v1, eps_star)."""
-    share = _bound_share(prof, c, lam, eps_v1, eps_star)
+    share = _bound_share(prof, c, lam, eps_v1=eps_v1, eps_star=eps_star)
     ab = prof.product
     ratio = (2.0 - ab) / (1.0 - ab)
     return (1.0 + share * ratio) * eps_v1 + share * ratio * eps_star / lam
@@ -582,28 +594,27 @@ def bound_theorem3(prof, c, lam, mu, eps_2to2, eps_vinf, eps_star_prime,
     The v2 bound is min(v1 bound, sqrt(2*b*v1 bound)) when a box radius b
     is in force. A mu <= 0 counts as 0 (see inverse_mu).
     """
-    share = _bound_share(prof, c, lam, eps_2to2, eps_vinf, eps_star_prime)
-    if not b > 0:
-        raise ValueError("box radius must be positive")
+    share = _bound_share(prof, c, lam, eps_2to2=eps_2to2, eps_vinf=eps_vinf,
+                         eps_star_prime=eps_star_prime)
+    _check_real("(0, inf]", b=b)
     _check_integer(0, kbar=kbar, rbar=rbar)
     ie2, iev, _ = _weighted_scales(mu, eps_2to2, eps_vinf, eps_star_prime)
     mu = max(mu, 0.0)
     geo = 1.0 / (1.0 - prof.product)
     core = lam + prof.gamma + iev
-    rank_growth = (lam + iev) * (2.0 * kbar * geo) * core \
-        + (1.0 + 2.0 * ie2) * 2.0 * rbar * (
-            2.0 * prof.alpha_star * geo * core + 1.0 + 2.0 * ie2
-        )
+    rank_growth = _product(lam + iev, 2.0 * kbar * geo, core) \
+        + _product(1.0 + 2.0 * ie2, 2.0, rbar,
+                   _product(2.0, prof.alpha_star, geo, core) + 1.0 + 2.0 * ie2)
     bound_S_v1 = geo * (
-        rank_growth * share * mu / lam
-        + lam * kbar * mu
-        + 2.0 * math.sqrt(kbar * rbar) * mu
-        + kbar * eps_vinf
+        _product(rank_growth, share, mu) / lam
+        + _product(lam, kbar, mu)
+        + _product(2.0, math.sqrt(kbar * rbar), mu)
+        + _product(kbar, eps_vinf)
     )
     if math.isinf(b):
         bound_S_v2 = bound_S_v1
     else:
         bound_S_v2 = min(bound_S_v1, math.sqrt(2.0 * b * bound_S_v1))
-    bound_L_star = math.sqrt(2.0 * rbar) * bound_S_v2 + eps_star_prime \
-        + (rank_growth * share / 2.0 + 2.0 * rbar) * mu
+    bound_L_star = _product(math.sqrt(2.0 * rbar), bound_S_v2) + eps_star_prime \
+        + _product(rank_growth * share / 2.0 + 2.0 * rbar, mu)
     return bound_S_v1, bound_S_v2, bound_L_star

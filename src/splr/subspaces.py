@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .matrices import _check_integer, _is_integer, _svd, as_matrix, svd
+from .matrices import _check_integer, _check_real, _is_integer, _svd, as_matrix, svd
 from .norms import _frobenius
 
 
@@ -199,16 +199,9 @@ def neumann_inverse(support, space, which, RHS, tol=1e-12, return_stats=False):
     series then gets at most 50 more steps before NeumannNonConvergence.
     """
     R = as_matrix(RHS, "RHS", (support.m, support.n))
-    x, stats = _neumann_inverse(support, space, which, R, _check_tol(tol))
+    _check_real("(0, inf)", tol=tol)
+    x, stats = _neumann_inverse(support, space, which, R, tol)
     return (x, stats) if return_stats else x
-
-
-def _check_tol(tol):
-    """0 < tol < inf, the rule for the Neumann series' stopping tolerance;
-    NaN fails it."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    return tol
 
 
 @np.errstate(over="ignore")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .incoherence import default_lambda
-from .matrices import FactorizationError, _check_integer, mix_seed, thin_svd
+from .matrices import FactorizationError, _check_integer, _check_real, mix_seed, thin_svd
 from .matrixio import format_float, write_text_atomic
 from .norms import _entrywise_norm, _trace_norm
 from .solvers import ConstrainedConfig, _solve_constrained
@@ -81,16 +81,9 @@ class SweepSpec:
             raise ValueError("ranks and densities must be nonempty")
         _check_integer(0, min(self.m, self.n), **{f"ranks[{i}]": r for i, r in enumerate(ranks)})
         object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
-        _check_densities(self.densities)
+        _check_real("[0, 1]", **{f"densities[{i}]": d for i, d in enumerate(self.densities)})
         _check_integer(1, trials=self.trials, solver_max_iter=self.solver_max_iter)
         _check_integer(-math.inf, base_seed=self.base_seed)
-
-
-def _check_densities(densities):
-    """Each density in [0, 1], NaN failing: the rule of SweepSpec and of
-    the CLI's density grid."""
-    if not all(0 <= d <= 1 for d in densities):
-        raise ValueError(f"densities must lie in [0, 1], got {densities!r}")
 
 
 def _planted_objective(target, lam):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .certificate import perturbation_scales
 from .incoherence import IncoherenceProfile, profile
-from .matrices import RandomStream, _check_integer, _orthonormalize, mix_seed
+from .matrices import RandomStream, _check_integer, _check_real, _orthonormalize, mix_seed
 from .subspaces import RowColSpace, SupportSet, TargetPair
 
 __all__ = [
@@ -57,12 +57,10 @@ class InstanceSpec:
         _check_integer(0, min(self.m, self.n), rbar=self.rbar)
         _check_integer(0, ktilde=self.ktilde)
         _check_integer(-math.inf, seed=self.seed)
-        if not 0 < self.amplitude < math.inf:
-            raise ValueError("amplitude must be positive and finite")
+        _check_real("(0, inf)", amplitude=self.amplitude)
         if self.magnitude_law not in MAGNITUDE_LAWS:
             raise ValueError(f"magnitude_law must be one of {MAGNITUDE_LAWS}")
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError("sigma must be nonnegative and finite")
+        _check_real("[0, inf)", sigma=self.sigma)
 
 
 @dataclass

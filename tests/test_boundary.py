@@ -5,9 +5,10 @@ of that callable, valid in every other argument, as a function of it; the
 call's default is a valid value. The row is called with NaN, +inf, -inf,
 -1 and 0, and with 1.5 and the whole float 2.0 when the argument is an
 integer. A value the row does not accept must raise ValueError itself,
-whose message matches the row's pattern for the argument:
-PreconditionError (a premise of the instance failed) or any other class
-is not the argument's rule. A value the row accepts must return, with no
+whose message matches the row's pattern for the argument, the anchored
+message of its rule (real and integer below): PreconditionError (a
+premise of the instance failed) or any other class is not the argument's
+rule. A value the row accepts must return, with no
 NaN in the result, and pass the row's check of the documented result.
 
 A callable is public when splr exports it, a module lists it in __all__,
@@ -143,257 +144,293 @@ def _scale_free_verdict(v, out):
     return out == check_conditions(PROF, "constrained", 2.0, LAM)
 
 
+def real(name, interval):
+    """The pattern of the real rule's rejection of name (matrices._check_real)."""
+    return f"^{re.escape(name)} must lie in {re.escape(interval)}, got "
+
+
+def integer(name, low=None):
+    """The pattern of the integer rule's rejection of name
+    (matrices._check_integer); a seed has no bound, and a rank's upper
+    bound follows its lower one."""
+    bound = ", got " if low is None else f" of at least {low}"
+    return f"^{re.escape(name)} must be an integer{bound}"
+
+
+# inverse_mu's rule: a mu that is not positive counts as 0, which every
+# perturbation scale must then be.
+MU_POSITIVE = "^mu must be positive when perturbation scales are nonzero$"
+MU_RULE = f"{real('mu', '[-inf, inf]')}|{MU_POSITIVE}"
+
+
 ROWS = [
     # certificate
     Row(build_certificate, "lam", lambda lam=LAM: build_certificate(T, E, lam, MU, 2.0),
-        "lambda"),
-    Row(build_certificate, "mu", lambda mu=MU: build_certificate(T, E, LAM, mu, 2.0), "mu",
+        real("lam", "(0, inf)")),
+    Row(build_certificate, "mu", lambda mu=MU: build_certificate(T, E, LAM, mu, 2.0), MU_RULE,
         accepts=(math.inf,)),
-    Row(build_certificate, "c", lambda c=2.0: build_certificate(T, E, LAM, MU, c), "c must"),
+    Row(build_certificate, "c", lambda c=2.0: build_certificate(T, E, LAM, MU, c),
+        real("c", "(1, inf)")),
     Row(build_certificate, "tol",
-        lambda tol=1e-12: build_certificate(T, E, LAM, MU, 2.0, tol=tol), "tol must"),
+        lambda tol=1e-12: build_certificate(T, E, LAM, MU, 2.0, tol=tol),
+        real("tol", "(0, inf)")),
     Row(build_certificate, "tol",
-        lambda tol=1e-12: build_certificate(T, E, ABOVE, MU, 2.0, tol=tol), "tol must",
-        base_error=PreconditionError, where="outside-window"),
+        lambda tol=1e-12: build_certificate(T, E, ABOVE, MU, 2.0, tol=tol),
+        real("tol", "(0, inf)"), base_error=PreconditionError, where="outside-window"),
     # incoherence
-    Row(IncoherenceProfile.alpha, "rho", lambda rho=1.0: PROF.alpha(rho), "rho"),
-    Row(IncoherenceProfile.beta, "rho", lambda rho=1.0: PROF.beta(rho), "rho"),
-    Row(profile, "rho", lambda rho=1.0: profile(T, rho), "rho"),
-    Row(optimal_rho, "a", lambda a=2.0: optimal_rho(a, 3.0),
-        "^counts must be nonnegative and finite", accepts=(0.0,),
-        check=lambda v, out: out == 1.0),
-    Row(optimal_rho, "b", lambda b=3.0: optimal_rho(2.0, b),
-        "^counts must be nonnegative and finite", accepts=(0.0,),
-        check=lambda v, out: out == 1.0),
+    Row(IncoherenceProfile.alpha, "rho", lambda rho=1.0: PROF.alpha(rho),
+        real("rho", "(0, inf)")),
+    Row(IncoherenceProfile.beta, "rho", lambda rho=1.0: PROF.beta(rho),
+        real("rho", "(0, inf)")),
+    Row(profile, "rho", lambda rho=1.0: profile(T, rho), real("rho", "(0, inf)")),
+    Row(optimal_rho, "a", lambda a=2.0: optimal_rho(a, 3.0), real("a", "[0, inf)"),
+        accepts=(0.0,), check=lambda v, out: out == 1.0),
+    Row(optimal_rho, "b", lambda b=3.0: optimal_rho(2.0, b), real("b", "[0, inf)"),
+        accepts=(0.0,), check=lambda v, out: out == 1.0),
     Row(check_conditions, "c", lambda c=2.0: check_conditions(PROF, "regularized", c, LAM),
-        "c must"),
+        real("c", "(1, inf)")),
     Row(check_conditions, "lam",
-        lambda lam=LAM: check_conditions(PROF, "regularized", 2.0, lam), "lambda"),
+        lambda lam=LAM: check_conditions(PROF, "regularized", 2.0, lam),
+        real("lam", "(0, inf)")),
     Row(check_conditions, "mu",
-        lambda mu=MU: check_conditions(PROF, "regularized", 2.0, LAM, mu=mu), "mu",
-        accepts=(math.inf, -math.inf, -1.0, 0.0), check=_mu_free_verdict),
+        lambda mu=MU: check_conditions(PROF, "regularized", 2.0, LAM, mu=mu),
+        real("mu", "[-inf, inf]"), accepts=(math.inf, -math.inf, -1.0, 0.0),
+        check=_mu_free_verdict),
     Row(check_conditions, "eps_2to2",
         lambda e=0.0: check_conditions(PROF, "regularized", 2.0, LAM, mu=MU, eps_2to2=e),
-        "perturbation scales", accepts=(math.inf, 0.0)),
+        real("eps_2to2", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(check_conditions, "eps_vinf",
         lambda e=0.0: check_conditions(PROF, "regularized", 2.0, LAM, mu=MU, eps_vinf=e),
-        "perturbation scales", accepts=(math.inf, 0.0)),
+        real("eps_vinf", "[0, inf]"), accepts=(math.inf, 0.0)),
     # The constrained form carries no scale, so any scale gives the zero
     # scales' verdict; an infinite one read a NaN window (0*inf).
     Row(check_conditions, "eps_2to2",
         lambda e=0.0: check_conditions(PROF, "constrained", 2.0, LAM, eps_2to2=e),
-        "perturbation scales", accepts=(math.inf, 0.0), check=_scale_free_verdict,
+        real("eps_2to2", "[0, inf]"), accepts=(math.inf, 0.0), check=_scale_free_verdict,
         where="constrained"),
     Row(check_conditions, "eps_vinf",
         lambda e=0.0: check_conditions(PROF, "constrained", 2.0, LAM, eps_vinf=e),
-        "perturbation scales", accepts=(math.inf, 0.0), check=_scale_free_verdict,
+        real("eps_vinf", "[0, inf]"), accepts=(math.inf, 0.0), check=_scale_free_verdict,
         where="constrained"),
     # mu = inf weights an infinite scale by 0.
     Row(check_conditions, "mu",
         lambda mu=MU: check_conditions(PROF, "regularized", 2.0, LAM, mu=mu,
-                                       eps_vinf=math.inf), "^mu must",
+                                       eps_vinf=math.inf), MU_RULE,
         accepts=(math.inf,), check=_mu_free_verdict, where="infinite-scale"),
     Row(simplified_parameters, "eps_2to2",
         lambda e=0.0: simplified_parameters(SPIKED, "regularized", eps_2to2=e),
-        "perturbation scales", accepts=(math.inf, 0.0)),
+        real("eps_2to2", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(simplified_parameters, "eps_vinf",
         lambda e=0.0: simplified_parameters(SPIKED, "regularized", eps_vinf=e),
-        "perturbation scales", accepts=(math.inf, 0.0)),
-    Row(default_lambda, "shape", lambda m=4: default_lambda((m, 5)), "^m must", INTEGER,
-        where="m"),
-    Row(default_lambda, "shape", lambda n=5: default_lambda((4, n)), "^n must", INTEGER,
-        where="n"),
-    Row(inverse_mu, "mu", lambda mu=2.0: inverse_mu(mu), "mu",
+        real("eps_vinf", "[0, inf]"), accepts=(math.inf, 0.0)),
+    Row(default_lambda, "shape", lambda m=4: default_lambda((m, 5)), integer("m", 1),
+        INTEGER, where="m"),
+    Row(default_lambda, "shape", lambda n=5: default_lambda((4, n)), integer("n", 1),
+        INTEGER, where="n"),
+    Row(inverse_mu, "mu", lambda mu=2.0: inverse_mu(mu), real("mu", "[-inf, inf]"),
         accepts=(math.inf, -math.inf, -1.0, 0.0), check=_zero_weight),
-    Row(inverse_mu, "scales", lambda s=0.0: inverse_mu(0.0, s), "perturbation scales",
+    Row(inverse_mu, "scales", lambda s=0.0: inverse_mu(0.0, s), MU_POSITIVE,
         accepts=(0.0,), check=_zero_weight),
     Row(proposition1_bounds, "m", lambda m=5: proposition1_bounds(m, 5, 1, 1, 1, 0.5, 0.5),
-        "^m must be an integer of at least 1", INTEGER),
+        integer("m", 1), INTEGER),
     Row(proposition1_bounds, "n", lambda n=5: proposition1_bounds(5, n, 1, 1, 1, 0.5, 0.5),
-        "^n must be an integer of at least 1", INTEGER),
+        integer("n", 1), INTEGER),
     Row(proposition1_bounds, "rbar",
         lambda r=1: proposition1_bounds(5, 5, r, 1, 1, 0.5, 0.5),
-        "^rbar must be an integer of at least 0", INTEGER, accepts=(0,),
+        integer("rbar", 0), INTEGER, accepts=(0,),
         check=lambda v, out: out == (math.inf, 0.0, 0.0)),
     Row(proposition1_bounds, "m0", lambda k=1: proposition1_bounds(5, 5, 1, k, 1, 0.5, 0.5),
-        "^m0 must be an integer of at least 0", INTEGER, accepts=(0,)),
+        integer("m0", 0), INTEGER, accepts=(0,)),
     Row(proposition1_bounds, "n0", lambda k=1: proposition1_bounds(5, 5, 1, 1, k, 0.5, 0.5),
-        "^n0 must be an integer of at least 0", INTEGER, accepts=(0,)),
+        integer("n0", 0), INTEGER, accepts=(0,)),
     Row(proposition1_bounds, "Uinf",
         lambda x=0.5: proposition1_bounds(5, 5, 1, 1, 1, x, 0.5),
-        "^Uinf and Vinf must be nonnegative", accepts=(math.inf, 0.0)),
+        real("Uinf", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(proposition1_bounds, "Vinf",
         lambda x=0.5: proposition1_bounds(5, 5, 1, 1, 1, 0.5, x),
-        "^Uinf and Vinf must be nonnegative", accepts=(math.inf, 0.0)),
+        real("Vinf", "[0, inf]"), accepts=(math.inf, 0.0)),
     # matrices
-    Row(RandomStream, "seed", lambda s=7: RandomStream(s), "^seed must", INTEGER,
+    Row(RandomStream, "seed", lambda s=7: RandomStream(s), integer("seed"), INTEGER,
         accepts=(-1, 0)),
     Row(RandomStream.uniforms, "count", lambda k=2: RandomStream(1).uniforms(k),
-        "^count must", INTEGER, accepts=(0,)),
+        integer("count", 0), INTEGER, accepts=(0,)),
     Row(RandomStream.normals, "count", lambda k=2: RandomStream(1).normals(k),
-        "^count must", INTEGER, accepts=(0,)),
+        integer("count", 0), INTEGER, accepts=(0,)),
     Row(RandomStream.integers, "count", lambda k=2: RandomStream(1).integers(k, 6),
-        "^count must", INTEGER, accepts=(0,)),
+        integer("count", 0), INTEGER, accepts=(0,)),
     Row(RandomStream.integers, "bound", lambda b=6: RandomStream(1).integers(2, b),
-        "^bound must", INTEGER),
-    Row(RandomStream.gaussian, "m", lambda m=2: RandomStream(1).gaussian(m, 3), "^m must",
-        INTEGER, accepts=(0,)),
-    Row(RandomStream.gaussian, "n", lambda n=3: RandomStream(1).gaussian(2, n), "^n must",
-        INTEGER, accepts=(0,)),
-    Row(gaussian_matrix, "m", lambda m=2: gaussian_matrix(m, 3, 1), "^m must", INTEGER),
-    Row(gaussian_matrix, "n", lambda n=3: gaussian_matrix(2, n, 1), "^n must", INTEGER),
-    Row(gaussian_matrix, "seed", lambda s=1: gaussian_matrix(2, 3, s), "^seed must", INTEGER,
+        integer("bound", 1), INTEGER),
+    Row(RandomStream.gaussian, "m", lambda m=2: RandomStream(1).gaussian(m, 3),
+        integer("m", 0), INTEGER, accepts=(0,)),
+    Row(RandomStream.gaussian, "n", lambda n=3: RandomStream(1).gaussian(2, n),
+        integer("n", 0), INTEGER, accepts=(0,)),
+    Row(gaussian_matrix, "m", lambda m=2: gaussian_matrix(m, 3, 1), integer("m", 1),
+        INTEGER),
+    Row(gaussian_matrix, "n", lambda n=3: gaussian_matrix(2, n, 1), integer("n", 1),
+        INTEGER),
+    Row(gaussian_matrix, "seed", lambda s=1: gaussian_matrix(2, 3, s), integer("seed"),
+        INTEGER, accepts=(-1, 0)),
+    Row(mix_seed, "seed", lambda s=1: mix_seed(s, 2), integer("seed"), INTEGER,
         accepts=(-1, 0)),
-    Row(mix_seed, "seed", lambda s=1: mix_seed(s, 2), "^seed must", INTEGER, accepts=(-1, 0)),
-    Row(mix_seed, "parts", lambda p=2: mix_seed(1, p), r"^parts\[0\] must", INTEGER,
+    Row(mix_seed, "parts", lambda p=2: mix_seed(1, p), integer("parts[0]"), INTEGER,
         accepts=(-1, 0)),
     # matrixio: every double has its shortest round-trip decimal.
     Row(format_float, "x", lambda x=0.5: format_float(x), "", accepts=REAL,
         check=lambda v, out: _same(float(out), v)),
     # norms
-    Row(entrywise_norm, "p", lambda p=1: entrywise_norm(M, p), "norm order",
-        REAL + (3,), accepts=(math.inf,), check=lambda v, out: out == np.abs(M).max()),
-    Row(sharp_norm, "rho", lambda rho=1.0: sharp_norm(M, rho),
-        "^rho must be positive and finite"),
-    Row(flat_norm, "rho", lambda rho=1.0: flat_norm(M, rho),
-        "^rho must be positive and finite"),
+    Row(entrywise_norm, "p", lambda p=1: entrywise_norm(M, p),
+        "^unsupported entry-wise norm order: ", REAL + (3,), accepts=(math.inf,),
+        check=lambda v, out: out == np.abs(M).max()),
+    Row(sharp_norm, "rho", lambda rho=1.0: sharp_norm(M, rho), real("rho", "(0, inf)")),
+    Row(flat_norm, "rho", lambda rho=1.0: flat_norm(M, rho), real("rho", "(0, inf)")),
     # prox: a threshold or radius of inf is allowed, and b = inf is no box.
-    Row(soft_threshold, "t", lambda t=0.5: soft_threshold(M, t),
-        "^threshold must be nonnegative",
+    Row(soft_threshold, "t", lambda t=0.5: soft_threshold(M, t), real("t", "[0, inf]"),
         accepts=(math.inf, 0.0),
         check=lambda v, out: np.array_equal(out, M if v == 0 else np.zeros_like(M))),
-    Row(svt, "t", lambda t=0.5: svt(M, t), "^threshold must be nonnegative",
+    Row(svt, "t", lambda t=0.5: svt(M, t), real("t", "[0, inf]"),
         accepts=(math.inf, 0.0),
         check=lambda v, out: np.allclose(out, M if v == 0 else np.zeros_like(M))),
-    Row(prox_l1_box, "t", lambda t=0.5: prox_l1_box(M, M, t, 1.0),
-        "^threshold must be nonnegative", accepts=(math.inf, 0.0)),
-    Row(prox_l1_box, "b", lambda b=1.0: prox_l1_box(M, M, 0.5, b),
-        "^box radius must be positive", accepts=(math.inf,),
+    Row(prox_l1_box, "t", lambda t=0.5: prox_l1_box(M, M, t, 1.0), real("t", "[0, inf]"),
+        accepts=(math.inf, 0.0)),
+    Row(prox_l1_box, "b", lambda b=1.0: prox_l1_box(M, M, 0.5, b), real("b", "(0, inf]"),
+        accepts=(math.inf,),
         check=lambda v, out: np.array_equal(out, soft_threshold(M, 0.5))),
-    Row(clip_entries, "b", lambda b=1.0: clip_entries(M, b), "^bound must be positive",
+    Row(clip_entries, "b", lambda b=1.0: clip_entries(M, b), real("b", "(0, inf]"),
         accepts=(math.inf,),
         check=lambda v, out: np.array_equal(out, M)),
-    Row(project_l1_ball, "eps", lambda eps=1.0: project_l1_ball(M, eps), "radius",
-        accepts=(math.inf, 0.0)),
-    Row(project_nuclear_ball, "eps", lambda eps=1.0: project_nuclear_ball(M, eps), "radius",
-        accepts=(math.inf, 0.0)),
+    Row(project_l1_ball, "eps", lambda eps=1.0: project_l1_ball(M, eps),
+        real("eps", "[0, inf]"), accepts=(math.inf, 0.0)),
+    Row(project_nuclear_ball, "eps", lambda eps=1.0: project_nuclear_ball(M, eps),
+        real("eps", "[0, inf]"), accepts=(math.inf, 0.0)),
     # solvers
     Row(RegularizedConfig, "lam", lambda lam=1.0: RegularizedConfig(lam=lam, mu=1.0),
-        "^lambda must be positive and finite"),
+        real("lam", "(0, inf)")),
     Row(RegularizedConfig, "mu", lambda mu=1.0: RegularizedConfig(lam=1.0, mu=mu),
-        "^mu must be positive and finite"),
+        real("mu", "(0, inf)")),
     Row(RegularizedConfig, "b", lambda b=1.0: RegularizedConfig(lam=1.0, mu=1.0, b=b),
-        "^box radius must be positive", accepts=(math.inf,)),
+        real("b", "(0, inf]"), accepts=(math.inf,)),
     Row(RegularizedConfig, "tol", lambda tol=1e-6: RegularizedConfig(lam=1.0, mu=1.0, tol=tol),
-        "^tol must be nonnegative", accepts=(math.inf, 0.0)),
+        real("tol", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(RegularizedConfig, "max_iter",
-        lambda k=10: RegularizedConfig(lam=1.0, mu=1.0, max_iter=k), "^max_iter must",
+        lambda k=10: RegularizedConfig(lam=1.0, mu=1.0, max_iter=k), integer("max_iter", 1),
         INTEGER),
     Row(ConstrainedConfig, "lam", lambda lam=1.0: ConstrainedConfig(lam=lam),
-        "^lambda must be positive and finite"),
+        real("lam", "(0, inf)")),
     Row(ConstrainedConfig, "eps_v1", lambda e=1.0: ConstrainedConfig(lam=1.0, eps_v1=e),
-        "^residual caps must be nonnegative", accepts=(math.inf, 0.0)),
+        real("eps_v1", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(ConstrainedConfig, "eps_star", lambda e=1.0: ConstrainedConfig(lam=1.0, eps_star=e),
-        "^residual caps must be nonnegative", accepts=(math.inf, 0.0)),
+        real("eps_star", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(ConstrainedConfig, "b", lambda b=1.0: ConstrainedConfig(lam=1.0, b=b),
-        "^box radius must be positive",
-        accepts=(math.inf,)),
+        real("b", "(0, inf]"), accepts=(math.inf,)),
     Row(ConstrainedConfig, "tol", lambda tol=1e-9: ConstrainedConfig(lam=1.0, tol=tol),
-        "^tol must be nonnegative", accepts=(math.inf, 0.0)),
+        real("tol", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(ConstrainedConfig, "max_iter", lambda k=10: ConstrainedConfig(lam=1.0, max_iter=k),
-        "^max_iter must be an integer of at least 1", INTEGER),
-    Row(bound_theorem2, "c", lambda c=2.0: bound_theorem2(PROF, c, LAM, 0.1, 0.1), "c must"),
+        integer("max_iter", 1), INTEGER),
+    Row(bound_theorem2, "c", lambda c=2.0: bound_theorem2(PROF, c, LAM, 0.1, 0.1),
+        real("c", "(1, inf)")),
     Row(bound_theorem2, "lam", lambda lam=LAM: bound_theorem2(PROF, 2.0, lam, 0.1, 0.1),
-        "lambda"),
+        real("lam", "(0, inf)")),
     Row(bound_theorem2, "eps_v1", lambda e=0.1: bound_theorem2(PROF, 2.0, LAM, e, 0.1),
-        "perturbation scales", accepts=(math.inf, 0.0)),
+        real("eps_v1", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(bound_theorem2, "eps_star", lambda e=0.1: bound_theorem2(PROF, 2.0, LAM, 0.1, e),
-        "perturbation scales", accepts=(math.inf, 0.0)),
+        real("eps_star", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(bound_theorem3, "c",
-        lambda c=2.0: bound_theorem3(PROF, c, LAM, MU, 0.1, 0.1, 0.1, 5, 1), "c must"),
+        lambda c=2.0: bound_theorem3(PROF, c, LAM, MU, 0.1, 0.1, 0.1, 5, 1),
+        real("c", "(1, inf)")),
     Row(bound_theorem3, "lam",
-        lambda lam=LAM: bound_theorem3(PROF, 2.0, lam, MU, 0.1, 0.1, 0.1, 5, 1), "lambda"),
+        lambda lam=LAM: bound_theorem3(PROF, 2.0, lam, MU, 0.1, 0.1, 0.1, 5, 1),
+        real("lam", "(0, inf)")),
     # Every scale is 0, so mu <= 0 counts as 0.
     Row(bound_theorem3, "mu",
-        lambda mu=MU: bound_theorem3(PROF, 2.0, LAM, mu, 0.0, 0.0, 0.0, 5, 1), "mu",
-        accepts=(math.inf, -math.inf, -1.0, 0.0)),
+        lambda mu=MU: bound_theorem3(PROF, 2.0, LAM, mu, 0.0, 0.0, 0.0, 5, 1),
+        real("mu", "[-inf, inf]"), accepts=(math.inf, -math.inf, -1.0, 0.0)),
     # mu = inf weights an infinite scale by 0, and the bounds are vacuous.
     Row(bound_theorem3, "mu",
         lambda mu=MU: bound_theorem3(PROF, 2.0, LAM, mu, 0.0, math.inf, 0.0, 5, 1),
-        "^mu must", accepts=(math.inf,),
+        MU_RULE,
+        accepts=(math.inf,),
         check=lambda v, out: out == (math.inf,) * 3, where="infinite-scale"),
     Row(bound_theorem3, "eps_2to2",
         lambda e=0.1: bound_theorem3(PROF, 2.0, LAM, MU, e, 0.1, 0.1, 5, 1),
-        "perturbation scales", accepts=(math.inf, 0.0)),
+        real("eps_2to2", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(bound_theorem3, "eps_vinf",
         lambda e=0.1: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, e, 0.1, 5, 1),
-        "perturbation scales", accepts=(math.inf, 0.0)),
+        real("eps_vinf", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(bound_theorem3, "eps_star_prime",
         lambda e=0.1: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, e, 5, 1),
-        "perturbation scales", accepts=(math.inf, 0.0)),
+        real("eps_star_prime", "[0, inf]"), accepts=(math.inf, 0.0)),
     Row(bound_theorem3, "kbar",
         lambda k=5: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, 0.1, k, 1),
-        "^kbar must be an integer of at least 0", INTEGER, accepts=(0,)),
+        integer("kbar", 0), INTEGER, accepts=(0,)),
+    # A term weighted by a zero count is a sum over an empty support: 0,
+    # even where its factor is infinite (0*inf read NaN).
+    Row(bound_theorem3, "kbar",
+        lambda k=5: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, math.inf, 0.1, k, 1),
+        integer("kbar", 0), INTEGER, accepts=(0,), where="infinite-eps_vinf"),
+    Row(bound_theorem3, "kbar",
+        lambda k=5: bound_theorem3(PROF, 2.0, LAM, math.inf, 0.0, 0.0, 0.0, k, 1),
+        integer("kbar", 0), INTEGER, accepts=(0,), where="infinite-mu"),
     Row(bound_theorem3, "rbar",
         lambda r=1: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, 0.1, 5, r),
-        "^rbar must be an integer of at least 0", INTEGER, accepts=(0,)),
+        integer("rbar", 0), INTEGER, accepts=(0,)),
     Row(bound_theorem3, "b",
         lambda b=1.0: bound_theorem3(PROF, 2.0, LAM, MU, 0.1, 0.1, 0.1, 5, 1, b=b),
-        "^box radius must be positive", accepts=(math.inf,)),
+        real("b", "(0, inf]"), accepts=(math.inf,)),
     # subspaces
-    Row(SupportSet, "m", lambda m=3: SupportSet(m, 3, [(0, 0)]), "^m must", INTEGER),
-    Row(SupportSet, "n", lambda n=3: SupportSet(3, n, [(0, 0)]), "^n must", INTEGER),
+    Row(SupportSet, "m", lambda m=3: SupportSet(m, 3, [(0, 0)]), integer("m", 1), INTEGER),
+    Row(SupportSet, "n", lambda n=3: SupportSet(3, n, [(0, 0)]), integer("n", 1), INTEGER),
     Row(neumann_inverse, "tol",
         lambda tol=1e-12: neumann_inverse(T.support, T.space, "omega", RHS, tol=tol),
-        "tol must"),
+        real("tol", "(0, inf)")),
     # sweep
-    Row(SweepSpec, "m", lambda m=8: SweepSpec(**{**GRID, "m": m}), "^m must", INTEGER),
-    Row(SweepSpec, "n", lambda n=8: SweepSpec(**{**GRID, "n": n}), "^n must", INTEGER),
+    Row(SweepSpec, "m", lambda m=8: SweepSpec(**{**GRID, "m": m}), integer("m", 1), INTEGER),
+    Row(SweepSpec, "n", lambda n=8: SweepSpec(**{**GRID, "n": n}), integer("n", 1), INTEGER),
     Row(SweepSpec, "ranks", lambda r=1: SweepSpec(**{**GRID, "ranks": (r,)}),
-        r"^ranks\[0\] must", INTEGER, accepts=(0,)),
+        integer("ranks[0]", 0), INTEGER, accepts=(0,)),
     Row(SweepSpec, "densities", lambda d=0.1: SweepSpec(**{**GRID, "densities": (d,)}),
-        "densities", REAL + (1.5,), accepts=(0.0,)),
-    Row(SweepSpec, "trials", lambda k=1: SweepSpec(**{**GRID, "trials": k}), "^trials must",
-        INTEGER),
+        real("densities[0]", "[0, 1]"), REAL + (1.5,), accepts=(0.0,)),
+    Row(SweepSpec, "trials", lambda k=1: SweepSpec(**{**GRID, "trials": k}),
+        integer("trials", 1), INTEGER),
     Row(SweepSpec, "base_seed", lambda s=0: SweepSpec(**{**GRID, "base_seed": s}),
-        "^base_seed must", INTEGER, accepts=(-1, 0)),
+        integer("base_seed"), INTEGER, accepts=(-1, 0)),
     Row(SweepSpec, "solver_max_iter",
-        lambda k=10: SweepSpec(**{**GRID, "solver_max_iter": k}), "^solver_max_iter must",
-        INTEGER),
-    Row(run_sweep, "jobs", lambda jobs=1: run_sweep(TINY_SWEEP, jobs=jobs), "^jobs must",
-        INTEGER),
+        lambda k=10: SweepSpec(**{**GRID, "solver_max_iter": k}),
+        integer("solver_max_iter", 1), INTEGER),
+    Row(run_sweep, "jobs", lambda jobs=1: run_sweep(TINY_SWEEP, jobs=jobs),
+        integer("jobs", 1), INTEGER),
     # Relative to the test's working directory, a fresh temporary one.
     Row(write_sweep_outputs, "jobs",
-        lambda jobs=1: write_sweep_outputs(TINY_SWEEP, "sweep.csv", jobs=jobs), "^jobs must",
-        INTEGER),
+        lambda jobs=1: write_sweep_outputs(TINY_SWEEP, "sweep.csv", jobs=jobs),
+        integer("jobs", 1), INTEGER),
     # synth
-    Row(InstanceSpec, "m", lambda m=5: InstanceSpec(**{**INSTANCE, "m": m}), "^m must",
+    Row(InstanceSpec, "m", lambda m=5: InstanceSpec(**{**INSTANCE, "m": m}), integer("m", 1),
         INTEGER),
-    Row(InstanceSpec, "n", lambda n=4: InstanceSpec(**{**INSTANCE, "n": n}), "^n must",
+    Row(InstanceSpec, "n", lambda n=4: InstanceSpec(**{**INSTANCE, "n": n}), integer("n", 1),
         INTEGER),
     Row(InstanceSpec, "rbar", lambda r=1: InstanceSpec(**{**INSTANCE, "rbar": r}),
-        "^rbar must", INTEGER, accepts=(0,)),
+        integer("rbar", 0), INTEGER, accepts=(0,)),
     Row(InstanceSpec, "ktilde", lambda k=3: InstanceSpec(**{**INSTANCE, "ktilde": k}),
-        "^ktilde must", INTEGER, accepts=(0,)),
+        integer("ktilde", 0), INTEGER, accepts=(0,)),
     Row(InstanceSpec, "amplitude",
-        lambda a=10.0: InstanceSpec(**INSTANCE, amplitude=a), "amplitude"),
+        lambda a=10.0: InstanceSpec(**INSTANCE, amplitude=a), real("amplitude", "(0, inf)")),
     Row(InstanceSpec, "sigma", lambda s=0.1: InstanceSpec(**INSTANCE, sigma=s),
-        "^sigma must be nonnegative and finite",
-        accepts=(0.0,)),
+        real("sigma", "[0, inf)"), accepts=(0.0,)),
     Row(InstanceSpec, "seed", lambda s=0: InstanceSpec(**{**INSTANCE, "seed": s}),
-        "^seed must", INTEGER, accepts=(-1, 0)),
-    Row(gen_support, "m", lambda m=4: gen_support(m, 4, 2, 1), "^m must", INTEGER),
-    Row(gen_support, "n", lambda n=4: gen_support(4, n, 2, 1), "^n must", INTEGER),
-    Row(gen_support, "ktilde", lambda k=2: gen_support(4, 4, k, 1), "^ktilde must", INTEGER,
-        accepts=(0,)),
-    Row(gen_support, "seed", lambda s=1: gen_support(4, 4, 2, s), "^seed must", INTEGER,
+        integer("seed"), INTEGER, accepts=(-1, 0)),
+    Row(gen_support, "m", lambda m=4: gen_support(m, 4, 2, 1), integer("m", 1), INTEGER),
+    Row(gen_support, "n", lambda n=4: gen_support(4, n, 2, 1), integer("n", 1), INTEGER),
+    Row(gen_support, "ktilde", lambda k=2: gen_support(4, 4, k, 1), integer("ktilde", 0),
+        INTEGER, accepts=(0,)),
+    Row(gen_support, "seed", lambda s=1: gen_support(4, 4, 2, s), integer("seed"), INTEGER,
         accepts=(-1, 0)),
-    Row(gen_subspaces, "m", lambda m=4: gen_subspaces(m, 4, 1, 1), "^m must", INTEGER),
-    Row(gen_subspaces, "n", lambda n=4: gen_subspaces(4, n, 1, 1), "^n must", INTEGER),
-    Row(gen_subspaces, "rbar", lambda r=1: gen_subspaces(4, 4, r, 1), "^rbar must", INTEGER,
-        accepts=(0,)),
-    Row(gen_subspaces, "seed", lambda s=1: gen_subspaces(4, 4, 1, s), "^seed must", INTEGER,
-        accepts=(-1, 0)),
+    Row(gen_subspaces, "m", lambda m=4: gen_subspaces(m, 4, 1, 1), integer("m", 1),
+        INTEGER),
+    Row(gen_subspaces, "n", lambda n=4: gen_subspaces(4, n, 1, 1), integer("n", 1),
+        INTEGER),
+    Row(gen_subspaces, "rbar", lambda r=1: gen_subspaces(4, 4, r, 1), integer("rbar", 0),
+        INTEGER, accepts=(0,)),
+    Row(gen_subspaces, "seed", lambda s=1: gen_subspaces(4, 4, 1, s), integer("seed"),
+        INTEGER, accepts=(-1, 0)),
 ]
 
 

@@ -525,13 +525,14 @@ def test_decompose_nan_setting_exits_1(tmp_path, flag, capsys):
 @pytest.mark.parametrize("mode, flag", [("constrained", "--lambda"),
                                         ("regularized", "--mu")])
 def test_decompose_infinite_setting_exits_1(tmp_path, mode, flag, capsys):
+    name = {"--lambda": "lam", "--mu": "mu"}[flag]
     t, _ = flat_instance(8, 8, 1, 4, 10.0, probe_seed("clinan"))
     ypath = tmp_path / "y.csv"
     write_matrix_csv(ypath, t.X_S + t.X_L)
     extra = ["--mu", 0.5] if mode == "regularized" else []
     assert run_cli(*decompose_args(tmp_path, ypath, mode, *extra, flag, "inf")) == 1
     err = capsys.readouterr().err
-    assert "must be positive and finite" in err and "Traceback" not in err
+    assert f"{name} must lie in (0, inf), got inf" in err and "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -545,19 +546,19 @@ def test_generate_negative_seed(tmp_path):
 
 @pytest.mark.parametrize("command, flag, value, message", [
     ("generate", "--sigma", "nan", "sigma"),
-    ("generate", "--sigma", "inf", "sigma must be nonnegative and finite"),
-    ("diagnose", "--c", "nan", "c must exceed 1"),
-    ("diagnose", "--c", "inf", "c must exceed 1"),
-    ("diagnose", "--rho", "nan", "rho must be positive"),
-    ("diagnose", "--rho", "inf", "rho must be positive"),
-    ("diagnose", "--lambda", "nan", "lambda must be positive"),
-    ("diagnose", "--mu", "nan", "mu must not be NaN"),
-    ("certify", "--c", "inf", "c must exceed 1"),
-    ("certify", "--lambda", "nan", "lambda must be positive"),
-    ("sweep", "--densities", "nan", "densities"),
+    ("generate", "--sigma", "inf", "sigma must lie in [0, inf), got inf"),
+    ("diagnose", "--c", "nan", "c must lie in (1, inf), got nan"),
+    ("diagnose", "--c", "inf", "c must lie in (1, inf), got inf"),
+    ("diagnose", "--rho", "nan", "rho must lie in (0, inf), got nan"),
+    ("diagnose", "--rho", "inf", "rho must lie in (0, inf), got inf"),
+    ("diagnose", "--lambda", "nan", "lam must lie in (0, inf), got nan"),
+    ("diagnose", "--mu", "nan", "mu must lie in [-inf, inf], got nan"),
+    ("certify", "--c", "inf", "c must lie in (1, inf), got inf"),
+    ("certify", "--lambda", "nan", "lam must lie in (0, inf), got nan"),
+    ("sweep", "--densities", "nan", "densities[0] must lie in [0, 1], got nan"),
     ("sweep", "--densities", "0:nan:0.1", "bad grid"),
     # The grid's bounds are checked before its count, which overflowed.
-    ("sweep", "--densities", "0:inf:0.1", "densities must lie in [0, 1]"),
+    ("sweep", "--densities", "0:inf:0.1", "densities high must lie in [0, 1], got inf"),
 ], ids=["generate-sigma", "generate-sigma-inf", "diagnose-c", "diagnose-c-inf",
         "diagnose-rho", "diagnose-rho-inf", "diagnose-lambda", "diagnose-mu",
         "certify-c-inf", "certify-lambda", "sweep-densities", "sweep-density-grid",

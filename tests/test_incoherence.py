@@ -125,9 +125,6 @@ def test_optimal_rho_closed_form():
     assert optimal_rho(3.0, 3.0) == 1.0
     assert optimal_rho(0.0, 5.0) == 1.0
     assert optimal_rho(5.0, 0.0) == 1.0
-    for a, b in ((-1.0, 2.0), (math.nan, 1.0), (1.0, math.nan)):
-        with pytest.raises(ValueError, match="counts must be nonnegative"):
-            optimal_rho(a, b)
 
 
 def golden_section_min(f, lo, hi, tol=1e-10):
@@ -173,10 +170,6 @@ def test_rho_star_minimizes_product_on_grid():
     for log_rho in np.linspace(-3, 3, 61):
         rho = prof.rho_star * math.exp(log_rho)
         assert prof.alpha(rho) * prof.beta(rho) >= best - 1e-9
-    for rho in (0.0, math.nan, math.inf):
-        for balanced in (prof.alpha, prof.beta):
-            with pytest.raises(ValueError, match="rho must be positive"):
-                balanced(rho)
 
 
 def test_identifiability_dense_vector_instance():
@@ -230,22 +223,11 @@ def test_uncertainty_principle():
 
 
 def test_check_conditions_requires_c_above_one():
+    # c = 1, the open end of the premise; tests/test_boundary.py holds the
+    # rest of c's rule, and lambda's and the scales'.
     prof = make_profile(1.0, 1.0, 0.02, 0.02, 0.02, 0.01)
-    for c in (1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="c must exceed 1"):
-            check_conditions(prof, "constrained", c, 0.1)
-    for lam in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="lambda must be positive"):
-            check_conditions(prof, "constrained", 2.0, lam)
-    with pytest.raises(ValueError, match="mu must not be NaN"):
-        check_conditions(prof, "regularized", 2.0, 0.1, mu=math.nan)
-    # A negative or NaN scale would move the lambda window, not close it.
-    t, _ = flat_instance(20, 20, 1, 20, 10.0, 5)
-    prof = profile(t)
-    for scale in (-0.5, math.nan):
-        for name in ("eps_2to2", "eps_vinf"):
-            with pytest.raises(ValueError, match="perturbation scales must be nonnegative"):
-                check_conditions(prof, "regularized", 2.0, 0.3, mu=1.0, **{name: scale})
+    with pytest.raises(ValueError, match=r"^c must lie in \(1, inf\), got 1.0$"):
+        check_conditions(prof, "constrained", 1.0, 0.1)
 
 
 def test_check_conditions_fails_on_nonidentifiable():

@@ -33,18 +33,6 @@ def test_spec_validation_errors():
         InstanceSpec(m=5, n=5, rbar=1, ktilde=3, magnitude_law="cauchy")
 
 
-def test_spec_rejects_infinite_amplitude():
-    # An infinite amplitude gives a non-finite X_S.
-    with pytest.raises(ValueError, match="amplitude"):
-        InstanceSpec(m=5, n=5, rbar=1, ktilde=3, amplitude=math.inf)
-
-
-def test_spec_rejects_infinite_sigma():
-    # An infinite sigma gives a non-finite E; the spec names sigma, not E.
-    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
-        InstanceSpec(m=5, n=5, rbar=1, ktilde=3, sigma=math.inf)
-
-
 @pytest.mark.parametrize("law", MAGNITUDE_LAWS)
 @pytest.mark.parametrize("amplitude", [5e-324, sys.float_info.min])
 def test_tiny_amplitude_support_is_the_nonzero_cells(law, amplitude):
